@@ -8,7 +8,9 @@ fast:
 * the file parses as a flat JSON object of scalar values,
 * it names itself via a non-empty ``"benchmark"`` string,
 * it carries at least one numeric ``*_seconds`` timing and one numeric
-  ``*speedup*`` ratio,
+  ``*speedup*`` ratio — except artifacts listed in ``ABSOLUTE_RATE_ONLY``,
+  whose baseline path no longer exists and which report absolute rates
+  instead,
 * it stamps the host environment that produced it (numeric ``env_cpu_count``,
   non-empty ``env_python``/``env_platform`` strings — see
   :func:`repro.obs.bench.bench_env`),
@@ -77,7 +79,18 @@ REQUIRED_NUMERIC_FIELDS: Dict[str, Tuple[str, ...]] = {
         "python_volume_speedup",
         "python_distinct_speedup",
     ),
+    "BENCH_workload.json": (
+        "columnar_seconds",
+        "flows_per_sec",
+        "export_table_seconds",
+        "export_rows_per_sec",
+    ),
 }
+
+#: Artifacts exempt from the speedup-ratio requirement: the code they were
+#: once compared against is gone, so they record absolute rates (required in
+#: ``REQUIRED_NUMERIC_FIELDS``) and no ratio.
+ABSOLUTE_RATE_ONLY: Tuple[str, ...] = ("BENCH_workload.json",)
 
 #: Artifact-specific string keys that must be present and non-empty.  The
 #: flowtable benchmark must always name the kernel backend its headline
@@ -117,7 +130,7 @@ def check_bench_file(path: Path) -> List[str]:
     has_speedup = any(
         "speedup" in key and _is_number(value) for key, value in payload.items()
     )
-    if not has_speedup:
+    if not has_speedup and path.name not in ABSOLUTE_RATE_ONLY:
         problems.append(f"{path.name}: no numeric '*speedup*' ratio field")
     for required in REQUIRED_NUMERIC_FIELDS.get(path.name, ()):
         if not _is_number(payload.get(required)):

@@ -20,8 +20,8 @@ def context() -> ExperimentContext:
     ctx = build_context(ScenarioConfig.default(seed=7))
     # Pre-compute the expensive shared artifacts so individual benchmarks measure
     # only their own analysis step.
-    ctx.clean_flows()
-    ctx.outage_flows()
+    ctx.clean_table()
+    ctx.outage_table()
     return ctx
 
 

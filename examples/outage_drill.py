@@ -37,12 +37,13 @@ def main(config: "ScenarioConfig | None" = None) -> None:
 
     # What-if: a more severe outage that also breaks device retries.
     print("\nWhat-if drill: a harsher outage (80% capacity loss, devices give up)...")
+    # The context's cached tables hold the replayed week; the drill regenerates
+    # the outage period under the new schedule.
     world = context.world
     world.outage_schedule = OutageSchedule(
         [aws_us_east_1_outage(traffic_retention=0.2, device_retention=0.6)]
     )
-    world._flow_cache.clear()
-    flows = world.flows(config.outage_period)
+    flows = world.workload_generator().generate_period_table(config.outage_period)
     window = result.report.outage_window
     drill = outage_impact(flows, context.anonymization.provider("T1"), window)
     print(f"  downstream traffic drop, US-East regions : {format_percent(drill.drop_vs_previous_week(GROUP_US_EAST))}")

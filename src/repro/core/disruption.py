@@ -19,11 +19,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import FlowRecord
 from repro.netmodel.geo import CONTINENT_EUROPE
 from repro.routing.bgp import RoutingTable
 from repro.routing.events import BgpEvent, BgpEventFeed, EventKind
@@ -34,9 +33,6 @@ from repro.simulation.clock import StudyPeriod
 GROUP_ALL = "All"
 GROUP_US_EAST = "US-East"
 GROUP_EU = "EU"
-
-#: Analyses accept plain record sequences or an already-built columnar table.
-Flows = Union[FlowTable, Sequence[FlowRecord]]
 
 
 @dataclass
@@ -83,7 +79,7 @@ class OutageImpactReport:
 
 
 def outage_impact(
-    flows: Flows,
+    table: FlowTable,
     provider_key: str,
     outage_window: Tuple[datetime, datetime],
     baseline_window: Optional[Tuple[datetime, datetime]] = None,
@@ -109,7 +105,6 @@ def outage_impact(
         from datetime import timedelta
 
         baseline_window = (start.replace(hour=0) - timedelta(days=4), start.replace(hour=0))
-    table = FlowTable.ensure(flows)
     # Classify once per pool entry, then expand to row masks via the codes.
     provider_pool = table.pool("provider_key")
     is_provider = bytearray(1 if key == provider_key else 0 for key in provider_pool)

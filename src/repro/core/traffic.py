@@ -1,18 +1,13 @@
 """ISP traffic-flow analyses (Section 5, Figures 5--14).
 
-All analyses operate on :class:`~repro.flows.netflow.FlowRecord` sequences exported
-by the ISP's NetFlow collector and on the set of backend addresses produced by the
-discovery pipeline.  Provider names are anonymized with an
-:class:`~repro.flows.anonymize.AnonymizationMap` before any per-provider numbers
-are reported, mirroring the paper's data-sharing agreement.
-
-Every analysis accepts either a plain record sequence or a columnar
-:class:`~repro.flows.flowtable.FlowTable`; inputs are converted once via
-:meth:`FlowTable.ensure` and all grouping/filtering runs on the table's
-dictionary-encoded columns instead of repeated linear passes over dataclass
-instances.  Callers that run several analyses over the same flows (the
-``repro.experiments`` layer) should pass a shared ``FlowTable`` so the
-conversion happens once.
+All analyses operate on the :class:`~repro.flows.flowtable.FlowTable` exported
+by the ISP's NetFlow collector and on the set of backend addresses produced by
+the discovery pipeline; grouping and filtering run on the table's
+dictionary-encoded columns.  Callers that run several analyses over the same
+flows (the ``repro.experiments`` layer) pass one shared table, so cached group
+indexes are reused across analyses.  Provider names are anonymized with an
+:class:`~repro.flows.anonymize.AnonymizationMap` before any per-provider
+numbers are reported, mirroring the paper's data-sharing agreement.
 
 The module provides, in paper order:
 
@@ -32,12 +27,11 @@ import bisect
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult
 from repro.flows.anonymize import AnonymizationMap
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import FlowRecord
 from repro.netmodel.geo import (
     CONTINENT_ASIA,
     CONTINENT_EUROPE,
@@ -47,9 +41,6 @@ from repro.protocols.ports import port_label
 
 #: Default scanner threshold adopted by the paper after the sensitivity analysis.
 DEFAULT_SCANNER_THRESHOLD = 100
-
-#: Analyses accept plain record sequences or an already-built columnar table.
-Flows = Union[FlowTable, Sequence[FlowRecord]]
 
 
 # ---------------------------------------------------------------------------------
@@ -112,12 +103,11 @@ class ScannerExclusion:
 
     def __init__(
         self,
-        flows: Flows,
+        table: FlowTable,
         backend_ips: Set[str],
         mask: Optional[Sequence[int]] = None,
     ) -> None:
         self.backend_ips = set(backend_ips)
-        table = FlowTable.ensure(flows)
         ip_pool = table.pool("server_ip")
         is_backend = bytearray(len(ip_pool))
         for code, ip in enumerate(ip_pool):
@@ -168,28 +158,6 @@ class ScannerExclusion:
         return points
 
 
-def exclude_scanner_flows(flows: Flows, scanner_lines: Set[int]) -> Flows:
-    """Drop all flows of the given scanner lines.
-
-    Returns the same container kind it was given: a filtered ``FlowTable`` for
-    table input, a list of records otherwise.
-    """
-    if isinstance(flows, FlowTable):
-        return flows.exclude_subscribers(scanner_lines)
-    return [flow for flow in flows if flow.subscriber_id not in scanner_lines]
-
-
-def identify_and_exclude_scanners(
-    flows: Flows,
-    backend_ips: Set[str],
-    threshold: int = DEFAULT_SCANNER_THRESHOLD,
-) -> Tuple[Flows, Set[int]]:
-    """Convenience helper: identify scanners and return (clean flows, scanner lines)."""
-    exclusion = ScannerExclusion(flows, backend_ips)
-    scanners = exclusion.scanner_lines(threshold)
-    return exclude_scanner_flows(flows, scanners), scanners
-
-
 # ---------------------------------------------------------------------------------
 # Backend visibility (Section 5.2, Figure 6)
 # ---------------------------------------------------------------------------------
@@ -217,12 +185,11 @@ class VisibilityRow:
 
 
 def visibility_per_provider(
-    flows: Flows,
+    table: FlowTable,
     result: DiscoveryResult,
     anonymization: AnonymizationMap,
 ) -> List[VisibilityRow]:
     """Compute, per provider, the fraction of discovered addresses seen in traffic."""
-    table = FlowTable.ensure(flows)
     contacted = table.group_distinct(("provider_key",), "server_ip")
     rows: List[VisibilityRow] = []
     for provider_key in result.providers():
@@ -241,12 +208,11 @@ def visibility_per_provider(
     return sorted(rows, key=lambda row: _label_sort_key(row.label))
 
 
-def overall_visibility(flows: Flows, result: DiscoveryResult, ip_version: int) -> float:
+def overall_visibility(table: FlowTable, result: DiscoveryResult, ip_version: int) -> float:
     """Overall fraction of discovered addresses of a family seen in traffic."""
     total = result.ipv4_ips() if ip_version == 4 else result.ipv6_ips()
     if not total:
         return 0.0
-    table = FlowTable.ensure(flows)
     contacted = {ip for ip in table.distinct("server_ip") if ip in total}
     return len(contacted) / len(total)
 
@@ -274,22 +240,20 @@ class SubscriberLossRow:
 
 
 def subscriber_lines_per_provider(
-    flows: Flows, backend_ips: Set[str]
+    table: FlowTable, backend_ips: Set[str]
 ) -> Dict[Tuple[str, int], Set[int]]:
     """Return, per (provider, family), the subscriber lines whose flows touch the given addresses."""
-    table = FlowTable.ensure(flows)
     mask = table.mask_server_ips(backend_ips)
     return table.group_distinct(("provider_key", "ip_version"), "subscriber_id", mask=mask)
 
 
 def tls_only_subscriber_loss(
-    flows: Flows,
+    table: FlowTable,
     full_result: DiscoveryResult,
     tls_only_result: DiscoveryResult,
     anonymization: AnonymizationMap,
 ) -> List[SubscriberLossRow]:
     """Quantify the loss in visible IoT subscriber lines with TLS-only discovery."""
-    table = FlowTable.ensure(flows)
     full_lines = subscriber_lines_per_provider(table, full_result.ips())
     tls_lines = subscriber_lines_per_provider(table, tls_only_result.ips())
     rows: List[SubscriberLossRow] = []
@@ -316,12 +280,11 @@ def tls_only_subscriber_loss(
 
 
 def activity_timeseries(
-    flows: Flows,
+    table: FlowTable,
     anonymization: AnonymizationMap,
     min_lines_per_hour: int = 0,
 ) -> Dict[str, Dict[datetime, int]]:
     """Hourly number of active subscriber lines per (anonymized) provider."""
-    table = FlowTable.ensure(flows)
     grouped = table.group_distinct(("provider_key", "timestamp"), "subscriber_id")
     lines: Dict[str, Dict[datetime, Set[int]]] = defaultdict(dict)
     for (provider_key, timestamp), subscribers in grouped.items():
@@ -342,7 +305,7 @@ def activity_timeseries(
 
 
 def volume_timeseries(
-    flows: Flows,
+    table: FlowTable,
     anonymization: AnonymizationMap,
     sampling_ratio: int = 1,
     direction: str = "down",
@@ -350,7 +313,6 @@ def volume_timeseries(
     """Hourly (estimated) traffic volume per provider, downstream by default."""
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
-    table = FlowTable.ensure(flows)
     value_column = "bytes_down" if direction == "down" else "bytes_up"
     grouped = table.group_sum(("provider_key", "timestamp"), value_column)
     series: Dict[str, Dict[datetime, float]] = defaultdict(lambda: defaultdict(float))
@@ -363,10 +325,9 @@ def volume_timeseries(
 
 
 def direction_ratio_timeseries(
-    flows: Flows, anonymization: AnonymizationMap
+    table: FlowTable, anonymization: AnonymizationMap
 ) -> Dict[str, Dict[datetime, float]]:
     """Hourly downstream/upstream byte ratio per provider (Figure 10)."""
-    table = FlowTable.ensure(flows)
     down = volume_timeseries(table, anonymization, direction="down")
     up = volume_timeseries(table, anonymization, direction="up")
     ratios: Dict[str, Dict[datetime, float]] = {}
@@ -379,9 +340,8 @@ def direction_ratio_timeseries(
     return ratios
 
 
-def mean_direction_ratio(flows: Flows, anonymization: AnonymizationMap) -> Dict[str, float]:
+def mean_direction_ratio(table: FlowTable, anonymization: AnonymizationMap) -> Dict[str, float]:
     """Overall downstream/upstream ratio per provider across the whole input."""
-    table = FlowTable.ensure(flows)
     grouped = table.group_sums(("provider_key",), ("bytes_down", "bytes_up"))
     down: Dict[str, float] = defaultdict(float)
     up: Dict[str, float] = defaultdict(float)
@@ -400,9 +360,8 @@ def mean_direction_ratio(flows: Flows, anonymization: AnonymizationMap) -> Dict[
 # ---------------------------------------------------------------------------------
 
 
-def port_mix(flows: Flows, anonymization: AnonymizationMap) -> Dict[str, Dict[str, float]]:
+def port_mix(table: FlowTable, anonymization: AnonymizationMap) -> Dict[str, Dict[str, float]]:
     """Share of each provider's traffic volume per (transport, port)."""
-    table = FlowTable.ensure(flows)
     grouped = table.group_sums(("provider_key", "transport", "port"), ("bytes_down", "bytes_up"))
     volume: Dict[str, Dict[str, float]] = defaultdict(lambda: defaultdict(float))
     for (provider_key, transport, port), (down, up) in grouped.items():
@@ -420,10 +379,9 @@ def port_mix(flows: Flows, anonymization: AnonymizationMap) -> Dict[str, Dict[st
 
 
 def top_ports_by_volume(
-    flows: Flows, top_n: int = 7, mask: Optional[Sequence[int]] = None
+    table: FlowTable, top_n: int = 7, mask: Optional[Sequence[int]] = None
 ) -> List[str]:
     """Return the ``top_n`` port labels by total downstream volume."""
-    table = FlowTable.ensure(flows)
     grouped = table.group_sum(("transport", "port"), "bytes_down", mask=mask)
     volume: Dict[str, float] = defaultdict(float)
     for (transport, port), down in grouped.items():
@@ -437,12 +395,11 @@ def top_ports_by_volume(
 
 
 def per_subscriber_daily_volume(
-    flows: Flows,
+    table: FlowTable,
     day: date,
     sampling_ratio: int = 1,
 ) -> Tuple[EmpiricalDistribution, EmpiricalDistribution]:
     """Figure 12a: daily (downstream, upstream) volume per subscriber line."""
-    table = FlowTable.ensure(flows)
     grouped = table.group_sums(
         ("subscriber_id",), ("bytes_down", "bytes_up"), mask=table.mask_day(day)
     )
@@ -452,14 +409,13 @@ def per_subscriber_daily_volume(
 
 
 def per_subscriber_daily_volume_by_provider(
-    flows: Flows,
+    table: FlowTable,
     day: date,
     anonymization: AnonymizationMap,
     sampling_ratio: int = 1,
     direction: str = "down",
 ) -> Dict[str, EmpiricalDistribution]:
     """Figure 12b: per-provider daily volume per subscriber line."""
-    table = FlowTable.ensure(flows)
     value_column = "bytes_down" if direction == "down" else "bytes_up"
     grouped = table.group_sum(
         ("provider_key", "subscriber_id"), value_column, mask=table.mask_day(day)
@@ -475,7 +431,7 @@ def per_subscriber_daily_volume_by_provider(
 
 
 def per_subscriber_daily_volume_by_port(
-    flows: Flows,
+    table: FlowTable,
     day: date,
     sampling_ratio: int = 1,
     top_n: int = 7,
@@ -485,7 +441,6 @@ def per_subscriber_daily_volume_by_port(
     The ``top_n`` ports by downstream volume get their own distribution; all other
     ports are aggregated under ``Other``.
     """
-    table = FlowTable.ensure(flows)
     day_mask = table.mask_day(day)
     top = set(top_ports_by_volume(table, top_n, mask=day_mask))
     grouped = table.group_sum(
@@ -549,9 +504,8 @@ def _categorize_continents(continents: Set[str]) -> str:
     return REGION_OTHER
 
 
-def region_crossing(flows: Flows) -> RegionCrossingReport:
+def region_crossing(table: FlowTable) -> RegionCrossingReport:
     """Compute Figure 13 (lines) and Figure 14 (traffic) statistics."""
-    table = FlowTable.ensure(flows)
     continents_per_line = table.group_distinct(("subscriber_id",), "server_continent")
     grouped_traffic = table.group_sums(("server_continent",), ("bytes_down", "bytes_up"))
     traffic_by_continent = {
@@ -591,9 +545,8 @@ def _label_sort_key(label: str) -> Tuple[int, int]:
     return (order.get(prefix, 3), index)
 
 
-def daily_active_lines(flows: Flows, ip_version: Optional[int] = None) -> Dict[date, int]:
+def daily_active_lines(table: FlowTable, ip_version: Optional[int] = None) -> Dict[date, int]:
     """Number of distinct subscriber lines with IoT activity per day."""
-    table = FlowTable.ensure(flows)
     mask = table.mask_ip_version(ip_version) if ip_version is not None else None
     per_day: Dict[date, Set[int]] = defaultdict(set)
     grouped = table.group_distinct(("timestamp",), "subscriber_id", mask=mask)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
 from repro.core.patterns import PatternSet
 from repro.dns.passive_db import PassiveDnsDatabase
+from repro.flows.flowtable import FlowTable
 from repro.netmodel.addressing import ip_in_prefix
 
 #: Default threshold on the number of non-IoT domains before an IP counts as shared.
@@ -177,20 +179,25 @@ class TrafficCoverageReport:
 def traffic_coverage(
     result: DiscoveryResult,
     provider_key: str,
-    flows: Iterable,
+    table: FlowTable,
 ) -> TrafficCoverageReport:
     """Quantify the traffic underestimation caused by undiscovered server IPs.
 
-    ``flows`` is an iterable of :class:`repro.flows.netflow.FlowRecord`; only flows
-    of the given provider are considered.  An "active" server IP is one that
-    exchanges traffic with at least one subscriber line during the period.
+    Only the rows of the given provider are considered; each row adds its
+    ``bytes_down + bytes_up`` to its server address, in row order.  An "active"
+    server IP is one that exchanges traffic with at least one subscriber line
+    during the period.
     """
     discovered = result.ips(provider_key)
+    mask = table.mask_code("provider_key", lambda key: key == provider_key)
+    ip_pool = table.pool("server_ip")
     bytes_per_ip: Dict[str, float] = {}
-    for flow in flows:
-        if flow.provider_key != provider_key:
-            continue
-        bytes_per_ip[flow.server_ip] = bytes_per_ip.get(flow.server_ip, 0.0) + flow.total_bytes
+    for ip_code, down, up in compress(
+        zip(table.codes("server_ip"), table.numeric("bytes_down"), table.numeric("bytes_up")),
+        mask,
+    ):
+        ip = ip_pool[ip_code]
+        bytes_per_ip[ip] = bytes_per_ip.get(ip, 0.0) + (down + up)
     total = sum(bytes_per_ip.values())
     missed_ips = {ip for ip in bytes_per_ip if ip not in discovered}
     missed_bytes = sum(bytes_per_ip[ip] for ip in missed_ips)

@@ -247,9 +247,9 @@ class ValidationResult:
 
 def sec34_validation(context: ExperimentContext) -> ValidationResult:
     """Reproduce the Section 3.4 validation against published ranges and ISP traffic."""
-    flows = context.clean_flows()
+    table = context.clean_table()
     traffic_reports = {
-        key: traffic_coverage(context.result.combined, key, flows)
+        key: traffic_coverage(context.result.combined, key, table)
         for key in context.world.published_ranges
     }
     return ValidationResult(

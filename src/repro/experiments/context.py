@@ -26,13 +26,13 @@ later contexts skip classification entirely.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.core.pipeline import DiscoveryPipeline, PipelineResult
 from repro.core.traffic import DEFAULT_SCANNER_THRESHOLD, ScannerExclusion
 from repro.flows.anonymize import AnonymizationMap
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import FlowRecord, NetFlowCollector
+from repro.flows.netflow import NetFlowCollector
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.simulation.clock import StudyPeriod
@@ -61,7 +61,6 @@ class ExperimentContext:
         self.store = store
         self._pipeline = pipeline
         self._result = result
-        self._flow_cache: Dict[Tuple, List[FlowRecord]] = {}
         self._scanner_cache: Dict[Tuple[StudyPeriod, int], Set[int]] = {}
         self._table_cache: Dict[Tuple, FlowTable] = {}
 
@@ -106,32 +105,7 @@ class ExperimentContext:
                 self.store.put_pipeline_result(self.config, period, stage, result)
         return result
 
-    # -- flows ---------------------------------------------------------------------
-
-    def raw_flows(self, period: Optional[StudyPeriod] = None) -> List[FlowRecord]:
-        """Sampled NetFlow export for a period, scanners included.
-
-        Derived from :meth:`raw_table` — the columnar path is the generation
-        source of truth; the record list is materialized once for the
-        record-based call sites.
-        """
-        period = period or self.config.study_period
-        key = (period, True)
-        if key not in self._flow_cache:
-            self._flow_cache[key] = self.raw_table(period).to_records()
-        return self._flow_cache[key]
-
-    def clean_flows(
-        self,
-        period: Optional[StudyPeriod] = None,
-        threshold: int = DEFAULT_SCANNER_THRESHOLD,
-    ) -> List[FlowRecord]:
-        """Flows with scanner subscriber lines removed (the Section 5 baseline)."""
-        period = period or self.config.study_period
-        key = (period, threshold, False)
-        if key not in self._flow_cache:
-            self._flow_cache[key] = self.clean_table(period, threshold).to_records()
-        return self._flow_cache[key]
+    # -- flow tables -----------------------------------------------------------------
 
     def scanner_lines(
         self,
@@ -140,8 +114,7 @@ class ExperimentContext:
     ) -> Set[int]:
         """The subscriber lines identified as scanners for a period/threshold.
 
-        The scanner fan-out analysis runs on the cached columnar table, so it
-        shares one record->column conversion with every other analysis.
+        The scanner fan-out analysis runs on the cached raw export table.
         """
         period = period or self.config.study_period
         cache_key = (period, threshold)
@@ -150,19 +123,12 @@ class ExperimentContext:
             self._scanner_cache[cache_key] = exclusion.scanner_lines(threshold)
         return self._scanner_cache[cache_key]
 
-    def outage_flows(self) -> List[FlowRecord]:
-        """Clean flows for the outage study period (December 2021)."""
-        return self.clean_flows(self.config.outage_period)
-
-    # -- columnar tables ---------------------------------------------------------
-
     def raw_table(self, period: Optional[StudyPeriod] = None) -> FlowTable:
-        """Sampled NetFlow export for a period as a columnar table.
+        """Sampled NetFlow export for a period, scanners included.
 
         Flows are generated straight into ``FlowTable`` columns and sampled
-        column-wise; no intermediate record list exists on this path.  With an
-        artifact store attached the export warm-starts from disk, skipping
-        generation and sampling entirely.
+        column-wise.  With an artifact store attached the export warm-starts
+        from disk, skipping generation and sampling entirely.
         """
         period = period or self.config.study_period
         key = (period, True)
@@ -193,12 +159,12 @@ class ExperimentContext:
         period: Optional[StudyPeriod] = None,
         threshold: int = DEFAULT_SCANNER_THRESHOLD,
     ) -> FlowTable:
-        """Columnar view of :meth:`clean_flows`, built once per period/threshold.
+        """Flows with scanner subscriber lines removed (the Section 5 baseline).
 
-        The scanner-excluded table is derived from the raw table by a bulk
-        subscriber filter, so the expensive record conversion happens once.
-        With an artifact store attached it warm-starts from disk, which also
-        skips the discovery run the scanner exclusion needs.
+        Built once per period/threshold from the raw table by a bulk
+        subscriber filter.  With an artifact store attached it warm-starts
+        from disk, which also skips the discovery run the scanner exclusion
+        needs.
         """
         period = period or self.config.study_period
         key = (period, threshold, False)
@@ -223,7 +189,7 @@ class ExperimentContext:
         return table
 
     def outage_table(self) -> FlowTable:
-        """Columnar view of the outage-period clean flows."""
+        """Clean flows for the outage study period (December 2021)."""
         return self.clean_table(self.config.outage_period)
 
     # -- convenience ----------------------------------------------------------------

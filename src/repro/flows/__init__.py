@@ -3,8 +3,9 @@
 Models the paper's vantage point: a major European residential ISP monitoring
 sampled NetFlow at its border routers.  The substrate consists of per-application
 IoT device models, a subscriber-line population, a workload generator producing
-hourly flow records for a study period, packet-sampled NetFlow export, provider
-anonymization (T*/D*/O* labels), and scanner-host traffic injection.
+a study period's hourly flows as a columnar ``FlowTable``, packet-sampled
+NetFlow export, provider anonymization (T*/D*/O* labels), and scanner-host
+traffic injection.
 """
 
 from repro.flows.devices import ACTIVITY_PROFILES, ActivityProfile, DeviceModel, build_device_model

@@ -1,9 +1,10 @@
-"""Columnar flow store for the Section 5 traffic analyses.
+"""Columnar flow store: the one representation of the ISP's flows.
 
-The traffic analyses scan millions of :class:`~repro.flows.netflow.FlowRecord`
-objects; iterating lists of frozen dataclasses pays an attribute lookup per
-field per row, and every grouped aggregation re-hashes tuple-of-string keys.
-:class:`FlowTable` stores the same data as parallel columns:
+Generation, NetFlow export, the artifact store and every Section 5--6 analysis
+work on a :class:`FlowTable`.  A list of frozen
+:class:`~repro.flows.netflow.FlowRecord` objects would pay an attribute lookup
+per field per row and re-hash tuple-of-string keys in every grouped
+aggregation; the table stores the same data as parallel columns:
 
 * **Dictionary-encoded categoricals** (timestamp, provider, server address,
   continent, region, transport, subscriber prefix): each column is an
@@ -29,11 +30,11 @@ mutating primitive (:meth:`extend`, :meth:`append_columns`,
 :meth:`extend_table`, :meth:`truncate`, :meth:`assign_numeric`) bumps the
 table's mutation counter, so analyses sharing a grouping share the index.
 
-``FlowTable`` iterates and indexes like a sequence of ``FlowRecord`` (records
-are materialized on demand), so it is a drop-in argument anywhere a flow
-sequence is accepted; :meth:`from_records`/:meth:`to_records` convert
-losslessly in both directions.  Filtered tables share the value pools of their
-parent, which keeps slicing cheap.
+``FlowTable`` iterates and indexes like a sequence of ``FlowRecord`` row
+views (materialized on demand), and :meth:`from_records`/:meth:`to_records`
+convert losslessly in both directions for tests and small hand-built inputs.
+Filtered tables share the value pools of their parent, which keeps slicing
+cheap.
 
 Columns are usually plain :mod:`array` objects, but a table loaded through the
 zero-copy store read path (:func:`repro.store.codec.load_table_mmap`) holds
@@ -276,13 +277,6 @@ class FlowTable:
         table = cls()
         table.extend(records)
         return table
-
-    @classmethod
-    def ensure(cls, flows: Union["FlowTable", Iterable[FlowRecord]]) -> "FlowTable":
-        """Return ``flows`` unchanged when already a table, else convert it."""
-        if isinstance(flows, cls):
-            return flows
-        return cls.from_records(flows)
 
     @classmethod
     def concat(cls, tables: Sequence["FlowTable"]) -> "FlowTable":

@@ -6,29 +6,27 @@ addresses are anonymized by BGP prefix before the data is stored (Section 3.7,
 5.1).  Analyses therefore work on *sampled* byte and packet counts and scale them
 back by the sampling rate when estimating exchanged volumes (Section 5.6).
 
-Export comes in two bit-identical flavours:
+:meth:`NetFlowCollector.export_table` samples a
+:class:`~repro.flows.flowtable.FlowTable` column-wise, batching the binomial
+draws in one pass over each packet-count column.  Each direction draws from its
+own stream (``netflow-sampling:down`` / ``netflow-sampling:up``), one draw per
+row in row order, so export is bit-identical under a fixed seed.  Flows whose
+sampled packet count is zero in both directions are not exported — including
+at ``sampling_ratio == 1``, where a flow with no packets was never visible to
+the collector in the first place.
 
-* :meth:`NetFlowCollector.export` walks a record list and samples each flow's
-  packet counts one at a time (the per-record reference), and
-* :meth:`NetFlowCollector.export_table` applies the same sampling column-wise
-  on a :class:`~repro.flows.flowtable.FlowTable`, batching the binomial draws
-  per direction in one pass over each packet-count column.
-
-Each direction draws from its own stream (``netflow-sampling:down`` /
-``netflow-sampling:up``), so the batched column passes consume every stream in
-exactly the per-record order and the two paths agree under a fixed seed.  In
-both paths flows whose sampled packet count is zero in both directions are not
-exported — including at ``sampling_ratio == 1``, where a flow with no packets
-was never visible to the collector in the first place.
+:class:`FlowRecord` is the row view of a table (see
+:meth:`~repro.flows.flowtable.FlowTable.record_at`); :func:`make_flow` builds
+one from byte volumes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from itertools import compress, repeat
-from typing import Iterable, List, Sequence, TYPE_CHECKING
+from typing import List, Sequence, TYPE_CHECKING
 
 from repro.simulation.rng import RngRegistry
 
@@ -122,50 +120,18 @@ class NetFlowCollector:
             raise ValueError("sampling_ratio must be >= 1")
         self.sampling_ratio = sampling_ratio
 
-    def export(self, flows: Iterable[FlowRecord], rng: RngRegistry) -> List[FlowRecord]:
-        """Apply packet sampling to a collection of flows.
+    def export_table(self, table: "FlowTable", rng: RngRegistry) -> "FlowTable":
+        """Apply packet sampling to every row of a flow table.
 
         Each packet of a flow is sampled independently with probability
         ``1/sampling_ratio``; flows whose sampled packet count is zero in both
         directions are not exported (they were invisible to the collector).
         The same visibility rule applies without sampling: a flow that carried
-        no packets at all never reached a border router.
-        """
-        if self.sampling_ratio == 1:
-            return [
-                replace(flow, sampled=True)
-                for flow in flows
-                if flow.packets_down or flow.packets_up
-            ]
-        down_stream = rng.stream("netflow-sampling:down")
-        up_stream = rng.stream("netflow-sampling:up")
-        probability = 1.0 / self.sampling_ratio
-        exported: List[FlowRecord] = []
-        for flow in flows:
-            sampled_down = _binomial(down_stream, flow.packets_down, probability)
-            sampled_up = _binomial(up_stream, flow.packets_up, probability)
-            if sampled_down == 0 and sampled_up == 0:
-                continue
-            scale_down = sampled_down / flow.packets_down if flow.packets_down else 0.0
-            scale_up = sampled_up / flow.packets_up if flow.packets_up else 0.0
-            exported.append(
-                replace(
-                    flow,
-                    bytes_down=flow.bytes_down * scale_down,
-                    bytes_up=flow.bytes_up * scale_up,
-                    packets_down=sampled_down,
-                    packets_up=sampled_up,
-                    sampled=True,
-                )
-            )
-        return exported
-
-    def export_table(self, table: "FlowTable", rng: RngRegistry) -> "FlowTable":
-        """Columnar twin of :meth:`export`: packet sampling applied column-wise.
+        no packets at all never reached a border router.  Sampled byte counts
+        scale with the sampled share of each direction's packets.
 
         The binomial draws are batched per sampling stream (one pass over the
-        downstream packet column, one over the upstream column); under a fixed
-        seed the exported rows are bit-identical to the record path.
+        downstream packet column, one over the upstream column).
         """
         packets_down = table.numeric("packets_down")
         packets_up = table.numeric("packets_up")
@@ -217,27 +183,12 @@ class NetFlowCollector:
         return sampled_bytes * self.sampling_ratio
 
 
-def _binomial(stream, n: int, p: float) -> int:
-    """Draw a binomial sample; exact for small n, normal approximation for large n."""
-    if n <= 0 or p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    if n <= 64:
-        return sum(1 for _ in range(n) if stream.random() < p)
-    mean = n * p
-    std = math.sqrt(n * p * (1.0 - p))
-    value = int(round(stream.gauss(mean, std)))
-    return max(0, min(n, value))
-
-
 def _binomial_many(stream, counts: Sequence[int], p: float) -> List[int]:
-    """Batched :func:`_binomial`: one draw per entry of a packet-count column.
+    """One binomial draw per entry of a packet-count column.
 
-    Consumes ``stream`` exactly as the equivalent sequence of per-flow
-    :func:`_binomial` calls would, so record and columnar export stay
-    bit-identical; the batching saves the per-call dispatch and re-binding on
-    the export hot path.
+    Draws are exact (one uniform per packet) for counts up to 64 and use the
+    normal approximation above, clamped to ``[0, n]``.  Binding the stream
+    methods once saves the per-call dispatch on the export hot path.
     """
     if p <= 0.0:
         return [0] * len(counts)

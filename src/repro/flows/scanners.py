@@ -6,13 +6,11 @@ visibility analysis, which is why the paper identifies and excludes them with a
 threshold on the number of contacted backend IPs (Section 5.2, Figure 5).  This
 module generates the scan flows for the lines marked as scanners in the population.
 
-Both generation paths — :func:`generate_scanner_flows` (records) and
-:func:`append_scanner_flows` (straight into ``FlowTable`` columns) — share
-:func:`_scan_plans`, which performs every draw of the ``scanner-traffic``
-stream (coverage, target sample, probe hour and port per target) in one pass
-per scanner line.  The columnar path then encodes each distinct target and
-timestamp once and appends the whole day as one column batch; because the
-draws are identical, the two paths emit bit-identical flows under a fixed seed.
+:func:`append_scanner_flows` appends one day of scan traffic straight into
+``FlowTable`` columns.  :func:`_scan_plans` performs every draw of the
+``scanner-traffic`` stream (coverage, target sample, probe hour and port per
+target) in one pass per scanner line; the append then encodes each distinct
+target and timestamp once and adds the whole day as one column batch.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from itertools import repeat
 from typing import Dict, List, Sequence, Tuple
 
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import DEFAULT_PACKET_SIZE, FlowRecord, make_flow
+from repro.flows.netflow import DEFAULT_PACKET_SIZE
 from repro.flows.subscribers import SubscriberLine
 from repro.simulation.rng import RngRegistry
 
@@ -34,7 +32,7 @@ SCAN_PROBE_BYTES_DOWN = 320.0
 #: Ports a scanner sweeps (standard IoT and Web ports).
 SCAN_PORTS = (("tcp", 443), ("tcp", 8883), ("tcp", 1883), ("tcp", 5671))
 
-#: Packet counts of one probe, derived exactly as :func:`make_flow` would.
+#: Packet counts of one probe, derived exactly as :func:`~repro.flows.netflow.make_flow` would.
 _SCAN_PACKETS_DOWN = max(1, int(math.ceil(SCAN_PROBE_BYTES_DOWN / DEFAULT_PACKET_SIZE)))
 _SCAN_PACKETS_UP = max(1, int(math.ceil(SCAN_PROBE_BYTES_UP / DEFAULT_PACKET_SIZE)))
 
@@ -74,14 +72,17 @@ def _scan_plans(
     return plans
 
 
-def generate_scanner_flows(
+def append_scanner_flows(
+    table: FlowTable,
     scanner_lines: Sequence[SubscriberLine],
     server_catalog: Sequence[tuple],
     day: date,
     rng: RngRegistry,
     coverage_range: tuple = (0.6, 0.95),
-) -> List[FlowRecord]:
-    """Generate one day of scan traffic for the scanner lines.
+) -> int:
+    """Append one day of scan traffic for the scanner lines to ``table``.
+
+    Returns the number of flows appended.
 
     Parameters
     ----------
@@ -95,45 +96,6 @@ def generate_scanner_flows(
     coverage_range:
         Each scanner covers a uniformly drawn fraction of the catalog within this
         range, so different scanners contact different numbers of backends.
-    """
-    flows: List[FlowRecord] = []
-    for line, targets, hours, port_indexes in _scan_plans(
-        scanner_lines, server_catalog, rng, coverage_range
-    ):
-        for (provider_key, server_ip, continent, region_code), hour, port_index in zip(
-            targets, hours, port_indexes
-        ):
-            transport, port = SCAN_PORTS[port_index]
-            flows.append(
-                make_flow(
-                    timestamp=datetime.combine(day, time(hour=hour)),
-                    subscriber_id=line.line_id,
-                    subscriber_prefix=line.isp_prefix,
-                    ip_version=line.ip_version,
-                    provider_key=provider_key,
-                    server_ip=server_ip,
-                    server_continent=continent,
-                    server_region=region_code,
-                    transport=transport,
-                    port=port,
-                    bytes_down=SCAN_PROBE_BYTES_DOWN,
-                    bytes_up=SCAN_PROBE_BYTES_UP,
-                )
-            )
-    return flows
-
-
-def append_scanner_flows(
-    table: FlowTable,
-    scanner_lines: Sequence[SubscriberLine],
-    server_catalog: Sequence[tuple],
-    day: date,
-    rng: RngRegistry,
-    coverage_range: tuple = (0.6, 0.95),
-) -> int:
-    """Columnar twin of :func:`generate_scanner_flows`: append one day of scan
-    traffic straight into ``table``'s columns.  Returns the number of flows
-    appended; under a fixed seed the rows are bit-identical to the record path.
     """
     plans = _scan_plans(scanner_lines, server_catalog, rng, coverage_range)
     if not plans:

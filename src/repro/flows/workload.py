@@ -11,43 +11,33 @@ Outages (Section 6.1) are injected here: flows served by servers in an affected
 cloud region during the outage window are scaled down, and a small fraction of the
 affected devices disappears from the data entirely.
 
-Two generation paths produce bit-identical flows:
-
-* the **record path** (:meth:`WorkloadGenerator.generate_period`) builds one
-  :class:`~repro.flows.netflow.FlowRecord` per flow and is kept as the readable
-  per-record reference implementation, and
-* the **columnar path** (:meth:`WorkloadGenerator.generate_period_table`)
-  appends hourly batches straight into dictionary-encoded
-  :class:`~repro.flows.flowtable.FlowTable` columns.  All per-device
-  invariants — candidate server subsets (which cost several SHA-256 hashes to
-  resolve), per-model hourly activity probabilities, cumulative port weights,
-  volume multipliers, dictionary codes for every categorical value — are
-  batched once per period instead of recomputed per device-hour, so the
-  hourly hot loop touches only the RNG and plain ints/floats.
-
-Both paths consume the per-hour stream (``workload:<hour-iso>``) in exactly
-the same order — one activity roll per device, then server pick, outage roll,
-lognormal volume, and port roll for the devices that emit a flow — which is
-what keeps the two paths (and the seed's historical output) bit-identical
-under a fixed seed.
+:meth:`WorkloadGenerator.generate_period_table` appends hourly batches straight
+into dictionary-encoded :class:`~repro.flows.flowtable.FlowTable` columns.  All
+per-device invariants — candidate server subsets (which cost several SHA-256
+hashes to resolve), per-model hourly activity probabilities, cumulative port
+weights, volume multipliers, dictionary codes for every categorical value — are
+resolved once per period, so the hourly hot loop touches only the RNG and plain
+ints/floats.  Each hour draws from its own stream (``workload:<hour-iso>``) in a
+fixed order — one activity roll per device, then server pick, outage roll,
+lognormal volume, and port roll for the devices that emit a flow — which keeps
+the output bit-identical under a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime, time
+from datetime import datetime, time
 from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.providers import PROVIDERS, ProviderSpec
 from repro.flows.devices import DeviceModel
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import DEFAULT_PACKET_SIZE, FlowRecord, make_flow
-from repro.flows.scanners import append_scanner_flows, generate_scanner_flows
-from repro.flows.subscribers import DeviceInstance, SubscriberLine, SubscriberPopulation
+from repro.flows.netflow import DEFAULT_PACKET_SIZE
+from repro.flows.scanners import append_scanner_flows
+from repro.flows.subscribers import DeviceInstance, SubscriberPopulation
 from repro.netmodel.geo import CONTINENT_EUROPE, CONTINENT_NORTH_AMERICA
 from repro.netmodel.topology import ProviderDeployment
 from repro.obs.trace import span
@@ -84,7 +74,7 @@ class _DevicePlan:
 
 
 class WorkloadGenerator:
-    """Generates hourly flow records for a subscriber population and deployments."""
+    """Generates hourly flow tables for a subscriber population and deployments."""
 
     def __init__(
         self,
@@ -200,47 +190,7 @@ class WorkloadGenerator:
         step = 1 + stable_hash(seed + ":step", max(1, len(pool) - 1))
         return [pool[(start + i * step) % len(pool)] for i in range(size)]
 
-    # -- flow generation (record path) ---------------------------------------------
-
-    def generate_hour(self, when: datetime) -> List[FlowRecord]:
-        """Generate the IoT flows of a single hour (scanner traffic excluded)."""
-        stream = self.rng.fresh_stream(f"workload:{when.isoformat()}")
-        flows: List[FlowRecord] = []
-        hour = when.hour
-        for line in self.population.lines:
-            for device in line.devices:
-                probability = device.model.profile.activity_probability(hour)
-                if stream.random() >= probability:
-                    continue
-                flow = self._device_flow(line, device, when, stream)
-                if flow is not None:
-                    flows.append(flow)
-        return flows
-
-    def generate_day(self, day: date, include_scanners: bool = True) -> List[FlowRecord]:
-        """Generate all flows (IoT plus scanner traffic) for one day."""
-        flows: List[FlowRecord] = []
-        for hour in range(24):
-            flows.extend(self.generate_hour(datetime.combine(day, time(hour=hour))))
-        if include_scanners:
-            flows.extend(
-                generate_scanner_flows(
-                    self.population.scanner_lines(),
-                    self.server_catalog(ip_version=4),
-                    day,
-                    self.rng,
-                )
-            )
-        return flows
-
-    def generate_period(self, period: StudyPeriod, include_scanners: bool = True) -> List[FlowRecord]:
-        """Generate all flows of a study period."""
-        flows: List[FlowRecord] = []
-        for day in period.days():
-            flows.extend(self.generate_day(day, include_scanners=include_scanners))
-        return flows
-
-    # -- flow generation (columnar path) -------------------------------------------
+    # -- flow generation -------------------------------------------------------------
 
     def generate_period_table(
         self,
@@ -248,12 +198,11 @@ class WorkloadGenerator:
         include_scanners: bool = True,
         workers: Optional[int] = None,
     ) -> FlowTable:
-        """Columnar twin of :meth:`generate_period`: same flows, same order.
+        """Generate all flows of a study period, scanner traffic included.
 
         Flows are appended hourly-batch-wise straight into ``FlowTable``
-        columns; no :class:`FlowRecord` objects are created.  Under a fixed
-        seed the result is bit-identical to
-        ``FlowTable.from_records(self.generate_period(period))``.
+        columns, hours in order, each day followed by that day's scanner
+        traffic when ``include_scanners`` is set.
 
         With ``workers`` > 1 the hours are generated by a multiprocess pool
         (see :mod:`repro.flows.parallel`): every hour draws from its own fresh
@@ -399,10 +348,10 @@ class WorkloadGenerator:
     ) -> None:
         """Generate one hour of IoT flows straight into the table columns.
 
-        Consumes the hour's stream in exactly the record-path order — one
-        activity roll per device, then server pick / outage roll / volume /
-        port roll for the devices that emit a flow — so the table rows are
-        bit-identical to :meth:`generate_hour` under a fixed seed.
+        Consumes the hour's stream in a fixed order — one activity roll per
+        device, then server pick / outage roll / volume / port roll for the
+        devices that emit a flow — so the rows are bit-identical under a fixed
+        seed.
         """
         stream = self.rng.fresh_stream(f"workload:{when.isoformat()}")
         rand = stream.random
@@ -506,56 +455,6 @@ class WorkloadGenerator:
         )
 
     # -- helpers -------------------------------------------------------------------
-
-    def _device_flow(
-        self,
-        line: SubscriberLine,
-        device: DeviceInstance,
-        when: datetime,
-        stream: random.Random,
-    ) -> Optional[FlowRecord]:
-        model = device.model
-        candidates = self._candidate_servers(device, line.ip_version)
-        if not candidates:
-            return None
-        choice = self._select_server(device, candidates, stream)
-        traffic_factor = self.outage_schedule.traffic_factor(
-            choice.cloud_host, choice.region_code, when
-        )
-        device_factor = self.outage_schedule.device_factor(
-            choice.cloud_host, choice.region_code, when
-        )
-        if device_factor < 1.0 and stream.random() > device_factor:
-            return None
-        volume_factor = stream.lognormvariate(0.0, self.volume_sigma) * self._volume_correction
-        volume_factor *= self._device_multiplier(device)
-        per_hour_down = model.mean_daily_down_bytes / model.profile.active_hours_per_day
-        per_hour_up = model.mean_daily_up_bytes / model.profile.active_hours_per_day
-        bytes_down = per_hour_down * volume_factor * traffic_factor
-        bytes_up = per_hour_up * volume_factor * traffic_factor
-        transport, port = model.pick_port(stream.random())
-        version = 6 if (line.ip_version == 6 and ":" in choice.ip) else 4
-        return make_flow(
-            timestamp=when,
-            subscriber_id=line.line_id,
-            subscriber_prefix=line.isp_prefix,
-            ip_version=version,
-            provider_key=device.provider_key,
-            server_ip=choice.ip,
-            server_continent=choice.continent,
-            server_region=choice.region_code,
-            transport=transport,
-            port=port,
-            bytes_down=bytes_down,
-            bytes_up=bytes_up,
-        )
-
-    @staticmethod
-    def _select_server(
-        device: DeviceInstance, candidates: Sequence[_ServerChoice], stream: random.Random
-    ) -> _ServerChoice:
-        """Pick one of the device's provisioned servers for this flow."""
-        return candidates[stream.randrange(len(candidates))]
 
     @staticmethod
     def _device_multiplier(device: DeviceInstance) -> float:

@@ -110,7 +110,6 @@ class World:
     outage_schedule: OutageSchedule
     vantage_points: List[VantagePoint]
     iot_domains: Dict[str, List[str]]
-    _flow_cache: Dict[str, list] = field(default_factory=dict)
     _table_cache: Dict[str, FlowTable] = field(default_factory=dict)
     #: Optional persistent cache; when set, generated period tables warm-start
     #: from disk (see :mod:`repro.store.artifacts`).
@@ -189,11 +188,7 @@ class World:
     def flows_table(
         self, period: Optional[StudyPeriod] = None, include_scanners: bool = True
     ) -> FlowTable:
-        """Return (and cache) the columnar flow table of a study period.
-
-        This is the generation source of truth; :meth:`flows` derives its
-        record list from it.
-        """
+        """Return (and cache) the generated flow table of a study period."""
         period = period or self.config.study_period
         cache_key = f"{period.name}:{period.start}:{period.end}:{include_scanners}"
         if cache_key not in self._table_cache:
@@ -219,16 +214,6 @@ class World:
             )
             store.put_table(self.config, period, stage, table)
         return table
-
-    def flows(self, period: Optional[StudyPeriod] = None, include_scanners: bool = True) -> list:
-        """Return (and cache) the flow records of a study period."""
-        period = period or self.config.study_period
-        cache_key = f"{period.name}:{period.start}:{period.end}:{include_scanners}"
-        if cache_key not in self._flow_cache:
-            self._flow_cache[cache_key] = self.flows_table(
-                period, include_scanners=include_scanners
-            ).to_records()
-        return self._flow_cache[cache_key]
 
 
 def build_world(

@@ -63,3 +63,18 @@ def test_checker_main_exit_codes(tmp_path):
     checker = _checker()
     assert checker.main([str(ROOT)]) == 0
     assert checker.main([str(tmp_path)]) == 1
+
+
+def test_rate_only_artifact_needs_its_rates_not_a_speedup(tmp_path):
+    """BENCH_workload.json records absolute rates; dropping one must fail."""
+    checker = _checker()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "test_perf_workload.py").write_text("# regenerator\n")
+    payload = json.loads((ROOT / "BENCH_workload.json").read_text())
+    assert not any("speedup" in key for key in payload)
+    (tmp_path / "BENCH_workload.json").write_text(json.dumps(payload))
+    assert checker.check_bench_files(tmp_path) == []
+    del payload["export_rows_per_sec"]
+    (tmp_path / "BENCH_workload.json").write_text(json.dumps(payload))
+    problems = checker.check_bench_files(tmp_path)
+    assert any("export_rows_per_sec" in problem for problem in problems)

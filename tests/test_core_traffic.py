@@ -11,8 +11,6 @@ from repro.core.traffic import (
     activity_timeseries,
     daily_active_lines,
     direction_ratio_timeseries,
-    exclude_scanner_flows,
-    identify_and_exclude_scanners,
     mean_direction_ratio,
     overall_visibility,
     per_subscriber_daily_volume,
@@ -28,6 +26,7 @@ from repro.core.traffic import (
 )
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
 from repro.flows.anonymize import AnonymizationMap
+from repro.flows.flowtable import FlowTable
 from repro.flows.netflow import make_flow
 
 DAY = date(2022, 2, 28)
@@ -50,6 +49,10 @@ def _flow(subscriber, server_ip, provider="amazon", port=8883, down=5000.0, up=1
         bytes_down=down,
         bytes_up=up,
     )
+
+
+def _table(*flows):
+    return FlowTable.from_records(flows)
 
 
 def _result(entries):
@@ -85,33 +88,34 @@ class TestEmpiricalDistribution:
 class TestScannerExclusion:
     def test_scanner_identified_and_excluded(self):
         backend_ips = {f"10.0.0.{i}" for i in range(1, 101)}
-        flows = [_flow(1, "10.0.0.1"), _flow(1, "10.0.0.2")]
-        flows += [_flow(99, f"10.0.0.{i}", down=100.0) for i in range(1, 101)]
+        records = [_flow(1, "10.0.0.1"), _flow(1, "10.0.0.2")]
+        records += [_flow(99, f"10.0.0.{i}", down=100.0) for i in range(1, 101)]
+        flows = FlowTable.from_records(records)
         exclusion = ScannerExclusion(flows, backend_ips)
         assert exclusion.scanner_lines(threshold=50) == {99}
         assert exclusion.scanner_lines(threshold=200) == set()
-        clean, scanners = identify_and_exclude_scanners(flows, backend_ips, threshold=50)
-        assert scanners == {99}
+        clean = flows.exclude_subscribers(exclusion.scanner_lines(threshold=50))
+        assert len(clean) == 2
         assert all(f.subscriber_id != 99 for f in clean)
         assert exclusion.server_coverage(threshold=50) == pytest.approx(2 / 100)
 
     def test_sweep_monotone_scanner_count(self):
         backend_ips = {f"10.0.0.{i}" for i in range(1, 51)}
-        flows = [_flow(7, f"10.0.0.{i}") for i in range(1, 51)]
+        flows = FlowTable.from_records(_flow(7, f"10.0.0.{i}") for i in range(1, 51))
         exclusion = ScannerExclusion(flows, backend_ips)
         points = exclusion.sweep([10, 20, 100])
         counts = [p.scanner_line_count for p in points]
         assert counts == sorted(counts, reverse=True)
 
     def test_flows_to_unknown_ips_ignored(self):
-        exclusion = ScannerExclusion([_flow(1, "192.0.2.1")], {"10.0.0.1"})
+        exclusion = ScannerExclusion(_table(_flow(1, "192.0.2.1")), {"10.0.0.1"})
         assert exclusion.contacts_per_line() == {}
         assert exclusion.server_coverage(10) == 0.0
 
 
 def test_visibility_per_provider_counts():
     result = _result([("10.0.0.1", "amazon"), ("10.0.0.2", "amazon"), ("fd00::1", "amazon")])
-    flows = [_flow(1, "10.0.0.1"), _flow(2, "fd00::1", ip_version=6)]
+    flows = _table(_flow(1, "10.0.0.1"), _flow(2, "fd00::1", ip_version=6))
     rows = visibility_per_provider(flows, result, ANON)
     row = rows[0]
     assert row.label == "T1"
@@ -124,7 +128,7 @@ def test_visibility_per_provider_counts():
 def test_tls_only_subscriber_loss():
     full = _result([("10.0.0.1", "google"), ("10.0.0.2", "google")])
     tls_only = _result([("10.0.0.2", "google")])
-    flows = [_flow(1, "10.0.0.1", provider="google"), _flow(2, "10.0.0.2", provider="google")]
+    flows = _table(_flow(1, "10.0.0.1", provider="google"), _flow(2, "10.0.0.2", provider="google"))
     rows = tls_only_subscriber_loss(flows, full, tls_only, ANON)
     assert len(rows) == 1
     assert rows[0].label == "T3"
@@ -134,11 +138,11 @@ def test_tls_only_subscriber_loss():
 
 
 def test_activity_and_volume_timeseries():
-    flows = [
+    flows = _table(
         _flow(1, "10.0.0.1", hour=10),
         _flow(2, "10.0.0.1", hour=10),
         _flow(1, "10.0.0.1", hour=20, down=20000.0),
-    ]
+    )
     activity = activity_timeseries(flows, ANON)
     assert activity["T1"][datetime(2022, 2, 28, 10)] == 2
     volume = volume_timeseries(flows, ANON, sampling_ratio=2)
@@ -150,15 +154,15 @@ def test_activity_and_volume_timeseries():
 
 
 def test_activity_timeseries_min_lines_filter():
-    flows = [_flow(1, "10.0.0.1")]
+    flows = _table(_flow(1, "10.0.0.1"))
     assert activity_timeseries(flows, ANON, min_lines_per_hour=5) == {}
 
 
 def test_port_mix_and_top_ports():
-    flows = [
+    flows = _table(
         _flow(1, "10.0.0.1", port=8883, down=7000.0),
         _flow(1, "10.0.0.1", port=443, down=3000.0),
-    ]
+    )
     mix = port_mix(flows, ANON)
     assert set(mix["T1"]) == {"TCP/8883 (MQTTS)", "TCP/443 (HTTPS)"}
     assert mix["T1"]["TCP/8883 (MQTTS)"] > mix["T1"]["TCP/443 (HTTPS)"]
@@ -167,11 +171,11 @@ def test_port_mix_and_top_ports():
 
 
 def test_per_subscriber_daily_volumes():
-    flows = [
+    flows = _table(
         _flow(1, "10.0.0.1", down=1000.0, up=200.0),
         _flow(1, "10.0.0.1", down=2000.0, up=300.0),
         _flow(2, "10.0.0.2", provider="google", down=500.0, up=100.0),
-    ]
+    )
     down, up = per_subscriber_daily_volume(flows, DAY)
     assert len(down) == 2 and len(up) == 2
     assert down.quantile(1.0) == pytest.approx(3000.0)
@@ -182,13 +186,13 @@ def test_per_subscriber_daily_volumes():
 
 
 def test_region_crossing_categories():
-    flows = [
+    flows = _table(
         _flow(1, "10.0.0.1", continent="EU"),
         _flow(2, "10.0.0.2", continent="NA", region="us-east-1"),
         _flow(3, "10.0.0.1", continent="EU"),
         _flow(3, "10.0.0.2", continent="NA", region="us-east-1"),
         _flow(4, "10.0.0.3", continent="AS", region="cn-north-1"),
-    ]
+    )
     report = region_crossing(flows)
     assert report.lines_total == 4
     assert report.category_fraction("Europe only") == pytest.approx(0.25)
@@ -200,6 +204,6 @@ def test_region_crossing_categories():
 
 
 def test_daily_active_lines():
-    flows = [_flow(1, "10.0.0.1"), _flow(2, "10.0.0.1", ip_version=6)]
+    flows = _table(_flow(1, "10.0.0.1"), _flow(2, "10.0.0.1", ip_version=6))
     assert daily_active_lines(flows) == {DAY: 2}
     assert daily_active_lines(flows, ip_version=6) == {DAY: 1}

@@ -9,6 +9,7 @@ from repro.core.validation import (
     validate_against_ground_truth,
 )
 from repro.dns.passive_db import PassiveDnsDatabase
+from repro.flows.flowtable import FlowTable
 from repro.flows.netflow import make_flow
 
 
@@ -77,12 +78,12 @@ def test_traffic_coverage_underestimation():
                 bytes_up=volume / 10,
             )
         )
-    report = traffic_coverage(result, "microsoft", flows)
+    report = traffic_coverage(result, "microsoft", FlowTable.from_records(flows))
     assert report.active_server_ips == 2
     assert report.missed_ips == 1
     assert 0.0 < report.underestimation_fraction < 0.05
 
 
 def test_traffic_coverage_with_no_flows():
-    report = traffic_coverage(_result_with([("10.0.0.1", "microsoft")]), "microsoft", [])
+    report = traffic_coverage(_result_with([("10.0.0.1", "microsoft")]), "microsoft", FlowTable())
     assert report.underestimation_fraction == 0.0

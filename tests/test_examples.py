@@ -19,6 +19,10 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
 #: every example still has traffic/footprint to report on.
 TINY = ScenarioConfig.small(seed=7).with_overrides(n_subscriber_lines=250, n_scanner_lines=2)
 
+#: Large enough that the replayed outage shows a US-East drop the harsher
+#: drill must exceed (at TINY both read 0%).
+DRILL = ScenarioConfig.small(seed=23).with_overrides(n_subscriber_lines=600)
+
 
 def load_example(name):
     """Import one example script as a throwaway module."""
@@ -70,3 +74,18 @@ def test_outage_drill_runs(capsys):
     out = capsys.readouterr().out
     assert "Observed impact on the affected provider" in out
     assert "What-if drill" in out
+
+
+def _us_east_traffic_drops(out):
+    """The US-East downstream drops the outage drill prints, in print order."""
+    return [
+        float(line.rsplit(":", 1)[1].strip().rstrip("%"))
+        for line in out.splitlines()
+        if line.strip().startswith("downstream traffic drop, US-East regions")
+    ]
+
+
+def test_outage_drill_regenerates_flows_under_the_harsher_schedule(capsys):
+    load_example("outage_drill").main(config=DRILL)
+    replay, drill = _us_east_traffic_drops(capsys.readouterr().out)
+    assert drill >= replay + 10.0

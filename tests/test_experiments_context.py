@@ -51,7 +51,7 @@ def test_context_flow_caches_distinguish_same_name_periods():
     table_first = context.raw_table(first)
     table_second = context.raw_table(second)
     assert table_first is not table_second
-    days_second = {record.timestamp.date() for record in context.raw_flows(second)}
+    days_second = {timestamp.date() for timestamp in table_second.distinct("timestamp")}
     assert days_second == {date(2022, 3, 10), date(2022, 3, 11)}
 
 

@@ -10,6 +10,7 @@ from repro.core import traffic
 from repro.flows.anonymize import AnonymizationMap
 from repro.flows.flowtable import FlowTable
 from repro.flows.netflow import make_flow
+from repro.protocols.ports import port_label
 
 BASE_DAY = date(2022, 3, 1)
 ANON = AnonymizationMap.build()
@@ -67,11 +68,6 @@ class TestRoundTrip:
         assert list(table)[:10] == records[:10]
         with pytest.raises(IndexError):
             table.record_at(len(records))
-
-    def test_ensure_is_idempotent(self, records, table):
-        assert FlowTable.ensure(table) is table
-        rebuilt = FlowTable.ensure(records)
-        assert rebuilt.to_records() == records
 
     def test_sampled_flag_round_trips(self):
         flow = generate_records(1)[0]
@@ -252,46 +248,95 @@ class TestGroupedAggregation:
 
 
 class TestTrafficAnalysisParity:
-    """The Section 5 analyses must not care whether they get a list or a table."""
+    """The Section 5 analyses on a table agree with naive per-record loops."""
 
     def test_volume_timeseries(self, records, table):
-        assert traffic.volume_timeseries(records, ANON) == traffic.volume_timeseries(table, ANON)
+        expected = {}
+        for r in records:
+            per_hour = expected.setdefault(ANON.label(r.provider_key), {})
+            per_hour[r.timestamp] = per_hour.get(r.timestamp, 0.0) + r.bytes_down
+        # Same additions in the same row order: equal, not just close.
+        assert traffic.volume_timeseries(table, ANON) == expected
 
     def test_activity_timeseries(self, records, table):
-        assert traffic.activity_timeseries(records, ANON) == traffic.activity_timeseries(
-            table, ANON
-        )
+        lines = {}
+        for r in records:
+            per_hour = lines.setdefault(ANON.label(r.provider_key), {})
+            per_hour.setdefault(r.timestamp, set()).add(r.subscriber_id)
+        expected = {
+            label: {when: len(ids) for when, ids in per_hour.items()}
+            for label, per_hour in lines.items()
+        }
+        assert traffic.activity_timeseries(table, ANON) == expected
 
     def test_port_mix(self, records, table):
-        assert traffic.port_mix(records, ANON) == traffic.port_mix(table, ANON)
+        volume = {}
+        for r in records:
+            per_port = volume.setdefault(ANON.label(r.provider_key), {})
+            label = port_label(r.transport, r.port)
+            per_port[label] = per_port.get(label, 0.0) + r.total_bytes
+        expected = {
+            label: {port: bytes_ / sum(per_port.values()) for port, bytes_ in per_port.items()}
+            for label, per_port in volume.items()
+        }
+        mix = traffic.port_mix(table, ANON)
+        # The table sums each direction per group before adding them, the loop
+        # adds per row: the shares agree to rounding.
+        assert mix.keys() == expected.keys()
+        for label, shares in expected.items():
+            assert mix[label] == pytest.approx(shares)
 
     def test_region_crossing(self, records, table):
-        from_list = traffic.region_crossing(records)
-        from_table = traffic.region_crossing(table)
-        assert from_list.line_categories == from_table.line_categories
-        assert from_list.traffic_by_continent == from_table.traffic_by_continent
-        assert from_list.lines_total == from_table.lines_total
+        continents = {}
+        traffic_by_continent = {}
+        for r in records:
+            continents.setdefault(r.subscriber_id, set()).add(r.server_continent)
+            traffic_by_continent[r.server_continent] = (
+                traffic_by_continent.get(r.server_continent, 0.0) + r.total_bytes
+            )
+        categories = [traffic._categorize_continents(c) for c in continents.values()]
+        total_bytes = sum(traffic_by_continent.values())
+        report = traffic.region_crossing(table)
+        assert report.lines_total == len(continents)
+        assert report.line_categories == {
+            category: categories.count(category) / len(continents)
+            for category in traffic.REGION_CATEGORIES
+        }
+        assert report.traffic_by_continent == pytest.approx(
+            {continent: bytes_ / total_bytes for continent, bytes_ in traffic_by_continent.items()}
+        )
 
     def test_daily_active_lines(self, records, table):
-        assert traffic.daily_active_lines(records) == traffic.daily_active_lines(table)
-        assert traffic.daily_active_lines(records, 6) == traffic.daily_active_lines(table, 6)
+        for ip_version in (None, 6):
+            lines = {}
+            for r in records:
+                if ip_version is None or r.ip_version == ip_version:
+                    lines.setdefault(r.timestamp.date(), set()).add(r.subscriber_id)
+            expected = {day: len(ids) for day, ids in lines.items()}
+            assert traffic.daily_active_lines(table, ip_version) == expected
 
     def test_scanner_exclusion(self, records, table):
         backend = {r.server_ip for r in records if r.ip_version == 4}
-        from_list = traffic.ScannerExclusion(records, backend)
-        from_table = traffic.ScannerExclusion(table, backend)
-        assert from_list.contacts_per_line() == from_table.contacts_per_line()
-        assert from_list.scanner_lines(3) == from_table.scanner_lines(3)
-        clean_table, scanners = traffic.identify_and_exclude_scanners(table, backend, 3)
-        clean_list, _ = traffic.identify_and_exclude_scanners(records, backend, 3)
-        assert isinstance(clean_table, FlowTable)
-        assert clean_table.to_records() == clean_list
+        contacts = {}
+        for r in records:
+            if r.server_ip in backend:
+                contacts.setdefault(r.subscriber_id, set()).add(r.server_ip)
+        exclusion = traffic.ScannerExclusion(table, backend)
+        assert exclusion.contacts_per_line() == {line: len(ips) for line, ips in contacts.items()}
+        scanners = {line for line, ips in contacts.items() if len(ips) > 3}
+        assert exclusion.scanner_lines(3) == scanners
+        clean = table.exclude_subscribers(scanners)
+        assert clean.to_records() == [r for r in records if r.subscriber_id not in scanners]
 
     def test_per_subscriber_daily_volume(self, records, table):
-        down_list, up_list = traffic.per_subscriber_daily_volume(records, BASE_DAY, 2)
-        down_table, up_table = traffic.per_subscriber_daily_volume(table, BASE_DAY, 2)
-        assert down_list.values == pytest.approx(down_table.values)
-        assert up_list.values == pytest.approx(up_table.values)
+        down, up = {}, {}
+        for r in records:
+            if r.timestamp.date() == BASE_DAY:
+                down[r.subscriber_id] = down.get(r.subscriber_id, 0.0) + r.bytes_down
+                up[r.subscriber_id] = up.get(r.subscriber_id, 0.0) + r.bytes_up
+        down_dist, up_dist = traffic.per_subscriber_daily_volume(table, BASE_DAY, 2)
+        assert down_dist.values == sorted(volume * 2 for volume in down.values())
+        assert up_dist.values == sorted(volume * 2 for volume in up.values())
 
 
 class TestSequenceIndexing:

@@ -1,37 +1,31 @@
 """Tests for the workload generator and scanner traffic."""
 
-from datetime import date, datetime
+from collections import Counter
+from datetime import date
 
 from repro.core.providers import PROVIDERS
 from repro.flows.flowtable import FlowTable
-from repro.flows.scanners import append_scanner_flows, generate_scanner_flows
-from repro.flows.subscribers import SubscriberPopulation
-from repro.flows.workload import WorkloadGenerator
+from repro.flows.scanners import append_scanner_flows
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.rng import RngRegistry
+
+ONE_DAY = StudyPeriod(date(2022, 2, 28), date(2022, 3, 1), name="one-day")
 
 
 def _generator(world):
     return world.workload_generator()
 
 
-def test_generate_hour_is_deterministic(small_world):
-    generator_a = _generator(small_world)
-    generator_b = _generator(small_world)
-    when = datetime(2022, 2, 28, 20)
-    flows_a = generator_a.generate_hour(when)
-    flows_b = generator_b.generate_hour(when)
-    assert len(flows_a) == len(flows_b)
-    assert [f.server_ip for f in flows_a] == [f.server_ip for f in flows_b]
+def _day_without_scanners(world):
+    return _generator(world).generate_period_table(ONE_DAY, include_scanners=False)
 
 
 def test_flows_reference_known_servers_and_subscribers(small_world):
-    generator = _generator(small_world)
-    flows = generator.generate_day(date(2022, 2, 28), include_scanners=False)
-    assert flows
+    table = _day_without_scanners(small_world)
+    assert len(table)
     servers = small_world.servers_by_ip()
     line_ids = {line.line_id for line in small_world.population.lines}
-    for flow in flows[:500]:
+    for flow in table[:500]:
         assert flow.server_ip in servers
         assert flow.subscriber_id in line_ids
         assert flow.bytes_down >= 0 and flow.bytes_up >= 0
@@ -39,52 +33,30 @@ def test_flows_reference_known_servers_and_subscribers(small_world):
 
 
 def test_devices_only_contact_their_provider(small_world):
-    generator = _generator(small_world)
-    flows = generator.generate_day(date(2022, 2, 28), include_scanners=False)
+    table = _day_without_scanners(small_world)
     servers = small_world.servers_by_ip()
-    for flow in flows[:500]:
+    for flow in table[:500]:
         assert servers[flow.server_ip].provider == flow.provider_key
 
 
 def test_flows_only_use_dedicated_servers(small_world):
-    generator = _generator(small_world)
-    flows = generator.generate_day(date(2022, 2, 28), include_scanners=False)
+    table = _day_without_scanners(small_world)
     servers = small_world.servers_by_ip()
-    assert all(servers[f.server_ip].dedicated_iot for f in flows)
+    assert all(servers[ip].dedicated_iot for ip in table.distinct("server_ip"))
 
 
 def test_prime_time_activity_higher_in_evening(small_world):
-    generator = _generator(small_world)
-    evening = generator.generate_hour(datetime(2022, 3, 2, 20))
-    night = generator.generate_hour(datetime(2022, 3, 2, 3))
-    evening_amazon = sum(1 for f in evening if f.provider_key == "amazon")
-    night_amazon = sum(1 for f in night if f.provider_key == "amazon")
-    assert evening_amazon > night_amazon
+    period = StudyPeriod(date(2022, 3, 2), date(2022, 3, 3), name="one-day")
+    table = _generator(small_world).generate_period_table(period, include_scanners=False)
+    amazon_per_hour = Counter(flow.timestamp.hour for flow in table.where_provider("amazon"))
+    assert amazon_per_hour[20] > amazon_per_hour[3]
 
 
 def test_generate_period_covers_all_days(small_world):
-    generator = _generator(small_world)
     period = StudyPeriod(date(2022, 2, 28), date(2022, 3, 2))
-    flows = generator.generate_period(period, include_scanners=False)
-    days = {flow.timestamp.date() for flow in flows}
-    assert days == set(period.days())
-
-
-def test_columnar_period_matches_record_path(small_world):
-    """The columnar generator reproduces the record path's flows exactly."""
-    period = StudyPeriod(date(2022, 2, 28), date(2022, 3, 2))
-    records = _generator(small_world).generate_period(period, include_scanners=True)
-    table = _generator(small_world).generate_period_table(period, include_scanners=True)
-    assert len(table) == len(records)
-    assert table.to_records() == records
-
-
-def test_columnar_period_matches_record_path_during_outage(small_world):
-    """Parity holds through an outage window (device-drop rolls, traffic scaling)."""
-    period = StudyPeriod(date(2021, 12, 6), date(2021, 12, 8), name="outage-slice")
-    records = _generator(small_world).generate_period(period, include_scanners=False)
     table = _generator(small_world).generate_period_table(period, include_scanners=False)
-    assert table.to_records() == records
+    days = {timestamp.date() for timestamp in table.distinct("timestamp")}
+    assert days == set(period.days())
 
 
 def test_columnar_period_is_deterministic(small_world):
@@ -94,28 +66,14 @@ def test_columnar_period_is_deterministic(small_world):
     assert table_a.to_records() == table_b.to_records()
 
 
-def test_columnar_scanner_flows_match_record_path(small_world):
-    """Same registry seed: scanner draws advance identically on both paths."""
-    generator = _generator(small_world)
-    catalog = generator.server_catalog(ip_version=4)
-    scanners = small_world.population.scanner_lines()
-    day = date(2022, 2, 28)
-    records = generate_scanner_flows(scanners, catalog, day, RngRegistry(5))
-    table = FlowTable()
-    appended = append_scanner_flows(table, scanners, catalog, day, RngRegistry(5))
-    assert appended == len(records)
-    assert table.to_records() == records
-
-
 def test_scanner_flows_touch_many_servers(small_world):
     generator = _generator(small_world)
     catalog = generator.server_catalog(ip_version=4)
     scanners = small_world.population.scanner_lines()
-    flows = generate_scanner_flows(scanners, catalog, date(2022, 2, 28), RngRegistry(5))
-    assert flows
-    per_line = {}
-    for flow in flows:
-        per_line.setdefault(flow.subscriber_id, set()).add(flow.server_ip)
+    table = FlowTable()
+    appended = append_scanner_flows(table, scanners, catalog, date(2022, 2, 28), RngRegistry(5))
+    assert appended == len(table) > 0
+    per_line = table.group_distinct(("subscriber_id",), "server_ip")
     # Each scanner touches a large fraction of the catalog.
     for ips in per_line.values():
         assert len(ips) >= 0.5 * len(catalog)

@@ -60,12 +60,6 @@ class TestByteIdentity:
         parallel = table_bytes(generate(3, include_scanners=False))
         assert parallel == serial
 
-    def test_parallel_matches_the_record_reference_path(self):
-        world = build_world(CONFIG)
-        records = world.workload_generator().generate_period(PERIOD)
-        parallel = generate(2)
-        assert parallel.to_records() == records
-
     def test_store_addresses_and_contents_are_identical(self, tmp_path, serial_bytes):
         stage = generated_stage(True)
         # The content address is a pure function of (config, period, stage):
