@@ -96,6 +96,20 @@ class AuthoritativeNameServer:
         for record in records:
             self.register(record, policy=policy, window=window)
 
+    def fresh_copy(self) -> "AuthoritativeNameServer":
+        """A copy with the same records and policies and every rotation counter at zero.
+
+        Queries against the copy leave this server's counters untouched, so a
+        caller that needs answers independent of earlier queries (the
+        vantage-point ablation) resolves against a fresh copy.
+        """
+        copy = AuthoritativeNameServer(self._default_policy, self._default_window)
+        copy._entries = {
+            key: _NameEntry(policy=entry.policy, records=list(entry.records), window=entry.window)
+            for key, entry in self._entries.items()
+        }
+        return copy
+
     def names(self) -> List[str]:
         """Return every owner name with at least one record."""
         return sorted({name for name, _ in self._entries})

@@ -195,18 +195,26 @@ class VantagePointAblationResult:
 
 
 def ablation_vantage_points(context: ExperimentContext) -> VantagePointAblationResult:
-    """Quantify the Section 3.3 coverage gain from multiple vantage points."""
+    """Quantify the Section 3.3 coverage gain from multiple vantage points.
+
+    Each arm resolves against a fresh copy of the world's authoritative
+    server, so both start from the same round-robin state and the result is
+    a function of the world alone: it does not depend on which queries ran
+    before (the pipeline's active-DNS step, an earlier call), and the world's
+    counters are left as they were.
+    """
     discovery = BackendDiscovery(context.pipeline.pattern_set)
     period = context.config.study_period
     passive = discovery.discover_from_passive_dns(
         context.world.passive_dns, since=period.start, until=period.end
     )
     domains = sorted(passive.domains())
+    authoritative = context.world.authoritative
     single = discovery.discover_from_active_dns(
-        context.world.authoritative, context.world.vantage_points[:1], domains
+        authoritative.fresh_copy(), context.world.vantage_points[:1], domains
     )
     full = discovery.discover_from_active_dns(
-        context.world.authoritative, context.world.vantage_points, domains
+        authoritative.fresh_copy(), context.world.vantage_points, domains
     )
     return VantagePointAblationResult(
         single_vp_ips=len(single.ips()), all_vp_ips=len(full.ips())

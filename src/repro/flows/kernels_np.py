@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.flows.flowtable import LazyColumn
+from repro.obs import metrics as obs_metrics
 
 #: array-module typecode -> numpy dtype for zero-copy column views.
 _DTYPES = {
@@ -51,6 +52,11 @@ _BITSET_SPAN_LIMIT = 1 << 26
 #: keep this module importable on its own; the parity harness asserts the two
 #: stay equal).
 INT64_SAFE_LIMIT = 2**62
+
+#: Counter prefix for group-index builds handed to the python builder; the
+#: reason is the last name component (``mixed_keys``, ``float_key``,
+#: ``span_overflow``), so ``repro stats`` shows each cause on its own line.
+GROUP_INDEX_FALLBACK_COUNTER = "kernels.group_index_fallbacks"
 
 
 def _as_np(column: Sequence) -> Optional[np.ndarray]:
@@ -115,13 +121,21 @@ def _first_appearance_order(gids: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------------
 
 
+def _index_fallback(reason: str):
+    """Count a group-index build handed to the python builder; return NotImplemented."""
+    obs_metrics.inc(f"{GROUP_INDEX_FALLBACK_COUNTER}.{reason}")
+    return NotImplemented
+
+
 def build_group_index(table, by: Tuple[str, ...]):
     """Dense first-appearance group ids over int64-packable key columns.
 
     Returns ``(gids array('q'), packed keys in first-appearance order)`` or
-    ``NotImplemented`` when the key columns cannot pack into int64 (mixed
-    categorical/numeric combinations, float keys, or a mixed-radix span
-    beyond 2**63) -- the python builder handles those.
+    ``NotImplemented`` when the key columns cannot pack into int64 (multi-column
+    keys that are not all categorical, float keys, or a mixed-radix span
+    beyond 2**63) -- the python builder handles those, and each hand-off
+    increments a :data:`GROUP_INDEX_FALLBACK_COUNTER` counter named for its
+    reason.
     """
     if len(by) == 1:
         name = by[0]
@@ -130,7 +144,7 @@ def build_group_index(table, by: Tuple[str, ...]):
         else:
             column = table.numeric(name)
             if column.typecode not in _INT_TYPECODES:
-                return NotImplemented
+                return _index_fallback("float_key")
             keys = _as_np(column).astype(np.int64, copy=False)
     elif all(table.is_categorical(name) for name in by):
         sizes = [len(table.pool(name)) for name in by]
@@ -138,12 +152,12 @@ def build_group_index(table, by: Tuple[str, ...]):
         for size in sizes:
             span *= max(1, size)
         if span >= 2**63:
-            return NotImplemented
+            return _index_fallback("span_overflow")
         keys = _as_np(table.codes(by[0])).astype(np.int64, copy=False)
         for name, size in zip(by[1:], sizes[1:]):
             keys = keys * size + _as_np(table.codes(name)).astype(np.int64, copy=False)
     else:
-        return NotImplemented
+        return _index_fallback("mixed_keys")
     if not keys.size:
         return array("q"), []
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

@@ -2,19 +2,26 @@
 
 The simulation needs to (a) allocate non-overlapping prefixes to providers, clouds,
 and the ISP, (b) aggregate discovered addresses into /24 (IPv4) and /56 (IPv6)
-blocks as Table 1 of the paper reports, and (c) perform longest-prefix-style
-membership checks.  All helpers accept either string or ``ipaddress`` objects.
+blocks as Table 1 of the paper reports, and (c) answer longest-prefix matches.
+:class:`PrefixIndex` is the one longest-prefix-match implementation: the
+geolocation database (Section 4.2) and the routing table (Section 4.3) both
+look addresses up through it.  All helpers accept either string or
+``ipaddress`` objects.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from typing import Iterable, List, Sequence, Union
+from typing import Dict, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 IPLike = Union[str, IPAddress]
 NetLike = Union[str, IPNetwork]
+
+V = TypeVar("V")
+
+_MISSING = object()
 
 
 def parse_ip(value: IPLike) -> IPAddress:
@@ -151,3 +158,52 @@ def summarize_prefixes(ips: Iterable[IPLike], v4_length: int = 24, v6_length: in
         length = v4_length if ip.version == 4 else v6_length
         seen.add(prefix_of(ip, length))
     return sorted(seen, key=lambda n: (n.version, int(n.network_address), n.prefixlen))
+
+
+class PrefixIndex(Generic[V]):
+    """A longest-prefix-match index from networks to values.
+
+    Each ``(version, prefixlen)`` pair that holds a prefix gets one hash table
+    mapping ``int(network_address)`` to the value.  :meth:`lookup` parses the
+    address once, masks it to each registered length of its version, longest
+    first, and probes that table; a world with one prefix length per version
+    answers every lookup with a single dict probe.
+
+    Networks are normalized on insert (``10.0.0.5/24`` is ``10.0.0.0/24``).
+    Equal networks follow mapping semantics: ``index[net] = value`` replaces
+    the stored value (last registration wins) and :meth:`setdefault` keeps
+    the first one.
+    """
+
+    def __init__(self) -> None:
+        # Per version: (prefixlen, mask, table) triples, longest prefix first.
+        self._probes: Dict[int, List[Tuple[int, int, Dict[int, V]]]] = {4: [], 6: []}
+
+    def _table(self, network: IPNetwork) -> Dict[int, V]:
+        probes = self._probes[network.version]
+        for prefixlen, _mask, existing in probes:
+            if prefixlen == network.prefixlen:
+                return existing
+        table: Dict[int, V] = {}
+        probes.append((network.prefixlen, int(network.netmask), table))
+        probes.sort(key=lambda probe: -probe[0])
+        return table
+
+    def __setitem__(self, prefix: NetLike, value: V) -> None:
+        network = parse_network(prefix)
+        self._table(network)[int(network.network_address)] = value
+
+    def setdefault(self, prefix: NetLike, value: V) -> V:
+        """Store ``value`` unless the network already has one; return the stored value."""
+        network = parse_network(prefix)
+        return self._table(network).setdefault(int(network.network_address), value)
+
+    def lookup(self, ip: IPLike) -> Optional[V]:
+        """Return the value of the most specific prefix covering the address, or None."""
+        addr = parse_ip(ip)
+        value = int(addr)
+        for _prefixlen, mask, table in self._probes[addr.version]:
+            hit = table.get(value & mask, _MISSING)
+            if hit is not _MISSING:
+                return hit
+        return None

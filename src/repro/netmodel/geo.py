@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.netmodel.addressing import IPLike, NetLike, parse_ip, parse_network
+from repro.netmodel.addressing import IPLike, NetLike, PrefixIndex, parse_ip
 
 #: Continent identifiers used throughout the analyses.
 CONTINENT_EUROPE = "EU"
@@ -118,7 +118,7 @@ class GeoDatabase:
     """
 
     def __init__(self) -> None:
-        self._prefix_locations: Dict[object, Location] = {}
+        self._prefix_locations: PrefixIndex[Location] = PrefixIndex()
         self._ip_overrides: Dict[object, Location] = {}
         self._locations_by_region: Dict[str, Location] = {}
         self._locations_by_airport: Dict[str, Location] = {}
@@ -129,9 +129,12 @@ class GeoDatabase:
         self._locations_by_airport[location.airport_code] = location
 
     def register_prefix(self, prefix: NetLike, location: Location) -> None:
-        """Associate a prefix with a location (prefix-announcement geolocation)."""
+        """Associate a prefix with a location (prefix-announcement geolocation).
+
+        Registering an equal prefix again replaces its location.
+        """
         self.register_location(location)
-        self._prefix_locations[parse_network(prefix)] = location
+        self._prefix_locations[prefix] = location
 
     def register_ip(self, ip: IPLike, location: Location) -> None:
         """Associate a single IP with a location, overriding its prefix."""
@@ -139,17 +142,16 @@ class GeoDatabase:
         self._ip_overrides[parse_ip(ip)] = location
 
     def lookup_ip(self, ip: IPLike) -> Optional[Location]:
-        """Return the location of an address, or None if unknown."""
+        """Return the location of an address, or None if unknown.
+
+        A per-IP override wins; otherwise the most specific registered prefix
+        covering the address decides.
+        """
         addr = parse_ip(ip)
-        if addr in self._ip_overrides:
-            return self._ip_overrides[addr]
-        best: Optional[Location] = None
-        best_len = -1
-        for prefix, location in self._prefix_locations.items():
-            if addr.version == prefix.version and addr in prefix and prefix.prefixlen > best_len:
-                best = location
-                best_len = prefix.prefixlen
-        return best
+        override = self._ip_overrides.get(addr)
+        if override is not None:
+            return override
+        return self._prefix_locations.lookup(addr)
 
     def lookup_region_code(self, region_code: str) -> Optional[Location]:
         """Return the location registered under a cloud-style region code."""

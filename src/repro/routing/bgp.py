@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.netmodel.addressing import IPLike, NetLike, parse_ip, parse_network
+from repro.netmodel.addressing import IPLike, NetLike, PrefixIndex, parse_network
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,19 @@ class RoutingTable:
     def __init__(self) -> None:
         self._announcements: List[Tuple[object, Announcement]] = []
         self._seen: Dict[Tuple[str, int], Announcement] = {}
+        self._index: PrefixIndex[Announcement] = PrefixIndex()
 
     def announce(self, announcement: Announcement) -> None:
         """Insert an announcement; duplicate (prefix, origin) pairs are ignored."""
-        key = (str(parse_network(announcement.prefix)), announcement.origin_asn)
+        network = announcement.network()
+        key = (str(network), announcement.origin_asn)
         if key in self._seen:
             return
         self._seen[key] = announcement
-        self._announcements.append((announcement.network(), announcement))
+        self._announcements.append((network, announcement))
+        # The first announcement of a prefix answers lookups, also when
+        # another origin announces the same prefix later (MOAS).
+        self._index.setdefault(network, announcement)
 
     def announce_many(self, announcements: Iterable[Announcement]) -> None:
         """Insert several announcements."""
@@ -49,16 +54,7 @@ class RoutingTable:
 
     def lookup(self, ip: IPLike) -> Optional[Announcement]:
         """Return the most specific announcement covering an address, if any."""
-        address = parse_ip(ip)
-        best: Optional[Announcement] = None
-        best_length = -1
-        for network, announcement in self._announcements:
-            if network.version != address.version:
-                continue
-            if address in network and network.prefixlen > best_length:
-                best = announcement
-                best_length = network.prefixlen
-        return best
+        return self._index.lookup(ip)
 
     def origin_asn(self, ip: IPLike) -> Optional[int]:
         """Return the origin AS number for an address, if covered."""

@@ -96,9 +96,11 @@ class BgpEventFeed:
         end: Optional[date] = None,
     ) -> List[BgpEvent]:
         """Return the events in the window that touch any given AS or prefix."""
+        # Parsed once here, not once per event (parse_network passes networks through).
+        networks = [parse_network(prefix) for prefix in prefixes]
         affected = []
         for event in self.events(start, end):
-            if event.affects_asn(asns) or event.affects_prefix(prefixes):
+            if event.affects_asn(asns) or event.affects_prefix(networks):
                 affected.append(event)
         return affected
 

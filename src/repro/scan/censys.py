@@ -22,7 +22,7 @@ from datetime import date
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.netmodel.geo import GeoDatabase, Location
-from repro.netmodel.topology import BackendServer
+from repro.netmodel.topology import BackendServer, ServiceEndpoint
 from repro.scan.banners import Banner, grab_banner
 from repro.scan.certificates import Certificate
 from repro.scan.tls import perform_handshake
@@ -212,6 +212,8 @@ class CensysService:
         self._geolocation_error_rate = geolocation_error_rate
         self._location_pool = list(location_pool)
         self._snapshots: Dict[date, CensysSnapshot] = {}
+        # Banners by upper-cased protocol name (None for unprobed protocols).
+        self._banners: Dict[str, Optional[Banner]] = {}
 
     def snapshot(self, day: date) -> CensysSnapshot:
         """Return (building and caching if necessary) the snapshot for a day."""
@@ -233,6 +235,17 @@ class CensysService:
                 snapshot.add(record)
         return snapshot
 
+    def _banner(self, endpoint: ServiceEndpoint) -> Optional[Banner]:
+        """The endpoint's banner, probed once per protocol.
+
+        :func:`grab_banner` reads only the endpoint's protocol, and a
+        :class:`Banner` is frozen, so every endpoint of a protocol shares one.
+        """
+        protocol = endpoint.protocol.upper()
+        if protocol not in self._banners:
+            self._banners[protocol] = grab_banner(endpoint)
+        return self._banners[protocol]
+
     def _scan_host(self, server: BackendServer, day: date, index: int) -> Optional[CensysHostRecord]:
         open_ports: List[Tuple[str, int]] = []
         certificates: List[Certificate] = []
@@ -242,7 +255,7 @@ class CensysService:
             if endpoint.key not in scanned:
                 continue
             open_ports.append(endpoint.key)
-            banner = grab_banner(endpoint)
+            banner = self._banner(endpoint)
             if banner is not None:
                 banners.append(banner)
             if endpoint.tls is not None:

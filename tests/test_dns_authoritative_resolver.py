@@ -43,6 +43,21 @@ def test_round_robin_rotates_and_eventually_reveals_all():
     assert len(server.query("gw.example", RTYPE_A)) == 2
 
 
+def test_fresh_copy_answers_from_rotation_zero_and_leaves_the_original_alone():
+    server = AuthoritativeNameServer()
+    records = [_record("gw.example", f"10.0.0.{i}", EU) for i in range(1, 9)]
+    server.register_many(records, policy=AnswerPolicy.ROUND_ROBIN, window=2)
+    first = server.query("gw.example", RTYPE_A)
+    second = server.query("gw.example", RTYPE_A)
+    assert first != second
+    copy = server.fresh_copy()
+    assert copy.query("gw.example", RTYPE_A) == first
+    assert copy.query("gw.example", RTYPE_A) == second
+    # The copy's two queries did not move the original's rotation.
+    assert server.query("gw.example", RTYPE_A) == [records[2], records[3]]
+    assert copy.all_records("gw.example", RTYPE_A) == records
+
+
 def test_geo_policy_prefers_client_continent():
     server = AuthoritativeNameServer()
     server.register(_record("gw.example", "10.0.0.1", EU), policy=AnswerPolicy.GEO)

@@ -205,6 +205,16 @@ def test_store_read_path_is_documented_everywhere():
         assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
 
 
+def test_ip_lookup_index_is_documented():
+    """The one longest-prefix-match implementation must stay named in the guide."""
+    from repro.netmodel.addressing import PrefixIndex
+
+    architecture = ARCHITECTURE.read_text(encoding="utf-8")
+    assert "### IP lookups and scan snapshots" in architecture
+    for concept in (PrefixIndex.__name__, "setdefault", "fresh_copy", "group_index_fallbacks"):
+        assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
+
+
 def test_readme_documents_install_and_benchmarks():
     text = README.read_text(encoding="utf-8")
     assert "PYTHONPATH=src" in text

@@ -6,6 +6,8 @@ import pytest
 from repro.experiments import characterization as ch
 from repro.experiments import disruption_experiments as de
 from repro.experiments import traffic_experiments as te
+from repro.experiments.context import build_context
+from repro.store.artifacts import ArtifactStore
 
 
 def test_table1_and_render(small_context):
@@ -148,3 +150,39 @@ def test_ablation_vantage_points(small_context):
     assert result.all_vp_ips >= result.single_vp_ips
     assert result.gain_fraction >= 0.0
     assert "vantage points" in result.render()
+
+
+def _rotation_counters(world):
+    return {key: entry.query_counter for key, entry in world.authoritative._entries.items()}
+
+
+@pytest.fixture(scope="module")
+def cold_and_warm_contexts(small_config, tmp_path_factory):
+    """A cold context whose pipeline ran active DNS, and a warm one loaded from the store."""
+    store = ArtifactStore(tmp_path_factory.mktemp("store"))
+    cold = build_context(small_config, use_cache=False, store=store)
+    reference = cold.result  # runs the pipeline, its active-DNS step included
+    warm = build_context(small_config, use_cache=False, store=store)
+    assert warm.result == reference  # read from the store
+    # Only the cold pipeline queried the world's name server.
+    assert any(_rotation_counters(cold.world).values())
+    assert not any(_rotation_counters(warm.world).values())
+    return cold, warm
+
+
+def test_ablation_vantage_points_repeats_on_one_context(cold_and_warm_contexts):
+    cold, _warm = cold_and_warm_contexts
+    assert de.ablation_vantage_points(cold) == de.ablation_vantage_points(cold)
+
+
+def test_ablation_vantage_points_agrees_on_cold_and_warm_contexts(cold_and_warm_contexts):
+    cold, warm = cold_and_warm_contexts
+    assert de.ablation_vantage_points(cold) == de.ablation_vantage_points(warm)
+
+
+def test_ablation_vantage_points_leaves_the_world_counters_unchanged(cold_and_warm_contexts):
+    cold, warm = cold_and_warm_contexts
+    for context in (cold, warm):
+        before = _rotation_counters(context.world)
+        de.ablation_vantage_points(context)
+        assert _rotation_counters(context.world) == before

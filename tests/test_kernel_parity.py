@@ -37,6 +37,7 @@ import pytest
 from repro.flows import kernels
 from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import make_flow
+from repro.obs import metrics as obs_metrics
 from repro.store.codec import dump_table
 
 SEEDS = range(6)
@@ -275,6 +276,49 @@ def test_index_builders_agree(seed):
             assert list(python_index.group_keys) == list(numpy_index.group_keys), (
                 f"{label}/{by}"
             )
+
+
+def test_group_index_fallbacks_are_counted_by_reason():
+    """Numpy builds handed to the python builder count their reason; no result moves."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    from repro.flows.kernels_np import GROUP_INDEX_FALLBACK_COUNTER as prefix
+
+    table = _adversarial_tables(0)[0][1]
+    wide = table.select(range(len(table)))
+    for name in CATEGORICAL_COLUMNS:
+        # Seven pools of 600+ entries: their mixed-radix span exceeds 2**63.
+        for value in range(600):
+            wide.encode_value(name, f"pad-{value}")
+    cases = (
+        (table, ("provider_key", "transport"), None),
+        (table, ("provider_key",), None),
+        (table, ("provider_key", "subscriber_id"), "mixed_keys"),
+        (table, ("transport", "port"), "mixed_keys"),
+        (table, ("bytes_down",), "float_key"),
+        (wide, CATEGORICAL_COLUMNS, "span_overflow"),
+    )
+    was_enabled = obs_metrics.enabled()
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        for source, by, reason in cases:
+            kernels.set_backend(kernels.BACKEND_PYTHON)
+            expected = kernels.build_group_index(source, by)
+            before = obs_metrics.registry().counters()
+            kernels.set_backend(kernels.BACKEND_NUMPY)
+            built = kernels.build_group_index(source, by)
+            assert built.gids == expected.gids and built.group_keys == expected.group_keys
+            counted = {
+                name: value - before.get(name, 0.0)
+                for name, value in obs_metrics.registry().counters().items()
+                if name.startswith(prefix) and value != before.get(name, 0.0)
+            }
+            assert counted == ({f"{prefix}.{reason}": 1.0} if reason else {}), by
+    finally:
+        if not was_enabled:
+            obs_metrics.disable()
+        obs_metrics.set_registry(previous)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
