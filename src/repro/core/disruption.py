@@ -22,6 +22,7 @@ from datetime import date, datetime
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult
+from repro.flows import kernels
 from repro.flows.flowtable import FlowTable
 from repro.netmodel.geo import CONTINENT_EUROPE
 from repro.routing.bgp import RoutingTable
@@ -116,18 +117,15 @@ def outage_impact(
     is_eu = bytearray(
         1 if continent == CONTINENT_EUROPE else 0 for continent in continent_pool
     )
+    not_us_east = bytearray(0 if flag else 1 for flag in is_us_east)
     provider_codes = table.codes("provider_key")
     region_codes = table.codes("server_region")
     continent_codes = table.codes("server_continent")
-    all_mask = bytearray(map(is_provider.__getitem__, provider_codes))
+    all_mask = kernels.expand_code_mask(provider_codes, is_provider)
+    us_east_mask = kernels.expand_code_mask(region_codes, is_us_east, all_mask)
     # us-east wins over EU for flows matching both (the paper's region split).
-    us_east_mask = bytearray(
-        1 if keep and is_us_east[region] else 0
-        for keep, region in zip(all_mask, region_codes)
-    )
-    eu_mask = bytearray(
-        1 if keep and is_eu[continent] and not is_us_east[region] else 0
-        for keep, region, continent in zip(all_mask, region_codes, continent_codes)
+    eu_mask = kernels.expand_code_mask(
+        continent_codes, is_eu, kernels.expand_code_mask(region_codes, not_us_east, all_mask)
     )
     masks = {GROUP_ALL: all_mask, GROUP_US_EAST: us_east_mask, GROUP_EU: eu_mask}
     traffic_series: Dict[str, Dict[datetime, float]] = {}

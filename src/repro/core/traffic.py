@@ -30,6 +30,7 @@ from datetime import date, datetime
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult
+from repro.flows import kernels
 from repro.flows.anonymize import AnonymizationMap
 from repro.flows.flowtable import FlowTable
 from repro.netmodel.geo import (
@@ -113,14 +114,7 @@ class ScannerExclusion:
         for code, ip in enumerate(ip_pool):
             if ip in self.backend_ips:
                 is_backend[code] = 1
-        codes = table.codes("server_ip")
-        if mask is None:
-            row_mask = bytearray(map(is_backend.__getitem__, codes))
-        else:
-            row_mask = bytearray(
-                1 if keep and is_backend[code] else 0
-                for keep, code in zip(mask, codes)
-            )
+        row_mask = kernels.expand_code_mask(table.codes("server_ip"), is_backend, mask)
         self._contacts: Dict[int, Set[str]] = table.group_distinct(
             ("subscriber_id",), "server_ip", mask=row_mask
         )

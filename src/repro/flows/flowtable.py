@@ -16,19 +16,24 @@ aggregation; the table stores the same data as parallel columns:
 
 On top of the columns the table offers bulk filters (:meth:`where_day`,
 :meth:`exclude_subscribers`, :meth:`where_provider`, :meth:`where_ip_version`,
-:meth:`restrict_server_ips`) and grouped aggregations (:meth:`group_sums`,
-:meth:`group_distinct`, :meth:`group_distinct_count`) keyed by any column
-combination -- provider, hour, subscriber, port, continent pair.  The
-Section 5 analyses in :mod:`repro.core.traffic` run on these primitives
-instead of repeated linear passes over record lists.
+:meth:`restrict_server_ips`), row masks (:meth:`mask_code`, :meth:`mask_day`,
+:meth:`mask_server_ips`, :meth:`mask_ip_version`) and grouped aggregations
+(:meth:`group_sums`, :meth:`group_distinct`, :meth:`group_distinct_count`)
+keyed by any column combination -- provider, hour, subscriber, port,
+continent pair.  The Section 5 analyses in :mod:`repro.core.traffic` run on
+these primitives instead of repeated linear passes over record lists.
 
-The aggregations themselves are executed by the pluggable kernel layer in
-:mod:`repro.flows.kernels` (fused pure-python loops, optional numpy backend
-behind ``IOT_REPRO_KERNELS``).  The grouping permutation is computed once per
-``(table, key columns)`` pair -- :meth:`group_index` -- and cached until any
-mutating primitive (:meth:`extend`, :meth:`append_columns`,
-:meth:`extend_table`, :meth:`truncate`, :meth:`assign_numeric`) bumps the
-table's mutation counter, so analyses sharing a grouping share the index.
+Filters, masks and aggregations are all executed by the pluggable kernel
+layer in :mod:`repro.flows.kernels` (pure-python loops, optional numpy
+backend behind ``IOT_REPRO_KERNELS``).  Every filter ends in
+:meth:`select_mask`, one row-filter kernel call.  A row mask must have
+exactly one entry per row: :meth:`select_mask` and the grouped aggregations
+raise ``ValueError`` naming both lengths otherwise.  The grouping permutation
+is computed once per ``(table, key columns)`` pair -- :meth:`group_index` --
+and cached until any mutating primitive (:meth:`extend`,
+:meth:`append_columns`, :meth:`extend_table`, :meth:`truncate`,
+:meth:`assign_numeric`) bumps the table's mutation counter, so analyses
+sharing a grouping share the index.
 
 ``FlowTable`` iterates and indexes like a sequence of ``FlowRecord`` row
 views (materialized on demand), and :meth:`from_records`/:meth:`to_records`
@@ -41,7 +46,8 @@ zero-copy store read path (:func:`repro.store.codec.load_table_mmap`) holds
 :class:`LazyColumn` views over the mapped artifact instead: the raw bytes stay
 on the map and are decoded into an ``array`` only on first sequence access,
 while the numpy kernel backend reads them directly via ``np.frombuffer`` with
-no copy at all.  Every mutating primitive runs the copy-on-write barrier
+no copy at all -- filters and masks included, so a warm table is filtered
+straight off the map.  Every mutating primitive runs the copy-on-write barrier
 (:meth:`FlowTable._materialize_for_write`) before touching a column, so by the
 time ``_version`` is bumped the table is array-backed again and the
 GroupIndex/mutation contract is unchanged.
@@ -51,7 +57,6 @@ from __future__ import annotations
 
 from array import array
 from datetime import date
-from itertools import compress
 from operator import attrgetter
 from typing import (
     Callable,
@@ -93,6 +98,7 @@ NUMERIC_COLUMNS = (
 )
 
 _NUMERIC_TYPECODES = dict(NUMERIC_COLUMNS)
+_NUMERIC_NAMES = tuple(_NUMERIC_TYPECODES)
 
 #: One C-level fetch of every FlowRecord field, in conversion order.
 _RECORD_FIELDS = attrgetter(
@@ -658,16 +664,23 @@ class FlowTable:
     def select_mask(self, mask: Sequence[int]) -> "FlowTable":
         """Return a new table with the rows whose mask entry is truthy.
 
-        The per-row copy runs entirely through :func:`itertools.compress`, so
-        bulk filters cost one C-level pass per column.
+        ``mask`` needs one entry per row (``ValueError`` otherwise).  All 15
+        columns go through one :func:`~repro.flows.kernels.filter_rows` call:
+        one C-level pass per column on either backend, and under numpy lazy
+        columns are read straight off the map.
         """
+        from repro.flows import kernels
+
+        kept = kernels.filter_rows(
+            [self._codes[name] for name in CATEGORICAL_COLUMNS]
+            + [self._numeric[name] for name in _NUMERIC_NAMES],
+            mask,
+        )
         table = FlowTable()
         table._pools = self._pools
-        for name in CATEGORICAL_COLUMNS:
-            table._codes[name] = array("i", compress(_seq(self._codes[name]), mask))
-        for name, typecode in NUMERIC_COLUMNS:
-            table._numeric[name] = array(typecode, compress(_seq(self._numeric[name]), mask))
-        table._length = len(table._codes["timestamp"])
+        table._codes = dict(zip(CATEGORICAL_COLUMNS, kept))
+        table._numeric = dict(zip(_NUMERIC_NAMES, kept[len(CATEGORICAL_COLUMNS) :]))
+        table._length = len(kept[0])
         return table
 
     def _code_mask(self, name: str, predicate: Callable[[object], bool]) -> bytearray:
@@ -681,9 +694,10 @@ class FlowTable:
 
     def mask_code(self, name: str, predicate: Callable[[object], bool]) -> bytearray:
         """Row mask over a categorical column; the predicate runs once per
-        *distinct* value, the per-row expansion is a C-level map."""
-        code_mask = self._code_mask(name, predicate)
-        return bytearray(map(code_mask.__getitem__, _seq(self._codes[name])))
+        *distinct* value, the per-row expansion is one kernel call."""
+        from repro.flows import kernels
+
+        return kernels.expand_code_mask(self._codes[name], self._code_mask(name, predicate))
 
     def mask_day(self, day: date) -> bytearray:
         """Row mask selecting one calendar day."""
@@ -696,8 +710,9 @@ class FlowTable:
 
     def mask_ip_version(self, ip_version: int) -> bytearray:
         """Row mask selecting one address family."""
-        column = self._numeric["ip_version"]
-        return bytearray(1 if version == ip_version else 0 for version in column)
+        from repro.flows import kernels
+
+        return kernels.equal_mask(self._numeric["ip_version"], ip_version)
 
     def where_code(self, name: str, predicate: Callable[[object], bool]) -> "FlowTable":
         """Rows whose categorical column value satisfies a predicate.
@@ -728,36 +743,42 @@ class FlowTable:
 
     def exclude_subscribers(self, subscriber_ids: Iterable[int]) -> "FlowTable":
         """Drop all rows of the given subscriber lines."""
+        from repro.flows import kernels
+
         excluded = set(subscriber_ids)
         if not excluded:
             return self
-        column = self._numeric["subscriber_id"]
-        return self.select_mask(bytearray(0 if line in excluded else 1 for line in column))
+        return self.select_mask(kernels.not_in_mask(self._numeric["subscriber_id"], excluded))
 
     # -- grouped aggregation -----------------------------------------------------
 
-    def _group_decoder(self, by: Sequence[str]) -> Callable[[object], GroupKey]:
-        """Decoder from packed/tuple composite keys back to column values.
+    def _group_codes(self, by: Sequence[str]) -> Tuple[Iterable, Callable[[object], GroupKey]]:
+        """Per-row composite key iterator plus a decoder back to values.
 
-        Split out of :meth:`_group_codes` so the numpy index builder can pack
-        keys column-wise without paying the python per-row key build.
+        All-categorical key combinations are packed into single integers
+        (mixed-radix over the pool sizes): int keys hash far faster than
+        tuples of strings/datetimes, which is where grouped aggregations
+        spend their time.  This is the python builder's key source; the numpy
+        builder packs whole columns instead (:mod:`repro.flows.kernels_np`).
         """
         if len(by) == 1:
-            _keys, pool = self._key_column(by[0])
+            keys, pool = self._key_column(by[0])
             if pool is None:
-                return lambda key: key
-            return lambda key: pool[key]
+                return keys, lambda key: key
+            return keys, lambda key: pool[key]
         if all(name in self._codes for name in by):
+            code_arrays = [self._codes[name] for name in by]
             pools = [self._pools[name].values for name in by]
             sizes = [len(pool) for pool in pools]
             if len(by) == 2:
+                first, second = code_arrays
                 radix = sizes[1]
                 first_pool, second_pool = pools
 
                 def decode_pair(key: int) -> Tuple[object, object]:
                     return (first_pool[key // radix], second_pool[key % radix])
 
-                return decode_pair
+                return [a * radix + b for a, b in zip(first, second)], decode_pair
 
             def decode_packed(key: int) -> Tuple[object, ...]:
                 parts: List[object] = []
@@ -766,44 +787,22 @@ class FlowTable:
                     parts.append(pool[code])
                 return tuple(reversed(parts))
 
-            return decode_packed
-        pools = [self._key_column(name)[1] for name in by]
-
-        def decode(key: Tuple[int, ...]) -> Tuple[object, ...]:
-            return tuple(
-                part if pool is None else pool[part] for part, pool in zip(key, pools)
-            )
-
-        return decode
-
-    def _group_codes(self, by: Sequence[str]) -> Tuple[Iterable, Callable[[object], GroupKey]]:
-        """Per-row composite key iterator plus a decoder back to values.
-
-        All-categorical key combinations are packed into single integers
-        (mixed-radix over the pool sizes): int keys hash far faster than
-        tuples of strings/datetimes, which is where grouped aggregations
-        spend their time.
-        """
-        decode = self._group_decoder(by)
-        if len(by) == 1:
-            keys, _pool = self._key_column(by[0])
-            return keys, decode
-        if all(name in self._codes for name in by):
-            code_arrays = [self._codes[name] for name in by]
-            sizes = [len(self._pools[name].values) for name in by]
-            if len(by) == 2:
-                first, second = code_arrays
-                radix = sizes[1]
-                return [a * radix + b for a, b in zip(first, second)], decode
             packed: List[int] = []
             for row in zip(*code_arrays):
                 key = 0
                 for code, size in zip(row, sizes):
                     key = key * size + code
                 packed.append(key)
-            return packed, decode
-        rows = zip(*(self._key_column(name)[0] for name in by))
-        return rows, decode
+            return packed, decode_packed
+        columns = [self._key_column(name) for name in by]
+        key_pools = [pool for _keys, pool in columns]
+
+        def decode(key: Tuple[int, ...]) -> Tuple[object, ...]:
+            return tuple(
+                part if pool is None else pool[part] for part, pool in zip(key, key_pools)
+            )
+
+        return zip(*(keys for keys, _pool in columns)), decode
 
     def group_index(self, by: Sequence[str]) -> "kernels.GroupIndex":
         """The cached grouping permutation for a key-column combination.

@@ -1,8 +1,8 @@
-"""Pluggable grouped-aggregation kernels for :class:`~repro.flows.flowtable.FlowTable`.
+"""Pluggable row and grouped-aggregation kernels for :class:`~repro.flows.flowtable.FlowTable`.
 
 The Section 5 analyses (traffic shares, distinct-destination footprints,
-outage deltas) all reduce to grouped aggregations over period flow tables.
-This module turns those aggregations into a kernel layer with three
+outage deltas) all reduce to row filters, row masks and grouped aggregations
+over period flow tables.  This module turns them into a kernel layer with
 interchangeable implementations:
 
 * **Reference kernels** (``reference_*``) -- the original dict-per-metric
@@ -18,6 +18,16 @@ interchangeable implementations:
   artifact (:class:`~repro.flows.flowtable.LazyColumn`) feed these kernels
   straight off the map via ``np.frombuffer``; the python kernels decode such
   a column into an ``array`` on first touch instead.
+
+**Row kernels** follow the same contract: :func:`filter_rows` (behind
+``FlowTable.select_mask`` and every ``where_*`` filter, scanner exclusion and
+NetFlow export) and four mask builders -- :func:`expand_code_mask` (a
+per-pool-entry mask expanded over a code column, optionally AND-ed with a row
+mask), :func:`equal_mask`, :func:`not_in_mask` and :func:`nonzero_mask`.  Each
+python path is the original per-row loop; the numpy kernel returns
+``NotImplemented`` for anything it cannot reproduce byte for byte.  Row masks
+must have one entry per row: the dispatchers raise ``ValueError`` naming both
+lengths instead of letting ``compress`` silently cut the table to the mask.
 
 Backend selection: ``IOT_REPRO_KERNELS=python|numpy`` forces a backend,
 :func:`set_backend` overrides it in-process (tests, benchmarks), and with
@@ -155,18 +165,17 @@ class GroupIndex:
 def build_group_index(table: "FlowTable", by: Tuple[str, ...]) -> GroupIndex:
     """Build the dense grouping of a table over the given key columns.
 
-    The numpy builder is used when the active backend is numpy and every key
-    column packs into int64 (all-categorical combinations, or a single
-    integer column); both builders produce identical indexes, which the
-    parity harness asserts.
+    The numpy builder is used when the active backend is numpy and the key
+    columns pack into one int64 (any mix of categorical and integer columns
+    whose mixed-radix span stays below 2**63); both builders produce
+    identical indexes, which the parity harness asserts.
     """
     version = table._version
     if _use_numpy():
         built = _numpy_kernels().build_group_index(table, by)
         if built is not NotImplemented:
-            gids, packed_keys = built
-            decode = table._group_decoder(by)
-            return GroupIndex(by, version, gids, [decode(key) for key in packed_keys])
+            gids, group_keys = built
+            return GroupIndex(by, version, gids, group_keys)
     keys, decode = table._group_codes(by)
     gid_of: Dict[object, int] = {}
     gids = array("q")
@@ -180,8 +189,75 @@ def build_group_index(table: "FlowTable", by: Tuple[str, ...]) -> GroupIndex:
 
 
 # ---------------------------------------------------------------------------------
-# Dispatchers (called by FlowTable)
+# Dispatchers (called by FlowTable, NetFlow export and the Section 5-6 analyses)
 # ---------------------------------------------------------------------------------
+
+
+def _check_mask(mask: Optional[Sequence[int]], rows: int) -> None:
+    """Reject a row mask whose length differs from the row count."""
+    if mask is not None and len(mask) != rows:
+        raise ValueError(f"row mask has {len(mask)} entries for {rows} rows")
+
+
+def filter_rows(columns: Sequence[Sequence], mask: Sequence[int]) -> List[array]:
+    """The rows of every column whose mask entry is truthy, as new arrays.
+
+    ``columns`` are one table's ``array``/lazy columns (equal lengths).
+    """
+    _check_mask(mask, len(columns[0]))
+    if _use_numpy():
+        result = _numpy_kernels().filter_rows(columns, mask)
+        if result is not NotImplemented:
+            return result
+    return [array(column.typecode, compress(column, mask)) for column in columns]
+
+
+def expand_code_mask(
+    codes: Sequence[int], code_mask: bytearray, mask: Optional[Sequence[int]] = None
+) -> bytearray:
+    """Row mask ``code_mask[code]`` of a code column, AND-ed with ``mask``.
+
+    ``code_mask`` holds one flag per pool entry, so a predicate runs once per
+    distinct value; the result is a fresh row mask.  With ``mask`` every row
+    becomes ``1`` when both its mask entry and its code flag are truthy.
+    """
+    _check_mask(mask, len(codes))
+    if _use_numpy():
+        result = _numpy_kernels().expand_code_mask(codes, code_mask, mask)
+        if result is not NotImplemented:
+            return result
+    if mask is None:
+        return bytearray(map(code_mask.__getitem__, codes))
+    return bytearray(1 if keep and code_mask[code] else 0 for keep, code in zip(mask, codes))
+
+
+def equal_mask(column: Sequence, value: object) -> bytearray:
+    """Row mask of a numeric column equal to ``value``."""
+    if _use_numpy():
+        result = _numpy_kernels().equal_mask(column, value)
+        if result is not NotImplemented:
+            return result
+    return bytearray(1 if item == value else 0 for item in column)
+
+
+def not_in_mask(column: Sequence, values: Set[object]) -> bytearray:
+    """Row mask of a numeric column whose value is not in ``values``."""
+    if _use_numpy():
+        result = _numpy_kernels().not_in_mask(column, values)
+        if result is not NotImplemented:
+            return result
+    return bytearray(0 if item in values else 1 for item in column)
+
+
+def nonzero_mask(first: Sequence, second: Sequence) -> bytearray:
+    """Row mask of rows where either of two equal-length columns is truthy."""
+    if len(first) != len(second):
+        raise ValueError(f"columns of {len(first)} and {len(second)} rows")
+    if _use_numpy():
+        result = _numpy_kernels().nonzero_mask(first, second)
+        if result is not NotImplemented:
+            return result
+    return bytearray(1 if a or b else 0 for a, b in zip(first, second))
 
 
 def group_sums(
@@ -191,6 +267,7 @@ def group_sums(
     mask: Optional[Sequence[int]] = None,
 ) -> Dict["GroupKey", List[float]]:
     """Sum numeric columns per group key on the active backend."""
+    _check_mask(mask, len(table))
     index = table.group_index(by)
     columns = [table.numeric(name) for name in values]
     if _use_numpy():
@@ -207,6 +284,7 @@ def group_distinct_count(
     mask: Optional[Sequence[int]] = None,
 ) -> Dict["GroupKey", int]:
     """Count distinct values of one column per group key on the active backend."""
+    _check_mask(mask, len(table))
     index = table.group_index(by)
     members, _pool = table._key_column(of)
     if _use_numpy():
@@ -223,6 +301,7 @@ def group_distinct(
     mask: Optional[Sequence[int]] = None,
 ) -> Dict["GroupKey", Set[object]]:
     """Distinct values of one column per group key on the active backend."""
+    _check_mask(mask, len(table))
     index = table.group_index(by)
     members, pool = table._key_column(of)
     if _use_numpy():

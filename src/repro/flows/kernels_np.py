@@ -1,26 +1,45 @@
-"""Numpy grouped-aggregation kernels (optional backend).
+"""Numpy flow-table kernels (optional backend).
 
 Importing this module requires numpy; :mod:`repro.flows.kernels` guards the
 import and falls back to the pure-python kernels when it fails.  Every kernel
-here either returns a result **bit-identical** to the python reference or
+here either returns a result **bit-identical** to the python kernel or
 returns ``NotImplemented`` so the dispatcher runs the python path instead:
 
 * Float group sums use ``np.bincount``, whose accumulation is a sequential
   loop in row order -- the same addition order as the python kernels, hence
   the same IEEE-754 result (the lone exception, a leading ``-0.0``, is
   documented in :mod:`repro.flows.kernels`).
-* Integer group sums accumulate into an int64 array via ``np.add.at``; when
-  ``max(|value|) * rows`` could reach the :data:`~repro.flows.kernels`
-  ``INT64_SAFE_LIMIT`` the kernel defers to python, whose arbitrary-precision
-  ints cannot overflow.  The same guard covers packed distinct-count pairs
-  and whole-column totals.
+* Integer group sums accumulate into an int64 array via ``np.add.at``.
 * Result dicts preserve the reference first-appearance key order: group ids
   are dense in first-appearance order by construction, and masked
   aggregations recover the masked first-appearance order from
   ``np.unique(..., return_index=True)``.
-* Float *member* columns (``group_distinct`` over a float column) defer to
-  python: ``np.unique`` collapses NaNs that python set semantics keep
-  distinct.
+* Row filters boolean-index each column's view and fill the result ``array``
+  with one ``frombytes``; row masks compare or index whole column views and
+  come back as the same 0/1 ``bytearray`` the python loops build.
+* Group indexes pack every key column into one mixed-radix int64 key: a
+  categorical column adds its codes (radix = pool size), an integer column
+  adds ``value - min`` (radix = ``max - min + 1``).
+
+``NotImplemented`` cases, each counted under
+``kernels.fallbacks.<kernel>.<reason>`` (:data:`KERNEL_FALLBACK_COUNTER`)
+while metrics are on:
+
+* ``int64_overflow`` -- integer sums, packed distinct pairs or a total where
+  ``max(|value|) * rows`` could reach the :data:`~repro.flows.kernels`
+  ``INT64_SAFE_LIMIT``; python's arbitrary-precision ints cannot overflow.
+* ``float_member`` -- ``group_distinct``/``distinct`` over a float column:
+  ``np.unique`` collapses NaNs that python set semantics keep distinct.
+* ``column_type`` -- a column without a fixed-width buffer view, or a
+  non-integer column where a mask compares against python ints.
+* ``mask_type`` -- a row mask (or per-code mask) that is not a flat
+  bool/int/float sequence, whose truthiness ``!= 0`` could not reproduce.
+* ``value_type`` -- a comparison or membership value that is not an ``int``.
+
+The group-index builder keeps its own counters,
+``kernels.group_index_fallbacks.float_key`` and ``.span_overflow`` (packed
+span >= 2**63).  Mask lengths are checked by the dispatchers, so every
+kernel may rely on ``len(mask) == rows``.
 """
 
 from __future__ import annotations
@@ -54,9 +73,19 @@ _BITSET_SPAN_LIMIT = 1 << 26
 INT64_SAFE_LIMIT = 2**62
 
 #: Counter prefix for group-index builds handed to the python builder; the
-#: reason is the last name component (``mixed_keys``, ``float_key``,
-#: ``span_overflow``), so ``repro stats`` shows each cause on its own line.
+#: reason is the last name component (``float_key``, ``span_overflow``), so
+#: ``repro stats`` shows each cause on its own line.
 GROUP_INDEX_FALLBACK_COUNTER = "kernels.group_index_fallbacks"
+
+#: Counter prefix for every other kernel call handed to python:
+#: ``kernels.fallbacks.<kernel>.<reason>``.
+KERNEL_FALLBACK_COUNTER = "kernels.fallbacks"
+
+
+def _fallback(kernel: str, reason: str):
+    """Count a kernel call handed to the python kernels; return NotImplemented."""
+    obs_metrics.inc(f"{KERNEL_FALLBACK_COUNTER}.{kernel}.{reason}")
+    return NotImplemented
 
 
 def _as_np(column: Sequence) -> Optional[np.ndarray]:
@@ -64,7 +93,8 @@ def _as_np(column: Sequence) -> Optional[np.ndarray]:
 
     Plain ``array`` columns and :class:`LazyColumn` views both wrap their raw
     bytes via ``np.frombuffer`` -- for a lazy column that means the kernels
-    read straight from the mmap'd store artifact, no copy anywhere.
+    read straight from the mmap'd store artifact, no copy anywhere (and
+    :meth:`LazyColumn.as_numpy` still runs the deferred code-range check).
     """
     if isinstance(column, array):
         dtype = _DTYPES.get(column.typecode)
@@ -77,29 +107,33 @@ def _as_np(column: Sequence) -> Optional[np.ndarray]:
     return None
 
 
-def _int_member_view(members: Sequence) -> Optional[np.ndarray]:
-    """int64 view of an integer member column, or None for other columns."""
-    if isinstance(members, (array, LazyColumn)) and members.typecode in _INT_TYPECODES:
-        view = _as_np(members)
-        if view is not None:
-            return view.astype(np.int64, copy=False)
+def _int_view(column: Sequence) -> Optional[np.ndarray]:
+    """Buffer view of an integer ``array``/:class:`LazyColumn`, else None."""
+    if isinstance(column, (array, LazyColumn)) and column.typecode in _INT_TYPECODES:
+        return _as_np(column)
     return None
 
 
-def _mask_selector(mask: Sequence[int], rows: int) -> Optional[np.ndarray]:
-    """Boolean row selector for a mask, or None when python must handle it."""
-    if isinstance(mask, (bytes, bytearray)):
-        selector = np.frombuffer(mask, dtype=np.uint8)
+def _truth(values: Sequence) -> Optional[np.ndarray]:
+    """Per-row truthiness of a flat numeric sequence (None: python decides).
+
+    Masks and packet columns arrive as ``bytearray``, ``array``, lazy column
+    or plain list; for bool/int/float elements ``!= 0`` is exactly python's
+    truthiness (NaN included).  Anything else -- object or string elements,
+    nested sequences -- is left to the python loops.
+    """
+    if isinstance(values, (bytes, bytearray)):
+        view = np.frombuffer(values, dtype=np.uint8)
     else:
-        try:
-            selector = np.asarray(mask)
-        except Exception:
-            return None
-    if selector.shape != (rows,):
-        # compress() semantics (short/long masks) differ from fancy indexing;
-        # leave those rare shapes to the python kernels.
+        view = _as_np(values)
+        if view is None:
+            try:
+                view = np.asarray(values)
+            except (TypeError, ValueError, OverflowError):
+                return None
+    if view.ndim != 1 or view.dtype.kind not in "biuf":
         return None
-    return selector != 0
+    return view != 0
 
 
 def _int_bound_ok(values: np.ndarray, rows: int) -> bool:
@@ -116,6 +150,11 @@ def _first_appearance_order(gids: np.ndarray) -> np.ndarray:
     return present[np.argsort(first, kind="stable")]
 
 
+def _as_bytearray(flags: np.ndarray) -> bytearray:
+    """A bool/uint8 row mask as the 0/1 ``bytearray`` the python loops build."""
+    return bytearray(flags.view(np.uint8))
+
+
 # ---------------------------------------------------------------------------------
 # Group index construction
 # ---------------------------------------------------------------------------------
@@ -128,45 +167,145 @@ def _index_fallback(reason: str):
 
 
 def build_group_index(table, by: Tuple[str, ...]):
-    """Dense first-appearance group ids over int64-packable key columns.
+    """Dense first-appearance group ids and decoded group keys.
 
-    Returns ``(gids array('q'), packed keys in first-appearance order)`` or
-    ``NotImplemented`` when the key columns cannot pack into int64 (multi-column
-    keys that are not all categorical, float keys, or a mixed-radix span
-    beyond 2**63) -- the python builder handles those, and each hand-off
-    increments a :data:`GROUP_INDEX_FALLBACK_COUNTER` counter named for its
-    reason.
+    Returns ``(gids array('q'), group keys in first-appearance order)`` or
+    ``NotImplemented`` for float key columns and for multi-column keys whose
+    mixed-radix span reaches 2**63 -- the python builder handles those, and
+    each hand-off increments a :data:`GROUP_INDEX_FALLBACK_COUNTER` counter
+    named for its reason.  A single key column groups on its raw values;
+    several pack into one int64 key, most significant first, with every radix
+    and the total span computed in python ints before any int64 arithmetic.
+    Group keys are read back from each group's first row, so they are the
+    python builder's values and types exactly.
     """
-    if len(by) == 1:
-        name = by[0]
+    views: List[np.ndarray] = []
+    pools: List[Optional[List[object]]] = []
+    for name in by:
         if table.is_categorical(name):
-            keys = _as_np(table.codes(name)).astype(np.int64, copy=False)
+            views.append(_as_np(table.codes(name)))
+            pools.append(table.pool(name))
         else:
             column = table.numeric(name)
             if column.typecode not in _INT_TYPECODES:
                 return _index_fallback("float_key")
-            keys = _as_np(column).astype(np.int64, copy=False)
-    elif all(table.is_categorical(name) for name in by):
-        sizes = [len(table.pool(name)) for name in by]
+            views.append(_as_np(column))
+            pools.append(None)
+    if not len(table):
+        return array("q"), []
+    if len(by) == 1:
+        keys = views[0].astype(np.int64, copy=False)
+    else:
+        parts: List[Tuple[np.ndarray, int, int]] = []
         span = 1
-        for size in sizes:
-            span *= max(1, size)
+        for view, pool in zip(views, pools):
+            if pool is not None:
+                low, radix = 0, max(1, len(pool))
+            else:
+                low = int(view.min())
+                radix = int(view.max()) - low + 1
+            parts.append((view, low, radix))
+            span *= radix
         if span >= 2**63:
             return _index_fallback("span_overflow")
-        keys = _as_np(table.codes(by[0])).astype(np.int64, copy=False)
-        for name, size in zip(by[1:], sizes[1:]):
-            keys = keys * size + _as_np(table.codes(name)).astype(np.int64, copy=False)
-    else:
-        return _index_fallback("mixed_keys")
-    if not keys.size:
-        return array("q"), []
+        keys = np.zeros(len(table), dtype=np.int64)
+        for view, low, radix in parts:
+            keys *= radix
+            keys += view.astype(np.int64) - low
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first, kind="stable")
     rank = np.empty(len(uniq), dtype=np.int64)
     rank[order] = np.arange(len(uniq), dtype=np.int64)
     gids = array("q")
-    gids.frombytes(np.ascontiguousarray(rank[inverse], dtype=np.int64).tobytes())
-    return gids, [int(key) for key in uniq[order]]
+    gids.frombytes(np.ascontiguousarray(rank[inverse], dtype=np.int64).view(np.uint8))
+    first_rows = first[order]
+    key_columns: List[List[object]] = []
+    for view, pool in zip(views, pools):
+        values = view[first_rows].tolist()
+        key_columns.append(values if pool is None else [pool[code] for code in values])
+    if len(by) == 1:
+        return gids, key_columns[0]
+    return gids, list(zip(*key_columns))
+
+
+# ---------------------------------------------------------------------------------
+# Row filters and row masks
+# ---------------------------------------------------------------------------------
+
+
+def filter_rows(columns: Sequence, mask: Sequence[int]):
+    """Every column's rows under a truthy mask entry, as new ``array`` columns."""
+    selector = _truth(mask)
+    if selector is None:
+        return _fallback("filter_rows", "mask_type")
+    views: List[np.ndarray] = []
+    for column in columns:
+        view = _as_np(column) if isinstance(column, (array, LazyColumn)) else None
+        if view is None:
+            return _fallback("filter_rows", "column_type")
+        views.append(view)
+    kept: List[array] = []
+    for column, view in zip(columns, views):
+        out = array(column.typecode)
+        out.frombytes(view[selector].view(np.uint8))
+        kept.append(out)
+    return kept
+
+
+def expand_code_mask(codes: Sequence, code_mask, mask: Optional[Sequence[int]]):
+    """Row mask ``code_mask[code]`` per row, AND-ed with ``mask`` when given.
+
+    Out-of-range codes raise ``IndexError`` exactly as the python loop's
+    ``code_mask[code]`` does (negative codes count from the end on both).
+    """
+    view = _as_np(codes)
+    if view is None or view.dtype.kind != "i":
+        return _fallback("expand_code_mask", "column_type")
+    if not isinstance(code_mask, (bytes, bytearray)):
+        return _fallback("expand_code_mask", "mask_type")
+    rows = np.frombuffer(code_mask, dtype=np.uint8)[view]
+    if mask is None:
+        return bytearray(rows)
+    selector = _truth(mask)
+    if selector is None:
+        return _fallback("expand_code_mask", "mask_type")
+    return _as_bytearray(selector & (rows != 0))
+
+
+def equal_mask(column: Sequence, value: object):
+    """Row mask of an integer column equal to an ``int``."""
+    view = _int_view(column)
+    if view is None:
+        return _fallback("equal_mask", "column_type")
+    if type(value) is not int:
+        return _fallback("equal_mask", "value_type")
+    bounds = np.iinfo(view.dtype)
+    if not bounds.min <= value <= bounds.max:
+        return bytearray(len(view))  # no stored value can equal it
+    return _as_bytearray(view == value)
+
+
+def not_in_mask(column: Sequence, values: Set[object]):
+    """Row mask of an integer column whose value is not in a set of ``int``s."""
+    view = _int_view(column)
+    if view is None:
+        return _fallback("not_in_mask", "column_type")
+    if any(type(value) is not int for value in values):
+        return _fallback("not_in_mask", "value_type")
+    bounds = np.iinfo(view.dtype)
+    members = np.array(
+        [value for value in values if bounds.min <= value <= bounds.max], dtype=np.int64
+    )
+    return _as_bytearray(np.isin(view, members, invert=True))
+
+
+def nonzero_mask(first: Sequence, second: Sequence):
+    """Row mask of rows where either column is nonzero."""
+    first_flags = _truth(first)
+    second_flags = _truth(second)
+    if first_flags is None or second_flags is None:
+        return _fallback("nonzero_mask", "column_type")
+    return _as_bytearray(first_flags | second_flags)
 
 
 # ---------------------------------------------------------------------------------
@@ -184,13 +323,13 @@ def group_sums(index, columns: Sequence, mask: Optional[Sequence[int]]):
     for column in columns:
         view = _as_np(column)
         if view is None:
-            return NotImplemented
+            return _fallback("group_sums", "column_type")
         np_columns.append(view)
     selector = None
     if mask is not None:
-        selector = _mask_selector(mask, len(gids))
+        selector = _truth(mask)
         if selector is None:
-            return NotImplemented
+            return _fallback("group_sums", "mask_type")
         gids = gids[selector]
     rows = len(gids)
     sums: List[Sequence] = []
@@ -200,7 +339,7 @@ def group_sums(index, columns: Sequence, mask: Optional[Sequence[int]]):
             sums.append(np.bincount(gids, weights=values, minlength=count).tolist())
         else:
             if not _int_bound_ok(values, rows):
-                return NotImplemented
+                return _fallback("group_sums", "int64_overflow")
             accumulator = np.zeros(count, dtype=np.int64)
             np.add.at(accumulator, gids, values.astype(np.int64, copy=False))
             sums.append(accumulator.tolist())
@@ -213,22 +352,23 @@ def group_sums(index, columns: Sequence, mask: Optional[Sequence[int]]):
     }
 
 
-def _packed_pairs(index, members: Sequence, mask: Optional[Sequence[int]]):
+def _packed_pairs(kernel: str, index, members: Sequence, mask: Optional[Sequence[int]]):
     """(masked gids, packed member*count+gid pairs) or NotImplemented."""
     count = len(index.group_keys)
-    member_view = _int_member_view(members)
+    member_view = _int_view(members)
     if member_view is None:
-        return NotImplemented
+        reason = "float_member" if getattr(members, "typecode", None) == "d" else "column_type"
+        return _fallback(kernel, reason)
+    member_view = member_view.astype(np.int64, copy=False)
     gids = index.gids_numpy()
-    selector = None
     if mask is not None:
-        selector = _mask_selector(mask, len(gids))
+        selector = _truth(mask)
         if selector is None:
-            return NotImplemented
+            return _fallback(kernel, "mask_type")
         gids = gids[selector]
         member_view = member_view[selector]
     if member_view.size and not _int_bound_ok(member_view, count + 1):
-        return NotImplemented
+        return _fallback(kernel, "int64_overflow")
     return gids, member_view * count + gids
 
 
@@ -237,7 +377,7 @@ def group_distinct_count(index, members: Sequence, mask: Optional[Sequence[int]]
     count = len(group_keys)
     if not count:
         return {}
-    packed = _packed_pairs(index, members, mask)
+    packed = _packed_pairs("group_distinct_count", index, members, mask)
     if packed is NotImplemented:
         return NotImplemented
     gids, pairs = packed
@@ -276,7 +416,7 @@ def group_distinct(
     count = len(group_keys)
     if not count:
         return {}
-    packed = _packed_pairs(index, members, mask)
+    packed = _packed_pairs("group_distinct", index, members, mask)
     if packed is NotImplemented:
         return NotImplemented
     gids, pairs = packed
@@ -302,26 +442,28 @@ def group_distinct(
 def total(column: Sequence):
     values = _as_np(column)
     if values is None:
-        return NotImplemented
+        return _fallback("total", "column_type")
     if not values.size:
         return 0
     if values.dtype == np.float64:
         # cumsum accumulates strictly sequentially, matching python sum().
         return float(np.cumsum(values)[-1])
     if not _int_bound_ok(values, len(values)):
-        return NotImplemented
+        return _fallback("total", "int64_overflow")
     return int(np.sum(values, dtype=np.int64))
 
 
 def distinct_codes(codes: Sequence):
     view = _as_np(codes)
     if view is None:
-        return NotImplemented
+        return _fallback("distinct", "column_type")
     return np.unique(view).tolist()
 
 
 def distinct_values(column: Sequence):
-    view = _int_member_view(column)
+    view = _int_view(column)
     if view is None:
-        return NotImplemented  # float columns: NaN set semantics differ
+        # float columns: NaN set semantics differ
+        reason = "float_member" if getattr(column, "typecode", None) == "d" else "column_type"
+        return _fallback("distinct", reason)
     return set(np.unique(view).tolist())

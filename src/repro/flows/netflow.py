@@ -23,11 +23,13 @@ one from byte volumes.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import compress, repeat
+from itertools import compress
 from typing import List, Sequence, TYPE_CHECKING
 
+from repro.flows import kernels
 from repro.simulation.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flowtable stores FlowRecords)
@@ -131,16 +133,14 @@ class NetFlowCollector:
         scale with the sampled share of each direction's packets.
 
         The binomial draws are batched per sampling stream (one pass over the
-        downstream packet column, one over the upstream column).
+        downstream packet column, one over the upstream column); the
+        visibility mask and the row filter run on the kernel layer.
         """
         packets_down = table.numeric("packets_down")
         packets_up = table.numeric("packets_up")
         if self.sampling_ratio == 1:
-            mask = bytearray(
-                1 if down or up else 0 for down, up in zip(packets_down, packets_up)
-            )
-            exported = table.select_mask(mask)
-            exported.assign_numeric("sampled", repeat(1, len(exported)))
+            exported = table.select_mask(kernels.nonzero_mask(packets_down, packets_up))
+            exported.assign_numeric("sampled", array("b", [1]) * len(exported))
             return exported
         probability = 1.0 / self.sampling_ratio
         sampled_down = _binomial_many(
@@ -149,7 +149,7 @@ class NetFlowCollector:
         sampled_up = _binomial_many(
             rng.stream("netflow-sampling:up"), packets_up, probability
         )
-        mask = bytearray(1 if down or up else 0 for down, up in zip(sampled_down, sampled_up))
+        mask = kernels.nonzero_mask(sampled_down, sampled_up)
         exported = table.select_mask(mask)
         exported.assign_numeric(
             "bytes_down",
@@ -175,7 +175,7 @@ class NetFlowCollector:
         )
         exported.assign_numeric("packets_down", compress(sampled_down, mask))
         exported.assign_numeric("packets_up", compress(sampled_up, mask))
-        exported.assign_numeric("sampled", repeat(1, len(exported)))
+        exported.assign_numeric("sampled", array("b", [1]) * len(exported))
         return exported
 
     def estimate_bytes(self, sampled_bytes: float) -> float:

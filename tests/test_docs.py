@@ -175,6 +175,26 @@ def test_kernel_surface_is_documented_everywhere():
         assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
 
 
+def test_row_kernels_are_documented():
+    """The row-filter and row-mask kernels and the mask-length rule stay in the guide."""
+    from repro.flows import kernels
+
+    architecture = ARCHITECTURE.read_text(encoding="utf-8")
+    assert "**Row kernels.**" in architecture
+    assert "Mask-length" in architecture and "ValueError" in architecture
+    for kernel in (
+        kernels.filter_rows,
+        kernels.expand_code_mask,
+        kernels.equal_mask,
+        kernels.not_in_mask,
+        kernels.nonzero_mask,
+    ):
+        assert kernel.__name__ in architecture, f"ARCHITECTURE.md does not name {kernel.__name__}"
+    for concept in ("kernels.fallbacks.", "as_numpy", "mixed-radix", "2^63"):
+        assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
+    assert "mixed_keys" not in architecture, "the mixed_keys fallback no longer exists"
+
+
 def test_store_read_path_is_documented_everywhere():
     """The zero-copy store read path must stay documented as one unit.
 

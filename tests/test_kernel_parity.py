@@ -15,7 +15,10 @@ a fuzzed, CI-enforced contract:
   ``dump_table`` store digest, and stale-index reuse must be impossible after
   every mutating primitive;
 * a numpy-blocked subprocess must produce byte-identical analysis output on
-  the pure-python kernels (see ``test_numpy_absent_subprocess``).
+  the pure-python kernels (see ``test_numpy_absent_subprocess``);
+* the row kernels -- ``select_mask`` and every filter on it, the row masks and
+  NetFlow export -- give the same bytes on every backend, on array-backed
+  tables and on lazy copies loaded through ``load_table_mmap``.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ from pathlib import Path
 import pytest
 
 from repro.flows import kernels
-from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
-from repro.flows.netflow import make_flow
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable, LazyColumn
+from repro.flows.netflow import NetFlowCollector, make_flow
 from repro.obs import metrics as obs_metrics
-from repro.store.codec import dump_table
+from repro.simulation.rng import RngRegistry
+from repro.store.codec import dump_table, load_table_mmap
 
 SEEDS = range(6)
 
@@ -47,8 +51,9 @@ _CONTINENTS = ("EU", "NA", "AS")
 _REGIONS = ("us-east-1", "eu-west-1", "ap-south-1")
 _TRANSPORTS = ("tcp", "udp")
 
-#: Groupings exercised by the fuzzer: categorical single/multi keys plus
-#: integer numeric keys (both packable and python-only combinations).
+#: Groupings exercised by the fuzzer: categorical single/multi keys, integer
+#: numeric keys, and mixed categorical/integer keys (packed by the numpy
+#: builder with radix max - min + 1 over ports -1..2**31-1 and negative ids).
 _GROUPINGS = (
     ("provider_key",),
     ("timestamp",),
@@ -56,7 +61,9 @@ _GROUPINGS = (
     ("provider_key", "server_continent", "transport"),
     ("subscriber_id",),
     ("port",),
-    ("provider_key", "subscriber_id"),  # mixed cat/numeric: python-only index
+    ("provider_key", "subscriber_id"),
+    ("transport", "port", "subscriber_id"),
+    ("subscriber_id", "port"),
 )
 
 _MEMBER_COLUMNS = ("server_ip", "subscriber_id", "sampled", "bytes_down")
@@ -278,6 +285,25 @@ def test_index_builders_agree(seed):
             )
 
 
+def _counted(run, prefix: str):
+    """Run ``run()`` with metrics on; return (its result, new ``prefix`` counters)."""
+    was_enabled = obs_metrics.enabled()
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        result = run()
+        counters = {
+            name: value
+            for name, value in obs_metrics.registry().counters().items()
+            if name.startswith(prefix)
+        }
+    finally:
+        if not was_enabled:
+            obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+    return result, counters
+
+
 def test_group_index_fallbacks_are_counted_by_reason():
     """Numpy builds handed to the python builder count their reason; no result moves."""
     if not kernels.numpy_available():
@@ -290,35 +316,26 @@ def test_group_index_fallbacks_are_counted_by_reason():
         # Seven pools of 600+ entries: their mixed-radix span exceeds 2**63.
         for value in range(600):
             wide.encode_value(name, f"pad-{value}")
+    overflow = dict(_adversarial_tables(0))["overflow-packets"]
     cases = (
         (table, ("provider_key", "transport"), None),
         (table, ("provider_key",), None),
-        (table, ("provider_key", "subscriber_id"), "mixed_keys"),
-        (table, ("transport", "port"), "mixed_keys"),
+        # Mixed categorical/integer keys pack into int64 like categorical ones.
+        (table, ("provider_key", "subscriber_id"), None),
+        (table, ("transport", "port"), None),
         (table, ("bytes_down",), "float_key"),
+        (table, ("provider_key", "bytes_down"), "float_key"),
         (wide, CATEGORICAL_COLUMNS, "span_overflow"),
+        # Packet counts span +-2**61: times the line-id radix, >= 2**63.
+        (overflow, ("subscriber_id", "packets_down"), "span_overflow"),
     )
-    was_enabled = obs_metrics.enabled()
-    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
-    obs_metrics.enable()
-    try:
-        for source, by, reason in cases:
-            kernels.set_backend(kernels.BACKEND_PYTHON)
-            expected = kernels.build_group_index(source, by)
-            before = obs_metrics.registry().counters()
-            kernels.set_backend(kernels.BACKEND_NUMPY)
-            built = kernels.build_group_index(source, by)
-            assert built.gids == expected.gids and built.group_keys == expected.group_keys
-            counted = {
-                name: value - before.get(name, 0.0)
-                for name, value in obs_metrics.registry().counters().items()
-                if name.startswith(prefix) and value != before.get(name, 0.0)
-            }
-            assert counted == ({f"{prefix}.{reason}": 1.0} if reason else {}), by
-    finally:
-        if not was_enabled:
-            obs_metrics.disable()
-        obs_metrics.set_registry(previous)
+    for source, by, reason in cases:
+        kernels.set_backend(kernels.BACKEND_PYTHON)
+        expected = kernels.build_group_index(source, by)
+        kernels.set_backend(kernels.BACKEND_NUMPY)
+        built, counted = _counted(lambda: kernels.build_group_index(source, by), prefix)
+        assert built.gids == expected.gids and built.group_keys == expected.group_keys
+        assert counted == ({f"{prefix}.{reason}": 1.0} if reason else {}), by
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -464,6 +481,230 @@ def test_env_var_selects_backend_and_rejects_garbage(monkeypatch):
     if kernels.numpy_available():
         monkeypatch.setenv(kernels.KERNELS_ENV_VAR, "numpy")
         assert kernels.active_backend() == kernels.BACKEND_NUMPY
+
+
+# -- row kernels: filters, masks, export --------------------------------------------
+
+
+def _lazy_copy(table: FlowTable, path: Path) -> FlowTable:
+    """The table reloaded through the mmap read path (every column lazy)."""
+    with open(path, "wb") as handle:
+        dump_table(table, handle)
+    return load_table_mmap(path)
+
+
+def _row_tables(seed: int, tmp_path: Path):
+    """Each adversarial table plus its lazy, mmap-backed copy."""
+    for label, table in _adversarial_tables(seed):
+        yield label, table
+        yield f"{label}/mmap", _lazy_copy(table, tmp_path / f"{seed}-{label}.tbl")
+
+
+def _row_masks(rng: random.Random, rows: int):
+    yield bytearray(rows)  # all zero
+    yield bytearray([1]) * rows  # all one
+    yield bytearray(rng.randrange(4) for _ in range(rows))  # random, truthy != 1
+    yield bytearray(index % 2 for index in range(rows))  # alternating
+
+
+def _oracle_select(table: FlowTable, mask) -> FlowTable:
+    """Naive per-row filter: copy row by row the rows whose entry is truthy."""
+    rows = [index for index in range(len(table)) if mask[index]]
+    kept = FlowTable()
+    kept._pools = table._pools
+    kept.append_columns(
+        len(rows),
+        codes={name: [table.codes(name)[row] for row in rows] for name in CATEGORICAL_COLUMNS},
+        numeric={
+            name: [table.numeric(name)[row] for row in rows] for name, _ in NUMERIC_COLUMNS
+        },
+    )
+    return kept
+
+
+def _lazy_columns(table: FlowTable):
+    return [table.codes(name) for name in CATEGORICAL_COLUMNS] + [
+        table.numeric(name) for name, _typecode in NUMERIC_COLUMNS
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_select_mask_matches_a_per_row_oracle(seed, tmp_path):
+    """Every backend filters exactly the truthy rows, byte for byte."""
+    for label, table in _row_tables(seed, tmp_path):
+        rng = random.Random(seed * 7919 + len(table))
+        for number, mask in enumerate(_row_masks(rng, len(table))):
+            expected = _digest(_oracle_select(table, mask))
+            for backend in _backends():
+                kernels.set_backend(backend)
+                got = table.select_mask(mask)
+                assert len(got) == sum(1 for flag in mask if flag)
+                assert _digest(got) == expected, f"{label}/mask{number}/{backend}"
+
+
+def _row_mask_outputs(table: FlowTable, rng: random.Random):
+    """Every row mask and mask-built filter of one table, as comparable bytes."""
+    lines = sorted(set(table.numeric("subscriber_id")))
+    exclusions = [
+        set(),
+        set(lines[: len(lines) // 3]),
+        {10**6, -(10**6), 2**70},  # unknown ids, one beyond int64
+        {line for line in lines if line < 0} | {-1, -2},  # negative ids
+    ]
+    days = sorted({ts.date() for ts in table.pool("timestamp")}) + [
+        datetime(2030, 1, 1).date()
+    ]
+    ips = table.pool("server_ip")
+    per_code = bytearray(rng.randrange(2) for _ in ips)
+    base = bytearray(rng.randrange(3) for _ in range(len(table)))
+    outputs = [
+        table.mask_code("provider_key", lambda key: key in ("amazon", "bosch")),
+        table.mask_server_ips(set(ips[::2]) | {"192.0.2.1"}),
+        kernels.expand_code_mask(table.codes("server_ip"), per_code, base),
+    ]
+    outputs += [table.mask_day(day) for day in days]
+    outputs += [table.mask_ip_version(version) for version in (4, 6, 5, 300)]
+    outputs += [_digest(table.exclude_subscribers(excluded)) for excluded in exclusions]
+    outputs += [_digest(table.where_ip_version(6)), _digest(table.where_provider("google"))]
+    for output in outputs:
+        assert isinstance(output, (str, bytearray))
+    return outputs
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_masks_are_byte_identical_across_backends(seed, tmp_path):
+    for label, table in _row_tables(seed, tmp_path):
+        results = {}
+        for backend in _backends():
+            kernels.set_backend(backend)
+            results[backend] = _row_mask_outputs(table, random.Random(seed))
+        reference = results[kernels.BACKEND_PYTHON]
+        for backend, outputs in results.items():
+            assert outputs == reference, f"{label}/{backend}"
+
+
+@pytest.mark.parametrize("ratio", (1, 4))
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_export_is_identical_across_backends(seed, ratio, tmp_path):
+    for label, table in _row_tables(seed, tmp_path):
+        digests = {}
+        for backend in _backends():
+            kernels.set_backend(backend)
+            exported = NetFlowCollector(ratio).export_table(table, RngRegistry(seed))
+            digests[backend] = _digest(exported)
+        assert len(set(digests.values())) == 1, f"{label}/ratio{ratio}: {digests}"
+
+
+def test_numpy_filters_read_lazy_columns_off_the_map(tmp_path):
+    """Filters, masks and export never decode the source's lazy columns."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    kernels.set_backend(kernels.BACKEND_NUMPY)
+    source = _adversarial_tables(3)[0][1]
+    table = _lazy_copy(source, tmp_path / "lazy.tbl")
+    mask = bytearray(random.Random(3).randrange(2) for _ in range(len(table)))
+    filtered = [
+        table.select_mask(mask),
+        table.where_day(datetime(2022, 3, 1).date()),
+        table.where_ip_version(4),
+        table.restrict_server_ips({"10.0.0.3"}),
+        table.exclude_subscribers({-3, 0, 5}),
+        NetFlowCollector(1).export_table(table, RngRegistry(3)),
+    ]
+    for column in _lazy_columns(table):
+        assert isinstance(column, LazyColumn) and column._array is None
+    kernels.set_backend(kernels.BACKEND_PYTHON)
+    assert [_digest(result) for result in filtered] == [
+        _digest(source.select_mask(mask)),
+        _digest(source.where_day(datetime(2022, 3, 1).date())),
+        _digest(source.where_ip_version(4)),
+        _digest(source.restrict_server_ips({"10.0.0.3"})),
+        _digest(source.exclude_subscribers({-3, 0, 5})),
+        _digest(NetFlowCollector(1).export_table(source, RngRegistry(3))),
+    ]
+
+
+@pytest.mark.parametrize("entries", (6, 14))
+@pytest.mark.parametrize("backend", _backends())
+def test_wrong_length_masks_raise(backend, entries):
+    """A row mask must have one entry per row; compress() would cut the table."""
+    kernels.set_backend(backend)
+    table = _adversarial_tables(0)[0][1][:10]
+    mask = bytearray([1]) * entries
+    message = f"row mask has {entries} entries for 10 rows"
+    with pytest.raises(ValueError, match=message):
+        table.select_mask(mask)
+    with pytest.raises(ValueError, match=message):
+        table.group_sums(("provider_key",), ("bytes_down",), mask=mask)
+    with pytest.raises(ValueError, match=message):
+        table.group_distinct(("provider_key",), "server_ip", mask=mask)
+    with pytest.raises(ValueError, match=message):
+        table.group_distinct_count(("provider_key",), "server_ip", mask=mask)
+    with pytest.raises(ValueError, match=message):
+        kernels.expand_code_mask(table.codes("server_ip"), bytearray(64), mask)
+
+
+def test_kernel_fallbacks_are_counted_by_reason():
+    """Every numpy hand-off to python counts kernels.fallbacks.<kernel>.<reason>."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    from repro.flows.kernels_np import KERNEL_FALLBACK_COUNTER as prefix
+
+    tables = dict(_adversarial_tables(0))
+    base, overflow = tables["base"], tables["overflow-packets"]
+    cases = (
+        (lambda: overflow.group_sums(("provider_key",), ("packets_down",)),
+         "group_sums.int64_overflow"),
+        (lambda: overflow.total("packets_down"), "total.int64_overflow"),
+        (lambda: base.group_distinct_count(("provider_key",), "bytes_down"),
+         "group_distinct_count.float_member"),
+        (lambda: base.group_distinct(("provider_key",), "bytes_down"),
+         "group_distinct.float_member"),
+        (lambda: base.distinct("bytes_down"), "distinct.float_member"),
+        (lambda: kernels.equal_mask(base.numeric("ip_version"), 4.0), "equal_mask.value_type"),
+        (lambda: kernels.equal_mask(base.numeric("bytes_down"), 0), "equal_mask.column_type"),
+        (lambda: kernels.not_in_mask(base.numeric("subscriber_id"), {1.0, 2}),
+         "not_in_mask.value_type"),
+        (lambda: _digest(base.select_mask(["x" if i % 3 else "" for i in range(len(base))])),
+         "filter_rows.mask_type"),
+        (lambda: base.group_sums(("provider_key",), ("bytes_down",), mask=[None] * len(base)),
+         "group_sums.mask_type"),
+    )
+    for run, reason in cases:
+        kernels.set_backend(kernels.BACKEND_PYTHON)
+        expected = run()
+        kernels.set_backend(kernels.BACKEND_NUMPY)
+        got, counted = _counted(run, prefix)
+        assert got == expected, reason
+        assert counted == {f"{prefix}.{reason}": 1.0}, reason
+    # The fast paths count nothing.
+    kernels.set_backend(kernels.BACKEND_NUMPY)
+    _result, counted = _counted(
+        lambda: (
+            base.group_sums(("provider_key", "port"), ("packets_down",)),
+            base.exclude_subscribers({1, 2}),
+            base.mask_ip_version(6),
+        ),
+        "kernels.",
+    )
+    assert not [name for name in counted if "fallbacks" in name]
+
+
+def test_cli_commands_record_no_kernel_fallback():
+    """All ten CLI commands of small(7) run entirely on the numpy kernels."""
+    if kernels.active_backend() != kernels.BACKEND_NUMPY:
+        pytest.skip("numpy backend not active")
+    from repro.cli import _COMMANDS
+    from repro.experiments.context import build_context
+    from repro.simulation.config import ScenarioConfig
+
+    def run_all():
+        context = build_context(ScenarioConfig.small(7), use_cache=False)
+        return [command(context) for command in _COMMANDS.values()]
+
+    outputs, counted = _counted(run_all, "kernels.")
+    assert len(outputs) == 10
+    assert not [name for name in counted if "fallbacks" in name], counted
 
 
 # -- numpy-absent environments ----------------------------------------------------
