@@ -4,9 +4,18 @@ Every benchmark regenerates one table or figure of the paper at the default
 scenario scale.  Building the world, running the discovery pipeline, and
 generating the flows happen once per session; the benchmarks then measure the
 analysis step itself and print the regenerated rows/series.
+
+The ``test_perf_*`` modules print their measurements on every run but rewrite
+their committed ``BENCH_*.json`` artifact only when ``IOT_REPRO_BENCH_WRITE=1``
+is set, so a plain tier-1 run leaves the working tree clean and a
+``BENCH_*.json`` diff is always deliberate.
 """
 
 from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +38,11 @@ def emit(title: str, text: str) -> None:
     """Print a regenerated artefact with a visible banner."""
     banner = "=" * 72
     print(f"\n{banner}\n{title}\n{banner}\n{text}\n")
+
+
+def record_bench(path: Path, title: str, payload: dict) -> None:
+    """Print a benchmark payload; rewrite its artifact only on explicit opt-in."""
+    text = json.dumps(payload, indent=2)
+    if os.environ.get("IOT_REPRO_BENCH_WRITE") == "1":
+        path.write_text(text + "\n")
+    emit(title, text)

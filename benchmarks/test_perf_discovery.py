@@ -22,12 +22,11 @@ Three contrasts over one multi-day study period, landing in
 
 from __future__ import annotations
 
-import json
 import time
 from datetime import date
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.core.discovery import BackendDiscovery
 from repro.core.patterns import PatternSet
@@ -152,8 +151,7 @@ def test_perf_discovery_incremental_and_persisted(tmp_path, monkeypatch):
         "warm_speedup": round(warm_speedup, 2),
         "artifact_mb": round(store.total_bytes() / 1e6, 2),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: incremental + persisted discovery", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: incremental + persisted discovery", payload)
 
     # The acceptance bar: the incremental multi-day run is >=3x the cold one.
     assert incremental_speedup >= 3.0

@@ -18,14 +18,13 @@ Floors enforced here (the ROADMAP perf-ladder acceptance numbers):
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from collections import defaultdict
 from datetime import datetime
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.flows import kernels
 from repro.flows.flowtable import FlowTable
@@ -176,8 +175,7 @@ def test_perf_flowtable_grouped_aggregation():
         "python_distinct_seconds": round(python_run["distinct_seconds"], 4),
         "python_distinct_speedup": round(naive_lines_seconds / python_run["distinct_seconds"], 2),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: grouped-aggregation kernels", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: grouped-aggregation kernels", payload)
 
     # Perf floors: the pure-python fused path must beat the naive scan on the
     # hottest aggregation; the numpy kernels must clear 5x on both.

@@ -17,11 +17,10 @@ regenerable — and honest — on small CI runners.
 from __future__ import annotations
 
 import io
-import json
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.flows.parallel import available_cpus
 from repro.obs.bench import bench_env
@@ -85,8 +84,7 @@ def test_perf_parallel_generation(context):
         "speedup": round(speedup, 2),
         "enforced": enforced,
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: parallel per-hour workload generation", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: parallel per-hour workload generation", payload)
 
     if enforced:
         # The acceptance bar for this optimization on real hardware.

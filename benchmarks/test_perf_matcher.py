@@ -9,13 +9,12 @@ track the perf trajectory.  The acceptance bar is a >=10x speedup.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.core.patterns import PatternSet
 from repro.core.providers import PROVIDERS
@@ -123,10 +122,6 @@ def test_perf_matcher_bulk_classification():
         "engine_ops_per_sec": round(engine_ops),
         "speedup": round(speedup, 1),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit(
-        "Benchmark: bulk FQDN classification",
-        json.dumps(payload, indent=2),
-    )
+    record_bench(BENCH_PATH, "Benchmark: bulk FQDN classification", payload)
 
     assert speedup >= 10.0, f"expected >=10x speedup, measured {speedup:.1f}x"

@@ -21,11 +21,10 @@ that would otherwise masquerade as overhead.  Results land in
 from __future__ import annotations
 
 import gc
-import json
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 from test_perf_matcher import CORPUS_SIZE, _build_corpus
 
 from repro.core.patterns import PatternSet
@@ -131,8 +130,7 @@ def test_perf_obs_overhead(tmp_path):
         # Speedup of leaving observability off (~1.0: disabled cost is zero).
         "disabled_speedup": round(matcher_ratio, 4),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: observability overhead", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: observability overhead", payload)
 
     assert matcher_ratio <= MATCHER_MAX_RATIO, (
         f"matcher overhead {matcher_ratio:.4f} exceeds {MATCHER_MAX_RATIO}"

@@ -23,11 +23,10 @@ left on the map), the mmap table is asserted to re-dump byte-identically, and
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.experiments.context import build_context
 from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
@@ -116,8 +115,7 @@ def test_perf_store_warm_context(tmp_path):
         "store_artifacts": len(store.entries()),
         "store_mb": round(store.total_bytes() / 1e6, 2),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: artifact-store warm context build", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: artifact-store warm context build", payload)
 
     # The acceptance bar for the subsystem: warm-start >= 3x faster than cold.
     assert warm_speedup >= 3.0

@@ -20,11 +20,10 @@ Numbers land in ``BENCH_sweep.json`` at the repository root.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.obs.bench import bench_env
 from repro.simulation.config import ScenarioConfig
@@ -98,8 +97,7 @@ def test_perf_sweep_fault_tolerance(tmp_path):
         "faulted_seconds": round(faulted_seconds, 4),
         "scenarios_per_second": round(n_scenarios / faulted_seconds, 3),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: sweep fault tolerance", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: sweep fault tolerance", payload)
 
     # The acceptance bar: reusing a complete ledger must cost almost nothing.
     assert resume_speedup >= ENFORCED_RESUME_SPEEDUP

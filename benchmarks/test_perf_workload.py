@@ -12,12 +12,11 @@ benchmark doubles as a full-scale identity check.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from datetime import date
 from pathlib import Path
 
-from conftest import emit
+from conftest import record_bench
 
 from repro.flows.netflow import NetFlowCollector
 from repro.obs.bench import bench_env
@@ -68,5 +67,4 @@ def test_perf_workload_generation(context):
         "export_table_seconds": round(export_table_seconds, 4),
         "export_rows_per_sec": round(len(table) / export_table_seconds),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    emit("Benchmark: columnar workload generation", json.dumps(payload, indent=2))
+    record_bench(BENCH_PATH, "Benchmark: columnar workload generation", payload)

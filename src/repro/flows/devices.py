@@ -10,7 +10,6 @@ selects one of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -114,17 +113,6 @@ class DeviceModel:
     def ports(self) -> List[Tuple[str, int]]:
         """Return the (transport, port) pairs the devices use."""
         return [pair for pair, _weight in self.port_weights]
-
-    def pick_port(self, roll: float) -> Tuple[str, int]:
-        """Pick a port according to the weights, given a uniform [0,1) roll."""
-        total = sum(weight for _, weight in self.port_weights)
-        threshold = roll * total
-        cumulative = 0.0
-        for pair, weight in self.port_weights:
-            cumulative += weight
-            if threshold < cumulative:
-                return pair
-        return self.port_weights[-1][0]
 
 
 #: Providers whose devices are spread across the whole server fleet.

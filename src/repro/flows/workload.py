@@ -17,24 +17,39 @@ per-device invariants — candidate server subsets (which cost several SHA-256
 hashes to resolve), per-model hourly activity probabilities, cumulative port
 weights, volume multipliers, dictionary codes for every categorical value — are
 resolved once per period, so the hourly hot loop touches only the RNG and plain
-ints/floats.  Each hour draws from its own stream (``workload:<hour-iso>``) in a
-fixed order — one activity roll per device, then server pick, outage roll,
-lognormal volume, and port roll for the devices that emit a flow — which keeps
-the output bit-identical under a fixed seed.
+ints/floats.
+
+Generation stream layout (v1).  Each hour draws from its own stream
+(``workload:<hour-iso>``) through the two C-level Mersenne Twister primitives
+``random()`` and ``getrandbits()`` only, in a fixed order per device:
+
+* activity roll: one ``random()`` per device; inactive devices stop here;
+* server pick: ``getrandbits(n.bit_length())`` for the device's ``n``
+  candidates, redrawn while the result is ``>= n`` (none when ``n == 0``);
+* outage roll: one ``random()``, only when the server's device factor is < 1;
+* volume: Kinderman–Monahan pairs ``random(), random()`` until one is
+  accepted, then ``math.log`` / ``math.exp`` for the lognormal factor;
+* port roll: one ``random()`` against the cumulative port weights.
+
+These are the draws ``random.Random.randrange`` and ``lognormvariate`` make,
+inlined, so the output is bit-identical under a fixed seed on every supported
+interpreter.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, time
-from itertools import repeat
+from random import NV_MAGICCONST
+from struct import pack
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.providers import PROVIDERS, ProviderSpec
 from repro.flows.devices import DeviceModel
-from repro.flows.flowtable import FlowTable
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import DEFAULT_PACKET_SIZE
 from repro.flows.scanners import append_scanner_flows
 from repro.flows.subscribers import DeviceInstance, SubscriberPopulation
@@ -44,6 +59,13 @@ from repro.obs.trace import span
 from repro.outage.injector import OutageSchedule
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.rng import RngRegistry, stable_hash
+
+_NUMERIC_NAMES = tuple(name for name, _typecode in NUMERIC_COLUMNS)
+#: Array typecode of each field of a generated flow tuple (dictionary codes
+#: are ``array('i')``), in CATEGORICAL_COLUMNS + NUMERIC_COLUMNS order.
+_FLOW_TYPECODES = ("i",) * len(CATEGORICAL_COLUMNS) + tuple(
+    typecode for _name, typecode in NUMERIC_COLUMNS
+)
 
 
 @dataclass(frozen=True)
@@ -295,9 +317,13 @@ class WorkloadGenerator:
     ) -> Tuple[List[tuple], List[Tuple[Optional[str], str]]]:
         """Encode the device plans against one table's dictionary pools.
 
-        Returns per-device tuples holding pre-encoded categorical codes plus an
-        index into the distinct (cloud_host, region) outage-factor keys, so the
-        hourly hot loop appends plain integers and floats only.
+        Returns per-device tuples ``(probabilities, line_id, prefix_code,
+        provider_code, candidates, n, n.bit_length(), per_hour_down,
+        per_hour_up, multiplier, port_cumulative, port_codes, port_count)``
+        plus the distinct (cloud_host, region) outage-factor keys.  Each
+        candidate is ``(ip_code, continent_code, region_code, ip_version,
+        outage_key_index)``, so the hourly hot loop handles plain integers and
+        floats only and calls no ``len()``.
         """
         encode = table.encode_value
         outage_index: Dict[Tuple[Optional[str], str], int] = {}
@@ -320,6 +346,7 @@ class WorkloadGenerator:
                         key_index,
                     )
                 )
+            n_candidates = len(encoded_candidates)
             rows.append(
                 (
                     plan.probabilities,
@@ -327,6 +354,8 @@ class WorkloadGenerator:
                     encode("subscriber_prefix", plan.prefix),
                     encode("provider_key", plan.provider_key),
                     tuple(encoded_candidates),
+                    n_candidates,
+                    n_candidates.bit_length(),
                     plan.per_hour_down,
                     plan.per_hour_up,
                     plan.multiplier,
@@ -335,6 +364,7 @@ class WorkloadGenerator:
                         (encode("transport", transport), port)
                         for transport, port in plan.port_pairs
                     ),
+                    len(plan.port_cumulative),
                 )
             )
         return rows, outage_keys
@@ -348,15 +378,18 @@ class WorkloadGenerator:
     ) -> None:
         """Generate one hour of IoT flows straight into the table columns.
 
-        Consumes the hour's stream in a fixed order — one activity roll per
-        device, then server pick / outage roll / volume / port roll for the
-        devices that emit a flow — so the rows are bit-identical under a fixed
-        seed.
+        Consumes the hour's stream in the v1 layout (see the module docstring):
+        per device, one ``random()`` activity roll; for devices that emit a
+        flow, a ``getrandbits(n.bit_length())`` server pick with rejection, a
+        ``random()`` outage roll only when the server's device factor is < 1,
+        Kinderman–Monahan ``random()`` pairs for the lognormal volume (then
+        ``math.log`` / ``math.exp``), and a ``random()`` port roll.  These are
+        exactly the draws ``randrange`` and ``lognormvariate`` make, so the
+        rows are bit-identical under a fixed seed.
         """
         stream = self.rng.fresh_stream(f"workload:{when.isoformat()}")
         rand = stream.random
-        randrange = stream.randrange
-        lognormvariate = stream.lognormvariate
+        getrandbits = stream.getrandbits
         hour = when.hour
         # One schedule lookup per distinct (cloud_host, region) key per hour
         # instead of two per flow; outside outage windows the lookup is skipped
@@ -373,30 +406,25 @@ class WorkloadGenerator:
         else:
             traffic_factors = device_factors = None
         timestamp_code = table.encode_value("timestamp", when)
-        prefix_codes: List[int] = []
-        provider_codes: List[int] = []
-        ip_codes: List[int] = []
-        continent_codes: List[int] = []
-        region_codes: List[int] = []
-        transport_codes: List[int] = []
-        subscriber_ids: List[int] = []
-        ip_versions: List[int] = []
-        ports: List[int] = []
-        bytes_down_column: List[float] = []
-        bytes_up_column: List[float] = []
-        packets_down_column: List[int] = []
-        packets_up_column: List[int] = []
         correction = self._volume_correction
         sigma = self.volume_sigma
+        magic = NV_MAGICCONST
         ceil = math.ceil
-        count = 0
+        log = math.log
+        exp = math.exp
+        flows: List[tuple] = []
+        emit = flows.append
         for row in rows:
             if rand() >= row[0][hour]:
                 continue
-            candidates = row[4]
-            if not candidates:
+            n = row[5]
+            if not n:
                 continue
-            candidate = candidates[randrange(len(candidates))]
+            k = row[6]
+            pick = getrandbits(k)
+            while pick >= n:
+                pick = getrandbits(k)
+            candidate = row[4][pick]
             if device_factors is None:
                 traffic_factor = 1.0
             else:
@@ -404,54 +432,51 @@ class WorkloadGenerator:
                 if device_factor < 1.0 and rand() > device_factor:
                     continue
                 traffic_factor = traffic_factors[candidate[4]]
-            volume_factor = lognormvariate(0.0, sigma) * correction
-            volume_factor *= row[7]
-            bytes_down = row[5] * volume_factor * traffic_factor
-            bytes_up = row[6] * volume_factor * traffic_factor
-            port_cumulative = row[8]
+            while True:
+                u1 = rand()
+                u2 = 1.0 - rand()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            volume_factor = exp(z * sigma) * correction * row[9]
+            bytes_down = row[7] * volume_factor * traffic_factor
+            bytes_up = row[8] * volume_factor * traffic_factor
+            port_cumulative = row[10]
             index = bisect_right(port_cumulative, rand() * port_cumulative[-1])
-            if index >= len(port_cumulative):
-                index = len(port_cumulative) - 1
-            transport_code, port = row[9][index]
-            prefix_codes.append(row[2])
-            provider_codes.append(row[3])
-            ip_codes.append(candidate[0])
-            continent_codes.append(candidate[1])
-            region_codes.append(candidate[2])
-            transport_codes.append(transport_code)
-            subscriber_ids.append(row[1])
-            ip_versions.append(candidate[3])
-            ports.append(port)
-            bytes_down_column.append(bytes_down)
-            bytes_up_column.append(bytes_up)
-            packets_down_column.append(
-                max(1, int(ceil(bytes_down / DEFAULT_PACKET_SIZE))) if bytes_down > 0 else 0
+            if index >= row[12]:
+                index = row[12] - 1
+            transport_code, port = row[11][index]
+            emit(
+                (
+                    timestamp_code,
+                    row[2],
+                    row[3],
+                    candidate[0],
+                    candidate[1],
+                    candidate[2],
+                    transport_code,
+                    row[1],
+                    candidate[3],
+                    port,
+                    bytes_down,
+                    bytes_up,
+                    (ceil(bytes_down / DEFAULT_PACKET_SIZE) or 1) if bytes_down > 0 else 0,
+                    (ceil(bytes_up / DEFAULT_PACKET_SIZE) or 1) if bytes_up > 0 else 0,
+                    0,
+                )
             )
-            packets_up_column.append(
-                max(1, int(ceil(bytes_up / DEFAULT_PACKET_SIZE))) if bytes_up > 0 else 0
-            )
-            count += 1
+        # One tuple per flow in CATEGORICAL_COLUMNS + NUMERIC_COLUMNS order,
+        # transposed once; ``struct`` packs each column in one C call, so the
+        # append copies typed arrays instead of converting item by item.
+        count = len(flows)
+        columns = [
+            array(typecode, pack(f"{count}{typecode}", *column))
+            for typecode, column in zip(_FLOW_TYPECODES, zip(*flows))
+        ] or [()] * len(_FLOW_TYPECODES)
         table.append_columns(
             count,
-            codes={
-                "timestamp": repeat(timestamp_code, count),
-                "subscriber_prefix": prefix_codes,
-                "provider_key": provider_codes,
-                "server_ip": ip_codes,
-                "server_continent": continent_codes,
-                "server_region": region_codes,
-                "transport": transport_codes,
-            },
-            numeric={
-                "subscriber_id": subscriber_ids,
-                "ip_version": ip_versions,
-                "port": ports,
-                "bytes_down": bytes_down_column,
-                "bytes_up": bytes_up_column,
-                "packets_down": packets_down_column,
-                "packets_up": packets_up_column,
-                "sampled": repeat(0, count),
-            },
+            codes=dict(zip(CATEGORICAL_COLUMNS, columns)),
+            numeric=dict(zip(_NUMERIC_NAMES, columns[len(CATEGORICAL_COLUMNS) :])),
         )
 
     # -- helpers -------------------------------------------------------------------

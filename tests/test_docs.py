@@ -235,6 +235,14 @@ def test_ip_lookup_index_is_documented():
         assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
 
 
+def test_generation_stream_layout_is_documented():
+    """The v1 draw order of workload generation must stay written down."""
+    architecture = ARCHITECTURE.read_text(encoding="utf-8")
+    assert "Generation stream layout (v1)" in architecture
+    for concept in ("getrandbits", "Kinderman–Monahan", "workload:<hour-iso>"):
+        assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
+
+
 def test_readme_documents_install_and_benchmarks():
     text = README.read_text(encoding="utf-8")
     assert "PYTHONPATH=src" in text

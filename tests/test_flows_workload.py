@@ -1,15 +1,24 @@
 """Tests for the workload generator and scanner traffic."""
 
+import math
+from bisect import bisect_right
 from collections import Counter
-from datetime import date
+from datetime import date, datetime, time
+
+import pytest
 
 from repro.core.providers import PROVIDERS
-from repro.flows.flowtable import FlowTable
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
+from repro.flows.netflow import DEFAULT_PACKET_SIZE
 from repro.flows.scanners import append_scanner_flows
-from repro.simulation.clock import StudyPeriod
+from repro.simulation.clock import AWS_OUTAGE_DATE, StudyPeriod
+from repro.simulation.config import ScenarioConfig
 from repro.simulation.rng import RngRegistry
+from repro.simulation.world import build_world
+from repro.store.codec import dumps_table
 
 ONE_DAY = StudyPeriod(date(2022, 2, 28), date(2022, 3, 1), name="one-day")
+OUTAGE_DAY = StudyPeriod(AWS_OUTAGE_DATE, date(2021, 12, 8), name="outage-day")
 
 
 def _generator(world):
@@ -83,3 +92,121 @@ def test_server_catalog_families(small_world):
     generator = _generator(small_world)
     assert all(":" not in ip for _, ip, _, _ in generator.server_catalog(4))
     assert all(":" in ip for _, ip, _, _ in generator.server_catalog(6))
+
+
+def test_flows_use_a_port_of_their_providers_device_model(small_world):
+    # The generator's own cumulative-weight port roll, on the production path.
+    allowed = {}
+    for line in small_world.population.lines:
+        for device in line.devices:
+            allowed.setdefault(device.provider_key, set()).update(device.model.ports())
+    table = _day_without_scanners(small_world)
+    keys = table.group_sum(("provider_key", "transport", "port"), "bytes_down")
+    assert keys
+    for provider_key, transport, port in keys:
+        assert (transport, port) in allowed[provider_key]
+
+
+def _packets(volume):
+    return max(1, int(math.ceil(volume / DEFAULT_PACKET_SIZE))) if volume > 0 else 0
+
+
+def _stdlib_hour_oracle(generator, table, when, hits):
+    """One generation hour written on the stdlib helpers (test oracle).
+
+    Reads ``_device_plans()`` and draws with ``randrange`` and
+    ``lognormvariate``, as the generator did before it inlined them on
+    ``getrandbits`` and ``random``.  ``hits`` counts the branches taken.
+    """
+    stream = generator.rng.fresh_stream(f"workload:{when.isoformat()}")
+    schedule = generator.outage_schedule
+    has_outage = any(event.active_at(when) for event in schedule.events())
+    timestamp_code = table.encode_value("timestamp", when)
+    correction = math.exp(-(generator.volume_sigma**2) / 2.0)
+    encode = table.encode_value
+    rows = []
+    for plan in generator._device_plans():
+        if stream.random() >= plan.probabilities[when.hour]:
+            continue
+        if not plan.candidates:
+            continue
+        hits[f"n={len(plan.candidates)}"] += 1
+        pick = stream.randrange(len(plan.candidates))
+        choice = plan.candidates[pick]
+        traffic_factor = 1.0
+        if has_outage:
+            device_factor = schedule.device_factor(choice.cloud_host, choice.region_code, when)
+            if device_factor < 1.0:
+                hits["outage_roll"] += 1
+                if stream.random() > device_factor:
+                    continue
+            traffic_factor = schedule.traffic_factor(choice.cloud_host, choice.region_code, when)
+        volume_factor = stream.lognormvariate(0.0, generator.volume_sigma) * correction
+        volume_factor *= plan.multiplier
+        bytes_down = plan.per_hour_down * volume_factor * traffic_factor
+        bytes_up = plan.per_hour_up * volume_factor * traffic_factor
+        cumulative = plan.port_cumulative
+        index = bisect_right(cumulative, stream.random() * cumulative[-1])
+        transport, port = plan.port_pairs[min(index, len(cumulative) - 1)]
+        rows.append(
+            (
+                timestamp_code,
+                encode("subscriber_prefix", plan.prefix),
+                encode("provider_key", plan.provider_key),
+                encode("server_ip", choice.ip),
+                encode("server_continent", choice.continent),
+                encode("server_region", choice.region_code),
+                encode("transport", transport),
+                plan.line_id,
+                plan.versions[pick],
+                port,
+                bytes_down,
+                bytes_up,
+                _packets(bytes_down),
+                _packets(bytes_up),
+                0,
+            )
+        )
+    columns = list(zip(*rows)) if rows else [()] * 15
+    table.append_columns(
+        len(rows),
+        codes=dict(zip(CATEGORICAL_COLUMNS, columns[:7])),
+        numeric=dict(zip((name for name, _typecode in NUMERIC_COLUMNS), columns[7:])),
+    )
+
+
+def _stdlib_period_oracle(generator, period, hits):
+    table = FlowTable()
+    # Intern the plan values in the generator's order, so the pools match.
+    for plan in generator._device_plans():
+        for choice in plan.candidates:
+            table.encode_value("server_ip", choice.ip)
+            table.encode_value("server_continent", choice.continent)
+            table.encode_value("server_region", choice.region_code)
+        table.encode_value("subscriber_prefix", plan.prefix)
+        table.encode_value("provider_key", plan.provider_key)
+        for transport, _port in plan.port_pairs:
+            table.encode_value("transport", transport)
+    for day in period.days():
+        for hour in range(24):
+            _stdlib_hour_oracle(generator, table, datetime.combine(day, time(hour=hour)), hits)
+    return table
+
+
+@pytest.mark.parametrize("seed", (3, 11, 29))
+def test_generation_matches_the_stdlib_draws(seed):
+    hits = Counter()
+    for servers_per_device in (1, 2):
+        # At scale 0.02 the globally load-balanced provider has more than
+        # eight servers, so two servers per device spread it over eight.
+        config = ScenarioConfig.small(seed).with_overrides(
+            scale=0.02, servers_per_device=servers_per_device
+        )
+        generator = build_world(config).workload_generator()
+        produced = generator.generate_period_table(OUTAGE_DAY, include_scanners=False)
+        expected = _stdlib_period_oracle(generator, OUTAGE_DAY, hits)
+        assert len(produced) == len(expected) > 0
+        assert dumps_table(produced) == dumps_table(expected)
+    # One candidate, the globally load-balanced provider's eight, and the
+    # outage roll of a device factor < 1 were all drawn.
+    assert hits["n=1"] and hits["n=8"] and hits["outage_roll"], hits
