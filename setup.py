@@ -1,9 +1,8 @@
 """Setuptools shim.
 
-The offline environment has no ``wheel`` package, so PEP 517 editable installs
-(which build a wheel) are unavailable; this shim enables the legacy
-``pip install -e . --no-build-isolation --no-use-pep517`` path.  All project
-metadata lives in ``pyproject.toml``.
+All project metadata lives in ``pyproject.toml``.  Without the ``wheel``
+package pip cannot build an editable install (with or without PEP 517), so
+on such a host this shim keeps ``python setup.py develop`` available.
 """
 
 from setuptools import setup

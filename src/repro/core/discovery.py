@@ -18,6 +18,7 @@ per-source contribution analysis (Section 3.5 / Figure 3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -50,9 +51,9 @@ class DiscoveredIP:
     sources: Set[str] = field(default_factory=set)
     domains: Set[str] = field(default_factory=set)
 
-    @property
+    @functools.cached_property
     def is_ipv6(self) -> bool:
-        """True for IPv6 addresses."""
+        """True for IPv6 addresses (parsed on first use, then remembered)."""
         return is_ipv6(self.ip)
 
     def merge(self, other: "DiscoveredIP") -> None:
@@ -194,8 +195,13 @@ class HostClassificationCache:
         return len(self.by_ip)
 
     def validate(self, engine: object) -> None:
-        """Drop all verdicts unless they were produced by this exact engine."""
+        """Drop all verdicts unless they were produced by this exact engine.
+
+        Dropping a non-empty cache counts ``discovery.verdict_cache.drops``.
+        """
         if engine is not self._engine_token:
+            if self.by_ip:
+                obs_metrics.inc("discovery.verdict_cache.drops")
             self.by_ip.clear()
             self._engine_token = engine
 

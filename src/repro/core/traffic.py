@@ -235,10 +235,10 @@ class SubscriberLossRow:
 
 def subscriber_lines_per_provider(
     table: FlowTable, backend_ips: Set[str]
-) -> Dict[Tuple[str, int], Set[int]]:
-    """Return, per (provider, family), the subscriber lines whose flows touch the given addresses."""
+) -> Dict[Tuple[str, int], int]:
+    """Count, per (provider, family), the subscriber lines whose flows touch the given addresses."""
     mask = table.mask_server_ips(backend_ips)
-    return table.group_distinct(("provider_key", "ip_version"), "subscriber_id", mask=mask)
+    return table.group_distinct_count(("provider_key", "ip_version"), "subscriber_id", mask=mask)
 
 
 def tls_only_subscriber_loss(
@@ -253,16 +253,15 @@ def tls_only_subscriber_loss(
     rows: List[SubscriberLossRow] = []
     for provider_key in full_result.providers():
         for ip_version in (4, 6):
-            full = full_lines.get((provider_key, ip_version), set())
+            full = full_lines.get((provider_key, ip_version), 0)
             if not full:
                 continue
-            tls = tls_lines.get((provider_key, ip_version), set())
             rows.append(
                 SubscriberLossRow(
                     label=anonymization.label(provider_key),
                     ip_version=ip_version,
-                    lines_full=len(full),
-                    lines_tls_only=len(tls),
+                    lines_full=full,
+                    lines_tls_only=tls_lines.get((provider_key, ip_version), 0),
                 )
             )
     return sorted(rows, key=lambda row: (_label_sort_key(row.label), row.ip_version))
@@ -278,20 +277,17 @@ def activity_timeseries(
     anonymization: AnonymizationMap,
     min_lines_per_hour: int = 0,
 ) -> Dict[str, Dict[datetime, int]]:
-    """Hourly number of active subscriber lines per (anonymized) provider."""
-    grouped = table.group_distinct(("provider_key", "timestamp"), "subscriber_id")
-    lines: Dict[str, Dict[datetime, Set[int]]] = defaultdict(dict)
-    for (provider_key, timestamp), subscribers in grouped.items():
-        per_hour = lines[anonymization.label(provider_key)]
-        existing = per_hour.get(timestamp)
-        if existing is None:
-            # group_distinct returns fresh sets; adopt them instead of copying.
-            per_hour[timestamp] = subscribers
-        else:
-            existing.update(subscribers)
+    """Hourly number of active subscriber lines per (anonymized) provider.
+
+    The anonymization map is one-to-one, so each (label, hour) is exactly one
+    (provider, hour) group and its distinct-line count needs no set union.
+    """
+    grouped = table.group_distinct_count(("provider_key", "timestamp"), "subscriber_id")
+    lines: Dict[str, Dict[datetime, int]] = defaultdict(dict)
+    for (provider_key, timestamp), count in grouped.items():
+        lines[anonymization.label(provider_key)][timestamp] = count
     series: Dict[str, Dict[datetime, int]] = {}
-    for label, per_hour in lines.items():
-        counted = {timestamp: len(ids) for timestamp, ids in per_hour.items()}
+    for label, counted in lines.items():
         if min_lines_per_hour and max(counted.values(), default=0) < min_lines_per_hour:
             continue
         series[label] = dict(sorted(counted.items()))

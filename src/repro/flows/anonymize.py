@@ -24,10 +24,29 @@ from repro.core.providers import (
 
 @dataclass
 class AnonymizationMap:
-    """Bidirectional mapping between provider keys and anonymized labels."""
+    """Bidirectional mapping between provider keys and anonymized labels.
+
+    The mapping is one-to-one: no label names two providers and no provider
+    has two labels.  Per-label analyses rely on it (a label's numbers are
+    its one provider's numbers), so construction rejects anything else.
+    """
 
     label_by_key: Dict[str, str] = field(default_factory=dict)
     key_by_label: Dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for key, label in self.label_by_key.items():
+            if self.key_by_label.get(label) != key:
+                raise ValueError(
+                    f"label {label!r} of provider {key!r} maps back to "
+                    f"{self.key_by_label.get(label)!r}: the mapping must be one-to-one"
+                )
+        for label, key in self.key_by_label.items():
+            if self.label_by_key.get(key) != label:
+                raise ValueError(
+                    f"label {label!r} names provider {key!r}, whose label is "
+                    f"{self.label_by_key.get(key)!r}: the mapping must be one-to-one"
+                )
 
     @classmethod
     def build(cls, providers: Sequence[ProviderSpec] = PROVIDERS) -> "AnonymizationMap":
@@ -51,6 +70,14 @@ class AnonymizationMap:
         return mapping
 
     def _assign(self, key: str, label: str) -> None:
+        if self.label_by_key.get(key, label) != label:
+            raise ValueError(
+                f"provider {key!r} already has label {self.label_by_key[key]!r}, not {label!r}"
+            )
+        if self.key_by_label.get(label, key) != key:
+            raise ValueError(
+                f"label {label!r} already names provider {self.key_by_label[label]!r}, not {key!r}"
+            )
         self.label_by_key[key] = label
         self.key_by_label[label] = key
 

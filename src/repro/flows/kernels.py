@@ -5,9 +5,10 @@ outage deltas) all reduce to row filters, row masks and grouped aggregations
 over period flow tables.  This module turns them into a kernel layer with
 interchangeable implementations:
 
-* **Reference kernels** (``reference_*``) -- the original dict-per-metric
-  loops, kept verbatim as the semantic ground truth the other backends are
-  differentially fuzzed against (``tests/test_kernel_parity.py``).
+* **Reference kernels** -- the original dict-per-metric loops, the semantic
+  ground truth both backends are differentially fuzzed against.  Nothing in
+  the program calls them, so they live with that harness
+  (``reference_*`` in ``tests/test_kernel_parity.py``).
 * **Fused pure-python kernels** -- a :class:`GroupIndex` maps every row to a
   dense group id once per ``(table, key columns)`` pair; aggregations then
   run a single traversal accumulating into flat lists indexed by group id,
@@ -455,107 +456,3 @@ def _member_sets_from(
         else:
             bucket.add(member)
     return slots, order
-
-
-# ---------------------------------------------------------------------------------
-# Reference kernels (the original implementations, verbatim semantics)
-# ---------------------------------------------------------------------------------
-
-
-def reference_group_sums(
-    table: "FlowTable",
-    by: Sequence[str],
-    values: Sequence[str],
-    mask: Optional[Sequence[int]] = None,
-) -> Dict["GroupKey", List[float]]:
-    """The original dict-accumulator group-sum loop (parity ground truth)."""
-    keys, decode = table._group_codes(by)
-    value_arrays: List = [table.numeric(name) for name in values]
-    if mask is not None:
-        keys = compress(keys, mask)
-        value_arrays = [compress(column, mask) for column in value_arrays]
-    sums: Dict[object, List[float]] = {}
-    if len(value_arrays) == 1:
-        column = value_arrays[0]
-        for key, value in zip(keys, column):
-            bucket = sums.get(key)
-            if bucket is None:
-                sums[key] = [value]
-            else:
-                bucket[0] += value
-    elif len(value_arrays) == 2:
-        first, second = value_arrays
-        for key, value_a, value_b in zip(keys, first, second):
-            bucket = sums.get(key)
-            if bucket is None:
-                sums[key] = [value_a, value_b]
-            else:
-                bucket[0] += value_a
-                bucket[1] += value_b
-    else:
-        for key, row in zip(keys, zip(*value_arrays)):
-            bucket = sums.get(key)
-            if bucket is None:
-                sums[key] = list(row)
-            else:
-                for position, value in enumerate(row):
-                    bucket[position] += value
-    return {decode(key): bucket for key, bucket in sums.items()}
-
-
-def _reference_code_sets(
-    table: "FlowTable", by: Sequence[str], of: str, mask: Optional[Sequence[int]]
-):
-    keys, decode = table._group_codes(by)
-    of_keys, of_pool = table._key_column(of)
-    if mask is not None:
-        keys = compress(keys, mask)
-        of_keys = compress(of_keys, mask)
-    groups: Dict[object, Set] = {}
-    for key, member in zip(keys, of_keys):
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = {member}
-        else:
-            bucket.add(member)
-    return groups, decode, of_pool
-
-
-def reference_group_distinct(
-    table: "FlowTable",
-    by: Sequence[str],
-    of: str,
-    mask: Optional[Sequence[int]] = None,
-) -> Dict["GroupKey", Set[object]]:
-    """The original dict-of-sets distinct grouping (parity ground truth)."""
-    groups, decode, of_pool = _reference_code_sets(table, by, of, mask)
-    if of_pool is None:
-        return {decode(key): bucket for key, bucket in groups.items()}
-    return {
-        decode(key): {of_pool[member] for member in bucket}
-        for key, bucket in groups.items()
-    }
-
-
-def reference_group_distinct_count(
-    table: "FlowTable",
-    by: Sequence[str],
-    of: str,
-    mask: Optional[Sequence[int]] = None,
-) -> Dict["GroupKey", int]:
-    """The original distinct-count grouping (parity ground truth)."""
-    groups, decode, _ = _reference_code_sets(table, by, of, mask)
-    return {decode(key): len(bucket) for key, bucket in groups.items()}
-
-
-def reference_total(table: "FlowTable", value: str) -> float:
-    """Sequential python sum (parity ground truth)."""
-    return sum(table.numeric(value))
-
-
-def reference_distinct(table: "FlowTable", name: str) -> Set[object]:
-    """The original whole-table distinct (parity ground truth)."""
-    if table.is_categorical(name):
-        pool = table.pool(name)
-        return {pool[code] for code in set(table.codes(name))}
-    return set(table.numeric(name))

@@ -12,14 +12,18 @@ returns ``NotImplemented`` so the dispatcher runs the python path instead:
 * Integer group sums accumulate into an int64 array via ``np.add.at``.
 * Result dicts preserve the reference first-appearance key order: group ids
   are dense in first-appearance order by construction, and masked
-  aggregations recover the masked first-appearance order from
-  ``np.unique(..., return_index=True)``.
+  aggregations recover the masked first-appearance order with the same
+  sort-free first-rows pass (:func:`_first_rows`) over the masked group ids.
 * Row filters boolean-index each column's view and fill the result ``array``
   with one ``frombytes``; row masks compare or index whole column views and
   come back as the same 0/1 ``bytearray`` the python loops build.
 * Group indexes pack every key column into one mixed-radix int64 key: a
   categorical column adds its codes (radix = pool size), an integer column
-  adds ``value - min`` (radix = ``max - min + 1``).
+  adds ``value - min`` (radix = ``max - min + 1``), relabeled to the ranks of
+  the values present when that radix is in ``(64, limit]``.  Keys spanning at
+  most ``limit = max(2 * rows, 2**16)`` get dense first-appearance ids from
+  ``np.minimum.at`` in O(rows + span) with no sort; wider keys are densified
+  once by ``np.unique`` first.
 
 ``NotImplemented`` cases, each counted under
 ``kernels.fallbacks.<kernel>.<reason>`` (:data:`KERNEL_FALLBACK_COUNTER`)
@@ -44,6 +48,7 @@ kernel may rely on ``len(mask) == rows``.
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -144,10 +149,23 @@ def _int_bound_ok(values: np.ndarray, rows: int) -> bool:
     return peak * rows < INT64_SAFE_LIMIT
 
 
-def _first_appearance_order(gids: np.ndarray) -> np.ndarray:
-    """Group ids in order of their first occurrence in ``gids``."""
-    present, first = np.unique(gids, return_index=True)
-    return present[np.argsort(first, kind="stable")]
+def _first_rows(keys: np.ndarray, span: int) -> np.ndarray:
+    """The row where each key first occurs, in row order (keys in ``[0, span)``).
+
+    ``np.minimum.at`` leaves each key's smallest row number in ``first``; a
+    row is a first row exactly when it holds that minimum.  O(rows + span),
+    no sort.  (A reversed fancy assignment would be cheaper, but numpy does
+    not define which of several writes to one index wins.)
+    """
+    positions = np.arange(len(keys), dtype=np.int64)
+    first = np.full(span, len(keys), dtype=np.int64)
+    np.minimum.at(first, keys, positions)
+    return np.flatnonzero(first[keys] == positions)
+
+
+def _first_appearance_order(gids: np.ndarray, count: int) -> np.ndarray:
+    """Group ids (dense in ``[0, count)``) in order of first occurrence in ``gids``."""
+    return gids[_first_rows(gids, count)]
 
 
 def _as_bytearray(flags: np.ndarray) -> bytearray:
@@ -166,6 +184,18 @@ def _index_fallback(reason: str):
     return NotImplemented
 
 
+def _relabel(offsets: np.ndarray, radix: int) -> Tuple[np.ndarray, int]:
+    """Each offset's rank among the offsets present, and how many are present.
+
+    A presence table over ``[0, radix)`` and its running count map the
+    values present onto ``0..n-1`` in value order.
+    """
+    present = np.zeros(radix, dtype=bool)
+    present[offsets] = True
+    ranks = np.cumsum(present) - 1
+    return ranks[offsets], int(ranks[-1]) + 1
+
+
 def build_group_index(table, by: Tuple[str, ...]):
     """Dense first-appearance group ids and decoded group keys.
 
@@ -173,11 +203,17 @@ def build_group_index(table, by: Tuple[str, ...]):
     ``NotImplemented`` for float key columns and for multi-column keys whose
     mixed-radix span reaches 2**63 -- the python builder handles those, and
     each hand-off increments a :data:`GROUP_INDEX_FALLBACK_COUNTER` counter
-    named for its reason.  A single key column groups on its raw values;
-    several pack into one int64 key, most significant first, with every radix
-    and the total span computed in python ints before any int64 arithmetic.
-    Group keys are read back from each group's first row, so they are the
-    python builder's values and types exactly.
+    named for its reason.  Every radix and the total span are computed in
+    python ints before any int64 arithmetic.  Each key column becomes an
+    offset from its low value (a categorical column's codes, an integer
+    column's ``value - min``); several pack into one int64 key, most
+    significant first, after each integer column with a radix in
+    ``(64, limit]`` is relabeled to the ranks of the values present, where
+    ``limit = max(2 * rows, 2**16)``.  A key span within ``limit`` runs the
+    sort-free :func:`_first_rows` pass directly; a wider one is densified
+    once by ``np.unique`` first.  Extra memory stays O(rows).  Group keys
+    are read back from each group's first row, so they are the python
+    builder's values and types exactly.
     """
     views: List[np.ndarray] = []
     pools: List[Optional[List[object]]] = []
@@ -191,34 +227,44 @@ def build_group_index(table, by: Tuple[str, ...]):
                 return _index_fallback("float_key")
             views.append(_as_np(column))
             pools.append(None)
-    if not len(table):
+    rows = len(table)
+    if not rows:
         return array("q"), []
+    limit = max(2 * rows, 2**16)
+    lows: List[int] = []
+    radixes: List[int] = []
+    for view, pool in zip(views, pools):
+        if pool is not None:
+            lows.append(0)
+            radixes.append(max(1, len(pool)))
+        else:
+            lows.append(int(view.min()))
+            radixes.append(int(view.max()) - lows[-1] + 1)
     if len(by) == 1:
+        span = radixes[0]
         keys = views[0].astype(np.int64, copy=False)
+        if span <= limit:
+            keys = keys - lows[0]
     else:
-        parts: List[Tuple[np.ndarray, int, int]] = []
-        span = 1
-        for view, pool in zip(views, pools):
-            if pool is not None:
-                low, radix = 0, max(1, len(pool))
-            else:
-                low = int(view.min())
-                radix = int(view.max()) - low + 1
-            parts.append((view, low, radix))
-            span *= radix
-        if span >= 2**63:
+        if math.prod(radixes) >= 2**63:
             return _index_fallback("span_overflow")
-        keys = np.zeros(len(table), dtype=np.int64)
-        for view, low, radix in parts:
+        keys = np.zeros(rows, dtype=np.int64)
+        span = 1
+        for view, pool, low, radix in zip(views, pools, lows, radixes):
+            offsets = view.astype(np.int64) - low
+            if pool is None and 64 < radix <= limit:
+                offsets, radix = _relabel(offsets, radix)
             keys *= radix
-            keys += view.astype(np.int64) - low
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
+            keys += offsets
+            span *= radix
+    if span > limit:
+        present, keys = np.unique(keys, return_inverse=True)
+        span = len(present)
+    first_rows = _first_rows(keys, span)
+    rank = np.empty(span, dtype=np.int64)
+    rank[keys[first_rows]] = np.arange(len(first_rows), dtype=np.int64)
     gids = array("q")
-    gids.frombytes(np.ascontiguousarray(rank[inverse], dtype=np.int64).view(np.uint8))
-    first_rows = first[order]
+    gids.frombytes(np.ascontiguousarray(rank[keys], dtype=np.int64).view(np.uint8))
     key_columns: List[List[object]] = []
     for view, pool in zip(views, pools):
         values = view[first_rows].tolist()
@@ -345,7 +391,7 @@ def group_sums(index, columns: Sequence, mask: Optional[Sequence[int]]):
             sums.append(accumulator.tolist())
     if selector is None:
         return {key: [column[gid] for column in sums] for gid, key in enumerate(group_keys)}
-    order = _first_appearance_order(gids)
+    order = _first_appearance_order(gids, count)
     return {
         group_keys[gid]: [column[gid] for column in sums]
         for gid in order.tolist()
@@ -402,7 +448,7 @@ def group_distinct_count(index, members: Sequence, mask: Optional[Sequence[int]]
         # Unmasked, every group id occurs, so the reference first-appearance
         # order is the index order 0..count-1 -- skip the recovery sort.
         return {key: int(counts[gid]) for gid, key in enumerate(group_keys)}
-    order = _first_appearance_order(gids)
+    order = _first_appearance_order(gids, count)
     return {group_keys[gid]: int(counts[gid]) for gid in order.tolist()}
 
 
@@ -428,7 +474,7 @@ def group_distinct(
         for key in group_keys:
             sets[key] = set()
     else:
-        for gid in _first_appearance_order(gids).tolist():
+        for gid in _first_appearance_order(gids, count).tolist():
             sets[group_keys[gid]] = set()
     if pool is None:
         for gid, member in zip(pair_gids, pair_members):

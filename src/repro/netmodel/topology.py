@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.netmodel.addressing import (
+    IPAddress,
     count_slash24,
     count_slash56,
     parse_ip,
@@ -70,20 +71,23 @@ class BackendServer:
     dedicated_iot: bool = True
     cloud_host: Optional[str] = None
     anycast: bool = False
+    #: The parsed form of ``ip``, so lookups and version checks never re-parse it.
+    address: IPAddress = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Normalise the address textual form once, so set membership is stable.
-        self.ip = str(parse_ip(self.ip))
+        self.address = parse_ip(self.ip)
+        self.ip = str(self.address)
 
     @property
     def ip_version(self) -> int:
         """4 or 6."""
-        return parse_ip(self.ip).version
+        return self.address.version
 
     @property
     def is_ipv6(self) -> bool:
         """True for IPv6 servers."""
-        return self.ip_version == 6
+        return self.address.version == 6
 
     def endpoint(self, transport: str, port: int) -> Optional[ServiceEndpoint]:
         """Return the endpoint listening on (transport, port), if any."""

@@ -267,7 +267,7 @@ class CensysService:
                         certificates.append(certificate)
         if not open_ports:
             return None
-        location = self._geo_database.lookup_ip(server.ip) or server.location
+        location = self._geo_database.lookup_ip(server.address) or server.location
         if self._location_pool and self._geolocation_error_rate > 0:
             # Deterministic perturbation: a fixed slice of hosts gets a wrong location.
             if (index % 1000) < int(self._geolocation_error_rate * 1000):

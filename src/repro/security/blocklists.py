@@ -92,7 +92,9 @@ class BlocklistAggregate:
         normalized = str(parse_ip(ip))
         matches = []
         for blocklist in self.lists(include_unmaintained):
-            if normalized in blocklist:
+            # Already normalized: probe the entries directly, without the
+            # second parse that ``Blocklist.__contains__`` makes.
+            if normalized in blocklist.entries:
                 matches.append(BlocklistMatch(normalized, blocklist.name, blocklist.category))
         return matches
 
@@ -104,5 +106,5 @@ class BlocklistAggregate:
         for ip in ips:
             matches = self.check(ip, include_unmaintained)
             if matches:
-                results[str(parse_ip(ip))] = matches
+                results[matches[0].ip] = matches
         return results

@@ -40,7 +40,8 @@ mapped size) still run eagerly, so truncation and length-field corruption
 raise :class:`StoreFormatError` at load time; the per-code range check is
 deferred into the lazy column and raises on first touch.  Artifacts written
 by a foreign-byte-order host, or with unexpected (but decodable) column
-typecodes, transparently fall back to the eager decoder.
+typecodes, transparently fall back to the eager decoder; each fallback is
+counted by reason under ``store.mmap_fallbacks`` while metrics are on.
 
 No pickle is involved anywhere: a corrupted or truncated file raises
 :class:`StoreFormatError` instead of executing anything.
@@ -61,6 +62,7 @@ from repro.flows.flowtable import (
     FlowTable,
     LazyColumn,
 )
+from repro.obs import metrics as obs_metrics
 
 #: Bump on any incompatible change to the byte layout below.
 CODEC_VERSION = 1
@@ -74,6 +76,13 @@ _MAGIC_PIPELINE = b"RPPL"
 _LITTLE = 0
 _BIG = 1
 _LOCAL_ORDER = _LITTLE if sys.byteorder == "little" else _BIG
+
+#: ``array`` typecodes a code block may carry (the writer always uses ``'i'``).
+_CODE_TYPECODES = "bBhHiIlLqQ"
+
+#: Counter prefix for lazy loads handed to the eager decoder; the reason
+#: (``byte_order``, ``typecode``) is the last name component.
+MMAP_FALLBACK_COUNTER = "store.mmap_fallbacks"
 
 # Tagged scalar encoding for pool values.
 _TAG_NONE = 0
@@ -286,12 +295,19 @@ def load_table(stream: BinaryIO) -> FlowTable:
         (pool_size,) = reader.unpack("<I")
         pool: List[object] = [reader.read_value() for _ in range(pool_size)]
         column = reader.read_array(byte_order)
+        if column.typecode not in _CODE_TYPECODES:
+            raise StoreFormatError(
+                f"column {name!r}: code typecode {column.typecode!r} is not an integer type"
+            )
         if len(column) != length:
             raise StoreFormatError(
                 f"column {name!r}: {len(column)} codes for {length} rows"
             )
         if column and not all(0 <= code < pool_size for code in column):
             raise StoreFormatError(f"column {name!r}: code out of pool range")
+        if column.typecode != "i":
+            # In-range codes of another integer width fit the table's 'i' column.
+            column = array("i", column)
         # Re-interning the pool in order reproduces the original codes, so the
         # code column can be adopted verbatim.  Re-interning deduplicates, so
         # a corrupt pool with repeated values would otherwise shrink and leave
@@ -401,7 +417,9 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
 
     Artifacts written by a foreign-byte-order host (columns need a byteswap,
     which is inherently a copy) or with unexpected-but-decodable column
-    typecodes fall back to the eager decoder transparently.
+    typecodes fall back to the eager decoder transparently; each hand-off
+    counts ``store.mmap_fallbacks.byte_order`` or ``.typecode``
+    (:data:`MMAP_FALLBACK_COUNTER`) while metrics are on.
     """
     view = memoryview(buffer)
     reader = _BufferReader(view)
@@ -415,6 +433,7 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
     if byte_order not in (_LITTLE, _BIG):
         raise StoreFormatError(f"bad byte-order flag {byte_order}")
     if byte_order != _LOCAL_ORDER:
+        obs_metrics.inc(f"{MMAP_FALLBACK_COUNTER}.byte_order")
         return load_table(io.BytesIO(view))
 
     (n_categorical,) = reader.unpack("<H")
@@ -435,6 +454,7 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
         pool: List[object] = [reader.read_value() for _ in range(pool_size)]
         typecode, itemsize, nbytes = reader.read_array_header()
         if typecode != "i":
+            obs_metrics.inc(f"{MMAP_FALLBACK_COUNTER}.typecode")
             return load_table(io.BytesIO(view))
         payload = reader.take_view(nbytes)
         if nbytes // itemsize != length:

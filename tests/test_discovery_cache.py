@@ -14,6 +14,8 @@ from repro.core.discovery import SOURCE_TLS, BackendDiscovery, HostClassificatio
 from repro.core.patterns import DomainPattern, PatternSet
 from repro.core.pipeline import DiscoveryPipeline
 from repro.experiments.context import build_context
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.scan.censys import CensysHostRecord, CensysSnapshot
 from repro.scan.certificates import make_certificate
 from repro.simulation.clock import StudyPeriod
@@ -21,6 +23,8 @@ from repro.simulation.config import ScenarioConfig
 from repro.simulation.world import build_world
 from repro.store.artifacts import ArtifactStore, discovery_stage
 from repro.store.codec import StoreFormatError, loads_pipeline_result
+
+VERDICT_CACHE_DROPS = "discovery.verdict_cache.drops"
 
 DAY1 = date(2022, 3, 1)
 DAY2 = date(2022, 3, 2)
@@ -126,14 +130,26 @@ class TestHostClassificationCache:
         assert discovery.host_cache.hits == 0
 
     def test_cache_guard_is_engine_identity(self):
-        cache = HostClassificationCache()
-        token_a, token_b = object(), object()
-        cache.validate(token_a)
-        cache.put(("10.0.0.1", ()), (("alpha", ("device.alpha.example",)),))
-        cache.validate(token_a)
-        assert len(cache) == 1
-        cache.validate(token_b)
-        assert len(cache) == 0
+        """An engine change drops every verdict; dropping a non-empty cache is counted."""
+        registry = MetricsRegistry()
+        previous = obs_metrics.set_registry(registry)
+        obs_metrics.enable()
+        try:
+            cache = HostClassificationCache()
+            token_a, token_b = object(), object()
+            cache.validate(token_a)
+            cache.put(("10.0.0.1", ()), (("alpha", ("device.alpha.example",)),))
+            cache.validate(token_a)
+            assert len(cache) == 1
+            assert registry.counter(VERDICT_CACHE_DROPS) == 0
+            cache.validate(token_b)
+            assert len(cache) == 0
+            assert registry.counter(VERDICT_CACHE_DROPS) == 1
+            cache.validate(token_a)  # an engine change over an empty cache drops nothing
+            assert registry.counter(VERDICT_CACHE_DROPS) == 1
+        finally:
+            obs_metrics.disable()
+            obs_metrics.set_registry(previous)
 
     def test_cached_path_matches_uncached_path_on_world(self):
         config = ScenarioConfig.small(seed=7)

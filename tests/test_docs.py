@@ -195,6 +195,16 @@ def test_row_kernels_are_documented():
     assert "mixed_keys" not in architecture, "the mixed_keys fallback no longer exists"
 
 
+def test_sort_free_group_indexes_are_documented():
+    """The group-index builder's sort-free pass and its bound stay in the guide."""
+    architecture = ARCHITECTURE.read_text(encoding="utf-8")
+    assert "**Sort-free group indexes.**" in architecture
+    for concept in ("minimum.at", "cumsum", "L = max(2 × rows, 2^16)", "O(rows)",
+                    "group_distinct_count"):
+        assert concept in architecture, f"ARCHITECTURE.md does not mention {concept!r}"
+    assert "kernels.reference_" not in architecture, "the reference kernels live in the tests"
+
+
 def test_store_read_path_is_documented_everywhere():
     """The zero-copy store read path must stay documented as one unit.
 

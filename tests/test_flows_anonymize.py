@@ -50,3 +50,26 @@ def test_labels_ordering():
     assert labels[:4] == ["T1", "T2", "T3", "T4"]
     assert labels[4].startswith("D")
     assert labels[-1].startswith("O")
+
+
+def test_a_label_naming_two_providers_is_rejected():
+    """Per-label analyses count one provider per label; a shared label fails loudly."""
+    with pytest.raises(ValueError, match="label 'T1'"):
+        AnonymizationMap(
+            label_by_key={"amazon": "T1", "google": "T1"},
+            key_by_label={"T1": "amazon"},
+        )
+    with pytest.raises(ValueError, match="label 'T2'"):
+        AnonymizationMap(
+            label_by_key={"amazon": "T1"},
+            key_by_label={"T1": "amazon", "T2": "amazon"},
+        )
+    mapping = AnonymizationMap.build()
+    with pytest.raises(ValueError, match="label 'T1' already names provider 'amazon'"):
+        mapping._assign("acme", "T1")
+    with pytest.raises(ValueError, match="provider 'amazon' already has label 'T1'"):
+        mapping._assign("amazon", "T9")
+    mapping._assign("amazon", "T1")  # re-assigning the same pair is a no-op
+    assert AnonymizationMap(dict(mapping.label_by_key), dict(mapping.key_by_label)).labels() == (
+        mapping.labels()
+    )

@@ -1,9 +1,10 @@
 """Differential kernel-parity harness (the PR-9 contract).
 
-Every grouped aggregation runs on one of three interchangeable backends
-(:mod:`repro.flows.kernels`): the reference dict loops, the fused pure-python
-kernels, and the optional numpy kernels.  This module makes their equivalence
-a fuzzed, CI-enforced contract:
+Every grouped aggregation runs on one of two interchangeable backends
+(:mod:`repro.flows.kernels`): the fused pure-python kernels and the optional
+numpy kernels.  This module keeps the original dict loops (``reference_*``)
+as their ground truth and makes the equivalence of all three a fuzzed,
+CI-enforced contract:
 
 * seeded adversarial tables -- empty tables, single-row groups, all-one-group,
   pool-shared slices (empty groups relative to the pool), post-``extend_table``
@@ -33,12 +34,20 @@ import subprocess
 import sys
 from array import array
 from datetime import datetime, timedelta
+from itertools import compress
 from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Set
 
 import pytest
 
 from repro.flows import kernels
-from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable, LazyColumn
+from repro.flows.flowtable import (
+    CATEGORICAL_COLUMNS,
+    NUMERIC_COLUMNS,
+    FlowTable,
+    GroupKey,
+    LazyColumn,
+)
 from repro.flows.netflow import NetFlowCollector, make_flow
 from repro.obs import metrics as obs_metrics
 from repro.simulation.rng import RngRegistry
@@ -73,6 +82,111 @@ _SUM_COLUMNS = (
     ("bytes_down", "bytes_up"),
     ("packets_down", "packets_up", "port"),
 )
+
+
+# ---------------------------------------------------------------------------------
+# Reference kernels (the original implementations, verbatim semantics): the
+# ground truth every backend is compared against.  Nothing in src/ calls them.
+# ---------------------------------------------------------------------------------
+
+
+def reference_group_sums(
+    table: "FlowTable",
+    by: Sequence[str],
+    values: Sequence[str],
+    mask: Optional[Sequence[int]] = None,
+) -> Dict["GroupKey", List[float]]:
+    """The original dict-accumulator group-sum loop (parity ground truth)."""
+    keys, decode = table._group_codes(by)
+    value_arrays: List = [table.numeric(name) for name in values]
+    if mask is not None:
+        keys = compress(keys, mask)
+        value_arrays = [compress(column, mask) for column in value_arrays]
+    sums: Dict[object, List[float]] = {}
+    if len(value_arrays) == 1:
+        column = value_arrays[0]
+        for key, value in zip(keys, column):
+            bucket = sums.get(key)
+            if bucket is None:
+                sums[key] = [value]
+            else:
+                bucket[0] += value
+    elif len(value_arrays) == 2:
+        first, second = value_arrays
+        for key, value_a, value_b in zip(keys, first, second):
+            bucket = sums.get(key)
+            if bucket is None:
+                sums[key] = [value_a, value_b]
+            else:
+                bucket[0] += value_a
+                bucket[1] += value_b
+    else:
+        for key, row in zip(keys, zip(*value_arrays)):
+            bucket = sums.get(key)
+            if bucket is None:
+                sums[key] = list(row)
+            else:
+                for position, value in enumerate(row):
+                    bucket[position] += value
+    return {decode(key): bucket for key, bucket in sums.items()}
+
+
+def _reference_code_sets(
+    table: "FlowTable", by: Sequence[str], of: str, mask: Optional[Sequence[int]]
+):
+    keys, decode = table._group_codes(by)
+    of_keys, of_pool = table._key_column(of)
+    if mask is not None:
+        keys = compress(keys, mask)
+        of_keys = compress(of_keys, mask)
+    groups: Dict[object, Set] = {}
+    for key, member in zip(keys, of_keys):
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = {member}
+        else:
+            bucket.add(member)
+    return groups, decode, of_pool
+
+
+def reference_group_distinct(
+    table: "FlowTable",
+    by: Sequence[str],
+    of: str,
+    mask: Optional[Sequence[int]] = None,
+) -> Dict["GroupKey", Set[object]]:
+    """The original dict-of-sets distinct grouping (parity ground truth)."""
+    groups, decode, of_pool = _reference_code_sets(table, by, of, mask)
+    if of_pool is None:
+        return {decode(key): bucket for key, bucket in groups.items()}
+    return {
+        decode(key): {of_pool[member] for member in bucket}
+        for key, bucket in groups.items()
+    }
+
+
+def reference_group_distinct_count(
+    table: "FlowTable",
+    by: Sequence[str],
+    of: str,
+    mask: Optional[Sequence[int]] = None,
+) -> Dict["GroupKey", int]:
+    """The original distinct-count grouping (parity ground truth)."""
+    groups, decode, _ = _reference_code_sets(table, by, of, mask)
+    return {decode(key): len(bucket) for key, bucket in groups.items()}
+
+
+def reference_total(table: "FlowTable", value: str) -> float:
+    """Sequential python sum (parity ground truth)."""
+    return sum(table.numeric(value))
+
+
+def reference_distinct(table: "FlowTable", name: str) -> Set[object]:
+    """The original whole-table distinct (parity ground truth)."""
+    if table.is_categorical(name):
+        pool = table.pool(name)
+        return {pool[code] for code in set(table.codes(name))}
+    return set(table.numeric(name))
 
 
 def _backends():
@@ -245,7 +359,7 @@ def test_backends_bit_identical_on_adversarial_tables(seed):
         for mask in _masks(rng, len(table)):
             for by in _GROUPINGS:
                 for values in _SUM_COLUMNS:
-                    reference = kernels.reference_group_sums(table, by, values, mask)
+                    reference = reference_group_sums(table, by, values, mask)
                     for backend in _backends():
                         kernels.set_backend(backend)
                         table._group_cache.clear()
@@ -254,8 +368,8 @@ def test_backends_bit_identical_on_adversarial_tables(seed):
                             f"{label}/sums/{by}/{values}/{backend}", reference, got
                         )
                 for of in _MEMBER_COLUMNS:
-                    distinct_ref = kernels.reference_group_distinct(table, by, of, mask)
-                    count_ref = kernels.reference_group_distinct_count(table, by, of, mask)
+                    distinct_ref = reference_group_distinct(table, by, of, mask)
+                    count_ref = reference_group_distinct_count(table, by, of, mask)
                     for backend in _backends():
                         kernels.set_backend(backend)
                         table._group_cache.clear()
@@ -283,6 +397,123 @@ def test_index_builders_agree(seed):
             assert list(python_index.group_keys) == list(numpy_index.group_keys), (
                 f"{label}/{by}"
             )
+
+
+def _builder_cases():
+    """(label, table, key columns, numpy builder branches) reaching every branch.
+
+    ``limit`` below is the builder's ``max(2 * rows, 2**16)``: integer key
+    columns of a multi-column key with a radix in (64, limit] are relabeled
+    to ranks, and key spans above ``limit`` are densified by ``np.unique``.
+    """
+    rng = random.Random(99)
+
+    def flows(count, ports, subscribers, servers):
+        return [
+            make_flow(
+                timestamp=datetime(2022, 3, 1) + timedelta(hours=rng.randrange(48)),
+                subscriber_id=rng.randrange(-subscribers, subscribers),
+                subscriber_prefix="p0",
+                ip_version=4,
+                provider_key=rng.choice(_PROVIDERS),
+                server_ip="10.1.{}.{}".format(*divmod(rng.randrange(servers), 250)),
+                server_continent="EU",
+                server_region="eu-west-1",
+                transport=rng.choice(_TRANSPORTS),
+                port=rng.choice(ports),
+                bytes_down=rng.uniform(-10, 1e4),
+                bytes_up=1.0,
+            )
+            for _ in range(count)
+        ]
+
+    # Ports 80..61616: radix 61537 <= limit, relabeled in multi-column keys;
+    # line ids -60..59 (negative keys): radix 120, relabeled too.
+    ports = FlowTable.from_records(flows(300, (443, 8883, 1883, 5683, 61616, 80), 60, 30))
+    # Ports -1..2**31-1: wider than limit, never relabeled.
+    wide = FlowTable.from_records(flows(200, (443, -1, 2**31 - 1), 20, 30))
+    one_row = FlowTable.from_records(flows(1, (443,), 5, 5))
+    # A filtered table sharing pools far larger than 2 x its 12 rows: a
+    # 600-entry provider pool (below limit) and a server pool above 2**16.
+    padded = FlowTable.from_records(flows(240, (443, 8883), 60, 500))
+    for value in range(600):
+        padded.encode_value("provider_key", f"provider-{value}")
+    for value in range(2**16 + 100):
+        padded.encode_value("server_ip", f"pad-{value}")
+    filtered = padded.select(range(3, 240, 20))
+    assert len(filtered.pool("server_ip")) > max(2 * len(filtered), 2**16)
+    return [
+        ("ports", ports, ("provider_key", "port"), {"relabel"}),
+        ("ports", ports, ("port", "subscriber_id"), {"relabel"}),
+        ("ports", ports, ("port",), set()),
+        ("ports", ports, ("provider_key", "transport", "subscriber_id"), {"relabel"}),
+        ("negative", ports, ("subscriber_id",), set()),
+        # 30 x 300 server pool x (120 line ids -> ranks) x 48 hours > limit.
+        ("ports", ports, ("server_ip", "subscriber_id", "timestamp"), {"relabel", "densify"}),
+        ("wide", wide, ("port",), {"densify"}),
+        ("wide", wide, ("transport", "port", "subscriber_id"), {"densify"}),
+        ("wide", wide, ("port", "provider_key"), {"densify"}),
+        ("one-row", one_row, ("provider_key",), set()),
+        ("one-row", one_row, ("port", "subscriber_id"), set()),
+        ("one-row", one_row, ("timestamp", "provider_key", "port"), set()),
+        ("filtered", filtered, ("provider_key",), set()),
+        ("filtered", filtered, ("provider_key", "timestamp"), set()),
+        ("filtered", filtered, ("server_ip",), {"densify"}),
+        ("filtered", filtered, ("server_ip", "provider_key"), {"densify"}),
+    ]
+
+
+def _numpy_build_branches(monkeypatch, table, by):
+    """Build the numpy index; return it with the builder branches it took."""
+    from repro.flows import kernels_np
+
+    taken = set()
+    relabel, unique = kernels_np._relabel, kernels_np.np.unique
+
+    def spy_relabel(*args):
+        taken.add("relabel")
+        return relabel(*args)
+
+    def spy_unique(*args, **kwargs):
+        taken.add("densify")
+        return unique(*args, **kwargs)
+
+    kernels.set_backend(kernels.BACKEND_NUMPY)
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels_np, "_relabel", spy_relabel)
+        patched.setattr(kernels_np.np, "unique", spy_unique)
+        index = kernels.build_group_index(table, by)
+    return index, taken
+
+
+def test_sort_free_builder_matches_the_python_builder_on_every_branch(monkeypatch):
+    """Relabel, direct and densify branches all give the python builder's index."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    for label, table, by, branches in _builder_cases():
+        kernels.set_backend(kernels.BACKEND_PYTHON)
+        expected = kernels.build_group_index(table, by)
+        built, taken = _numpy_build_branches(monkeypatch, table, by)
+        assert taken == branches, f"{label}/{by}: took {taken}"
+        assert built.gids.tobytes() == expected.gids.tobytes(), f"{label}/{by}"
+        assert built.group_keys == expected.group_keys, f"{label}/{by}"
+        # Masked aggregations recover the reference first-appearance order.
+        rng = random.Random(len(table))
+        for mask in _masks(rng, len(table)):
+            sums_ref = reference_group_sums(table, by, ("bytes_down",), mask)
+            count_ref = reference_group_distinct_count(table, by, "server_ip", mask)
+            distinct_ref = reference_group_distinct(table, by, "subscriber_id", mask)
+            table._group_cache.clear()
+            _assert_bit_identical(
+                f"{label}/{by}/sums", sums_ref, table.group_sums(by, ("bytes_down",), mask=mask)
+            )
+            _assert_bit_identical(
+                f"{label}/{by}/count",
+                count_ref,
+                table.group_distinct_count(by, "server_ip", mask=mask),
+            )
+            distinct = table.group_distinct(by, "subscriber_id", mask=mask)
+            assert list(distinct) == list(distinct_ref) and distinct == distinct_ref
 
 
 def _counted(run, prefix: str):
@@ -343,7 +574,7 @@ def test_totals_and_distinct_parity(seed):
     """Whole-table totals and distincts are bit-identical across backends."""
     for label, table in _adversarial_tables(seed):
         for name, _typecode in NUMERIC_COLUMNS:
-            reference = kernels.reference_total(table, name)
+            reference = reference_total(table, name)
             for backend in _backends():
                 kernels.set_backend(backend)
                 got = table.total(name)
@@ -352,7 +583,7 @@ def test_totals_and_distinct_parity(seed):
                     f"{label}/{name}/{backend}"
                 )
         for name in CATEGORICAL_COLUMNS + ("subscriber_id", "bytes_down"):
-            reference = kernels.reference_distinct(table, name)
+            reference = reference_distinct(table, name)
             for backend in _backends():
                 kernels.set_backend(backend)
                 assert table.distinct(name) == reference, f"{label}/{name}/{backend}"

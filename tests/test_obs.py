@@ -347,3 +347,61 @@ def test_traced_parallel_generation_is_byte_identical(tmp_path):
     assert traced.to_records() == plain.to_records()
     names = {e["name"] for e in obs_trace.read_trace(trace_file)}
     assert "gen.hour" in names and "gen.period" in names
+
+
+#: Fallbacks that used to leave no trace: lazy store reads handed to the
+#: eager decoder, and verdict caches dropped on an engine change.
+FALLBACK_COUNTERS = (
+    "store.mmap_fallbacks.byte_order",
+    "store.mmap_fallbacks.typecode",
+    "discovery.verdict_cache.drops",
+)
+
+
+def test_repro_stats_lists_the_fallback_counters(tmp_path, monkeypatch, capsys):
+    """Each fallback, provoked through its real code path, shows up in ``repro stats``."""
+    from array import array
+
+    from repro.cli import main
+    from repro.core.discovery import HostClassificationCache
+    from repro.flows.flowtable import FlowTable
+    from repro.store import codec
+
+    obs_metrics.enable()
+    narrow = FlowTable()
+    narrow._codes["transport"] = array("q")
+    codec.load_table_lazy(codec.dumps_table(narrow))
+    cache = HostClassificationCache()
+    cache.validate(object())
+    cache.put(("10.0.0.1", ()), ())
+    cache.validate(object())
+    empty = codec.dumps_table(FlowTable())
+    with monkeypatch.context() as patched:  # read as if written on a foreign-order host
+        patched.setattr(codec, "_LOCAL_ORDER", 1 - codec._LOCAL_ORDER)
+        codec.load_table_lazy(empty)
+    obs_metrics.disable()
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(obs_metrics.registry().snapshot()), encoding="utf-8")
+    assert main(["stats", "--metrics", str(path)]) == 0
+    rendered = capsys.readouterr().out
+    for name in FALLBACK_COUNTERS:
+        assert obs_metrics.registry().counter(name) == 1.0, name
+        assert name in rendered, name
+
+
+def test_cli_commands_record_no_fallback_cold_or_warm(tmp_path):
+    """The ten CLI commands on small(7), cold then warm from one store, fall back nowhere."""
+    from repro.cli import _COMMANDS
+    from repro.experiments.context import build_context
+    from repro.simulation.config import ScenarioConfig
+    from repro.store.artifacts import ArtifactStore
+
+    store = ArtifactStore(tmp_path / "store")
+    obs_metrics.enable()
+    for _run in ("cold", "warm"):
+        context = build_context(ScenarioConfig.small(7), use_cache=False, store=store)
+        assert len([command(context) for command in _COMMANDS.values()]) == 10
+    counters = obs_metrics.registry().counters()
+    assert counters.get("store.hits", 0.0) > 0, "the warm run must read the store"
+    assert not [name for name in FALLBACK_COUNTERS if name in counters], counters
+    assert not [name for name in counters if "fallbacks" in name], counters

@@ -3,6 +3,7 @@
 import io
 import random
 import struct
+from array import array
 from datetime import datetime, timedelta
 
 import pytest
@@ -14,8 +15,10 @@ from repro.flows.flowtable import (
     LazyColumn,
 )
 from repro.flows.netflow import make_flow
+from repro.obs import metrics as obs_metrics
 from repro.store.codec import (
     CODEC_VERSION,
+    MMAP_FALLBACK_COUNTER,
     StoreFormatError,
     dump_table,
     dumps_table,
@@ -175,6 +178,23 @@ def test_duplicate_pool_values_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _mmap_fallbacks(run):
+    """Run ``run()`` with metrics on; return its result and the mmap fallback counters."""
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        result = run()
+        counters = {
+            name: value
+            for name, value in obs_metrics.registry().counters().items()
+            if name.startswith(MMAP_FALLBACK_COUNTER)
+        }
+    finally:
+        obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+    return result, counters
+
+
 def _touch_all(table):
     """Force every lazy column through full decode + deferred validation."""
     for name in CATEGORICAL_COLUMNS:
@@ -250,7 +270,10 @@ class TestLazyRoundTrip:
         assert lazy.to_records() == table.to_records()
 
     def test_foreign_byte_order_artifact_falls_back_to_eager(self, monkeypatch):
-        """A faithful big-endian artifact loads correctly via the eager decoder."""
+        """A faithful big-endian artifact loads correctly via the eager decoder.
+
+        The hand-off is counted as ``store.mmap_fallbacks.byte_order``.
+        """
         from repro.store import codec as codec_module
 
         table = FlowTable.from_records(random_records(random.Random(24), 60))
@@ -268,10 +291,41 @@ class TestLazyRoundTrip:
             patched.setattr(codec_module, "_LOCAL_ORDER", foreign_order)
             foreign = dumps_table(swapped)
         assert foreign != dumps_table(table)
-        restored = load_table_lazy(foreign)
+        restored, counted = _mmap_fallbacks(lambda: load_table_lazy(foreign))
+        assert counted == {f"{MMAP_FALLBACK_COUNTER}.byte_order": 1.0}
         assert not isinstance(restored.codes("provider_key"), LazyColumn)
         assert restored.to_records() == table.to_records()
         assert dumps_table(restored) == dumps_table(table)
+
+    @pytest.mark.parametrize("typecode", ("q", "I", "b"))
+    def test_non_int_code_block_falls_back_to_eager(self, typecode):
+        """An integer code block other than ``'i'`` is read eagerly, counted as ``.typecode``.
+
+        ``'I'`` is one bit flip away from ``'i'``; the eager decoder used to
+        raise ``TypeError`` from ``array.extend`` on any such block.
+        """
+        table = FlowTable.from_records(random_records(random.Random(25), 40))
+        other = loads_table(dumps_table(table))
+        other._codes["transport"] = array(typecode, other._codes["transport"])
+        blob = dumps_table(other)
+        for load in (loads_table, load_table_lazy):
+            restored, counted = _mmap_fallbacks(lambda: load(blob))
+            assert restored.codes("transport").typecode == "i"
+            assert dumps_table(restored) == dumps_table(table)
+        assert counted == {f"{MMAP_FALLBACK_COUNTER}.typecode": 1.0}
+        assert not isinstance(restored.codes("provider_key"), LazyColumn)
+        # The local-order, all-'i' artifact takes the lazy path and counts nothing.
+        _lazy, counted = _mmap_fallbacks(lambda: load_table_lazy(dumps_table(table)))
+        assert counted == {}
+
+    def test_float_code_block_is_rejected_on_both_paths(self):
+        table = FlowTable.from_records(random_records(random.Random(26), 10))
+        other = loads_table(dumps_table(table))
+        other._codes["transport"] = array("d", other._codes["transport"])
+        blob = dumps_table(other)
+        for load in (loads_table, load_table_lazy):
+            with pytest.raises(StoreFormatError, match="'transport': code typecode 'd'"):
+                load(blob)
 
 
 class TestLazyCorruptionParity:
