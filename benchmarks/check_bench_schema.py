@@ -43,13 +43,6 @@ REQUIRED_NUMERIC_FIELDS: Dict[str, Tuple[str, ...]] = {
         "mmap_warm_seconds",
         "mmap_speedup",
     ),
-    "BENCH_genpar.json": (
-        "serial_seconds",
-        "parallel_seconds",
-        "speedup",
-        "workers",
-        "cpus",
-    ),
     "BENCH_discovery.json": (
         "cold_seconds",
         "incremental_seconds",

@@ -42,12 +42,8 @@ stages) and persisted discovery footprints (``discovery:<pattern
 fingerprint>``), so warm ``discovery``/``table1``/``sources`` runs skip the
 multi-source classification pipeline entirely; ``cache ls`` lists every stage.
 
-``--gen-workers N`` generates the hours of a study period in N parallel
-worker processes (hours draw from independent per-hour streams, so the flows
-— and therefore every downstream result and artifact-store address — are
-byte-identical at any worker count; only wall-clock changes).  Under ``sweep``
-it composes with ``--workers``: each scenario worker runs its own clamped
-generation pool, capped so the product never oversubscribes the machine.
+Flow generation runs serially inside one process; ``sweep --workers N``
+parallelizes across scenarios instead, one process per scenario.
 
 Observability (see :mod:`repro.obs`) is off by default and strictly
 read-only — results, store addresses, and ledger identity fields are
@@ -243,14 +239,6 @@ def _scenario_options() -> argparse.ArgumentParser:
         "(default: no persistent cache)",
     )
     common.add_argument(
-        "--gen-workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="parallel worker processes for per-hour flow generation "
-        "(byte-identical output at any count; default: serial)",
-    )
-    common.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -403,7 +391,6 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tup
             workers=args.workers,
             store=args.store,
             ledger_path=args.ledger,
-            gen_workers=args.gen_workers if args.gen_workers is not None else 1,
             retries=args.retries,
             timeout=args.timeout,
             backoff=args.backoff,
@@ -594,9 +581,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             output, exit_code = _run_sweep(args, parser)
         else:
             config = _make_config(args)
-            context = build_context(
-                config, store=_make_store(args), gen_workers=args.gen_workers
-            )
+            context = build_context(config, store=_make_store(args))
             output = _COMMANDS[args.command](context)
             exit_code = 0
         if metrics_out is not None:

@@ -223,7 +223,6 @@ def build_context(
     config: Optional[ScenarioConfig] = None,
     use_cache: bool = True,
     store: Optional["ArtifactStore"] = None,
-    gen_workers: Optional[int] = None,
 ) -> ExperimentContext:
     """Build (or fetch from cache) the experiment context for a configuration.
 
@@ -233,31 +232,19 @@ def build_context(
     The cache is a small LRU (:data:`CONTEXT_CACHE_MAX_ENTRIES`); callers that
     iterate many scenarios should pass ``use_cache=False`` and, for warm
     starts across runs, an :class:`~repro.store.artifacts.ArtifactStore`.
-
-    ``gen_workers`` sets the hour-level generation parallelism of the
-    context's world (see :mod:`repro.flows.parallel`).  It is an execution
-    knob, not a scenario knob: flow tables are byte-identical at every worker
-    count, so it participates in neither the LRU key nor the artifact-store
-    content address.  Every call — cold build or cache hit — applies the
-    requested value (``None`` means the serial default), so a context's
-    parallelism always reflects the latest ``build_context`` call instead of
-    whichever caller happened to build it first.
     """
     config = config or ScenarioConfig()
-    effective_workers = max(1, gen_workers) if gen_workers is not None else 1
     cache_key = _cache_key(config, store)
     if use_cache:
         cached = _CONTEXT_CACHE.get(cache_key)
         if cached is not None:
             _CONTEXT_CACHE.move_to_end(cache_key)
-            cached.world.gen_workers = effective_workers
             obs_metrics.inc("context.lru_hits")
             return cached
     obs_metrics.inc("context.cold_builds")
     with span("context.build"):
         world = build_world(config)
     world.artifact_store = store
-    world.gen_workers = effective_workers
     context = ExperimentContext(config=config, world=world, store=store)
     if use_cache:
         _CONTEXT_CACHE[cache_key] = context

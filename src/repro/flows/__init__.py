@@ -12,7 +12,6 @@ from repro.flows.devices import ACTIVITY_PROFILES, ActivityProfile, DeviceModel,
 from repro.flows.subscribers import DeviceInstance, SubscriberLine, SubscriberPopulation
 from repro.flows.netflow import FlowRecord, NetFlowCollector
 from repro.flows.anonymize import AnonymizationMap
-from repro.flows.parallel import available_cpus, effective_gen_workers
 from repro.flows.workload import WorkloadGenerator
 
 __all__ = [
@@ -26,7 +25,5 @@ __all__ = [
     "FlowRecord",
     "NetFlowCollector",
     "AnonymizationMap",
-    "available_cpus",
-    "effective_gen_workers",
     "WorkloadGenerator",
 ]

@@ -30,10 +30,9 @@ backend behind ``IOT_REPRO_KERNELS``).  Every filter ends in
 exactly one entry per row: :meth:`select_mask` and the grouped aggregations
 raise ``ValueError`` naming both lengths otherwise.  The grouping permutation
 is computed once per ``(table, key columns)`` pair -- :meth:`group_index` --
-and cached until any mutating primitive (:meth:`extend`,
-:meth:`append_columns`, :meth:`extend_table`, :meth:`truncate`,
-:meth:`assign_numeric`) bumps the table's mutation counter, so analyses
-sharing a grouping share the index.
+and cached until any mutating primitive (:meth:`extend`, :meth:`append`,
+:meth:`append_columns`, :meth:`assign_numeric`) bumps the table's mutation
+counter, so analyses sharing a grouping share the index.
 
 ``FlowTable`` iterates and indexes like a sequence of ``FlowRecord`` row
 views (materialized on demand), and :meth:`from_records`/:meth:`to_records`
@@ -100,24 +99,9 @@ NUMERIC_COLUMNS = (
 _NUMERIC_TYPECODES = dict(NUMERIC_COLUMNS)
 _NUMERIC_NAMES = tuple(_NUMERIC_TYPECODES)
 
-#: One C-level fetch of every FlowRecord field, in conversion order.
-_RECORD_FIELDS = attrgetter(
-    "timestamp",
-    "subscriber_prefix",
-    "provider_key",
-    "server_ip",
-    "server_continent",
-    "server_region",
-    "transport",
-    "subscriber_id",
-    "ip_version",
-    "port",
-    "bytes_down",
-    "bytes_up",
-    "packets_down",
-    "packets_up",
-    "sampled",
-)
+#: Every FlowRecord field in column order, and one C-level fetch of them all.
+_RECORD_FIELD_NAMES = CATEGORICAL_COLUMNS + _NUMERIC_NAMES
+_RECORD_FIELDS = attrgetter(*_RECORD_FIELD_NAMES)
 
 GroupKey = Union[object, Tuple[object, ...]]
 
@@ -248,17 +232,6 @@ class FlowTable:
         self._version = 0
         self._group_cache: Dict[Tuple[str, ...], "kernels.GroupIndex"] = {}
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Group indexes are derived data; drop them so pickled tables (the
-        # parallel-generation batch shipping path) stay compact and free of
-        # backend-specific objects.  Lazy columns are decoded first: their
-        # memoryviews over an mmap'd artifact cannot leave the process.
-        state = dict(self.__dict__)
-        state["_group_cache"] = {}
-        state["_codes"] = {name: _seq(column) for name, column in self._codes.items()}
-        state["_numeric"] = {name: _seq(column) for name, column in self._numeric.items()}
-        return state
-
     def _materialize_for_write(self) -> None:
         """Copy-on-write barrier: decode every lazy column into a mutable array.
 
@@ -282,23 +255,6 @@ class FlowTable:
         """Build a table from flow records (one full pass)."""
         table = cls()
         table.extend(records)
-        return table
-
-    @classmethod
-    def concat(cls, tables: Sequence["FlowTable"]) -> "FlowTable":
-        """Merge tables into a new one with canonical dictionary codes.
-
-        Equivalent to ``from_records(t0.to_records() + t1.to_records() + ...)``
-        — same rows, same pools, same codes, hence byte-identical under
-        :func:`~repro.store.codec.dump_table` — but without materializing any
-        records: each source table is remapped code-wise via
-        :meth:`extend_table`.  This is the merge primitive behind parallel
-        per-hour workload generation, where worker batches arrive with
-        batch-local pools and must land in one canonically coded table.
-        """
-        table = cls()
-        for source in tables:
-            table.extend_table(source)
         return table
 
     def append(self, record: FlowRecord) -> None:
@@ -388,63 +344,6 @@ class FlowTable:
         if length:
             self._version += 1
 
-    def extend_table(self, other: "FlowTable") -> None:
-        """Append another table's rows, remapping its dictionary codes.
-
-        The result is exactly what ``self.extend(other.to_records())`` would
-        produce: same rows, same pools, same codes.  Pools are per-column, so
-        the record path's row-major interning order is reproduced by remapping
-        column-at-a-time as long as each column's *novel* values are interned
-        in the order their first-carrying row appears — which is exactly the
-        iteration order of ``dict.fromkeys`` over the source code array.  Each
-        distinct source code then pays one pool probe and every row two
-        C-level dict lookups, regardless of pool size or sharing, so merging
-        is far cheaper than re-encoding records.  Tables that already share
-        this table's pools (slices, mask selections) skip the remap entirely.
-
-        Like :meth:`append_columns`, the append is atomic on the columns: the
-        remapped code arrays are fully built before any column is extended.
-        (Pools are append-only, so entries interned by a failed call are
-        harmless.)
-        """
-        count = other._length
-        if other._pools is self._pools:
-            remapped: Dict[str, Sequence[int]] = {
-                name: other._codes[name] for name in CATEGORICAL_COLUMNS
-            }
-        else:
-            remapped = {}
-            for name in CATEGORICAL_COLUMNS:
-                source = other._codes[name]
-                pool = other._pools[name].values
-                encode = self._pools[name].encode
-                remap = {code: encode(pool[code]) for code in dict.fromkeys(source)}
-                remapped[name] = array("i", map(remap.__getitem__, source))
-        self.append_columns(
-            count,
-            codes=remapped,
-            numeric={name: other._numeric[name] for name, _typecode in NUMERIC_COLUMNS},
-        )
-
-    def truncate(self, length: int) -> None:
-        """Drop every row at index ``length`` or beyond (pools are untouched).
-
-        Parallel generation workers reuse one pool-context table across hour
-        batches: each batch is appended, compacted out via :meth:`concat`, and
-        truncated away again so worker memory stays flat while the interned
-        plan values keep their codes.
-        """
-        if length < 0 or length > self._length:
-            raise ValueError(f"cannot truncate {self._length} rows to {length}")
-        self._materialize_for_write()
-        if length != self._length:
-            self._version += 1
-        for name in CATEGORICAL_COLUMNS:
-            del self._codes[name][length:]
-        for name, _typecode in NUMERIC_COLUMNS:
-            del self._numeric[name][length:]
-        self._length = length
-
     def assign_numeric(self, name: str, values: Iterable) -> None:
         """Replace one numeric column wholesale (length-checked).
 
@@ -462,102 +361,23 @@ class FlowTable:
         self._version += 1
 
     def extend(self, records: Iterable[FlowRecord]) -> None:
-        """Append many records.
+        """Append many records through one atomic :meth:`append_columns` call.
 
-        This is the conversion hot path (one call per raw flow corpus), so the
-        dictionary encoding is inlined with pre-bound column methods instead of
-        going through per-field lookups.
+        Each categorical value is interned in its column's pool in row order;
+        pools are per column, so the codes match a row-by-row encoding.  A
+        record that fails mid-batch leaves the rows unchanged (pools are
+        append-only, so values interned before the failure are harmless).
         """
-        self._materialize_for_write()
-        encoders = []
-        for name in CATEGORICAL_COLUMNS:
-            pool = self._pools[name]
-            encoders.append((self._codes[name].append, pool.code_of, pool.values))
-        (
-            (ts_append, ts_codes, ts_values),
-            (prefix_append, prefix_codes, prefix_values),
-            (provider_append, provider_codes, provider_values),
-            (ip_append, ip_codes, ip_values),
-            (continent_append, continent_codes, continent_values),
-            (region_append, region_codes, region_values),
-            (transport_append, transport_codes, transport_values),
-        ) = encoders
-        numeric = self._numeric
-        subscriber_append = numeric["subscriber_id"].append
-        version_append = numeric["ip_version"].append
-        port_append = numeric["port"].append
-        down_append = numeric["bytes_down"].append
-        up_append = numeric["bytes_up"].append
-        packets_down_append = numeric["packets_down"].append
-        packets_up_append = numeric["packets_up"].append
-        sampled_append = numeric["sampled"].append
-        fields = _RECORD_FIELDS
-        count = 0
-        for record in records:
-            (
-                timestamp,
-                prefix,
-                provider,
-                server_ip,
-                continent,
-                region,
-                transport,
-                subscriber,
-                version,
-                port,
-                down,
-                up,
-                packets_down,
-                packets_up,
-                sampled,
-            ) = fields(record)
-            code = ts_codes.get(timestamp)
-            if code is None:
-                code = ts_codes[timestamp] = len(ts_values)
-                ts_values.append(timestamp)
-            ts_append(code)
-            code = prefix_codes.get(prefix)
-            if code is None:
-                code = prefix_codes[prefix] = len(prefix_values)
-                prefix_values.append(prefix)
-            prefix_append(code)
-            code = provider_codes.get(provider)
-            if code is None:
-                code = provider_codes[provider] = len(provider_values)
-                provider_values.append(provider)
-            provider_append(code)
-            code = ip_codes.get(server_ip)
-            if code is None:
-                code = ip_codes[server_ip] = len(ip_values)
-                ip_values.append(server_ip)
-            ip_append(code)
-            code = continent_codes.get(continent)
-            if code is None:
-                code = continent_codes[continent] = len(continent_values)
-                continent_values.append(continent)
-            continent_append(code)
-            code = region_codes.get(region)
-            if code is None:
-                code = region_codes[region] = len(region_values)
-                region_values.append(region)
-            region_append(code)
-            code = transport_codes.get(transport)
-            if code is None:
-                code = transport_codes[transport] = len(transport_values)
-                transport_values.append(transport)
-            transport_append(code)
-            subscriber_append(subscriber)
-            version_append(version)
-            port_append(port)
-            down_append(down)
-            up_append(up)
-            packets_down_append(packets_down)
-            packets_up_append(packets_up)
-            sampled_append(1 if sampled else 0)
-            count += 1
-        self._length += count
-        if count:
-            self._version += 1
+        rows = list(map(_RECORD_FIELDS, records))
+        columns = list(zip(*rows)) or [()] * len(_RECORD_FIELD_NAMES)
+        values = dict(zip(_RECORD_FIELD_NAMES, columns))
+        codes = {
+            name: list(map(self._pools[name].encode, values[name]))
+            for name in CATEGORICAL_COLUMNS
+        }
+        numeric = {name: values[name] for name in _NUMERIC_NAMES}
+        numeric["sampled"] = [1 if flag else 0 for flag in values["sampled"]]
+        self.append_columns(len(rows), codes, numeric)
 
     # -- sequence protocol -------------------------------------------------------
 
@@ -808,10 +628,9 @@ class FlowTable:
         """The cached grouping permutation for a key-column combination.
 
         Built once per table revision and reused by every aggregation that
-        shares the grouping; any mutation (:meth:`extend`,
-        :meth:`append_columns`, :meth:`extend_table`, :meth:`truncate`,
-        :meth:`assign_numeric`) bumps :attr:`_version`, so a stale index can
-        never be returned.  Derived tables (:meth:`select`, slices) start
+        shares the grouping; any mutation (:meth:`extend`, :meth:`append`,
+        :meth:`append_columns`, :meth:`assign_numeric`) bumps :attr:`_version`,
+        so a stale index can never be returned.  Derived tables (:meth:`select`, slices) start
         with an empty cache of their own.
         """
         from repro.flows import kernels

@@ -43,9 +43,9 @@ not under numpy (``bincount`` starts from ``+0.0``).
 
 The :class:`GroupIndex` cache lives on the table (``FlowTable.group_index``)
 and is invalidated by a mutation counter bumped by every mutating primitive
-(``extend``/``append_columns``/``extend_table``/``truncate``/
-``assign_numeric``); pool growth alone (``encode_value``, sibling tables
-sharing pools) does not change any row and deliberately does not invalidate.
+(``extend``/``append``/``append_columns``/``assign_numeric``); pool growth
+alone (``encode_value``, sibling tables sharing pools) does not change any row
+and deliberately does not invalidate.
 """
 
 from __future__ import annotations

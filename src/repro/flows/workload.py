@@ -215,34 +215,15 @@ class WorkloadGenerator:
     # -- flow generation -------------------------------------------------------------
 
     def generate_period_table(
-        self,
-        period: StudyPeriod,
-        include_scanners: bool = True,
-        workers: Optional[int] = None,
+        self, period: StudyPeriod, include_scanners: bool = True
     ) -> FlowTable:
         """Generate all flows of a study period, scanner traffic included.
 
         Flows are appended hourly-batch-wise straight into ``FlowTable``
         columns, hours in order, each day followed by that day's scanner
         traffic when ``include_scanners`` is set.
-
-        With ``workers`` > 1 the hours are generated by a multiprocess pool
-        (see :mod:`repro.flows.parallel`): every hour draws from its own fresh
-        ``workload:<hour-iso>`` stream, so hours are independent and the
-        parallel result is byte-identical to the serial one — only wall-clock
-        changes.  The serial path is used when the pool cannot help (one
-        worker, a single hour) or cannot exist (already inside a daemonic
-        pool worker).
         """
-        if workers is not None and workers > 1:
-            from repro.flows.parallel import generate_period_table_parallel, parallelism_usable
-
-            if parallelism_usable() and period.n_days * 24 > 1:
-                with span("gen.period", start=period.start.isoformat(), workers=workers):
-                    return generate_period_table_parallel(
-                        self, period, include_scanners, workers
-                    )
-        with span("gen.period", start=period.start.isoformat(), workers=1):
+        with span("gen.period", start=period.start.isoformat()):
             table = FlowTable()
             rows, outage_keys = self._encoded_plans(table)
             scanner_lines = self.population.scanner_lines() if include_scanners else []

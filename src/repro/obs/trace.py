@@ -13,7 +13,7 @@ is enabled, appends one JSON line per *completed* span to the trace file:
 * ``parent_id`` links nested spans per thread (a thread-local stack), so a
   trace reconstructs the stage tree of each process.
 * Lines are written with a single ``os.write`` on an ``O_APPEND`` descriptor:
-  on POSIX, concurrent appenders (forked sweep/generation workers inherit the
+  on POSIX, concurrent appenders (forked sweep workers inherit the
   open descriptor; spawned ones re-open the same path) interleave whole
   lines, never bytes.
 

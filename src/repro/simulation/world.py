@@ -114,11 +114,6 @@ class World:
     #: Optional persistent cache; when set, generated period tables warm-start
     #: from disk (see :mod:`repro.store.artifacts`).
     artifact_store: Optional["ArtifactStore"] = None
-    #: Hour-level generation workers (see :mod:`repro.flows.parallel`).  An
-    #: *execution* knob, deliberately not a :class:`ScenarioConfig` field:
-    #: generation is byte-identical at every worker count, so the artifact
-    #: store's content address must not (and does not) depend on it.
-    gen_workers: int = 1
 
     # -- ground-truth views -----------------------------------------------------------
 
@@ -200,18 +195,14 @@ class World:
         store = self.artifact_store
         if store is None:
             generator = self.workload_generator()
-            return generator.generate_period_table(
-                period, include_scanners=include_scanners, workers=self.gen_workers
-            )
+            return generator.generate_period_table(period, include_scanners=include_scanners)
         from repro.store.artifacts import generated_stage
 
         stage = generated_stage(include_scanners)
         table = store.get_table(self.config, period, stage)
         if table is None:
             generator = self.workload_generator()
-            table = generator.generate_period_table(
-                period, include_scanners=include_scanners, workers=self.gen_workers
-            )
+            table = generator.generate_period_table(period, include_scanners=include_scanners)
             store.put_table(self.config, period, stage, table)
         return table
 

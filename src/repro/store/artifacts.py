@@ -36,11 +36,9 @@ payload file has a JSON sidecar with human-readable metadata, which powers
 Artifacts live in a **digest-sharded layout**: payload and sidecar of digest
 ``abcdef…`` are stored under ``ab/cdef….rft`` / ``ab/cdef….json``, fanning a
 campaign's files out over up to 256 subdirectories so thousand-scenario
-sweeps do not serialize on one hot directory.  Stores written by earlier
-versions used a flat layout (``abcdef….rft`` at the root); reads fall back to
-the flat path transparently, and re-writing an artifact migrates it into its
-shard (removing the flat copy), so old stores keep working without a
-migration step.
+sweeps do not serialize on one hot directory.  The store is a cache, so a
+file in any other place (such as the flat ``abcdef….rft`` layout of earlier
+versions) is simply a miss; a full :meth:`ArtifactStore.prune` removes it.
 """
 
 from __future__ import annotations
@@ -191,34 +189,6 @@ class ArtifactStore:
     def _meta_path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest[2:]}{_META_SUFFIX}"
 
-    def _legacy_payload_path(self, digest: str) -> Path:
-        """The pre-sharding flat payload path (read/cleanup compatibility)."""
-        return self.root / f"{digest}{_PAYLOAD_SUFFIX}"
-
-    def _legacy_meta_path(self, digest: str) -> Path:
-        return self.root / f"{digest}{_META_SUFFIX}"
-
-    def _open_payload(self, digest: str):
-        """Open the payload of a digest, trying sharded then legacy layout."""
-        try:
-            return self._payload_path(digest).open("rb")
-        except FileNotFoundError:
-            return self._legacy_payload_path(digest).open("rb")
-
-    def _payload_file(self, digest: str) -> Path:
-        """The existing payload path of a digest (sharded then legacy).
-
-        Raises :class:`FileNotFoundError` when neither layout has the file,
-        mirroring :meth:`_open_payload` for the mmap read path.
-        """
-        path = self._payload_path(digest)
-        if path.is_file():
-            return path
-        legacy = self._legacy_payload_path(digest)
-        if legacy.is_file():
-            return legacy
-        raise FileNotFoundError(str(path))
-
     def _tmp_suffix(self) -> str:
         """Unique temp-file suffix per writer (process *and* thread)."""
         return f".tmp-{os.getpid()}-{threading.get_ident()}"
@@ -240,13 +210,13 @@ class ArtifactStore:
         see a table or ``None``.
         """
         digest = scenario_fingerprint(config, period, stage)
+        path = self._payload_path(digest)
         try:
             if self.mmap_reads:
-                path = self._payload_file(digest)
                 payload_bytes = path.stat().st_size
                 table = load_table_mmap(path)
             else:
-                with self._open_payload(digest) as stream:
+                with path.open("rb") as stream:
                     payload_bytes = os.fstat(stream.fileno()).st_size
                     table = load_table(stream)
             obs_metrics.inc("store.hits")
@@ -307,7 +277,7 @@ class ArtifactStore:
         """
         digest = scenario_fingerprint(config, period, self._pipeline_fingerprint_stage(stage))
         try:
-            with self._open_payload(digest) as stream:
+            with self._payload_path(digest).open("rb") as stream:
                 payload_bytes = os.fstat(stream.fileno()).st_size
                 result = load_pipeline_result(stream)
             obs_metrics.inc("store.hits")
@@ -379,27 +349,11 @@ class ArtifactStore:
                 meta_tmp.unlink()
         obs_metrics.inc("store.writes")
         obs_metrics.inc("store.bytes_written", float(payload_bytes))
-        # Migration on write: a re-written artifact supersedes any flat-layout
-        # copy of itself, so the legacy files are dropped to avoid duplicates.
-        migrated = False
-        for legacy in (self._legacy_payload_path(digest), self._legacy_meta_path(digest)):
-            try:
-                legacy.unlink()
-                migrated = True
-            except OSError:
-                pass
-        if migrated:
-            obs_metrics.inc("store.migrations")
 
     def _discard(self, digest: str) -> int:
-        """Remove one artifact (payload + sidecar, both layouts); return bytes freed."""
+        """Remove one artifact (payload + sidecar); return bytes freed."""
         freed = 0
-        for path in (
-            self._payload_path(digest),
-            self._meta_path(digest),
-            self._legacy_payload_path(digest),
-            self._legacy_meta_path(digest),
-        ):
+        for path in (self._payload_path(digest), self._meta_path(digest)):
             try:
                 freed += path.stat().st_size
                 path.unlink()
@@ -409,22 +363,10 @@ class ArtifactStore:
 
     # -- inspection / maintenance ------------------------------------------------
 
-    def _meta_paths(self) -> List[Path]:
-        """Every sidecar file, sharded layout first, then legacy flat files."""
-        return sorted(self.root.glob(f"*/*{_META_SUFFIX}")) + sorted(
-            self.root.glob(f"*{_META_SUFFIX}")
-        )
-
-    def _payload_exists(self, digest: str) -> bool:
-        return (
-            self._payload_path(digest).exists() or self._legacy_payload_path(digest).exists()
-        )
-
     def entries(self) -> List[ArtifactEntry]:
-        """All stored artifacts (either layout), oldest first."""
+        """All stored artifacts, oldest first."""
         entries: List[ArtifactEntry] = []
-        seen: set = set()
-        for meta_path in self._meta_paths():
+        for meta_path in self.root.glob(f"*/*{_META_SUFFIX}"):
             try:
                 meta = json.loads(meta_path.read_text())
                 entry = ArtifactEntry(
@@ -438,12 +380,7 @@ class ArtifactStore:
                 )
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
                 continue
-            # Sharded sidecars are listed first, so they win over a stale
-            # legacy duplicate of the same digest.
-            if entry.digest in seen:
-                continue
-            if self._payload_exists(entry.digest):
-                seen.add(entry.digest)
+            if self._payload_path(entry.digest).exists():
                 entries.append(entry)
         entries.sort(key=lambda entry: (entry.created, entry.digest))
         return entries

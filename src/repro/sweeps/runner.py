@@ -40,20 +40,14 @@ The execution core is built to survive thousand-scenario campaigns:
   timestamps, worker id, attempt, status) differ, and
   :meth:`ScenarioOutcome.identity` excludes exactly those.
 
-Scenario-level and hour-level parallelism compose: ``gen_workers`` turns on
-multiprocess per-hour flow generation *inside* each scenario (see
-:mod:`repro.flows.parallel`), clamped via
-:func:`~repro.flows.parallel.effective_gen_workers` so the product of the two
-levels never oversubscribes the visible CPUs.  The scenario pool is a
-non-daemonic :class:`~concurrent.futures.ProcessPoolExecutor` precisely so the
-nested generation pools are allowed to exist; generation output is
-byte-identical at every worker count, so the composition changes wall-clock
-only.
+Parallelism is scenario-level only: each scenario generates its flows
+serially inside its own worker process.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -68,7 +62,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import logging
 
 from repro.core.report import render_table
-from repro.flows.parallel import effective_gen_workers, pool_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger, log_event
@@ -158,7 +151,6 @@ class _Task:
     config: ScenarioConfig
     metrics: Tuple[str, ...]
     store_root: Optional[str]
-    gen_workers: int
     timeout: Optional[float]
     attempt: int
     #: Trace file the worker should append spans to (None = tracing off).
@@ -280,9 +272,7 @@ def _execute_scenario(task: _Task) -> ScenarioOutcome:
                 if FAULT_HOOK is not None:
                     FAULT_HOOK(task.scenario_id, task.attempt)
                 metric_fns = resolve_metrics(task.metrics)
-                context = build_context(
-                    task.config, use_cache=False, store=store, gen_workers=task.gen_workers
-                )
+                context = build_context(task.config, use_cache=False, store=store)
                 for fn in metric_fns.values():
                     metrics.update(fn(context))
     except _ScenarioTimeout:
@@ -644,6 +634,14 @@ class _Campaign:
         )
 
 
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context of the scenario pool: fork when the
+    platform offers it (cheap, and workers inherit the imported modules),
+    spawn otherwise."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 class SweepRunner:
     """Execute a scenario grid across crash-isolated multiprocess workers."""
 
@@ -663,8 +661,9 @@ class SweepRunner:
         self.metrics = tuple(metrics)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if gen_workers < 1:
-            raise ValueError("gen_workers must be >= 1")
+        # Generation is serial; the parameter stays only for perfbench, which passes 1.
+        if gen_workers != 1:
+            raise ValueError(f"gen_workers must be 1 (generation is serial), got {gen_workers}")
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if timeout is not None and timeout <= 0:
@@ -674,7 +673,6 @@ class SweepRunner:
         if max_consecutive_failures is not None and max_consecutive_failures < 1:
             raise ValueError("max_consecutive_failures must be >= 1")
         self.workers = workers
-        self.gen_workers = gen_workers
         self.store_root = str(store) if store is not None else None
         self.ledger_path = Path(ledger_path) if ledger_path is not None else None
         self.retries = retries
@@ -684,14 +682,13 @@ class SweepRunner:
 
     # -- task construction -------------------------------------------------------
 
-    def _task(self, spec: ScenarioSpec, gen_workers: int, attempt: int) -> _Task:
+    def _task(self, spec: ScenarioSpec, attempt: int) -> _Task:
         return _Task(
             scenario_id=spec.scenario_id,
             axes=spec.axes,
             config=spec.config,
             metrics=self.metrics,
             store_root=self.store_root,
-            gen_workers=gen_workers,
             timeout=self.timeout,
             attempt=attempt,
             trace_path=obs_trace.trace_path(),
@@ -774,13 +771,12 @@ class SweepRunner:
         pending = [(index, spec) for index, spec in enumerate(specs) if index not in results]
         campaign = _Campaign(writer, results, self.max_consecutive_failures)
         workers = min(self.workers, max(1, len(pending) or 1))
-        gen_workers = effective_gen_workers(self.gen_workers, workers)
         try:
             if pending:
                 if workers <= 1:
-                    self._run_serial(pending, campaign, gen_workers)
+                    self._run_serial(pending, campaign)
                 else:
-                    self._run_parallel(pending, campaign, workers, gen_workers)
+                    self._run_parallel(pending, campaign, workers)
         finally:
             if writer is not None:
                 writer.close()
@@ -791,10 +787,7 @@ class SweepRunner:
         return result
 
     def _run_serial(
-        self,
-        pending: Sequence[Tuple[int, ScenarioSpec]],
-        campaign: _Campaign,
-        gen_workers: int,
+        self, pending: Sequence[Tuple[int, ScenarioSpec]], campaign: _Campaign
     ) -> None:
         """In-process execution (workers=1) with the same fault policy."""
         for index, spec in pending:
@@ -803,7 +796,7 @@ class SweepRunner:
                 continue
             attempt = 1
             while True:
-                outcome = _execute_scenario(self._task(spec, gen_workers, attempt))
+                outcome = _execute_scenario(self._task(spec, attempt))
                 if outcome.ok or attempt > self.retries:
                     campaign.record_final(index, outcome)
                     break
@@ -814,8 +807,8 @@ class SweepRunner:
                 attempt += 1
 
     def _new_executor(self, workers: int) -> ProcessPoolExecutor:
-        # Executor workers are non-daemonic (unlike multiprocessing.Pool's),
-        # so per-scenario generation pools may nest inside them.
+        # A process pool, not threads: each scenario runs crash-isolated, so a
+        # worker death breaks only the executor, which _run_parallel respawns.
         return ProcessPoolExecutor(max_workers=workers, mp_context=pool_context())
 
     def _run_parallel(
@@ -823,7 +816,6 @@ class SweepRunner:
         pending: Sequence[Tuple[int, ScenarioSpec]],
         campaign: _Campaign,
         workers: int,
-        gen_workers: int,
     ) -> None:
         """Submit-and-drain scheduling that survives worker death.
 
@@ -848,22 +840,30 @@ class SweepRunner:
                         campaign.record_skipped(index, self._skipped_outcome(spec, campaign))
                     waiting = []
                 still_waiting: List[Tuple[int, ScenarioSpec, int, float]] = []
+                pool_broken = False
                 for item in sorted(waiting, key=lambda it: (it[3], it[0])):
                     index, spec, attempt, ready = item
-                    if len(inflight) < workers and ready <= now:
-                        future = executor.submit(
-                            _execute_scenario, self._task(spec, gen_workers, attempt)
-                        )
+                    if not pool_broken and len(inflight) < workers and ready <= now:
+                        try:
+                            future = executor.submit(_execute_scenario, self._task(spec, attempt))
+                        except BrokenProcessPool:
+                            # A worker died since the last drain.  This scenario
+                            # never started, so it waits for the respawned pool
+                            # without being charged an attempt.
+                            pool_broken = True
+                            still_waiting.append(item)
+                            continue
                         inflight[future] = (index, spec, attempt)
                     else:
                         still_waiting.append(item)
                 waiting = still_waiting
-                if not inflight:
+                if not inflight and not pool_broken:
                     if waiting:  # everything is backing off; sleep to the earliest retry
                         time.sleep(max(0.0, min(item[3] for item in waiting) - now))
                     continue
-                done, _running = wait(set(inflight), timeout=0.1, return_when=FIRST_COMPLETED)
-                pool_broken = False
+                done = set()
+                if inflight:
+                    done, _running = wait(set(inflight), timeout=0.1, return_when=FIRST_COMPLETED)
                 for future in done:
                     index, spec, attempt = inflight.pop(future)
                     try:

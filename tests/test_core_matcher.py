@@ -96,6 +96,29 @@ def test_match_many_agrees_with_single_lookups(pattern_set):
         assert bulk[name] == engine.match(name)
 
 
+def test_match_many_agrees_on_dotted_and_fallback_patterns():
+    patterns = {
+        "dotted": [DomainPattern("dotted", r"^[a-z0-9-]+\.dot\.example\.$")],
+        "indexed": [DomainPattern("indexed", r"^[a-z0-9-]+\.shared\.example\.?$")],
+        "odd": [DomainPattern("odd", r"device-[0-9]+\.example\.(com|net)$")],
+    }
+    names = [
+        "x.dot.example",
+        "X.Shared.Example.",
+        "x.shared.example.org",
+        "device-7.example.net",
+        "device-7.Example.com.",
+        "nodots",
+        "",
+    ]
+    for keys in (("dotted", "indexed"), tuple(patterns)):
+        engine = CompiledPatternSet.from_patterns({key: patterns[key] for key in keys})
+        bulk = engine.match_many(names + names)
+        assert bulk == {name: engine.match(name) for name in names}
+        assert bulk["x.dot.example"] == "dotted"
+        assert bulk["X.Shared.Example."] == "indexed"
+
+
 def test_pattern_set_delegation_consistency(pattern_set):
     for name in ("tenant.iot.eu-west-1.amazonaws.com", "mqtt.googleapis.com.", "x.example"):
         assert pattern_set.match(name) == pattern_set.engine().match(name)

@@ -61,30 +61,9 @@ def test_architecture_guide_exists_and_names_the_contracts():
         "RngRegistry",
         "mutate",  # the don't-attach-a-store-to-a-mutated-world caveat
         "discovery:",  # the persisted-discovery stage tag
-        "gen_workers",  # within-period parallelism knob
-        "extend_table",  # the pool-remapping merge primitive behind it
-        "byte-identical",  # the contract that makes the knob an execution knob
+        "byte-identical",  # the determinism contract every layer keeps
     ):
         assert concept in text, f"ARCHITECTURE.md does not mention {concept!r}"
-
-
-def test_gen_workers_flag_is_documented_everywhere():
-    """The parallelism flag must stay documented alongside its contract.
-
-    It must be exposed by the parser on the experiment commands *and* sweep,
-    and described in the README, the CLI module docstring, and the
-    architecture guide — drift in any of them fails here.
-    """
-    parser = cli.build_parser()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name in ("traffic", "sweep"):
-                sub = action.choices[name]
-                flags = [flag for a in sub._actions for flag in a.option_strings]
-                assert "--gen-workers" in flags, f"{name} lost the --gen-workers option"
-    assert "--gen-workers" in README.read_text(encoding="utf-8")
-    assert "--gen-workers" in cli.__doc__
-    assert "--gen-workers" in ARCHITECTURE.read_text(encoding="utf-8")
 
 
 def test_fault_tolerance_flags_are_documented_everywhere():

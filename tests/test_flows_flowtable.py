@@ -8,9 +8,10 @@ import pytest
 
 from repro.core import traffic
 from repro.flows.anonymize import AnonymizationMap
-from repro.flows.flowtable import FlowTable
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import make_flow
 from repro.protocols.ports import port_label
+from repro.store.codec import dumps_table, loads_table
 
 BASE_DAY = date(2022, 3, 1)
 ANON = AnonymizationMap.build()
@@ -128,6 +129,24 @@ class TestBuilderApi:
         # The failed batch left no partial rows behind.
         assert len(built) == 4
         assert built.to_records() == records[:4]
+
+    def test_extend_is_atomic_when_a_record_fails_mid_batch(self, records):
+        """A bad record leaves no partial rows behind in any column."""
+        amazon, google, siemens = (
+            replace(records[0], provider_key=key, port=port)
+            for key, port in (("amazon", 443), ("google", 443), ("siemens", 80))
+        )
+        built = FlowTable.from_records([amazon])
+        with pytest.raises(TypeError):
+            built.extend([google, replace(records[1], port="bad")])
+        assert built.to_records() == [amazon]
+        for name in CATEGORICAL_COLUMNS:
+            assert len(built.codes(name)) == len(built), name
+        for name, _typecode in NUMERIC_COLUMNS:
+            assert len(built.numeric(name)) == len(built), name
+        assert loads_table(dumps_table(built)).to_records() == [amazon]
+        built.extend([siemens])
+        assert built.to_records() == [amazon, siemens]
 
     def test_assign_numeric_validates_length(self, records):
         built = FlowTable.from_records(records[:6])

@@ -1,13 +1,12 @@
 """Property/fuzz tests for FlowTable composition against a record-level model.
 
-The parallel generation path leans on a precise contract: merging tables with
-:meth:`FlowTable.concat` / :meth:`FlowTable.extend_table` must be *exactly*
-equivalent — rows, pools, codes, serialized bytes — to converting the
-concatenated record lists with :meth:`FlowTable.from_records`.  These tests
-pin that contract with randomized corpora: every composition operator
-(``concat``, ``extend_table``, slicing, ``select``/``select_mask``,
-``truncate``) is checked against the plain-list reference model, and byte
-equality under the store codec is asserted wherever pool order matters.
+A table built in pieces must be *exactly* equivalent — rows, pools, codes,
+serialized bytes — to converting the whole record list at once with
+:meth:`FlowTable.from_records`.  These tests pin that contract with
+randomized corpora: every composition operator (``extend``,
+``append_columns``, slicing, ``select_mask``) is checked against the
+plain-list reference model, and byte equality under the store codec is
+asserted wherever pool order matters.
 
 No hypothesis dependency: the fuzzing is seeded ``random`` loops, so failures
 reproduce deterministically from the printed seed.
@@ -19,7 +18,7 @@ from datetime import datetime
 
 import pytest
 
-from repro.flows.flowtable import FlowTable
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import make_flow
 from repro.store.codec import dump_table
 
@@ -70,78 +69,70 @@ def random_chunks(rng: random.Random, records):
     return [records[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def append_via_columns(table: FlowTable, records) -> None:
+    """Append records column-wise through ``encode_value``/``append_columns``."""
+    codes = {
+        name: [table.encode_value(name, getattr(r, name)) for r in records]
+        for name in CATEGORICAL_COLUMNS
+    }
+    numeric = {name: [getattr(r, name) for r in records] for name, _typecode in NUMERIC_COLUMNS}
+    numeric["sampled"] = [1 if r.sampled else 0 for r in records]
+    table.append_columns(len(records), codes, numeric)
+
+
+def mutate(table: FlowTable, model: list, rng: random.Random) -> FlowTable:
+    """Apply one random composition step to ``table`` and ``model`` alike.
+
+    Returns the table to continue on (a ``select_mask`` step replaces it).
+    """
+    op = rng.randrange(4)
+    if op == 0:  # append a fresh random chunk via extend
+        chunk = random_records(rng, rng.randrange(0, 60))
+        table.extend(chunk)
+        model.extend(chunk)
+    elif op == 1:  # append a fresh random chunk via append_columns
+        chunk = random_records(rng, rng.randrange(0, 60))
+        append_via_columns(table, chunk)
+        model.extend(chunk)
+    elif op == 2 and model:  # re-append a slice of ourselves
+        lo = rng.randrange(0, len(model))
+        hi = rng.randrange(lo, len(model) + 1)
+        table.extend(table[lo:hi])
+        model.extend(model[lo:hi])
+    else:  # keep a random subset, continue on the selection
+        mask = bytearray(1 if rng.random() < 0.7 else 0 for _ in model)
+        table = table.select_mask(mask)
+        model[:] = [record for record, keep in zip(model, mask) if keep]
+    return table
+
+
 class TestConcat:
+    """Tables assembled chunk by chunk through ``extend``."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_concat_equals_from_records_byte_for_byte(self, seed):
+        """Merging tables built with chunk-local pools yields canonical codes."""
         rng = random.Random(seed)
         records = random_records(rng, rng.randrange(50, 300))
-        chunks = random_chunks(rng, records)
-        merged = FlowTable.concat([FlowTable.from_records(chunk) for chunk in chunks])
+        merged = FlowTable()
+        for chunk in random_chunks(rng, records):
+            merged.extend(FlowTable.from_records(chunk).to_records())
         reference = FlowTable.from_records(records)
         assert merged.to_records() == records
         assert table_bytes(merged) == table_bytes(reference), f"seed={seed}"
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_extend_table_equals_extend_records(self, seed):
-        rng = random.Random(seed)
-        left = random_records(rng, rng.randrange(0, 150))
-        right = random_records(rng, rng.randrange(0, 150))
-        via_tables = FlowTable.from_records(left)
-        via_tables.extend_table(FlowTable.from_records(right))
-        via_records = FlowTable.from_records(left)
-        via_records.extend(right)
-        assert table_bytes(via_tables) == table_bytes(via_records), f"seed={seed}"
-
-    def test_concat_of_empties_is_empty(self):
-        assert len(FlowTable.concat([])) == 0
-        assert len(FlowTable.concat([FlowTable(), FlowTable()])) == 0
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_shared_pool_sources_slices_stay_equivalent(self, seed):
         """Slices share their parent's (larger, differently ordered) pools;
-        remapping must still reproduce the record path exactly."""
+        extending from one must still reproduce the record path exactly."""
         rng = random.Random(seed)
         records = random_records(rng, 200)
         parent = FlowTable.from_records(records)
         lo = rng.randrange(0, 100)
         hi = rng.randrange(lo, 200)
         target = FlowTable()
-        target.extend_table(parent[lo:hi])
+        target.extend(parent[lo:hi])
         assert table_bytes(target) == table_bytes(FlowTable.from_records(records[lo:hi]))
-
-    def test_extend_table_with_shared_pools_skips_the_remap(self):
-        records = random_records(random.Random(3), 120)
-        parent = FlowTable.from_records(records)
-        view = parent[10:50]  # shares parent._pools
-        parent.extend_table(view)
-        assert parent.to_records() == records + records[10:50]
-
-
-class TestTruncate:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_truncate_matches_list_slicing(self, seed):
-        rng = random.Random(seed)
-        records = random_records(rng, rng.randrange(1, 120))
-        table = FlowTable.from_records(records)
-        keep = rng.randrange(0, len(records) + 1)
-        table.truncate(keep)
-        assert len(table) == keep
-        assert table.to_records() == records[:keep]
-
-    def test_truncate_keeps_pools_so_codes_stay_valid(self):
-        records = random_records(random.Random(5), 80)
-        table = FlowTable.from_records(records)
-        table.truncate(0)
-        # Re-appending after a truncate reuses the interned pool values.
-        table.extend(records)
-        assert table.to_records() == records
-
-    def test_truncate_rejects_bad_lengths(self):
-        table = FlowTable.from_records(random_records(random.Random(1), 10))
-        with pytest.raises(ValueError):
-            table.truncate(-1)
-        with pytest.raises(ValueError):
-            table.truncate(11)
 
 
 class TestStatefulFuzz:
@@ -153,24 +144,7 @@ class TestStatefulFuzz:
         model = []
         table = FlowTable()
         for _step in range(12):
-            op = rng.randrange(4)
-            if op == 0:  # append a fresh random chunk via extend_table
-                chunk = random_records(rng, rng.randrange(0, 60))
-                table.extend_table(FlowTable.from_records(chunk))
-                model.extend(chunk)
-            elif op == 1 and model:  # truncate to a random length
-                keep = rng.randrange(0, len(model) + 1)
-                table.truncate(keep)
-                del model[keep:]
-            elif op == 2 and model:  # re-append a slice of ourselves
-                lo = rng.randrange(0, len(model))
-                hi = rng.randrange(lo, len(model) + 1)
-                table.extend_table(table[lo:hi])
-                model.extend(model[lo:hi])
-            else:  # select a random subset, continue on the selection
-                indices = [i for i in range(len(model)) if rng.random() < 0.7]
-                table = table.select(indices)
-                model = [model[i] for i in indices]
+            table = mutate(table, model, rng)
             assert len(table) == len(model), f"seed={seed}"
             assert table.to_records() == model, f"seed={seed}"
 
@@ -216,24 +190,7 @@ class TestStatefulFuzz:
 
             check_aggregations()
             for _step in range(10):
-                op = rng.randrange(4)
-                if op == 0:
-                    chunk = random_records(rng, rng.randrange(0, 60))
-                    table.extend_table(FlowTable.from_records(chunk))
-                    model.extend(chunk)
-                elif op == 1 and model:
-                    keep = rng.randrange(0, len(model) + 1)
-                    table.truncate(keep)
-                    del model[keep:]
-                elif op == 2 and model:
-                    lo = rng.randrange(0, len(model))
-                    hi = rng.randrange(lo, len(model) + 1)
-                    table.extend_table(table[lo:hi])
-                    model.extend(model[lo:hi])
-                else:
-                    indices = [i for i in range(len(model)) if rng.random() < 0.7]
-                    table = table.select(indices)
-                    model = [model[i] for i in indices]
+                table = mutate(table, model, rng)
                 check_aggregations()
         finally:
             kernels.set_backend(None)
@@ -256,8 +213,10 @@ class TestStatefulFuzz:
 
         rng = random.Random(3000 + seed)
         records = random_records(rng, rng.randrange(1, 200))
-        chunks = random_chunks(rng, records)
-        merged = FlowTable.concat([FlowTable.from_records(chunk) for chunk in chunks])
+        merged = FlowTable()
+        for chunk in random_chunks(rng, records):
+            merged.extend(chunk)
+        assert table_bytes(merged) == table_bytes(FlowTable.from_records(records))
         reloaded = load_table(io.BytesIO(table_bytes(merged)))
         assert reloaded.to_records() == records
         assert table_bytes(reloaded) == table_bytes(merged)

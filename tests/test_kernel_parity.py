@@ -7,9 +7,10 @@ as their ground truth and makes the equivalence of all three a fuzzed,
 CI-enforced contract:
 
 * seeded adversarial tables -- empty tables, single-row groups, all-one-group,
-  pool-shared slices (empty groups relative to the pool), post-``extend_table``
-  merged pools, negative/zero values, >2**31 volumes, and near-2**62 packet
-  counts that trip the numpy overflow guard into the python fallback;
+  pool-shared slices (empty groups relative to the pool), merged pools (a
+  table extended with another table's records), negative/zero values, >2**31
+  volumes, and near-2**62 packet counts that trip the numpy overflow guard
+  into the python fallback;
 * **bit-identical** comparison -- result dicts must match in key order and in
   the exact IEEE-754 bit pattern of every float;
 * ``GroupIndex`` caching must never change any analysis output or the
@@ -27,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import pickle
 import random
 import struct
 import subprocess
@@ -296,13 +296,13 @@ def _adversarial_tables(seed: int):
     # Pool-shared slice: shares the base pools, so some pool entries have no
     # rows at all in the slice (empty groups relative to the pool).
     sliced = base.select(range(0, len(base), 3))
-    # Merged pools: extend_table remaps a table with its own (partly
-    # overlapping) pools; also covers append-after-build invalidation.
+    # Merged pools: another table's (partly overlapping) values interned on
+    # top of the base pools; also covers append-after-build invalidation.
     merged = base.select(range(len(base)))
     other = FlowTable.from_records(
         _random_flow(rng, hours=10, subscribers=8) for _ in range(60)
     )
-    merged.extend_table(other)
+    merged.extend(other.to_records())
     overflow = base.select(range(0, len(base), 2))
     _overflow_rows(overflow, rng, 12)
     return [
@@ -625,15 +625,6 @@ def _mutators():
     def via_append_columns(table, rng):
         _overflow_rows(table, rng, 3)
 
-    def via_extend_table(table, rng):
-        other = FlowTable.from_records(
-            _random_flow(rng, hours=4, subscribers=6) for _ in range(5)
-        )
-        table.extend_table(other)
-
-    def via_truncate(table, rng):
-        table.truncate(len(table) - 1)
-
     def via_assign_numeric(table, rng):
         table.assign_numeric("bytes_down", [1.0] * len(table))
 
@@ -641,8 +632,6 @@ def _mutators():
         ("extend", via_extend),
         ("append", via_append),
         ("append_columns", via_append_columns),
-        ("extend_table", via_extend_table),
-        ("truncate", via_truncate),
         ("assign_numeric", via_assign_numeric),
     ]
 
@@ -679,8 +668,8 @@ def test_group_index_invalidation_bug_trap(mutator_name, mutate):
         )
 
 
-def test_pool_growth_does_not_invalidate_but_pickle_drops_cache():
-    """encode_value touches no rows (cache stays); pickles start cold."""
+def test_pool_growth_does_not_invalidate_the_cache():
+    """encode_value touches no rows, so the cached index stays valid."""
     rng = random.Random(23)
     table = FlowTable.from_records(
         _random_flow(rng, hours=5, subscribers=10) for _ in range(40)
@@ -689,9 +678,6 @@ def test_pool_growth_does_not_invalidate_but_pickle_drops_cache():
     index = table.group_index(by)
     table.encode_value("provider_key", "never-seen-provider")
     assert table.group_index(by) is index, "pool growth alone must not invalidate"
-    clone = pickle.loads(pickle.dumps(table))
-    assert clone._group_cache == {}, "pickled tables must not carry cached indexes"
-    assert clone.group_sums(by, ("bytes_down",)) == table.group_sums(by, ("bytes_down",))
 
 
 def test_int64_safe_limit_constants_agree():

@@ -278,8 +278,8 @@ def test_observability_is_byte_identical(tmp_path):
     assert [d for _p, d in obs_digests] == [d for _p, d in plain_digests]
     assert [p for p, _d in obs_digests] == [p for p, _d in plain_digests]
     # And the instrumented run actually recorded something.
-    trace = obs_trace.read_trace(tmp_path / "trace-obs.jsonl")
-    assert any(e["name"] == "sweep.scenario" for e in trace)
+    names = {e["name"] for e in obs_trace.read_trace(tmp_path / "trace-obs.jsonl")}
+    assert {"sweep.scenario", "gen.period", "gen.hour"} <= names
     assert obs_metrics.registry().counter("sweep.scenarios_ok") == 2.0
 
 
@@ -326,27 +326,6 @@ def test_sweep_workers_ship_metrics_to_driver(tmp_path):
         assert "Scenario latency:" in result.render_latency_summary()
     finally:
         obs_metrics.disable()
-
-
-def test_traced_parallel_generation_is_byte_identical(tmp_path):
-    """Hour-level fan-out with tracing on still produces identical tables,
-    and worker spans land in the shared trace file."""
-    from repro.experiments import build_context
-    from repro.simulation.config import ScenarioConfig
-
-    config = ScenarioConfig.small(seed=5).with_overrides(n_subscriber_lines=30)
-    plain = build_context(config, use_cache=False).raw_table(config.study_period)
-    trace_file = tmp_path / "gen-trace.jsonl"
-    obs_trace.enable(trace_file)
-    try:
-        traced = build_context(config, use_cache=False, gen_workers=2).raw_table(
-            config.study_period
-        )
-    finally:
-        obs_trace.disable()
-    assert traced.to_records() == plain.to_records()
-    names = {e["name"] for e in obs_trace.read_trace(trace_file)}
-    assert "gen.hour" in names and "gen.period" in names
 
 
 #: Fallbacks that used to leave no trace: lazy store reads handed to the

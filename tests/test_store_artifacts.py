@@ -10,6 +10,7 @@ import pytest
 from repro.experiments.context import build_context
 from repro.flows.flowtable import FlowTable
 from repro.flows.workload import WorkloadGenerator
+from repro.obs.metrics import MetricsRegistry, disable, enable, set_registry
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
 from repro.store.artifacts import (
@@ -130,37 +131,29 @@ class TestShardedLayout:
         sidecar = store._meta_path(digest)
         assert sidecar.parent == path.parent and sidecar.exists()
 
-    def test_legacy_flat_layout_reads_transparently(self, store, table):
-        """Artifacts written by the pre-sharding store must stay readable."""
+    @pytest.mark.parametrize("mmap_reads", (True, False), ids=("mmap", "eager"))
+    def test_flat_layout_artifact_is_a_miss(self, tmp_path, table, mmap_reads):
+        """The pre-sharding flat layout is unknown to the cache: a miss, not a hit."""
+        store = ArtifactStore(tmp_path / "store", mmap_reads=mmap_reads)
         config = _tiny()
         path = store.put_table(config, PERIOD, "stage", table)
         digest = path.parent.name + path.stem
-        # Demote the artifact to the legacy flat layout by hand.
-        flat_payload = store.root / f"{digest}.rft"
-        flat_meta = store.root / f"{digest}.json"
-        path.rename(flat_payload)
-        store._meta_path(digest).rename(flat_meta)
+        path.rename(store.root / f"{digest}.rft")
+        store._meta_path(digest).rename(store.root / f"{digest}.json")
         path.parent.rmdir()
-        loaded = store.get_table(config, PERIOD, "stage")
-        assert loaded is not None
-        assert loaded.to_records() == table.to_records()
-        assert digest in {entry.digest for entry in store.entries()}
-
-    def test_rewrite_migrates_legacy_artifacts_to_shards(self, store, table):
-        config = _tiny()
-        path = store.put_table(config, PERIOD, "stage", table)
-        digest = path.parent.name + path.stem
-        flat_payload = store.root / f"{digest}.rft"
-        flat_meta = store.root / f"{digest}.json"
-        path.rename(flat_payload)
-        store._meta_path(digest).rename(flat_meta)
-        path.parent.rmdir()
-        # Re-putting the same artifact adopts the sharded layout and retires
-        # the flat copy, so the store never holds two copies of one digest.
-        store.put_table(config, PERIOD, "stage", table)
-        assert path.exists() and store._meta_path(digest).exists()
-        assert not flat_payload.exists() and not flat_meta.exists()
-        assert len(store.entries()) == 1
+        registry = MetricsRegistry()
+        set_registry(registry)
+        enable()
+        try:
+            assert store.get_table(config, PERIOD, "stage") is None
+        finally:
+            disable()
+            set_registry(MetricsRegistry())
+        assert registry.counter("store.misses") == 1
+        assert registry.counter("store.hits") == 0
+        assert store.entries() == []
+        store.prune()
+        assert list(store.root.iterdir()) == []
 
     def test_prune_cleans_both_layouts_and_empty_shards(self, store, table):
         config = _tiny()
@@ -200,7 +193,7 @@ class TestWarmStart:
         cold_records = cold.world.flows_table(PERIOD).to_records()
 
         # A warm world must never call the generator again.
-        def boom(self, period, include_scanners=True, workers=None):
+        def boom(self, period, include_scanners=True):
             raise AssertionError("generator ran despite a warm store")
 
         monkeypatch.setattr(WorkloadGenerator, "generate_period_table", boom)

@@ -161,6 +161,14 @@ class TestSweepRunner:
         with pytest.raises(ValueError, match="workers"):
             SweepRunner(workers=0)
 
+    def test_gen_workers_accepts_only_serial_generation(self, grid, serial):
+        """gen_workers=1 runs the grid as before; any other value is refused."""
+        result = SweepRunner(metrics=("traffic",), workers=1, gen_workers=1).run(grid)
+        assert [o.metrics for o in result.outcomes] == [o.metrics for o in serial.outcomes]
+        for value in (0, 2):
+            with pytest.raises(ValueError, match="gen_workers"):
+                SweepRunner(gen_workers=value)
+
     def test_store_backed_rerun_is_identical(self, grid, serial, tmp_path):
         """A sweep over a shared store warm-starts and stays bit-identical."""
         store_root = tmp_path / "store"

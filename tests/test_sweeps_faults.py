@@ -369,6 +369,27 @@ class TestWorkerCrash:
         assert sorted(ok_rows) == sorted(o.scenario_id for o in clean.outcomes)
         assert len(ok_rows) == len(set(ok_rows)), "reused scenarios must not re-run"
 
+    def test_submit_to_a_pool_broken_since_the_last_drain_is_not_charged(
+        self, clean, fault_hook, monkeypatch
+    ):
+        # Both scenarios go out in one submit round; delaying the second
+        # submit until the crasher's worker is dead makes that submit meet
+        # the broken pool.
+        fault_hook(_sigkill_always)
+        make_task = SweepRunner._task
+        delays = [1.0]
+
+        def slow_task(runner, spec, attempt):
+            if spec.scenario_id == "sampling_ratio=8" and delays:
+                time.sleep(delays.pop())
+            return make_task(runner, spec, attempt)
+
+        monkeypatch.setattr(SweepRunner, "_task", slow_task)
+        result = SweepRunner(metrics=("traffic",), workers=2, retries=0).run(_grid((4, 8)))
+        assert result.pool_respawns == 1
+        assert [o.scenario_id for o in result.failures()] == ["sampling_ratio=4"]
+        assert identities(result)["sampling_ratio=8"] == identities(clean)["sampling_ratio=8"]
+
 
 class TestDriverKill:
     def test_sigkilled_driver_resumes_bit_identical(self, clean, tmp_path):
