@@ -239,7 +239,8 @@ class FlowTable:
         table loaded zero-copy from an mmap'd artifact silently detaches from
         the map the moment it stops being read-only -- the mapped bytes are
         never written through, and ``_version`` is only ever bumped on
-        array-backed tables, exactly as on the eager path.
+        array-backed tables.  The codec's decoding loaders reuse it to turn a
+        parsed table into an array-backed one.
         """
         for name, column in self._codes.items():
             if type(column) is LazyColumn:

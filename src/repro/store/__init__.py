@@ -7,9 +7,10 @@ The store turns the in-memory world-build memoization into something durable:
   ``array`` column bytes) and for discovery footprints
   (:class:`~repro.core.discovery.DiscoveryResult` /
   :class:`~repro.core.pipeline.PipelineResult`, same tagged-pool style), with
-  no numpy and no pickle anywhere.  Tables additionally load zero-copy:
+  no numpy and no pickle anywhere.  One parser reads every table:
   :func:`load_table_mmap` / :func:`load_table_lazy` keep column bytes on the
-  mapped artifact until first touch.
+  mapped artifact until first touch, and :func:`load_table` /
+  :func:`loads_table` decode every column after the same pass.
 * :mod:`repro.store.artifacts` — :class:`ArtifactStore`, a content-addressed
   on-disk cache keyed by the SHA-256 of the frozen scenario configuration, the
   study period, the pipeline stage, and a format-version tag (discovery

@@ -24,14 +24,14 @@ plus one along the discovery path:
 
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep workers can
 share one store directory; a corrupt or truncated artifact is treated as a
-cache miss and removed.  Table reads default to the zero-copy mmap path
+cache miss and removed.  Table reads take the zero-copy mmap path
 (:func:`~repro.store.codec.load_table_mmap`): the payload is mapped, columns
 stay on the map as :class:`~repro.flows.flowtable.LazyColumn` views until
 first touch, and every way a bad file can fail the mapping or the parse folds
-into the same corrupt-fallback miss.  ``IOT_REPRO_STORE_MMAP=0`` (or
-``ArtifactStore(mmap_reads=False)``) restores the eager decoder.  Every
-payload file has a JSON sidecar with human-readable metadata, which powers
-``iot-backend-repro cache ls``.
+into the same corrupt-fallback miss.  An out-of-pool code is the one defect
+found only at first touch: that touch raises, and the artifact is discarded so
+the next run rebuilds it.  Every payload file has a JSON sidecar with
+human-readable metadata, which powers ``iot-backend-repro cache ls``.
 
 Artifacts live in a **digest-sharded layout**: payload and sidecar of digest
 ``abcdef…`` are stored under ``ab/cdef….rft`` / ``ab/cdef….json``, fanning a
@@ -63,7 +63,6 @@ from repro.store.codec import (
     dump_pipeline_result,
     dump_table,
     load_pipeline_result,
-    load_table,
     load_table_mmap,
 )
 
@@ -75,19 +74,6 @@ _META_SUFFIX = ".json"
 
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "IOT_REPRO_STORE"
-
-#: Environment variable toggling mmap-backed table reads (``1``/``0``; the
-#: default is on).  The eager path remains available per-store via the
-#: ``mmap_reads`` constructor argument.
-STORE_MMAP_ENV_VAR = "IOT_REPRO_STORE_MMAP"
-
-
-def _mmap_reads_default() -> bool:
-    """Resolve the mmap-read toggle from the environment (default on)."""
-    raw = os.environ.get(STORE_MMAP_ENV_VAR, "").strip().lower()
-    if not raw:
-        return True
-    return raw not in ("0", "false", "no", "off")
 
 #: Stage tags of the cached steps along the generation path.
 STAGE_GENERATED_ALL = "generated:with-scanners"
@@ -168,17 +154,9 @@ class ArtifactEntry:
 class ArtifactStore:
     """A content-addressed directory of serialized flow tables."""
 
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        mmap_reads: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_store_root()
         self.root.mkdir(parents=True, exist_ok=True)
-        #: When true (the default, overridable via ``IOT_REPRO_STORE_MMAP``),
-        #: :meth:`get_table` maps payloads and decodes columns lazily instead
-        #: of copying the whole file through ``read()``.
-        self.mmap_reads = _mmap_reads_default() if mmap_reads is None else bool(mmap_reads)
 
     # -- addressing --------------------------------------------------------------
 
@@ -202,23 +180,21 @@ class ArtifactStore:
 
         A corrupt payload (partial write of a crashed process, codec version
         skew) counts as a miss and is deleted so the slot can be rebuilt.
-        With :attr:`mmap_reads` on, the payload is mapped and decoded lazily
-        (:func:`~repro.store.codec.load_table_mmap`); everything that mode
-        can throw on a bad file -- including the ``ValueError`` an empty file
+        The payload is mapped and decoded lazily
+        (:func:`~repro.store.codec.load_table_mmap`); everything that can be
+        thrown on a bad file -- including the ``ValueError`` an empty file
         provokes in ``mmap`` and any ``BufferError`` from the mapping layer --
         is folded into the same corrupt-fallback path, so callers only ever
-        see a table or ``None``.
+        see a table or ``None``.  The one defect the load cannot see, a code
+        outside its pool, raises :class:`StoreFormatError` at first touch of
+        its column; that touch first discards the artifact and counts a
+        ``store.corrupt_fallbacks``, so the next run rebuilds the slot.
         """
         digest = scenario_fingerprint(config, period, stage)
         path = self._payload_path(digest)
         try:
-            if self.mmap_reads:
-                payload_bytes = path.stat().st_size
-                table = load_table_mmap(path)
-            else:
-                with path.open("rb") as stream:
-                    payload_bytes = os.fstat(stream.fileno()).st_size
-                    table = load_table(stream)
+            payload_bytes = path.stat().st_size
+            table = load_table_mmap(path, on_bad_code=lambda: self._discard_corrupt(digest))
             obs_metrics.inc("store.hits")
             obs_metrics.inc("store.bytes_read", float(payload_bytes))
             return table
@@ -360,6 +336,15 @@ class ArtifactStore:
             except OSError:
                 pass
         return freed
+
+    def _discard_corrupt(self, digest: str) -> None:
+        """Discard a served table's artifact once a touch finds a bad code.
+
+        Counted once per artifact: a later failing touch of the same table
+        finds nothing left to discard.
+        """
+        if self._discard(digest):
+            obs_metrics.inc("store.corrupt_fallbacks")
 
     # -- inspection / maintenance ------------------------------------------------
 

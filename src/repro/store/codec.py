@@ -28,20 +28,23 @@ addresses, sources, and domains repeat heavily) and structures reference pool
 indices.  ``load_pipeline_result(dump_pipeline_result(r)) == r`` holds
 dataclass-for-dataclass.
 
-**Zero-copy reads.**  Flow tables additionally have a lazy read path:
-:func:`load_table_lazy` parses only the header, the value pools, and the block
-offset table of a serialized table held in a byte buffer, wrapping every
-code/numeric column in a :class:`~repro.flows.flowtable.LazyColumn` over the
-buffer instead of copying it; :func:`load_table_mmap` mmaps a payload file and
-does the same over the map, so a warm start touches no column bytes until an
-analysis does.  The structural checks (magic, versions, schema, pool
-integrity, block offsets and lengths against the header row count and the
-mapped size) still run eagerly, so truncation and length-field corruption
-raise :class:`StoreFormatError` at load time; the per-code range check is
-deferred into the lazy column and raises on first touch.  Artifacts written
-by a foreign-byte-order host, or with unexpected (but decodable) column
-typecodes, transparently fall back to the eager decoder; each fallback is
-counted by reason under ``store.mmap_fallbacks`` while metrics are on.
+**Zero-copy reads.**  One structural pass parses every flow table: it reads
+the header, the value pools, and the block offset table of a serialized table
+held in a byte buffer, and wraps every code/numeric column in a
+:class:`~repro.flows.flowtable.LazyColumn` over the buffer instead of copying
+it.  :func:`load_table_lazy` returns that table as is; :func:`load_table_mmap`
+mmaps a payload file and does the same over the map, so a warm start touches
+no column bytes until an analysis does; :func:`load_table` and
+:func:`loads_table` decode every column afterwards.  The structural checks
+(magic, versions, schema, pool integrity, block offsets and lengths against
+the header row count and the buffer size) run in the pass, so truncation and
+length-field corruption raise :class:`StoreFormatError` at load time; the
+per-code range check is deferred into the lazy column and raises on first
+touch.  Artifacts written by a foreign-byte-order host, or with a code block
+of another integer typecode than ``'i'``, get a narrow decode step at the end
+of the same pass (every column decoded, byteswapped or narrowed, and
+range-checked); each such load is counted by reason under
+``store.mmap_fallbacks`` while metrics are on.
 
 No pickle is involved anywhere: a corrupted or truncated file raises
 :class:`StoreFormatError` instead of executing anything.
@@ -59,6 +62,7 @@ from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Un
 from repro.flows.flowtable import (
     CATEGORICAL_COLUMNS,
     NUMERIC_COLUMNS,
+    ColumnStorage,
     FlowTable,
     LazyColumn,
 )
@@ -80,8 +84,9 @@ _LOCAL_ORDER = _LITTLE if sys.byteorder == "little" else _BIG
 #: ``array`` typecodes a code block may carry (the writer always uses ``'i'``).
 _CODE_TYPECODES = "bBhHiIlLqQ"
 
-#: Counter prefix for lazy loads handed to the eager decoder; the reason
-#: (``byte_order``, ``typecode``) is the last name component.
+#: Counter prefix for loads that take the narrow decode step instead of
+#: staying lazy; the reason (``byte_order``, ``typecode``) is the last name
+#: component.
 MMAP_FALLBACK_COUNTER = "store.mmap_fallbacks"
 
 # Tagged scalar encoding for pool values.
@@ -256,106 +261,12 @@ class _Reader:
             )
         return typecode, itemsize, nbytes
 
-    def read_array(self, byte_order: int) -> array:
-        typecode, _itemsize, nbytes = self.read_array_header()
-        column = array(typecode)
-        column.frombytes(self.take(nbytes))
-        if byte_order != _LOCAL_ORDER:
-            column.byteswap()
-        return column
-
-
-def load_table(stream: BinaryIO) -> FlowTable:
-    """Deserialize a table written by :func:`dump_table`."""
-    reader = _Reader(stream)
-    if reader.take(len(_MAGIC)) != _MAGIC:
-        raise StoreFormatError("not a serialized FlowTable (bad magic)")
-    version, byte_order, length = reader.unpack("<BBQ")
-    if version != CODEC_VERSION:
-        raise StoreFormatError(
-            f"unsupported codec version {version} (expected {CODEC_VERSION})"
-        )
-    if byte_order not in (_LITTLE, _BIG):
-        raise StoreFormatError(f"bad byte-order flag {byte_order}")
-
-    (n_categorical,) = reader.unpack("<H")
-    if n_categorical != len(CATEGORICAL_COLUMNS):
-        raise StoreFormatError(
-            f"categorical column count mismatch: stored {n_categorical}, "
-            f"schema has {len(CATEGORICAL_COLUMNS)}"
-        )
-    table = FlowTable()
-    codes: Dict[str, array] = {}
-    for expected in CATEGORICAL_COLUMNS:
-        name = reader.read_str()
-        if name != expected:
-            raise StoreFormatError(
-                f"categorical column order mismatch: stored {name!r}, expected {expected!r}"
-            )
-        (pool_size,) = reader.unpack("<I")
-        pool: List[object] = [reader.read_value() for _ in range(pool_size)]
-        column = reader.read_array(byte_order)
-        if column.typecode not in _CODE_TYPECODES:
-            raise StoreFormatError(
-                f"column {name!r}: code typecode {column.typecode!r} is not an integer type"
-            )
-        if len(column) != length:
-            raise StoreFormatError(
-                f"column {name!r}: {len(column)} codes for {length} rows"
-            )
-        if column and not all(0 <= code < pool_size for code in column):
-            raise StoreFormatError(f"column {name!r}: code out of pool range")
-        if column.typecode != "i":
-            # In-range codes of another integer width fit the table's 'i' column.
-            column = array("i", column)
-        # Re-interning the pool in order reproduces the original codes, so the
-        # code column can be adopted verbatim.  Re-interning deduplicates, so
-        # a corrupt pool with repeated values would otherwise shrink and leave
-        # codes dangling past its end — reject it here, not at first access.
-        for value in pool:
-            table.encode_value(name, value)
-        if len(table.pool(name)) != pool_size:
-            raise StoreFormatError(f"column {name!r}: pool contains duplicate values")
-        codes[name] = column
-
-    (n_numeric,) = reader.unpack("<H")
-    if n_numeric != len(NUMERIC_COLUMNS):
-        raise StoreFormatError(
-            f"numeric column count mismatch: stored {n_numeric}, "
-            f"schema has {len(NUMERIC_COLUMNS)}"
-        )
-    numeric: Dict[str, array] = {}
-    for expected, typecode in NUMERIC_COLUMNS:
-        name = reader.read_str()
-        if name != expected:
-            raise StoreFormatError(
-                f"numeric column order mismatch: stored {name!r}, expected {expected!r}"
-            )
-        column = reader.read_array(byte_order)
-        if column.typecode != typecode:
-            raise StoreFormatError(
-                f"column {name!r}: stored typecode {column.typecode!r}, "
-                f"schema expects {typecode!r}"
-            )
-        if len(column) != length:
-            raise StoreFormatError(
-                f"column {name!r}: {len(column)} values for {length} rows"
-            )
-        numeric[name] = column
-    table.append_columns(length, codes, numeric)
-    return table
-
-
-def loads_table(data: bytes) -> FlowTable:
-    """Deserialize a table from bytes."""
-    return load_table(io.BytesIO(data))
-
 
 class _BufferReader(_Reader):
     """Bounds-checked cursor over an in-memory buffer (bytes, mmap, memoryview).
 
     Unlike the stream reader it can hand out :meth:`take_view` slices that
-    alias the underlying buffer, which is what makes the lazy table loader
+    alias the underlying buffer, which is what makes the table parser
     zero-copy: column payloads stay on the mapped file until first touch.
     """
 
@@ -364,9 +275,6 @@ class _BufferReader(_Reader):
     def __init__(self, view: memoryview) -> None:
         self._view = view
         self._pos = 0
-
-    def remaining(self) -> Optional[int]:
-        return len(self._view) - self._pos
 
     def take_view(self, count: int) -> memoryview:
         end = self._pos + count
@@ -383,12 +291,14 @@ class _BufferReader(_Reader):
         return bytes(self.take_view(count))
 
 
-def _code_bounds_validator(name: str, pool_size: int) -> Callable[[Sequence], None]:
-    """The deferred per-code range check for one lazily decoded code column.
+def _code_bounds_validator(
+    name: str, pool_size: int, on_bad_code: Optional[Callable[[], None]] = None
+) -> Callable[[Sequence], None]:
+    """The per-code range check of one code column.
 
-    Runs once against whichever representation is touched first (``array`` or
-    numpy view -- hence the duck-typed min/max), mirroring the eager loader's
-    load-time check and its error message exactly.
+    Runs against whichever representation is decoded first (``array`` or
+    numpy view -- hence the duck-typed min/max).  ``on_bad_code`` runs just
+    before the check raises.
     """
 
     def validate(column: Sequence) -> None:
@@ -399,29 +309,43 @@ def _code_bounds_validator(name: str, pool_size: int) -> Callable[[Sequence], No
         except AttributeError:
             low, high = min(column), max(column)
         if low < 0 or high >= pool_size:
+            if on_bad_code is not None:
+                on_bad_code()
             raise StoreFormatError(f"column {name!r}: code out of pool range")
 
     return validate
 
 
-def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
-    """Deserialize a table from a byte buffer without copying column bytes.
+def _decode(typecode: str, payload: memoryview, swap: bool) -> array:
+    """Copy one column payload into an ``array``, byteswapped if ``swap``."""
+    column = array(typecode)
+    column.frombytes(payload)
+    if swap:
+        column.byteswap()
+    return column
 
-    Parses the header, value pools, and every block header eagerly -- so all
-    structural corruption (bad magic/version, schema mismatches, truncation,
-    oversized or ragged length fields, duplicate pool values) raises
-    :class:`StoreFormatError` here, exactly like :func:`load_table` -- but
-    wraps each column payload in a :class:`~repro.flows.flowtable.LazyColumn`
-    view over ``buffer`` instead of decoding it.  The per-code range check is
-    deferred into the lazy column and runs on first touch.
 
-    Artifacts written by a foreign-byte-order host (columns need a byteswap,
-    which is inherently a copy) or with unexpected-but-decodable column
-    typecodes fall back to the eager decoder transparently; each hand-off
-    counts ``store.mmap_fallbacks.byte_order`` or ``.typecode``
+def _parse_table(
+    view: memoryview, on_bad_code: Optional[Callable[[], None]] = None
+) -> Tuple[FlowTable, int]:
+    """Parse one serialized table from ``view``; return it and its byte length.
+
+    The only flow-table parser.  It reads the header, value pools, and every
+    block header, so all structural corruption (bad magic/version, schema
+    mismatches, truncation, oversized or ragged length fields, duplicate pool
+    values, non-integer code blocks) raises :class:`StoreFormatError` here.
+    Each column payload is wrapped in a
+    :class:`~repro.flows.flowtable.LazyColumn` view over ``view`` instead of
+    being decoded, and the per-code range check is deferred into each code
+    column; ``on_bad_code`` runs when that check fails, before it raises.
+
+    An artifact written by a foreign-byte-order host, or with a code block of
+    another integer typecode than ``'i'``, cannot stay a view.  For it the
+    pass ends in a narrow decode step: every column is decoded, byteswapped
+    or narrowed to ``'i'``, and range-checked now, and the load counts
+    ``store.mmap_fallbacks.byte_order`` or ``.typecode``
     (:data:`MMAP_FALLBACK_COUNTER`) while metrics are on.
     """
-    view = memoryview(buffer)
     reader = _BufferReader(view)
     if reader.take(len(_MAGIC)) != _MAGIC:
         raise StoreFormatError("not a serialized FlowTable (bad magic)")
@@ -432,9 +356,6 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
         )
     if byte_order not in (_LITTLE, _BIG):
         raise StoreFormatError(f"bad byte-order flag {byte_order}")
-    if byte_order != _LOCAL_ORDER:
-        obs_metrics.inc(f"{MMAP_FALLBACK_COUNTER}.byte_order")
-        return load_table(io.BytesIO(view))
 
     (n_categorical,) = reader.unpack("<H")
     if n_categorical != len(CATEGORICAL_COLUMNS):
@@ -443,7 +364,8 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
             f"schema has {len(CATEGORICAL_COLUMNS)}"
         )
     table = FlowTable()
-    codes: Dict[str, LazyColumn] = {}
+    pool_sizes: Dict[str, int] = {}
+    codes: Dict[str, ColumnStorage] = {}
     for expected in CATEGORICAL_COLUMNS:
         name = reader.read_str()
         if name != expected:
@@ -453,20 +375,26 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
         (pool_size,) = reader.unpack("<I")
         pool: List[object] = [reader.read_value() for _ in range(pool_size)]
         typecode, itemsize, nbytes = reader.read_array_header()
-        if typecode != "i":
-            obs_metrics.inc(f"{MMAP_FALLBACK_COUNTER}.typecode")
-            return load_table(io.BytesIO(view))
+        if typecode not in _CODE_TYPECODES:
+            raise StoreFormatError(
+                f"column {name!r}: code typecode {typecode!r} is not an integer type"
+            )
         payload = reader.take_view(nbytes)
         if nbytes // itemsize != length:
             raise StoreFormatError(
                 f"column {name!r}: {nbytes // itemsize} codes for {length} rows"
             )
+        # Re-interning the pool in order reproduces the original codes, so the
+        # code column can be adopted verbatim.  Re-interning deduplicates, so
+        # a corrupt pool with repeated values would otherwise shrink and leave
+        # codes dangling past its end — reject it here, not at first access.
         for value in pool:
             table.encode_value(name, value)
         if len(table.pool(name)) != pool_size:
             raise StoreFormatError(f"column {name!r}: pool contains duplicate values")
+        pool_sizes[name] = pool_size
         codes[name] = LazyColumn(
-            "i", payload, validate=_code_bounds_validator(name, pool_size)
+            typecode, payload, validate=_code_bounds_validator(name, pool_size, on_bad_code)
         )
 
     (n_numeric,) = reader.unpack("<H")
@@ -475,7 +403,7 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
             f"numeric column count mismatch: stored {n_numeric}, "
             f"schema has {len(NUMERIC_COLUMNS)}"
         )
-    numeric: Dict[str, LazyColumn] = {}
+    numeric: Dict[str, ColumnStorage] = {}
     for expected, typecode in NUMERIC_COLUMNS:
         name = reader.read_str()
         if name != expected:
@@ -494,19 +422,68 @@ def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
                 f"column {name!r}: {nbytes // itemsize} values for {length} rows"
             )
         numeric[name] = LazyColumn(typecode, payload)
+
+    swap = byte_order != _LOCAL_ORDER
+    if swap or any(column.typecode != "i" for column in codes.values()):
+        # The narrow decode step: these columns cannot stay views of the buffer.
+        obs_metrics.inc(f"{MMAP_FALLBACK_COUNTER}.{'byte_order' if swap else 'typecode'}")
+        for name, column in codes.items():
+            decoded = _decode(column.typecode, column.buffer, swap)
+            _code_bounds_validator(name, pool_sizes[name])(decoded)
+            # In-range codes of another integer width fit the table's 'i' column.
+            codes[name] = decoded if decoded.typecode == "i" else array("i", decoded)
+        for name, column in numeric.items():
+            numeric[name] = _decode(column.typecode, column.buffer, swap)
     table.adopt_columns(length, codes, numeric)
+    return table, reader._pos
+
+
+def load_table(stream: BinaryIO) -> FlowTable:
+    """Deserialize a table written by :func:`dump_table`, every column decoded.
+
+    Reads the rest of the stream and parses one table from it; a seekable
+    stream is then positioned just past that table, so trailing bytes stay
+    unread.
+    """
+    data = stream.read()
+    table, end = _parse_table(memoryview(data))
+    table._materialize_for_write()
+    if end < len(data) and stream.seekable():
+        stream.seek(end - len(data), io.SEEK_CUR)
     return table
 
 
-def load_table_mmap(path: Union[str, "os.PathLike"]) -> FlowTable:
-    """mmap a serialized table file and deserialize it via :func:`load_table_lazy`.
+def loads_table(data: bytes) -> FlowTable:
+    """Deserialize a table from bytes, every column decoded."""
+    table, _end = _parse_table(memoryview(data))
+    table._materialize_for_write()
+    return table
 
-    The file descriptor is closed immediately (the mapping survives it); the
-    mapping itself stays alive exactly as long as any column view over it --
-    plain refcounting, no explicit close, so handing columns to numpy via
-    ``frombuffer`` can never hit a ``BufferError``.  Empty files (``mmap``
-    refuses zero-length maps) raise :class:`StoreFormatError` like any other
-    corrupt payload.
+
+def load_table_lazy(buffer: Union[bytes, bytearray, memoryview]) -> FlowTable:
+    """Deserialize a table from a byte buffer without copying column bytes.
+
+    Structural corruption raises :class:`StoreFormatError` here, exactly as in
+    :func:`loads_table`; the columns stay :class:`~repro.flows.flowtable.LazyColumn`
+    views over ``buffer``, and an out-of-pool code raises on first touch of
+    its column.
+    """
+    return _parse_table(memoryview(buffer))[0]
+
+
+def load_table_mmap(
+    path: Union[str, "os.PathLike"], on_bad_code: Optional[Callable[[], None]] = None
+) -> FlowTable:
+    """mmap a serialized table file and parse it like :func:`load_table_lazy`.
+
+    ``on_bad_code`` runs when the deferred range check of a code column fails
+    at first touch, just before that touch raises; the artifact store uses it
+    to discard the artifact.  The file descriptor is closed immediately (the
+    mapping survives it); the mapping itself stays alive exactly as long as
+    any column view over it -- plain refcounting, no explicit close, so
+    handing columns to numpy via ``frombuffer`` can never hit a
+    ``BufferError``.  Empty files (``mmap`` refuses zero-length maps) raise
+    :class:`StoreFormatError` like any other corrupt payload.
     """
     import mmap
 
@@ -515,7 +492,7 @@ def load_table_mmap(path: Union[str, "os.PathLike"]) -> FlowTable:
             mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except ValueError as error:
             raise StoreFormatError(f"cannot map table file: {error}") from None
-    return load_table_lazy(mapped)
+    return _parse_table(memoryview(mapped), on_bad_code)[0]
 
 
 # ---------------------------------------------------------------------------

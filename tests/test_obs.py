@@ -328,8 +328,9 @@ def test_sweep_workers_ship_metrics_to_driver(tmp_path):
         obs_metrics.disable()
 
 
-#: Fallbacks that used to leave no trace: lazy store reads handed to the
-#: eager decoder, and verdict caches dropped on an engine change.
+#: Fallbacks that used to leave no trace: store reads that take the narrow
+#: decode step instead of staying lazy, and verdict caches dropped on an
+#: engine change.
 FALLBACK_COUNTERS = (
     "store.mmap_fallbacks.byte_order",
     "store.mmap_fallbacks.typecode",

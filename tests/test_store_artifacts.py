@@ -7,12 +7,14 @@ from datetime import date
 
 import pytest
 
+from repro.core.pipeline import DiscoveryPipeline
 from repro.experiments.context import build_context
 from repro.flows.flowtable import FlowTable
 from repro.flows.workload import WorkloadGenerator
 from repro.obs.metrics import MetricsRegistry, disable, enable, set_registry
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
+from repro.simulation.world import build_world
 from repro.store.artifacts import (
     STAGE_RAW_EXPORT,
     ArtifactStore,
@@ -131,12 +133,26 @@ class TestShardedLayout:
         sidecar = store._meta_path(digest)
         assert sidecar.parent == path.parent and sidecar.exists()
 
-    @pytest.mark.parametrize("mmap_reads", (True, False), ids=("mmap", "eager"))
-    def test_flat_layout_artifact_is_a_miss(self, tmp_path, table, mmap_reads):
-        """The pre-sharding flat layout is unknown to the cache: a miss, not a hit."""
-        store = ArtifactStore(tmp_path / "store", mmap_reads=mmap_reads)
+    @pytest.mark.parametrize("read_path", ("mmap", "eager"))
+    def test_flat_layout_artifact_is_a_miss(self, store, table, read_path):
+        """The pre-sharding flat layout is unknown to the cache: a miss, not a hit.
+
+        Both read paths of the store are covered: a flow table is mapped
+        (``get_table``), a pipeline result is read eagerly from its stream
+        (``get_pipeline_result``).
+        """
         config = _tiny()
-        path = store.put_table(config, PERIOD, "stage", table)
+        if read_path == "mmap":
+            path = store.put_table(config, PERIOD, "stage", table)
+
+            def get():
+                return store.get_table(config, PERIOD, "stage")
+        else:
+            result = DiscoveryPipeline(build_world(config)).run(PERIOD)
+            path = store.put_pipeline_result(config, PERIOD, "stage", result)
+
+            def get():
+                return store.get_pipeline_result(config, PERIOD, "stage")
         digest = path.parent.name + path.stem
         path.rename(store.root / f"{digest}.rft")
         store._meta_path(digest).rename(store.root / f"{digest}.json")
@@ -145,7 +161,7 @@ class TestShardedLayout:
         set_registry(registry)
         enable()
         try:
-            assert store.get_table(config, PERIOD, "stage") is None
+            assert get() is None
         finally:
             disable()
             set_registry(MetricsRegistry())

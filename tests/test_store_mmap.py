@@ -1,18 +1,21 @@
 """Digest- and analysis-parity of the zero-copy mmap store read path.
 
-The contract under test: a warm context served through mmap-backed lazy
-tables must be indistinguishable from one served through the eager decoder —
-same ``dump_table`` bytes (hence same store digests), same analysis output,
-same ``GroupIndex`` caching/invalidation behavior — on every kernel backend.
-Corrupt payloads in mmap mode must fold into the store's corrupt-fallback
-miss exactly like eager ones.
+The contract under test: a table served lazily off the mapped artifact must
+be indistinguishable from the same artifact with every column decoded, and a
+warm context from the cold one that filled the store — same ``dump_table``
+bytes (hence same store digests), same analysis output, same ``GroupIndex``
+caching/invalidation behavior — on every kernel backend.  Corrupt payloads
+must fold into the store's corrupt-fallback miss, and an out-of-pool code
+found at first touch must leave the slot to be rebuilt by the next run.
 """
 
 import random
+import struct
 from datetime import date
 
 import pytest
 
+from repro.core.traffic import DEFAULT_SCANNER_THRESHOLD
 from repro.experiments.context import build_context
 from repro.flows import kernels
 from repro.flows.flowtable import (
@@ -24,12 +27,8 @@ from repro.flows.flowtable import (
 from repro.obs.metrics import MetricsRegistry, disable, enable, set_registry
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
-from repro.store.artifacts import (
-    STORE_MMAP_ENV_VAR,
-    ArtifactStore,
-    scenario_fingerprint,
-)
-from repro.store.codec import dumps_table, load_table_lazy, loads_table
+from repro.store.artifacts import ArtifactStore, clean_stage, scenario_fingerprint
+from repro.store.codec import StoreFormatError, dumps_table, load_table_lazy, loads_table
 
 from test_store_codec import random_records
 
@@ -146,8 +145,8 @@ class TestCopyOnWrite:
 
 class TestWarmContextDigestParity:
     @pytest.mark.parametrize("backend", ("python", "numpy"))
-    def test_warm_mmap_context_matches_eager(self, tmp_path, backend):
-        """Cold build, then two warm reads (eager vs mmap): same bytes, same analysis."""
+    def test_warm_context_matches_cold(self, tmp_path, backend):
+        """A cold build fills the store; the warm read gives the same bytes and analysis."""
         if backend == "numpy" and not kernels.numpy_available():
             pytest.skip("numpy not importable")
         kernels.set_backend(backend)
@@ -156,40 +155,68 @@ class TestWarmContextDigestParity:
         config = _tiny(seed=61)
         root = tmp_path / "store"
         cold = build_context(config, use_cache=False, store=ArtifactStore(root))
-        cold.clean_table()
+        cold_clean = cold.clean_table()
 
-        eager_context = build_context(
-            config, use_cache=False, store=ArtifactStore(root, mmap_reads=False)
+        warm = build_context(config, use_cache=False, store=ArtifactStore(root))
+        warm_clean = warm.clean_table()
+        assert isinstance(warm_clean.codes("provider_key"), LazyColumn)
+        assert dumps_table(warm_clean) == dumps_table(cold_clean), "store digest parity"
+        assert dumps_table(warm.raw_table()) == dumps_table(cold.raw_table())
+        assert volume_timeseries(warm_clean, warm.anonymization) == (
+            volume_timeseries(cold_clean, cold.anonymization)
         )
-        mmap_context = build_context(
-            config, use_cache=False, store=ArtifactStore(root, mmap_reads=True)
-        )
-        eager_clean = eager_context.clean_table()
-        mmap_clean = mmap_context.clean_table()
-        assert isinstance(mmap_clean.codes("provider_key"), LazyColumn)
-        assert dumps_table(mmap_clean) == dumps_table(eager_clean), "store digest parity"
-        assert dumps_table(mmap_context.raw_table()) == dumps_table(
-            eager_context.raw_table()
-        )
-        assert volume_timeseries(mmap_clean, mmap_context.anonymization) == (
-            volume_timeseries(eager_clean, eager_context.anonymization)
-        )
-        assert daily_active_lines(mmap_clean) == daily_active_lines(eager_clean)
+        assert daily_active_lines(warm_clean) == daily_active_lines(cold_clean)
+
+
+class TestOutOfPoolCode:
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_first_touch_fails_and_the_next_run_rebuilds(self, tmp_path, backend):
+        """The touch that finds the bad code discards the artifact before it raises.
+
+        The python kernels touch the column through ``materialize()``, the
+        numpy kernels through ``as_numpy()``; both run the store's hook.
+        """
+        if backend == "numpy" and not kernels.numpy_available():
+            pytest.skip("numpy not importable")
+        kernels.set_backend(backend)
+        config = _tiny(seed=64)
+        root = tmp_path / "store"
+        cold = build_context(config, use_cache=False, store=ArtifactStore(root))
+        want = dumps_table(cold.clean_table())
+
+        store = ArtifactStore(root)
+        stage = clean_stage(DEFAULT_SCANNER_THRESHOLD)
+        digest = scenario_fingerprint(config, config.study_period, stage)
+        path = store._payload_path(digest)
+        blob = bytearray(path.read_bytes())
+        (length,) = struct.unpack_from("<Q", blob, 6)
+        # The first code block header belongs to the timestamp column.
+        header = struct.pack("<cBQ", b"i", 4, length * 4)
+        struct.pack_into("<i", blob, blob.index(header) + len(header), 2**24)
+        path.write_bytes(bytes(blob))
+
+        registry = MetricsRegistry()
+        set_registry(registry)
+        enable()
+        try:
+            clean = build_context(config, use_cache=False, store=store).clean_table()
+            with pytest.raises(StoreFormatError, match="'timestamp': code out of pool range"):
+                clean.group_sums(("timestamp",), ("bytes_down",))
+        finally:
+            disable()
+            set_registry(MetricsRegistry())
+        assert registry.counter("store.corrupt_fallbacks") == 1
+        assert not path.exists(), "the payload is discarded at the failing touch"
+        assert not store._meta_path(digest).exists(), "and so is its sidecar"
+
+        rebuilt = build_context(config, use_cache=False, store=ArtifactStore(root))
+        assert dumps_table(rebuilt.clean_table()) == want
 
 
 class TestStoreMmapMode:
     @pytest.fixture
     def table(self):
         return FlowTable.from_records(random_records(random.Random(62), 120))
-
-    def test_mmap_reads_default_on_and_env_toggle(self, tmp_path, monkeypatch):
-        assert ArtifactStore(tmp_path / "a").mmap_reads is True
-        monkeypatch.setenv(STORE_MMAP_ENV_VAR, "0")
-        assert ArtifactStore(tmp_path / "b").mmap_reads is False
-        monkeypatch.setenv(STORE_MMAP_ENV_VAR, "1")
-        assert ArtifactStore(tmp_path / "c").mmap_reads is True
-        # The constructor argument wins over the environment.
-        assert ArtifactStore(tmp_path / "d", mmap_reads=False).mmap_reads is False
 
     def test_get_table_returns_lazy_tables_in_mmap_mode(self, tmp_path, table):
         store = ArtifactStore(tmp_path / "store")
@@ -242,10 +269,3 @@ class TestStoreMmapMode:
         store._payload_path(digest).write_bytes(b"")
         rebuilt = build_context(config, use_cache=False, store=ArtifactStore(root))
         assert rebuilt.raw_table().to_records() == want
-
-    def test_eager_mode_still_round_trips(self, tmp_path, table):
-        store = ArtifactStore(tmp_path / "store", mmap_reads=False)
-        store.put_table(_tiny(), PERIOD, STAGE, table)
-        loaded = store.get_table(_tiny(), PERIOD, STAGE)
-        assert not isinstance(loaded.codes("provider_key"), LazyColumn)
-        assert loaded.to_records() == table.to_records()
