@@ -6,7 +6,9 @@ the default-scale scenario, plus the column-wise packet-sampling export, and
 records absolute times and rates in ``BENCH_workload.json`` at the repository
 root so future PRs can track the perf trajectory.  Both outputs are also
 checked against committed sha256 digests of their store bytes, so the
-benchmark doubles as a full-scale identity check.
+benchmark doubles as a full-scale identity check.  With numpy importable,
+the slice is generated once more on the other backend's column builder and
+must match the same digest.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 from conftest import record_bench
 
+from repro.flows import kernels
 from repro.flows.netflow import NetFlowCollector
 from repro.obs.bench import bench_env
 from repro.simulation.clock import StudyPeriod
@@ -55,6 +58,15 @@ def test_perf_workload_generation(context):
     # Full-scale identity: the same flows, byte for byte, as when recorded.
     assert hashlib.sha256(dumps_table(table)).hexdigest() == GENERATED_SHA256
     assert hashlib.sha256(dumps_table(exported)).hexdigest() == EXPORTED_SHA256
+    if kernels.numpy_available():
+        # ... on the other backend's column builder too.
+        numpy_ran = kernels.active_backend() == kernels.BACKEND_NUMPY
+        kernels.set_backend(kernels.BACKEND_PYTHON if numpy_ran else kernels.BACKEND_NUMPY)
+        try:
+            other = world.workload_generator().generate_period_table(BENCH_PERIOD)
+        finally:
+            kernels.set_backend(None)
+        assert hashlib.sha256(dumps_table(other)).hexdigest() == GENERATED_SHA256
 
     payload = {
         "benchmark": "workload-columnar-generation",

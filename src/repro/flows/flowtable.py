@@ -96,6 +96,12 @@ NUMERIC_COLUMNS = (
     ("sampled", "b"),
 )
 
+#: Array typecode of every column, in CATEGORICAL_COLUMNS + NUMERIC_COLUMNS
+#: order (dictionary codes are ``array('i')``).
+COLUMN_TYPECODES = ("i",) * len(CATEGORICAL_COLUMNS) + tuple(
+    typecode for _name, typecode in NUMERIC_COLUMNS
+)
+
 _NUMERIC_TYPECODES = dict(NUMERIC_COLUMNS)
 _NUMERIC_NAMES = tuple(_NUMERIC_TYPECODES)
 

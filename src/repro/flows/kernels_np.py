@@ -24,6 +24,9 @@ returns ``NotImplemented`` so the dispatcher runs the python path instead:
   most ``limit = max(2 * rows, 2**16)`` get dense first-appearance ids from
   ``np.minimum.at`` in O(rows + span) with no sort; wider keys are densified
   once by ``np.unique`` first.
+* The generation column builder turns one day's draws into the day's flow
+  columns with the python builder's IEEE-754 operations in its order,
+  mapping ``math.exp`` where numpy's ``exp`` could round differently.
 
 ``NotImplemented`` cases, each counted under
 ``kernels.fallbacks.<kernel>.<reason>`` (:data:`KERNEL_FALLBACK_COUNTER`)
@@ -39,6 +42,9 @@ while metrics are on:
 * ``mask_type`` -- a row mask (or per-code mask) that is not a flat
   bool/int/float sequence, whose truthiness ``!= 0`` could not reproduce.
 * ``value_type`` -- a comparison or membership value that is not an ``int``.
+* ``port_weights`` / ``packet_range`` -- the generation column builder
+  (:func:`build_flow_columns`) met a port table that is not finite and
+  non-decreasing, or a packet count outside int64.
 
 The group-index builder keeps its own counters,
 ``kernels.group_index_fallbacks.float_key`` and ``.span_overflow`` (packed
@@ -54,7 +60,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.flows.flowtable import LazyColumn
+from repro.flows.flowtable import COLUMN_TYPECODES, LazyColumn
+from repro.flows.netflow import DEFAULT_PACKET_SIZE
 from repro.obs import metrics as obs_metrics
 
 #: array-module typecode -> numpy dtype for zero-copy column views.
@@ -513,3 +520,101 @@ def distinct_values(column: Sequence):
         reason = "float_member" if getattr(column, "typecode", None) == "d" else "column_type"
         return _fallback("distinct", reason)
     return set(np.unique(view).tolist())
+
+
+# ---------------------------------------------------------------------------------
+# Generation column builder
+# ---------------------------------------------------------------------------------
+
+
+def _typed(typecode: str, values: np.ndarray) -> array:
+    """A numpy column as the ``array`` of one flow-table column."""
+    out = array(typecode)
+    out.frombytes(np.ascontiguousarray(values, dtype=_DTYPES[typecode]).view(np.uint8))
+    return out
+
+
+def _packets(volume: np.ndarray) -> Optional[np.ndarray]:
+    """``(ceil(v / size) or 1) if v > 0 else 0`` per element (None: out of int64)."""
+    packets = np.where(volume > 0, np.maximum(np.ceil(volume / DEFAULT_PACKET_SIZE), 1.0), 0.0)
+    if not packets.max() < 2.0**63:
+        return None
+    return packets.astype(np.int64)
+
+
+def build_flow_columns(plan, draws):
+    """One generation day's flow columns from its draws, in bulk.
+
+    The same columns, byte for byte, as the python builder
+    (``repro.flows.workload.build_flow_columns``): codes and per-device
+    values are gathered by candidate index; ``exp`` is ``math.exp`` mapped
+    over ``z * sigma``, because numpy's own ``exp`` is not guaranteed to
+    round like libm; every product runs element by element in the python
+    expression's order, so each is the same IEEE-754 operation.  The port
+    index counts the cumulative weights ``<= u * total``, which is
+    ``bisect_right`` on a non-decreasing table, clamped to the last port;
+    ``ceil`` and the division before it are exact.
+
+    ``NotImplemented`` cases (counted under
+    ``kernels.fallbacks.flow_columns.<reason>``): ``port_weights`` -- a
+    port table that is not finite and non-decreasing, where the count and
+    ``bisect_right`` could differ; ``packet_range`` -- a packet count
+    outside int64, where the python builder raises.
+    """
+    candidates = np.frombuffer(draws.candidate, dtype=np.int32)
+    if not len(candidates):
+        return [array(typecode) for typecode in COLUMN_TYPECODES]
+    tables = plan.port_cumulative
+    for cumulative in tables:
+        if not (
+            cumulative
+            and all(map(math.isfinite, cumulative))
+            and all(a <= b for a, b in zip(cumulative, cumulative[1:]))
+        ):
+            return _fallback("flow_columns", "port_weights")
+    scaled = np.frombuffer(draws.z, dtype=np.float64) * plan.volume_sigma
+    volume = np.fromiter(map(math.exp, scaled.tolist()), dtype=np.float64, count=len(scaled))
+    volume = volume * plan.volume_correction * _as_np(plan.multiplier)[candidates]
+    traffic = np.frombuffer(draws.traffic_factor, dtype=np.float64)
+    bytes_down = _as_np(plan.per_hour_down)[candidates] * volume * traffic
+    bytes_up = _as_np(plan.per_hour_up)[candidates] * volume * traffic
+
+    # One row per port table, padded with +inf, which no roll reaches.
+    padded = np.full((len(tables), max(map(len, tables))), np.inf)
+    for row, cumulative in enumerate(tables):
+        padded[row, : len(cumulative)] = cumulative
+    lengths = np.array([len(cumulative) for cumulative in tables], dtype=np.int64)
+    totals = np.array([cumulative[-1] for cumulative in tables])
+    table = _as_np(plan.port_table)[candidates]
+    rolled = np.frombuffer(draws.port_u, dtype=np.float64) * totals[table]
+    index = np.minimum((padded[table] <= rolled[:, None]).sum(axis=1), lengths[table] - 1)
+    slots = (np.cumsum(lengths) - lengths)[table] + index
+    transport = np.array([code for codes in plan.port_transport for code in codes], dtype=np.int32)
+    port = np.array([number for numbers in plan.port_number for number in numbers], dtype=np.int32)
+
+    packets_down = _packets(bytes_down)
+    packets_up = _packets(bytes_up)
+    if packets_down is None or packets_up is None:
+        return _fallback("flow_columns", "packet_range")
+    timestamps = np.repeat(
+        np.array([code for code, _count in draws.hours], dtype=np.int32),
+        [count for _code, count in draws.hours],
+    )
+    columns = (
+        timestamps,
+        _as_np(plan.prefix)[candidates],
+        _as_np(plan.provider)[candidates],
+        _as_np(plan.server_ip)[candidates],
+        _as_np(plan.server_continent)[candidates],
+        _as_np(plan.server_region)[candidates],
+        transport[slots],
+        _as_np(plan.line_id)[candidates],
+        _as_np(plan.ip_version)[candidates],
+        port[slots],
+        bytes_down,
+        bytes_up,
+        packets_down,
+        packets_up,
+        np.zeros(len(candidates), dtype=np.int8),
+    )
+    return [_typed(typecode, column) for typecode, column in zip(COLUMN_TYPECODES, columns)]

@@ -11,13 +11,13 @@ Outages (Section 6.1) are injected here: flows served by servers in an affected
 cloud region during the outage window are scaled down, and a small fraction of the
 affected devices disappears from the data entirely.
 
-:meth:`WorkloadGenerator.generate_period_table` appends hourly batches straight
+:meth:`WorkloadGenerator.generate_period_table` appends each day's flows straight
 into dictionary-encoded :class:`~repro.flows.flowtable.FlowTable` columns.  All
 per-device invariants — candidate server subsets (which cost several SHA-256
 hashes to resolve), per-model hourly activity probabilities, cumulative port
 weights, volume multipliers, dictionary codes for every categorical value — are
-resolved once per period, so the hourly hot loop touches only the RNG and plain
-ints/floats.
+resolved once per period (the device plans once per world), so the hourly draw
+loop touches only the RNG and plain ints/floats.
 
 Generation stream layout (v1).  Each hour draws from its own stream
 (``workload:<hour-iso>``) through the two C-level Mersenne Twister primitives
@@ -34,6 +34,14 @@ Generation stream layout (v1).  Each hour draws from its own stream
 These are the draws ``random.Random.randrange`` and ``lognormvariate`` make,
 inlined, so the output is bit-identical under a fixed seed on every supported
 interpreter.
+
+One draw loop serves both kernel backends: per flow it keeps only the picked
+candidate, the accepted normal deviate ``z``, the port roll and the traffic
+factor, in typed arrays.  At the end of each day a column builder turns those
+draws into the day's rows: :func:`build_flow_columns` flow by flow, or
+:func:`repro.flows.kernels_np.build_flow_columns` in bulk when the numpy
+backend is active.  Both compute every value with the same IEEE-754 operations
+(``math.exp`` included), so the tables are byte-identical on either backend.
 """
 
 from __future__ import annotations
@@ -41,15 +49,22 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, time
+from functools import cached_property, partial
 from random import NV_MAGICCONST
 from struct import pack
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.providers import PROVIDERS, ProviderSpec
+from repro.flows import kernels
 from repro.flows.devices import DeviceModel
-from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
+from repro.flows.flowtable import (
+    CATEGORICAL_COLUMNS,
+    COLUMN_TYPECODES,
+    NUMERIC_COLUMNS,
+    FlowTable,
+)
 from repro.flows.netflow import DEFAULT_PACKET_SIZE
 from repro.flows.scanners import append_scanner_flows
 from repro.flows.subscribers import DeviceInstance, SubscriberPopulation
@@ -61,11 +76,6 @@ from repro.simulation.clock import StudyPeriod
 from repro.simulation.rng import RngRegistry, stable_hash
 
 _NUMERIC_NAMES = tuple(name for name, _typecode in NUMERIC_COLUMNS)
-#: Array typecode of each field of a generated flow tuple (dictionary codes
-#: are ``array('i')``), in CATEGORICAL_COLUMNS + NUMERIC_COLUMNS order.
-_FLOW_TYPECODES = ("i",) * len(CATEGORICAL_COLUMNS) + tuple(
-    typecode for _name, typecode in NUMERIC_COLUMNS
-)
 
 
 @dataclass(frozen=True)
@@ -95,8 +105,102 @@ class _DevicePlan:
     port_pairs: Tuple[Tuple[str, int], ...]
 
 
+@dataclass
+class _EncodedPlans:
+    """The device plans encoded against one table's pools (RNG-free).
+
+    Per-device lists follow population order.  Per-candidate fields hold
+    every device's candidate servers back to back (device ``d``'s from
+    ``first_candidate[d]``), each with its device's values.  Per-port-table
+    fields hold one entry per distinct port table.  The draw loop reads the
+    plain lists; the column builders read the typed arrays and port tables.
+    """
+
+    #: For each hour of day, every device's activity probability.
+    hour_probabilities: Tuple[List[float], ...]
+    volume_sigma: float
+    volume_correction: float
+    # -- per device
+    candidate_count: List[int] = field(default_factory=list)
+    pick_bits: List[int] = field(default_factory=list)
+    first_candidate: List[int] = field(default_factory=list)
+    # -- per candidate server
+    outage_key: List[int] = field(default_factory=list)
+    server_ip: array = field(default_factory=partial(array, "i"))
+    server_continent: array = field(default_factory=partial(array, "i"))
+    server_region: array = field(default_factory=partial(array, "i"))
+    ip_version: array = field(default_factory=partial(array, "b"))
+    line_id: array = field(default_factory=partial(array, "q"))
+    prefix: array = field(default_factory=partial(array, "i"))
+    provider: array = field(default_factory=partial(array, "i"))
+    per_hour_down: array = field(default_factory=partial(array, "d"))
+    per_hour_up: array = field(default_factory=partial(array, "d"))
+    multiplier: array = field(default_factory=partial(array, "d"))
+    port_table: array = field(default_factory=partial(array, "i"))
+    #: Distinct (cloud_host, region) keys the outage schedule is asked about.
+    outage_keys: List[Tuple[Optional[str], str]] = field(default_factory=list)
+    # -- per port table
+    port_cumulative: List[Tuple[float, ...]] = field(default_factory=list)
+    port_transport: List[Tuple[int, ...]] = field(default_factory=list)
+    port_number: List[Tuple[int, ...]] = field(default_factory=list)
+
+    @cached_property
+    def candidate_rows(self) -> List[tuple]:
+        """Per candidate, one flat tuple for the python builder to unpack.
+
+        The per-candidate values in field order, then the port table's
+        cumulative weights, transport codes, port numbers and last index.
+        """
+        port_tables = [
+            (cumulative, transports, numbers, len(cumulative) - 1)
+            for cumulative, transports, numbers in zip(
+                self.port_cumulative, self.port_transport, self.port_number
+            )
+        ]
+        return [
+            (*values, *port_tables[table])
+            for *values, table in zip(
+                self.server_ip,
+                self.server_continent,
+                self.server_region,
+                self.ip_version,
+                self.line_id,
+                self.prefix,
+                self.provider,
+                self.per_hour_down,
+                self.per_hour_up,
+                self.multiplier,
+                self.port_table,
+            )
+        ]
+
+
+@dataclass
+class _DayDraws:
+    """The draws of one day's device flows, one entry per flow in draw order.
+
+    ``candidate`` is the picked server's index among all candidates (it
+    names the device too), ``z`` the accepted Kinderman–Monahan normal
+    deviate, ``port_u`` the port roll and ``traffic_factor`` the outage
+    traffic retention (1.0 outside outage windows).  ``hours`` holds one
+    ``(timestamp_code, flow_count)`` pair per hour, in hour order.
+    """
+
+    candidate: array = field(default_factory=partial(array, "i"))
+    z: array = field(default_factory=partial(array, "d"))
+    port_u: array = field(default_factory=partial(array, "d"))
+    traffic_factor: array = field(default_factory=partial(array, "d"))
+    hours: List[Tuple[int, int]] = field(default_factory=list)
+
+
 class WorkloadGenerator:
-    """Generates hourly flow tables for a subscriber population and deployments."""
+    """Generates hourly flow tables for a subscriber population and deployments.
+
+    ``device_plans`` lets generators over the same population, deployments
+    and ``servers_per_device`` share one list of device plans (see
+    :meth:`_device_plans`): the first to need them fills it, the others
+    reuse it.
+    """
 
     def __init__(
         self,
@@ -107,6 +211,7 @@ class WorkloadGenerator:
         providers: Sequence[ProviderSpec] = PROVIDERS,
         servers_per_device: int = 2,
         volume_sigma: float = 0.75,
+        device_plans: Optional[List[_DevicePlan]] = None,
     ) -> None:
         self.population = population
         self.deployments = dict(deployments)
@@ -120,7 +225,7 @@ class WorkloadGenerator:
         self._model_cache: Dict[
             DeviceModel, Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[Tuple[str, int], ...]]
         ] = {}
-        self._plans: Optional[List[_DevicePlan]] = None
+        self._plans: List[_DevicePlan] = [] if device_plans is None else device_plans
 
     # -- server indexing ---------------------------------------------------------
 
@@ -219,20 +324,31 @@ class WorkloadGenerator:
     ) -> FlowTable:
         """Generate all flows of a study period, scanner traffic included.
 
-        Flows are appended hourly-batch-wise straight into ``FlowTable``
-        columns, hours in order, each day followed by that day's scanner
-        traffic when ``include_scanners`` is set.
+        Each day's hours are drawn in order, one ``gen.hour`` span each; the
+        active kernel backend's column builder then turns the day's draws
+        into rows, appended straight into ``FlowTable`` columns, followed by
+        that day's scanner traffic when ``include_scanners`` is set.
         """
         with span("gen.period", start=period.start.isoformat()):
             table = FlowTable()
-            rows, outage_keys = self._encoded_plans(table)
+            plan = self._encoded_plans(table)
             scanner_lines = self.population.scanner_lines() if include_scanners else []
             catalog = self.server_catalog(ip_version=4) if include_scanners else []
             for day in period.days():
+                draws = _DayDraws()
                 for hour in range(24):
                     when = datetime.combine(day, time(hour=hour))
                     with span("gen.hour", hour=when.isoformat()):
-                        self._append_hour_columns(table, rows, outage_keys, when)
+                        # Interned in hour order: the pool order is part of
+                        # the table's bytes.
+                        timestamp_code = table.encode_value("timestamp", when)
+                        self._draw_hour(plan, draws, when, timestamp_code)
+                columns = _day_columns(plan, draws)
+                table.append_columns(
+                    len(draws.candidate),
+                    codes=dict(zip(CATEGORICAL_COLUMNS, columns)),
+                    numeric=dict(zip(_NUMERIC_NAMES, columns[len(CATEGORICAL_COLUMNS) :])),
+                )
                 if include_scanners:
                     with span("gen.scanners", day=day.isoformat()):
                         append_scanner_flows(table, scanner_lines, catalog, day, self.rng)
@@ -262,8 +378,14 @@ class WorkloadGenerator:
         return cached
 
     def _device_plans(self) -> List[_DevicePlan]:
-        """Flatten the population into per-device plans (population order)."""
-        if self._plans is None:
+        """Flatten the population into per-device plans (population order).
+
+        Built on first use into the (possibly shared) plan list: resolving
+        the candidate servers costs several SHA-256 hashes per device.  A
+        plan draws no random value and holds nothing of the outage schedule,
+        which the hourly draws consult instead.
+        """
+        if not self._plans:
             plans: List[_DevicePlan] = []
             for line in self.population.lines:
                 for device in line.devices:
@@ -290,175 +412,133 @@ class WorkloadGenerator:
                             port_pairs=port_pairs,
                         )
                     )
-            self._plans = plans
+            self._plans.extend(plans)
         return self._plans
 
-    def _encoded_plans(
-        self, table: FlowTable
-    ) -> Tuple[List[tuple], List[Tuple[Optional[str], str]]]:
+    def _encoded_plans(self, table: FlowTable) -> _EncodedPlans:
         """Encode the device plans against one table's dictionary pools.
 
-        Returns per-device tuples ``(probabilities, line_id, prefix_code,
-        provider_code, candidates, n, n.bit_length(), per_hour_down,
-        per_hour_up, multiplier, port_cumulative, port_codes, port_count)``
-        plus the distinct (cloud_host, region) outage-factor keys.  Each
-        candidate is ``(ip_code, continent_code, region_code, ip_version,
-        outage_key_index)``, so the hourly hot loop handles plain integers and
-        floats only and calls no ``len()``.
+        Values are interned device by device in population order, so every
+        pool keeps the order the rows first reference it in.
         """
         encode = table.encode_value
+        plans = self._device_plans()
         outage_index: Dict[Tuple[Optional[str], str], int] = {}
-        outage_keys: List[Tuple[Optional[str], str]] = []
-        rows: List[tuple] = []
-        for plan in self._device_plans():
-            encoded_candidates = []
+        port_index: Dict[Tuple[Tuple[float, ...], Tuple[Tuple[str, int], ...]], int] = {}
+        encoded = _EncodedPlans(
+            hour_probabilities=tuple(
+                [plan.probabilities[hour] for plan in plans] for hour in range(24)
+            ),
+            volume_sigma=self.volume_sigma,
+            volume_correction=self._volume_correction,
+        )
+        for plan in plans:
+            prefix = encode("subscriber_prefix", plan.prefix)
+            provider = encode("provider_key", plan.provider_key)
+            ports_key = (plan.port_cumulative, plan.port_pairs)
+            ports = port_index.get(ports_key)
+            if ports is None:
+                ports = port_index[ports_key] = len(encoded.port_cumulative)
+                encoded.port_cumulative.append(plan.port_cumulative)
+                encoded.port_transport.append(
+                    tuple(encode("transport", transport) for transport, _port in plan.port_pairs)
+                )
+                encoded.port_number.append(tuple(port for _transport, port in plan.port_pairs))
+            n_candidates = len(plan.candidates)
+            encoded.candidate_count.append(n_candidates)
+            encoded.pick_bits.append(n_candidates.bit_length())
+            encoded.first_candidate.append(len(encoded.server_ip))
             for choice, version in zip(plan.candidates, plan.versions):
                 key = (choice.cloud_host, choice.region_code)
                 key_index = outage_index.get(key)
                 if key_index is None:
-                    key_index = outage_index[key] = len(outage_keys)
-                    outage_keys.append(key)
-                encoded_candidates.append(
-                    (
-                        encode("server_ip", choice.ip),
-                        encode("server_continent", choice.continent),
-                        encode("server_region", choice.region_code),
-                        version,
-                        key_index,
-                    )
-                )
-            n_candidates = len(encoded_candidates)
-            rows.append(
-                (
-                    plan.probabilities,
-                    plan.line_id,
-                    encode("subscriber_prefix", plan.prefix),
-                    encode("provider_key", plan.provider_key),
-                    tuple(encoded_candidates),
-                    n_candidates,
-                    n_candidates.bit_length(),
-                    plan.per_hour_down,
-                    plan.per_hour_up,
-                    plan.multiplier,
-                    plan.port_cumulative,
-                    tuple(
-                        (encode("transport", transport), port)
-                        for transport, port in plan.port_pairs
-                    ),
-                    len(plan.port_cumulative),
-                )
-            )
-        return rows, outage_keys
+                    key_index = outage_index[key] = len(encoded.outage_keys)
+                    encoded.outage_keys.append(key)
+                encoded.outage_key.append(key_index)
+                encoded.server_ip.append(encode("server_ip", choice.ip))
+                encoded.server_continent.append(encode("server_continent", choice.continent))
+                encoded.server_region.append(encode("server_region", choice.region_code))
+                encoded.ip_version.append(version)
+                encoded.line_id.append(plan.line_id)
+                encoded.prefix.append(prefix)
+                encoded.provider.append(provider)
+                encoded.per_hour_down.append(plan.per_hour_down)
+                encoded.per_hour_up.append(plan.per_hour_up)
+                encoded.multiplier.append(plan.multiplier)
+                encoded.port_table.append(ports)
+        return encoded
 
-    def _append_hour_columns(
-        self,
-        table: FlowTable,
-        rows: Sequence[tuple],
-        outage_keys: Sequence[Tuple[Optional[str], str]],
-        when: datetime,
+    def _draw_hour(
+        self, plan: _EncodedPlans, draws: _DayDraws, when: datetime, timestamp_code: int
     ) -> None:
-        """Generate one hour of IoT flows straight into the table columns.
+        """Draw one hour of device flows from the hour's stream into ``draws``.
 
-        Consumes the hour's stream in the v1 layout (see the module docstring):
-        per device, one ``random()`` activity roll; for devices that emit a
-        flow, a ``getrandbits(n.bit_length())`` server pick with rejection, a
-        ``random()`` outage roll only when the server's device factor is < 1,
-        Kinderman–Monahan ``random()`` pairs for the lognormal volume (then
-        ``math.log`` / ``math.exp``), and a ``random()`` port roll.  These are
-        exactly the draws ``randrange`` and ``lognormvariate`` make, so the
-        rows are bit-identical under a fixed seed.
+        Consumes the stream in the v1 layout (see the module docstring): per
+        device, one ``random()`` activity roll; for devices that emit a flow,
+        a ``getrandbits(n.bit_length())`` server pick with rejection, a
+        ``random()`` outage roll only when the server's device factor is
+        < 1, Kinderman–Monahan ``random()`` pairs for the lognormal volume
+        and a ``random()`` port roll.  These are exactly the draws
+        ``randrange`` and ``lognormvariate`` make.  Only the draws a flow's
+        columns depend on are kept; a column builder turns them into rows.
         """
         stream = self.rng.fresh_stream(f"workload:{when.isoformat()}")
         rand = stream.random
         getrandbits = stream.getrandbits
-        hour = when.hour
         # One schedule lookup per distinct (cloud_host, region) key per hour
         # instead of two per flow; outside outage windows the lookup is skipped
         # entirely (factors are 1.0 and no outage roll is drawn).
         schedule = self.outage_schedule
-        has_outage = any(event.active_at(when) for event in schedule.events())
-        if has_outage:
+        if any(event.active_at(when) for event in schedule.events()):
             traffic_factors = [
-                schedule.traffic_factor(host, region, when) for host, region in outage_keys
+                schedule.traffic_factor(host, region, when) for host, region in plan.outage_keys
             ]
             device_factors = [
-                schedule.device_factor(host, region, when) for host, region in outage_keys
+                schedule.device_factor(host, region, when) for host, region in plan.outage_keys
             ]
         else:
             traffic_factors = device_factors = None
-        timestamp_code = table.encode_value("timestamp", when)
-        correction = self._volume_correction
-        sigma = self.volume_sigma
+        counts = plan.candidate_count
+        bits = plan.pick_bits
+        first_candidate = plan.first_candidate
+        outage_key = plan.outage_key
         magic = NV_MAGICCONST
-        ceil = math.ceil
         log = math.log
-        exp = math.exp
-        flows: List[tuple] = []
-        emit = flows.append
-        for row in rows:
-            if rand() >= row[0][hour]:
+        add_candidate = draws.candidate.append
+        add_z = draws.z.append
+        add_port_u = draws.port_u.append
+        add_traffic_factor = draws.traffic_factor.append
+        start = len(draws.candidate)
+        for device, probability in enumerate(plan.hour_probabilities[when.hour]):
+            if rand() >= probability:
                 continue
-            n = row[5]
+            n = counts[device]
             if not n:
                 continue
-            k = row[6]
+            k = bits[device]
             pick = getrandbits(k)
             while pick >= n:
                 pick = getrandbits(k)
-            candidate = row[4][pick]
-            if device_factors is None:
-                traffic_factor = 1.0
-            else:
-                device_factor = device_factors[candidate[4]]
+            candidate = first_candidate[device] + pick
+            if device_factors is not None:
+                key = outage_key[candidate]
+                device_factor = device_factors[key]
                 if device_factor < 1.0 and rand() > device_factor:
                     continue
-                traffic_factor = traffic_factors[candidate[4]]
+                add_traffic_factor(traffic_factors[key])
             while True:
                 u1 = rand()
                 u2 = 1.0 - rand()
                 z = magic * (u1 - 0.5) / u2
                 if z * z / 4.0 <= -log(u2):
                     break
-            volume_factor = exp(z * sigma) * correction * row[9]
-            bytes_down = row[7] * volume_factor * traffic_factor
-            bytes_up = row[8] * volume_factor * traffic_factor
-            port_cumulative = row[10]
-            index = bisect_right(port_cumulative, rand() * port_cumulative[-1])
-            if index >= row[12]:
-                index = row[12] - 1
-            transport_code, port = row[11][index]
-            emit(
-                (
-                    timestamp_code,
-                    row[2],
-                    row[3],
-                    candidate[0],
-                    candidate[1],
-                    candidate[2],
-                    transport_code,
-                    row[1],
-                    candidate[3],
-                    port,
-                    bytes_down,
-                    bytes_up,
-                    (ceil(bytes_down / DEFAULT_PACKET_SIZE) or 1) if bytes_down > 0 else 0,
-                    (ceil(bytes_up / DEFAULT_PACKET_SIZE) or 1) if bytes_up > 0 else 0,
-                    0,
-                )
-            )
-        # One tuple per flow in CATEGORICAL_COLUMNS + NUMERIC_COLUMNS order,
-        # transposed once; ``struct`` packs each column in one C call, so the
-        # append copies typed arrays instead of converting item by item.
-        count = len(flows)
-        columns = [
-            array(typecode, pack(f"{count}{typecode}", *column))
-            for typecode, column in zip(_FLOW_TYPECODES, zip(*flows))
-        ] or [()] * len(_FLOW_TYPECODES)
-        table.append_columns(
-            count,
-            codes=dict(zip(CATEGORICAL_COLUMNS, columns)),
-            numeric=dict(zip(_NUMERIC_NAMES, columns[len(CATEGORICAL_COLUMNS) :])),
-        )
+            add_candidate(candidate)
+            add_z(z)
+            add_port_u(rand())
+        flows = len(draws.candidate) - start
+        if device_factors is None:
+            draws.traffic_factor.extend(array("d", [1.0]) * flows)
+        draws.hours.append((timestamp_code, flows))
 
     # -- helpers -------------------------------------------------------------------
 
@@ -471,3 +551,92 @@ class WorkloadGenerator:
         if bucket < 20:
             return 4.0 + (bucket % 9)
         return 1.0
+
+
+def _day_columns(plan: _EncodedPlans, draws: _DayDraws) -> List[array]:
+    """One day's flow columns on the active kernel backend's builder."""
+    if kernels.active_backend() == kernels.BACKEND_NUMPY:
+        from repro.flows import kernels_np
+
+        columns = kernels_np.build_flow_columns(plan, draws)
+        if columns is not NotImplemented:
+            return columns
+    return build_flow_columns(plan, draws)
+
+
+def build_flow_columns(plan: _EncodedPlans, draws: _DayDraws) -> List[array]:
+    """One day's flow columns from its draws, flow by flow (python builder).
+
+    Returns one typed array per column in ``CATEGORICAL_COLUMNS +
+    NUMERIC_COLUMNS`` order.  Per flow: the lognormal volume factor
+    ``exp(z * sigma) * correction * multiplier``, the byte counts scaled by
+    the traffic factor, the port at ``bisect_right`` of the roll times the
+    total weight (clamped to the last port) and ``ceil`` packet counts.
+    """
+    sigma = plan.volume_sigma
+    correction = plan.volume_correction
+    candidates = plan.candidate_rows
+    ceil = math.ceil
+    exp = math.exp
+    packet_size = DEFAULT_PACKET_SIZE
+    flows: List[tuple] = []
+    emit = flows.append
+    for candidate, z, port_u, traffic_factor in zip(
+        draws.candidate, draws.z, draws.port_u, draws.traffic_factor
+    ):
+        (
+            ip_code,
+            continent_code,
+            region_code,
+            ip_version,
+            line_id,
+            prefix_code,
+            provider_code,
+            per_hour_down,
+            per_hour_up,
+            multiplier,
+            cumulative,
+            transports,
+            numbers,
+            last,
+        ) = candidates[candidate]
+        volume_factor = exp(z * sigma) * correction * multiplier
+        bytes_down = per_hour_down * volume_factor * traffic_factor
+        bytes_up = per_hour_up * volume_factor * traffic_factor
+        index = bisect_right(cumulative, port_u * cumulative[-1])
+        if index > last:
+            index = last
+        emit(
+            (
+                prefix_code,
+                provider_code,
+                ip_code,
+                continent_code,
+                region_code,
+                transports[index],
+                line_id,
+                ip_version,
+                numbers[index],
+                bytes_down,
+                bytes_up,
+                (ceil(bytes_down / packet_size) or 1) if bytes_down > 0 else 0,
+                (ceil(bytes_up / packet_size) or 1) if bytes_up > 0 else 0,
+            )
+        )
+    count = len(flows)
+    timestamps = array("i")
+    for timestamp_code, hour_flows in draws.hours:
+        timestamps.extend(array("i", [timestamp_code]) * hour_flows)
+    # The columns between the timestamp and the (all-zero) sampled flag: one
+    # tuple per flow, transposed once; ``struct`` packs each column in one C
+    # call, so the append copies typed arrays instead of converting item by
+    # item.
+    typecodes = COLUMN_TYPECODES[1:-1]
+    if count:
+        columns = [
+            array(typecode, pack(f"{count}{typecode}", *column))
+            for typecode, column in zip(typecodes, zip(*flows))
+        ]
+    else:
+        columns = [array(typecode) for typecode in typecodes]
+    return [timestamps, *columns, array("b", bytes(count))]

@@ -111,6 +111,9 @@ class World:
     vantage_points: List[VantagePoint]
     iot_domains: Dict[str, List[str]]
     _table_cache: Dict[str, FlowTable] = field(default_factory=dict)
+    #: Device plans shared by every workload generator of this world, built
+    #: by the first one that generates.
+    _device_plans: list = field(default_factory=list)
     #: Optional persistent cache; when set, generated period tables warm-start
     #: from disk (see :mod:`repro.store.artifacts`).
     artifact_store: Optional["ArtifactStore"] = None
@@ -170,7 +173,13 @@ class World:
     # -- ISP traffic -------------------------------------------------------------------
 
     def workload_generator(self) -> WorkloadGenerator:
-        """Return a workload generator over the dedicated IoT infrastructure."""
+        """Return a workload generator over the dedicated IoT infrastructure.
+
+        Every generator of a world shares one list of device plans; each
+        gets a fresh ``workload`` registry, because the registered scanner
+        stream must start afresh every period, and the world's current
+        outage schedule.
+        """
         return WorkloadGenerator(
             population=self.population,
             deployments=self.dedicated_deployments(),
@@ -178,6 +187,7 @@ class World:
             outage_schedule=self.outage_schedule,
             servers_per_device=self.config.servers_per_device,
             volume_sigma=self.config.volume_sigma,
+            device_plans=self._device_plans,
         )
 
     def flows_table(

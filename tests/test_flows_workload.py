@@ -1,21 +1,29 @@
 """Tests for the workload generator and scanner traffic."""
 
 import math
+import random
+from array import array
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 from datetime import date, datetime, time
 
 import pytest
 
 from repro.core.providers import PROVIDERS
-from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
+from repro.flows import kernels
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, COLUMN_TYPECODES, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import DEFAULT_PACKET_SIZE
 from repro.flows.scanners import append_scanner_flows
+from repro.flows.workload import _DayDraws, _EncodedPlans, build_flow_columns
+from repro.obs import metrics as obs_metrics
 from repro.simulation.clock import AWS_OUTAGE_DATE, StudyPeriod
 from repro.simulation.config import ScenarioConfig
 from repro.simulation.rng import RngRegistry
 from repro.simulation.world import build_world
 from repro.store.codec import dumps_table
+
+_NUMERIC_NAMES = tuple(name for name, _typecode in NUMERIC_COLUMNS)
 
 ONE_DAY = StudyPeriod(date(2022, 2, 28), date(2022, 3, 1), name="one-day")
 OUTAGE_DAY = StudyPeriod(AWS_OUTAGE_DATE, date(2021, 12, 8), name="outage-day")
@@ -193,8 +201,21 @@ def _stdlib_period_oracle(generator, period, hits):
     return table
 
 
+@pytest.fixture()
+def kernel_backend(request):
+    """Force the parametrized kernel backend for one test."""
+    if request.param == kernels.BACKEND_NUMPY and not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    kernels.set_backend(request.param)
+    yield request.param
+    kernels.set_backend(None)
+
+
+@pytest.mark.parametrize(
+    "kernel_backend", (kernels.BACKEND_PYTHON, kernels.BACKEND_NUMPY), indirect=True
+)
 @pytest.mark.parametrize("seed", (3, 11, 29))
-def test_generation_matches_the_stdlib_draws(seed):
+def test_generation_matches_the_stdlib_draws(seed, kernel_backend):
     hits = Counter()
     for servers_per_device in (1, 2):
         # At scale 0.02 the globally load-balanced provider has more than
@@ -210,3 +231,189 @@ def test_generation_matches_the_stdlib_draws(seed):
     # One candidate, the globally load-balanced provider's eight, and the
     # outage roll of a device factor < 1 were all drawn.
     assert hits["n=1"] and hits["n=8"] and hits["outage_roll"], hits
+
+
+def test_generators_of_one_world_share_their_device_plans(small_world):
+    first = small_world.workload_generator()
+    second = small_world.workload_generator()
+    assert first._device_plans() is second._device_plans()
+    # Each generator still gets its own registry: its scanner stream starts
+    # afresh every period.
+    assert first.rng is not second.rng
+
+
+def test_period_tables_do_not_depend_on_the_generation_order():
+    config = ScenarioConfig.small(5).with_overrides(scale=0.02)
+    periods = (config.study_period, config.outage_period)
+    tables = []
+    for order in (periods, periods[::-1]):
+        world = build_world(config)
+        tables.append(
+            {
+                period.start: dumps_table(world.workload_generator().generate_period_table(period))
+                for period in order
+            }
+        )
+    assert tables[0] == tables[1]
+
+
+# -- column builders -------------------------------------------------------------
+
+
+#: The smallest positive double: its flows have bytes > 0 whose packet
+#: quotient underflows to 0, so ``ceil(...) or 1`` decides their count.
+_TINY = 5e-324
+
+
+def _random_plan(rng: random.Random) -> _EncodedPlans:
+    """An encoded plan of a few devices with the builders' edge cases in reach."""
+    sigma = rng.choice((0.3, 0.75, 1.5))
+    plan = _EncodedPlans(
+        hour_probabilities=tuple([] for _hour in range(24)),
+        volume_sigma=sigma,
+        volume_correction=math.exp(-(sigma**2) / 2.0),
+    )
+    # Port table 0 ends in a zero-weight port; others may be all zeros.
+    for table in range(rng.randint(1, 4)):
+        weights = [rng.choice((0.0, rng.uniform(0.01, 1.0))) for _ in range(rng.randint(1, 6))]
+        if table == 0:
+            weights = [rng.uniform(0.01, 1.0), *weights[1:], 0.0]
+        cumulative = []
+        total = 0.0
+        for weight in weights:
+            total += weight
+            cumulative.append(total)
+        plan.port_cumulative.append(tuple(cumulative))
+        plan.port_transport.append(tuple(rng.randrange(3) for _ in weights))
+        plan.port_number.append(tuple(rng.randrange(1, 65536) for _ in weights))
+    for _device in range(rng.randint(1, 6)):
+        n = rng.choice((1, 2, 3, 8))
+        plan.candidate_count.append(n)
+        plan.pick_bits.append(n.bit_length())
+        plan.first_candidate.append(len(plan.server_ip))
+        device = (
+            rng.randrange(2**40),
+            rng.randrange(20),
+            rng.randrange(16),
+            rng.choice((_TINY, 0.0, rng.uniform(1.0, 5e6))),
+            rng.choice((_TINY, 0.0, rng.uniform(1.0, 5e5))),
+            rng.choice((1.0, 4.0 + rng.randrange(9))),
+            rng.randrange(len(plan.port_cumulative)),
+        )
+        for _ in range(n):
+            plan.server_ip.append(rng.randrange(40))
+            plan.server_continent.append(rng.randrange(4))
+            plan.server_region.append(rng.randrange(9))
+            plan.ip_version.append(rng.choice((4, 6)))
+            for column, value in zip(
+                (
+                    plan.line_id,
+                    plan.prefix,
+                    plan.provider,
+                    plan.per_hour_down,
+                    plan.per_hour_up,
+                    plan.multiplier,
+                    plan.port_table,
+                ),
+                device,
+            ):
+                column.append(value)
+    return plan
+
+
+def _random_draws(rng: random.Random, plan: _EncodedPlans) -> _DayDraws:
+    """One day of draws over a plan; ``port_u`` may be 0.0 or 1.0 exactly."""
+    draws = _DayDraws()
+    for hour in range(24):
+        count = rng.randrange(6)
+        for _ in range(count):
+            draws.candidate.append(rng.randrange(len(plan.server_ip)))
+            draws.z.append(rng.uniform(-12.0, 12.0))
+            draws.port_u.append(rng.choice((0.0, 1.0, rng.random(), rng.random())))
+            draws.traffic_factor.append(rng.choice((1.0, 0.0, rng.random())))
+        draws.hours.append((rng.randrange(100), count))
+    return draws
+
+
+def _count_edge_cases(plan: _EncodedPlans, draws: _DayDraws, columns, hits: Counter) -> None:
+    bytes_down, packets_down = columns[10], columns[12]
+    for row, (candidate, port_u, factor) in enumerate(
+        zip(draws.candidate, draws.port_u, draws.traffic_factor)
+    ):
+        device = bisect_right(plan.first_candidate, candidate) - 1
+        hits[f"n={plan.candidate_count[device]}"] += 1
+        cumulative = plan.port_cumulative[plan.port_table[candidate]]
+        if bisect_right(cumulative, port_u * cumulative[-1]) == len(cumulative):
+            zero_last = len(cumulative) > 1 and cumulative[-1] == cumulative[-2]
+            hits["clamp, zero-weight last port" if zero_last else "clamp"] += 1
+        if 0.0 < factor < 1.0:
+            hits["traffic factor < 1"] += 1
+        if bytes_down[row] == 0.0:
+            hits["zero bytes"] += 1
+            assert packets_down[row] == 0
+        elif bytes_down[row] / DEFAULT_PACKET_SIZE == 0.0:
+            hits["tiny bytes"] += 1
+            assert packets_down[row] == 1
+
+
+def test_column_builders_agree_byte_for_byte():
+    """Random draws through both builders give the same column bytes."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    from repro.flows import kernels_np
+
+    hits = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        plan = _random_plan(rng)
+        draws = _random_draws(rng, plan)
+        expected = build_flow_columns(plan, draws)
+        got = kernels_np.build_flow_columns(plan, draws)
+        assert [column.typecode for column in got] == list(COLUMN_TYPECODES)
+        assert [column.typecode for column in expected] == list(COLUMN_TYPECODES)
+        for name, want, have in zip(CATEGORICAL_COLUMNS + _NUMERIC_NAMES, expected, got):
+            assert want.tobytes() == have.tobytes(), f"seed {seed}: column {name} differs"
+        _count_edge_cases(plan, draws, expected, hits)
+    for case in (
+        "n=1",
+        "n=8",
+        "clamp",
+        "clamp, zero-weight last port",
+        "traffic factor < 1",
+        "zero bytes",
+        "tiny bytes",
+    ):
+        assert hits[case], (case, hits)
+    # A day without flows builds fifteen empty columns on both.
+    draws = _DayDraws(hours=[(0, 0)] * 24)
+    for columns in (build_flow_columns(plan, draws), kernels_np.build_flow_columns(plan, draws)):
+        assert [(column.typecode, len(column)) for column in columns] == [
+            (typecode, 0) for typecode in COLUMN_TYPECODES
+        ]
+
+
+def test_numpy_column_builder_hands_unsafe_inputs_to_python():
+    """Where counting and ``bisect_right`` or int64 packets could differ, python decides."""
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    from repro.flows import kernels_np
+
+    rng = random.Random(1)
+    plan = _random_plan(rng)
+    draws = _random_draws(rng, plan)
+    decreasing = replace(plan, port_cumulative=[(0.5, 0.25)] * len(plan.port_cumulative))
+    huge = replace(plan, per_hour_down=array("d", [1e300] * len(plan.line_id)))
+    was_enabled = obs_metrics.enabled()
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        assert kernels_np.build_flow_columns(decreasing, draws) is NotImplemented
+        assert kernels_np.build_flow_columns(huge, draws) is NotImplemented
+        counters = obs_metrics.registry().counters()
+    finally:
+        if not was_enabled:
+            obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+    assert counters["kernels.fallbacks.flow_columns.port_weights"] == 1
+    assert counters["kernels.fallbacks.flow_columns.packet_range"] == 1
+

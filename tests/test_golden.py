@@ -1,6 +1,7 @@
-"""Golden digests: end-to-end behaviour of one small scenario, pinned.
+"""Golden digests: end-to-end behaviour of two scenarios, pinned.
 
-One fresh, storeless context for ``ScenarioConfig.small(7)`` runs every CLI
+One fresh, storeless context for ``ScenarioConfig.small(7)`` (and one for
+``ScenarioConfig.default(7)``) runs every CLI
 command in :data:`repro.cli._COMMANDS` order (the vantage ablation resolves
 against its own fresh DNS rotation state, so its output does not depend on
 the commands before it), then the store bytes of each flow table — generated
@@ -13,11 +14,13 @@ fails here, naming every entry that moved.
 
 The warm-store pass pins the store read path too: one pass fills an artifact
 store, and a second fresh context on that store, reading every flow table and
-the discovery result back, must reproduce every digest.
+the discovery result back, must reproduce every digest (on the small
+scenario under pytest; on either when run as a program).
 
 After an intended behaviour change, regenerate the committed digests with::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/small_seed7.json
+    PYTHONPATH=src python tests/test_golden.py default > tests/golden/default_seed7.json
 
 and review the diff.  Run as a program, the script also runs the warm-store
 pass and exits non-zero, naming every entry that differs from the digests it
@@ -43,8 +46,15 @@ from repro.store.artifacts import ArtifactStore
 from repro.store.codec import dumps_pipeline_result, dumps_table
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "small_seed7.json"
+DEFAULT_GOLDEN_PATH = GOLDEN_PATH.with_name("default_seed7.json")
 
 SEED = 7
+
+#: The script's scale argument -> the scenario and its committed digests.
+SCALES = {
+    "small": (ScenarioConfig.small(SEED), GOLDEN_PATH),
+    "default": (ScenarioConfig.default(SEED), DEFAULT_GOLDEN_PATH),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -73,12 +83,13 @@ def snapshot_text(snapshot: CensysSnapshot) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compute_digests(store: Optional[ArtifactStore] = None) -> Dict[str, Dict[str, str]]:
+def compute_digests(
+    store: Optional[ArtifactStore] = None, config: ScenarioConfig = SCALES["small"][0]
+) -> Dict[str, Dict[str, str]]:
     """Digest every command's output and every flow table of a fresh context.
 
     The context is storeless unless ``store`` is given.
     """
-    config = ScenarioConfig.small(SEED)
     context = build_context(config, use_cache=False, store=store)
     commands = {
         name: _sha256(command(context).encode("utf-8")) for name, command in _COMMANDS.items()
@@ -100,16 +111,18 @@ def compute_digests(store: Optional[ArtifactStore] = None) -> Dict[str, Dict[str
     return {"commands": commands, "tables": tables, "scan": scan}
 
 
-def warm_store_digests(root: Path) -> Tuple[Dict[str, Dict[str, str]], Dict[str, float]]:
+def warm_store_digests(
+    root: Path, config: ScenarioConfig = SCALES["small"][0]
+) -> Tuple[Dict[str, Dict[str, str]], Dict[str, float]]:
     """Fill a store at ``root`` with one pass, then digest a second, warm pass.
 
     Returns the warm pass's digests and the metric counters it recorded.
     """
-    compute_digests(ArtifactStore(root))
+    compute_digests(ArtifactStore(root), config)
     previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
     obs_metrics.enable()
     try:
-        digests = compute_digests(ArtifactStore(root))
+        digests = compute_digests(ArtifactStore(root), config)
         counters = obs_metrics.registry().counters()
     finally:
         obs_metrics.disable()
@@ -135,6 +148,13 @@ def test_outputs_and_tables_match_the_committed_digests():
     assert not differing, "golden digests differ:\n" + "\n".join(differing)
 
 
+def test_default_scale_outputs_and_tables_match_the_committed_digests():
+    config, path = SCALES["default"]
+    expected = json.loads(path.read_text(encoding="utf-8"))
+    differing = differing_entries(expected, compute_digests(config=config))
+    assert not differing, "default-scale golden digests differ:\n" + "\n".join(differing)
+
+
 def test_warm_store_context_matches_the_committed_digests(tmp_path):
     expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     actual, counters = warm_store_digests(tmp_path / "store")
@@ -154,11 +174,15 @@ def test_warm_store_context_matches_the_committed_digests(tmp_path):
 
 
 if __name__ == "__main__":
-    cold = compute_digests()
+    scale = sys.argv[1] if len(sys.argv) > 1 else "small"
+    if scale not in SCALES or len(sys.argv) > 2:
+        sys.exit(f"usage: {sys.argv[0]} [{'|'.join(SCALES)}]")
+    config = SCALES[scale][0]
+    cold = compute_digests(config=config)
     json.dump(cold, sys.stdout, indent=2)
     sys.stdout.write("\n")
     with tempfile.TemporaryDirectory() as root:
-        warm, _counters = warm_store_digests(Path(root))
+        warm, _counters = warm_store_digests(Path(root), config)
     differing = differing_entries(cold, warm)
     if differing:
         sys.exit("warm-store digests differ:\n" + "\n".join(differing))
