@@ -20,7 +20,7 @@ The top-level namespace re-exports the most commonly used entry points.
 from repro.simulation.config import ScenarioConfig
 from repro.simulation.world import World, build_world
 from repro.core.pipeline import DiscoveryPipeline, PipelineResult
-from repro.core.providers import PROVIDERS, ProviderSpec, get_provider, provider_names
+from repro.core.providers import PROVIDERS, ProviderSpec, get_provider
 
 __all__ = [
     "ScenarioConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "PROVIDERS",
     "ProviderSpec",
     "get_provider",
-    "provider_names",
 ]
 
 __version__ = "1.0.0"

@@ -29,14 +29,13 @@ Modules
     Table/figure data structures and text rendering.
 """
 
-from repro.core.providers import PROVIDERS, ProviderSpec, get_provider, provider_names
+from repro.core.providers import PROVIDERS, ProviderSpec, get_provider
 from repro.core.pipeline import DiscoveryPipeline, PipelineResult
 
 __all__ = [
     "PROVIDERS",
     "ProviderSpec",
     "get_provider",
-    "provider_names",
     "DiscoveryPipeline",
     "PipelineResult",
 ]

@@ -113,13 +113,6 @@ class DiscoveryResult:
             names.update(record.domains)
         return names
 
-    def provider_of(self, ip: str) -> Optional[str]:
-        """Return the provider an address was attributed to, if any."""
-        for provider_key, bucket in self.per_provider.items():
-            if ip in bucket:
-                return provider_key
-        return None
-
     def merge(self, other: "DiscoveryResult") -> "DiscoveryResult":
         """Merge another result into this one (in place); returns self."""
         for record in other.records():
@@ -133,23 +126,6 @@ class DiscoveryResult:
             )
         return self
 
-    def copy(self) -> "DiscoveryResult":
-        """Return a deep-enough copy of the result."""
-        clone = DiscoveryResult(day=self.day)
-        clone.merge(self)
-        return clone
-
-    def restrict_to(self, ips: Iterable[str]) -> "DiscoveryResult":
-        """Return a new result containing only the given addresses."""
-        allowed = set(ips)
-        filtered = DiscoveryResult(day=self.day)
-        for record in self.records():
-            if record.ip in allowed:
-                filtered.add(
-                    DiscoveredIP(record.ip, record.provider_key, set(record.sources), set(record.domains))
-                )
-        return filtered
-
     def total_count(self) -> int:
         """Total number of discovered (provider, ip) attributions."""
         return sum(len(bucket) for bucket in self.per_provider.values())
@@ -161,12 +137,15 @@ class HostClassificationCache:
     Daily Censys snapshots overlap heavily — most hosts present the same
     certificates on day N+1 as on day N — so re-classifying every certificate
     name every day is wasted work.  The cache keys each host observation on
-    ``(ip, certificate identity)`` (see
-    :meth:`repro.scan.censys.CensysHostRecord.certificate_identity`) and stores
-    the *verdicts* of the classification: the ``(provider_key, domain)`` pairs
-    the host contributes to a discovery result.  A host whose certificates
-    changed gets a new key and is re-classified; everything else replays its
-    verdicts with one dictionary probe.
+    ``(ip, certificate identity)``, where the identity is the host's
+    certificate tuple (:attr:`repro.scan.censys.CensysHostRecord.certificates`:
+    comparing two days' tuples short-circuits on object identity for unchanged
+    certificates and falls back to value equality, so a rotated certificate is
+    always re-classified), and stores the *verdicts* of the classification: the
+    ``(provider_key, domain)`` pairs the host contributes to a discovery
+    result.  A host whose certificates changed gets a new key and is
+    re-classified; everything else replays its verdicts with one dictionary
+    probe.
 
     The cache is guarded by the **identity of the compiled pattern engine**: a
     verdict is only valid for the exact
@@ -205,22 +184,6 @@ class HostClassificationCache:
             self.by_ip.clear()
             self._engine_token = engine
 
-    def get(
-        self, key: Tuple[str, Tuple]
-    ) -> Optional[Tuple[Tuple[str, Tuple[str, ...]], ...]]:
-        """The memoized verdicts of one host observation, or None.
-
-        ``key`` is ``(ip, certificate identity)``; an entry recorded under a
-        different identity (the host rotated its certificate) is a miss.
-        """
-        ip, identity = key
-        cached = self.by_ip.get(ip)
-        if cached is not None and cached[0] == identity:
-            self.hits += 1
-            return cached[1]
-        self.misses += 1
-        return None
-
     def put(
         self,
         key: Tuple[str, Tuple],
@@ -230,20 +193,13 @@ class HostClassificationCache:
         ip, identity = key
         self.by_ip[ip] = (identity, verdicts)
 
-    def clear(self) -> None:
-        """Drop every verdict (the engine token survives)."""
-        self.by_ip.clear()
 
-
-def _match_certificate_name(pattern_set, name: str) -> Optional[str]:
-    """Match a certificate DNS name (possibly a wildcard) against the pattern set.
-
-    Accepts a :class:`PatternSet` or its compiled engine (anything with ``match``).
-    """
+def _match_certificate_name(engine, name: str) -> Optional[str]:
+    """Match a certificate DNS name (possibly a wildcard) with the compiled engine."""
     candidate = name.lower().rstrip(".")
     if candidate.startswith("*."):
         candidate = "wildcard." + candidate[2:]
-    return pattern_set.match(candidate)
+    return engine.match(candidate)
 
 
 class BackendDiscovery:
@@ -291,11 +247,10 @@ class BackendDiscovery:
             # Snapshot records are keyed by address, so each host appears once
             # per day; replaying grouped verdicts therefore builds each
             # (provider, ip) record in a single step instead of add+merge
-            # per certificate name.  The hit path inlines
-            # HostClassificationCache.get (one dict probe plus a
-            # certificate-tuple compare, which short-circuits on object
-            # identity for unchanged certificates) to stay call-free per host
-            # — keep it in sync with that method.
+            # per certificate name.  The hit path is one dict probe plus a
+            # certificate-tuple compare (which short-circuits on object
+            # identity for unchanged certificates), inline so that it stays
+            # call-free per host.
             for ip, record in snapshot.records.items():
                 identity = record.certificates
                 cached = lookup.get(ip)

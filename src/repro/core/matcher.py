@@ -22,18 +22,19 @@ per name, recompiling each one on every call.
   full literal suffix, the regex itself verifies longer suffixes and exact
   fixed FQDNs (Google); a tail collision can cause a wasted evaluation but
   never a wrong result.
-* **Fallback list.**  Hand-built patterns whose regex is not anchored on a
-  literal suffix are kept in a small linear-scan list, preserving the legacy
-  semantics for arbitrary regexes.
+* **Fallback list.**  Patterns without a ``suffix_hint`` (hand-built ones;
+  every generated pattern carries a hint) are scanned linearly on every
+  lookup, so any regex still matches correctly, only without the index.
 * **LRU cache + bulk API.**  Single lookups are memoized
   (:func:`functools.lru_cache`) because real corpora repeat names heavily;
   :meth:`CompiledPatternSet.match_many` amortizes normalization and cache
   probing over an entire iterable and returns a ``name -> provider`` dict.
 
-The engine is behaviour-compatible with the legacy
-:meth:`repro.core.patterns.PatternSet.match` path: when several providers'
-patterns match one name, the alphabetically first provider key wins, exactly
-like the legacy sorted iteration.
+The engine is the only name classifier: :meth:`repro.core.patterns.PatternSet.engine`
+builds and caches it, and every discovery source and the validation step match
+through it.  When several providers' patterns match one name, the
+alphabetically first provider key wins, exactly like a sorted scan of the
+providers.
 """
 
 from __future__ import annotations
@@ -47,100 +48,6 @@ from repro.obs import metrics as obs_metrics
 
 #: Default size of the per-engine single-lookup LRU cache.
 DEFAULT_LRU_SIZE = 65536
-
-#: Characters that keep their literal meaning outside a character class.
-_REGEX_METACHARS = frozenset("()[]{}|?*+^$")
-
-#: Valid characters of an (indexable) literal domain suffix.
-_DOMAIN_SUFFIX_RE = re.compile(r"[a-z0-9][a-z0-9.-]*")
-
-
-def _has_top_level_alternation(regex: str) -> bool:
-    """True when the regex has an unparenthesized ``|`` (multiple branches)."""
-    depth = 0
-    in_class = False
-    escaped = False
-    for ch in regex:
-        if escaped:
-            escaped = False
-            continue
-        if ch == "\\":
-            escaped = True
-        elif in_class:
-            if ch == "]":
-                in_class = False
-        elif ch == "[":
-            in_class = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            return True
-    return False
-
-
-def _parse_literal_suffix(regex: str) -> Tuple[Optional[str], bool]:
-    """Extract the literal domain suffix a regex is end-anchored on.
-
-    Returns ``(suffix, exact)``: ``exact`` is True when the regex matches one
-    complete literal FQDN (``^name\\.?$``).  Returns ``(None, False)`` when no
-    trailing literal run can be extracted safely; such patterns fall back to a
-    linear scan.  The parser walks the regex backwards from the ``$`` anchor,
-    unescaping ``\\.``/``\\-`` and stopping at the first metacharacter; when
-    the literal does not start at a label boundary, the (possibly partial)
-    first label is dropped.
-    """
-    if not regex.endswith("$"):
-        return None, False
-    if _has_top_level_alternation(regex):
-        # Only the last alternative's suffix would be extracted; names matching
-        # the other branches would never be probed.  Linear scan instead.
-        return None, False
-    body = regex[:-1]
-    for optional_tail in (r"\.?", r"\."):
-        if body.endswith(optional_tail):
-            body = body[: -len(optional_tail)]
-            break
-    chars: List[str] = []
-    i = len(body)
-    while i > 0:
-        ch = body[i - 1]
-        backslashes = 0
-        j = i - 1
-        while j > 0 and body[j - 1] == "\\":
-            backslashes += 1
-            j -= 1
-        if backslashes % 2 == 1:
-            if ch in ".-":
-                chars.append(ch)
-                i -= 2
-                continue
-            break
-        if ch == "\\" or ch == "." or ch in _REGEX_METACHARS:
-            break
-        chars.append(ch)
-        i -= 1
-    literal = "".join(reversed(chars)).lower()
-    if not literal:
-        return None, False
-    if i == 1 and body[0] == "^":
-        name = literal.lstrip(".")
-        if _DOMAIN_SUFFIX_RE.fullmatch(name):
-            return name, True
-        return None, False
-    if literal.startswith("."):
-        suffix = literal[1:]
-    else:
-        # The first label may be a partial literal (e.g. a fixed label tail
-        # following a wildcard term): only the labels after it are safe.
-        dot = literal.find(".")
-        if dot < 0:
-            return None, False
-        suffix = literal[dot + 1 :]
-    if suffix and _DOMAIN_SUFFIX_RE.fullmatch(suffix):
-        return suffix, False
-    return None, False
 
 
 class _CompiledEntry:
@@ -178,8 +85,8 @@ class CompiledPatternSet:
     """Compile-once, suffix-indexed matcher over a provider pattern collection.
 
     Build it from any mapping of ``provider_key -> [DomainPattern]`` (objects
-    exposing ``provider_key`` and ``regex``) via :meth:`from_patterns`, or from
-    a :class:`~repro.core.patterns.PatternSet` via :meth:`from_pattern_set`.
+    exposing ``provider_key`` and ``regex``) via :meth:`from_patterns`;
+    :meth:`repro.core.patterns.PatternSet.engine` builds the one of a pattern set.
     """
 
     def __init__(
@@ -209,7 +116,6 @@ class CompiledPatternSet:
                     # cost one extra anchored evaluation, never a wrong match.
                     self._by_tail.setdefault(_last_two_labels(suffix), []).append(entry)
                     self._suffixes[suffix] = exact
-        self._providers: Tuple[str, ...] = tuple(sorted(self._by_provider))
         self._match_all_cached = lru_cache(maxsize=lru_size)(self._match_all_normalized)
 
     # -- construction ------------------------------------------------------------
@@ -221,37 +127,19 @@ class CompiledPatternSet:
         """Build an engine from a ``provider_key -> [DomainPattern]`` mapping."""
         return cls(patterns, lru_size=lru_size)
 
-    @classmethod
-    def from_pattern_set(cls, pattern_set, lru_size: int = DEFAULT_LRU_SIZE) -> "CompiledPatternSet":
-        """Build an engine from a :class:`~repro.core.patterns.PatternSet`."""
-        return cls(pattern_set.patterns, lru_size=lru_size)
-
-    @classmethod
-    def for_providers(cls, providers=None) -> "CompiledPatternSet":
-        """Build the engine for the given provider specs (all 16 by default)."""
-        from repro.core.patterns import PatternSet
-
-        if providers is None:
-            return cls.from_pattern_set(PatternSet.for_providers())
-        return cls.from_pattern_set(PatternSet.for_providers(providers))
-
     @staticmethod
     def _index_key(spec: object) -> Tuple[Optional[str], bool]:
         """Return the (suffix, exact) index key for one pattern spec.
 
         Generated patterns carry explicit hints (``suffix_hint``/``exact_hint``);
-        hand-built patterns are parsed from their regex tail.
+        a pattern without one has no key and goes to the fallback list.
         """
         hint = getattr(spec, "suffix_hint", "")
         if hint:
             return _normalize(hint), bool(getattr(spec, "exact_hint", False))
-        return _parse_literal_suffix(getattr(spec, "regex"))
+        return None, False
 
     # -- inspection --------------------------------------------------------------
-
-    def providers(self) -> List[str]:
-        """Provider keys covered by the engine (sorted)."""
-        return list(self._providers)
 
     def pattern_count(self) -> int:
         """Total number of compiled patterns."""

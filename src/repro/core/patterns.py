@@ -14,9 +14,10 @@ The same patterns are translated into the query formats of the external services
 the paper uses: DNSDB *flexible search* (regex) and *basic search* (left-hand
 wildcard), and Censys certificate string searches.
 
-Matching is delegated to the suffix-indexed, compile-once engine in
-:mod:`repro.core.matcher`; the dataclasses here stay the declarative source of
-truth (regex text plus the suffix hints the engine indexes on).
+A :class:`DomainPattern` is data: the regex text plus the suffix hints the
+engine indexes on.  The suffix-indexed, compile-once engine in
+:mod:`repro.core.matcher`, which :meth:`PatternSet.engine` builds, does all the
+matching.
 """
 
 from __future__ import annotations
@@ -47,12 +48,13 @@ CUSTOMER_TERM = r"[a-z0-9][a-z0-9-]*"
 
 @dataclass(frozen=True)
 class DomainPattern:
-    """A compiled regular expression matching one provider's backend domains.
+    """A regular expression matching one provider's backend domains, as data.
 
     ``suffix_hint`` carries the literal registrable suffix the regex is anchored
     on (``exact_hint`` marks full-FQDN patterns); the suffix index of
-    :class:`repro.core.matcher.CompiledPatternSet` uses the hints to place the
-    pattern without re-parsing the regex.
+    :class:`repro.core.matcher.CompiledPatternSet` places the pattern by its
+    hint, and scans a pattern without one linearly.  The engine does the
+    matching (:meth:`PatternSet.engine`).
     """
 
     provider_key: str
@@ -60,31 +62,6 @@ class DomainPattern:
     description: str = ""
     suffix_hint: str = ""
     exact_hint: bool = False
-    _compiled: Optional[re.Pattern] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def compiled(self) -> re.Pattern:
-        """Return the compiled pattern (case-insensitive), compiling it once."""
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", re.compile(self.regex, re.IGNORECASE))
-        return self._compiled
-
-    def matches(self, fqdn: str) -> bool:
-        """Return True when the FQDN (with or without trailing dot) matches.
-
-        Every generated regex ends in ``\\.?$``, for which a single anchored
-        search on the dot-stripped name provably covers both spellings.  Any
-        other (hand-built) regex keeps the legacy dual search: one retry
-        against the dotted spelling after a miss.
-        """
-        name = fqdn.rstrip(".").lower()
-        pattern = self.compiled()
-        if pattern.search(name):
-            return True
-        if self.regex.endswith(r"\.?$"):
-            return False
-        return pattern.search(name + ".") is not None
 
 
 def _escape_sld(second_level_domain: str) -> str:
@@ -215,7 +192,7 @@ def censys_string_queries(spec: ProviderSpec, region_codes: Sequence[str] = ()) 
 class PatternSet:
     """The full pattern collection of the study, indexed by provider.
 
-    All lookups delegate to a lazily built
+    Names are matched through :meth:`engine`, a lazily built
     :class:`repro.core.matcher.CompiledPatternSet`: patterns are compiled once,
     indexed by registrable-suffix, and single lookups are LRU-cached.  The
     engine is rebuilt automatically when the ``patterns`` mapping changes.
@@ -236,10 +213,6 @@ class PatternSet:
         for spec in providers:
             pattern_set.patterns[spec.key] = build_patterns(spec)
         return pattern_set
-
-    def providers(self) -> List[str]:
-        """Return the provider keys covered by the set."""
-        return sorted(self.patterns)
 
     def fingerprint(self) -> str:
         """A stable SHA-256 digest of the pattern collection.
@@ -267,10 +240,6 @@ class PatternSet:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def patterns_for(self, provider_key: str) -> List[DomainPattern]:
-        """Return the patterns of one provider."""
-        return list(self.patterns.get(provider_key, []))
-
     def engine(self) -> "CompiledPatternSet":
         """Return the compiled matching engine for the current patterns.
 
@@ -287,31 +256,6 @@ class PatternSet:
             self._engine = CompiledPatternSet.from_patterns(self.patterns)
             self._engine_fingerprint = fingerprint
         return self._engine
-
-    def match(self, fqdn: str) -> Optional[str]:
-        """Return the provider key whose pattern matches the FQDN, or None.
-
-        Provider domains are designed to be mutually exclusive (each provider has
-        its own registrable domain), so the first match is returned; ties are
-        broken alphabetically for determinism, as in the legacy linear scan.
-        """
-        return self.engine().match(fqdn)
-
-    def match_all(self, fqdn: str) -> Tuple[str, ...]:
-        """Return every provider key whose patterns match the FQDN (sorted)."""
-        return self.engine().match_all(fqdn)
-
-    def match_many(self, fqdns: Iterable[str]) -> Dict[str, Optional[str]]:
-        """Bulk-classify FQDNs; see :meth:`CompiledPatternSet.match_many`."""
-        return self.engine().match_many(fqdns)
-
-    def matches_provider(self, fqdn: str, provider_key: str) -> bool:
-        """Return True when the FQDN matches any pattern of the provider."""
-        return self.engine().matches_provider(fqdn, provider_key)
-
-    def matches_any(self, fqdn: str) -> bool:
-        """Return True when the FQDN matches any provider's pattern."""
-        return self.engine().matches_any(fqdn)
 
 
 def appendix_table(providers: Iterable[ProviderSpec] = PROVIDERS) -> List[Dict[str, str]]:

@@ -634,26 +634,6 @@ def get_provider(key_or_name: str) -> ProviderSpec:
     raise KeyError(f"unknown provider {key_or_name!r}")
 
 
-def provider_names() -> List[str]:
-    """Return the provider names in alphabetical order (as in Table 1)."""
-    return sorted(spec.name for spec in PROVIDERS)
-
-
 def provider_keys() -> List[str]:
     """Return the provider keys in alphabetical order."""
     return sorted(spec.key for spec in PROVIDERS)
-
-
-def top4_providers() -> List[ProviderSpec]:
-    """Return the top-4 providers by estimated revenue."""
-    return sorted((s for s in PROVIDERS if s.is_top4), key=lambda s: s.revenue_rank)
-
-
-def cloud_dependent_providers() -> List[ProviderSpec]:
-    """Return the providers relying purely on public cloud resources (PR strategy)."""
-    return sorted((s for s in PROVIDERS if s.group == GROUP_CLOUD), key=lambda s: s.key)
-
-
-def other_providers() -> List[ProviderSpec]:
-    """Return the remaining providers (neither top-4 nor purely cloud-hosted)."""
-    return sorted((s for s in PROVIDERS if s.group == GROUP_OTHER), key=lambda s: s.key)

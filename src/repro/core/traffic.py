@@ -76,10 +76,6 @@ class EmpiricalDistribution:
             return 0.0
         return bisect.bisect_left(self.values, threshold) / len(self.values)
 
-    def fraction_between(self, low: float, high: float) -> float:
-        """Return the fraction of values in [low, high)."""
-        return max(0.0, self.fraction_below(high) - self.fraction_below(low))
-
 
 # ---------------------------------------------------------------------------------
 # Scanner identification and exclusion (Section 5.2, Figure 5)
@@ -533,13 +529,3 @@ def _label_sort_key(label: str) -> Tuple[int, int]:
     except (ValueError, IndexError):
         index = 0
     return (order.get(prefix, 3), index)
-
-
-def daily_active_lines(table: FlowTable, ip_version: Optional[int] = None) -> Dict[date, int]:
-    """Number of distinct subscriber lines with IoT activity per day."""
-    mask = table.mask_ip_version(ip_version) if ip_version is not None else None
-    per_day: Dict[date, Set[int]] = defaultdict(set)
-    grouped = table.group_distinct(("timestamp",), "subscriber_id", mask=mask)
-    for timestamp, lines in grouped.items():
-        per_day[timestamp.date()].update(lines)
-    return {day: len(lines) for day, lines in sorted(per_day.items())}

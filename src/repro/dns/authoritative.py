@@ -110,19 +110,6 @@ class AuthoritativeNameServer:
         }
         return copy
 
-    def names(self) -> List[str]:
-        """Return every owner name with at least one record."""
-        return sorted({name for name, _ in self._entries})
-
-    def record_count(self) -> int:
-        """Total number of registered records."""
-        return sum(len(entry.records) for entry in self._entries.values())
-
-    def all_records(self, name: str, rtype: str) -> List[AuthoritativeRecord]:
-        """Return every record for (name, rtype) regardless of policy."""
-        entry = self._entries.get((normalize_name(name), rtype))
-        return list(entry.records) if entry else []
-
     def query(
         self,
         name: str,

@@ -9,11 +9,11 @@ and repeats queries to progressively uncover round-robin record sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.dns.authoritative import AuthoritativeNameServer
-from repro.dns.zone import RTYPE_A, RTYPE_AAAA, normalize_name
+from repro.dns.zone import RTYPE_A, normalize_name
 from repro.netmodel.geo import Location
 
 
@@ -23,9 +23,6 @@ class VantagePoint:
 
     name: str
     location: Location
-
-    def __str__(self) -> str:
-        return f"{self.name} ({self.location.city})"
 
 
 @dataclass
@@ -87,32 +84,3 @@ class StubResolver:
             addresses=tuple(addresses),
             vantage_point=self.vantage_point.name,
         )
-
-    def resolve_all(self, name: str) -> List[ResolutionAnswer]:
-        """Resolve both A and AAAA records for a name."""
-        return [self.resolve(name, RTYPE_A), self.resolve(name, RTYPE_AAAA)]
-
-
-def resolve_from_vantage_points(
-    authoritative: AuthoritativeNameServer,
-    vantage_points: Sequence[VantagePoint],
-    names: Iterable[str],
-    rtypes: Sequence[str] = (RTYPE_A, RTYPE_AAAA),
-    retries: int = 2,
-) -> Dict[str, Set[str]]:
-    """Resolve every name from every vantage point and merge the answers.
-
-    Returns a mapping from name to the union of all addresses observed.  Using
-    several vantage points increases coverage for providers with geo-dependent
-    answers, which is exactly the effect quantified in Section 3.3.
-    """
-    merged: Dict[str, Set[str]] = {}
-    resolvers = [StubResolver(authoritative, vp, retries=retries) for vp in vantage_points]
-    for name in names:
-        key = normalize_name(name)
-        bucket = merged.setdefault(key, set())
-        for resolver in resolvers:
-            for rtype in rtypes:
-                answer = resolver.resolve(name, rtype)
-                bucket.update(answer.addresses)
-    return merged

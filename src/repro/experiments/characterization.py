@@ -4,7 +4,6 @@ and the Section 3.4 ground-truth validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Dict, List
 
 from repro.core.patterns import appendix_table
@@ -176,13 +175,6 @@ class Figure4Result:
     """Day-over-day stability of the discovered server IP sets."""
 
     comparisons: List[StabilityComparison]
-
-    def churn(self, provider_key: str, offset_day: date) -> float:
-        """Churn fraction of a provider for a given compared day."""
-        for comparison in self.comparisons:
-            if comparison.provider_key == provider_key and comparison.compared_day == offset_day:
-                return comparison.churn_fraction
-        raise KeyError((provider_key, offset_day))
 
     def render(self) -> str:
         headers = ["Provider", "Compared day", "Both", "Only current", "Only reference", "Stable %"]

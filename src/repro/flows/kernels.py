@@ -151,9 +151,6 @@ class GroupIndex:
         self.group_keys = group_keys
         self._gids_np = None
 
-    def __len__(self) -> int:
-        return len(self.group_keys)
-
     def gids_numpy(self):
         """The row->group-id mapping as an int64 numpy view (lazily cached)."""
         if self._gids_np is None:

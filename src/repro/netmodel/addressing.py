@@ -12,7 +12,7 @@ look addresses up through it.  All helpers accept either string or
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, Generic, Iterable, List, Optional, Tuple, TypeVar, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
@@ -70,18 +70,6 @@ def count_slash56(ips: Iterable[IPLike]) -> int:
     return len(blocks)
 
 
-def split_by_version(ips: Iterable[IPLike]) -> tuple[list[IPAddress], list[IPAddress]]:
-    """Split a collection of addresses into (IPv4 list, IPv6 list)."""
-    v4: list[IPAddress] = []
-    v6: list[IPAddress] = []
-    for ip in map(parse_ip, ips):
-        if ip.version == 4:
-            v4.append(ip)
-        else:
-            v6.append(ip)
-    return v4, v6
-
-
 class PrefixAllocator:
     """Allocates non-overlapping sub-prefixes and host addresses from a pool.
 
@@ -100,16 +88,6 @@ class PrefixAllocator:
         self._cursor = int(self._pool.network_address)
         self._end = int(self._pool.broadcast_address) + 1
         self._allocated: List[IPNetwork] = []
-
-    @property
-    def pool(self) -> IPNetwork:
-        """The super-prefix managed by this allocator."""
-        return self._pool
-
-    @property
-    def allocated(self) -> Sequence[IPNetwork]:
-        """All prefixes allocated so far, in allocation order."""
-        return tuple(self._allocated)
 
     def allocate_prefix(self, prefix_length: int) -> IPNetwork:
         """Allocate the next available prefix of the requested length.
@@ -149,15 +127,6 @@ class PrefixAllocator:
                 f"requested {count} hosts but {net} only has {max_hosts} available"
             )
         return [ipaddress.ip_address(base + start_offset + i) for i in range(count)]
-
-
-def summarize_prefixes(ips: Iterable[IPLike], v4_length: int = 24, v6_length: int = 56) -> List[IPNetwork]:
-    """Summarize addresses into their enclosing v4/v6 prefixes (sorted, unique)."""
-    seen = set()
-    for ip in map(parse_ip, ips):
-        length = v4_length if ip.version == 4 else v6_length
-        seen.add(prefix_of(ip, length))
-    return sorted(seen, key=lambda n: (n.version, int(n.network_address), n.prefixlen))
 
 
 class PrefixIndex(Generic[V]):

@@ -161,11 +161,6 @@ class GeoDatabase:
         """Return the location registered under an airport code."""
         return self._locations_by_airport.get(airport_code.lower())
 
-    def known_locations(self) -> List[Location]:
-        """Return all locations registered in the database."""
-        unique = {loc.region_code: loc for loc in self._locations_by_region.values()}
-        return sorted(unique.values(), key=lambda loc: loc.region_code)
-
 
 @dataclass
 class LocationVote:

@@ -73,10 +73,6 @@ class OutageSchedule:
     def __init__(self, events: Iterable[OutageEvent] = ()) -> None:
         self._events: List[OutageEvent] = list(events)
 
-    def add(self, event: OutageEvent) -> None:
-        """Add an event to the schedule."""
-        self._events.append(event)
-
     def events(self) -> List[OutageEvent]:
         """Return every scheduled event."""
         return list(self._events)

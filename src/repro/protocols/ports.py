@@ -1,4 +1,4 @@
-"""IANA-style port registry and port classification.
+"""IANA-style port registry and the port labels of the figures.
 
 The paper highlights that IoT backend providers use a mix of standard IoT ports
 (MQTT 1883/8883, CoAP 5683/5684, AMQP 5671), Web ports (80/443), and non-standard
@@ -72,37 +72,6 @@ STANDARD_IOT_PORTS: Tuple[Tuple[str, int], ...] = (
     (UDP, PORT_COAPS),
 )
 
-#: Ports considered generic Web ports.
-WEB_PORTS: Tuple[Tuple[str, int], ...] = ((TCP, PORT_HTTP), (TCP, PORT_HTTPS))
-
-
-def classify_port(transport: str, port: int) -> str:
-    """Return a coarse class for a (transport, port) pair.
-
-    Classes: ``iot-standard`` (IANA-assigned IoT protocol port), ``web`` (80/443),
-    ``iot-nonstandard`` (ports documented by providers for IoT protocols but not
-    IANA-assigned to them), and ``other``.
-    """
-    transport = transport.lower()
-    key = (transport, port)
-    if key in STANDARD_IOT_PORTS:
-        return "iot-standard"
-    if key in WEB_PORTS:
-        return "web"
-    if port in (
-        PORT_MQTT_ALT,
-        PORT_COAP_ALT,
-        PORT_COAP_ALT2,
-        PORT_HTTPS_ALT,
-        PORT_HUAWEI_HTTPS,
-        PORT_ACTIVEMQ,
-        PORT_CISCO_KINETIC_A,
-        PORT_CISCO_KINETIC_B,
-        PORT_OPC_UA,
-    ):
-        return "iot-nonstandard"
-    return "other"
-
 
 def describe_port(transport: str, port: int) -> PortService:
     """Return the :class:`PortService` for a pair, synthesising one if unknown."""
@@ -110,16 +79,6 @@ def describe_port(transport: str, port: int) -> PortService:
     if key in IANA_PORT_SERVICES:
         return IANA_PORT_SERVICES[key]
     return PortService(transport.lower(), port, f"port-{port}", "unregistered")
-
-
-def is_standard_iot_port(transport: str, port: int) -> bool:
-    """Return True if the pair is one of the IANA-assigned IoT protocol ports."""
-    return (transport.lower(), port) in STANDARD_IOT_PORTS
-
-
-def is_web_port(transport: str, port: int) -> bool:
-    """Return True if the pair is a generic Web port (HTTP/HTTPS)."""
-    return (transport.lower(), port) in WEB_PORTS
 
 
 def port_label(transport: str, port: int) -> str:

@@ -1,10 +1,9 @@
 """Routing substrate: prefix announcements and longest-prefix-match lookup
-(RouteViews-style prefix-to-AS mapping), a BGPStream-like event feed, and anycast
-catchments."""
+(RouteViews-style prefix-to-AS mapping) and a BGPStream-like event feed.
+Anycast is a per-server flag (``BackendServer.anycast``), not a routing model."""
 
 from repro.routing.bgp import Announcement, RoutingTable
 from repro.routing.events import BgpEvent, BgpEventFeed, EventKind
-from repro.routing.anycast import AnycastGroup
 
 __all__ = [
     "Announcement",
@@ -12,5 +11,4 @@ __all__ = [
     "BgpEvent",
     "BgpEventFeed",
     "EventKind",
-    "AnycastGroup",
 ]

@@ -9,9 +9,9 @@ prefix for an address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netmodel.addressing import IPLike, NetLike, PrefixIndex, parse_network
+from repro.netmodel.addressing import IPLike, PrefixIndex, parse_network
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class RoutingTable:
     """A longest-prefix-match table over announcements."""
 
     def __init__(self) -> None:
-        self._announcements: List[Tuple[object, Announcement]] = []
+        # (prefix, origin AS) -> announcement, in insertion order.
         self._seen: Dict[Tuple[str, int], Announcement] = {}
         self._index: PrefixIndex[Announcement] = PrefixIndex()
 
@@ -42,42 +42,14 @@ class RoutingTable:
         if key in self._seen:
             return
         self._seen[key] = announcement
-        self._announcements.append((network, announcement))
         # The first announcement of a prefix answers lookups, also when
         # another origin announces the same prefix later (MOAS).
         self._index.setdefault(network, announcement)
-
-    def announce_many(self, announcements: Iterable[Announcement]) -> None:
-        """Insert several announcements."""
-        for announcement in announcements:
-            self.announce(announcement)
 
     def lookup(self, ip: IPLike) -> Optional[Announcement]:
         """Return the most specific announcement covering an address, if any."""
         return self._index.lookup(ip)
 
-    def origin_asn(self, ip: IPLike) -> Optional[int]:
-        """Return the origin AS number for an address, if covered."""
-        announcement = self.lookup(ip)
-        return announcement.origin_asn if announcement else None
-
     def announcements(self) -> List[Announcement]:
         """Return every announcement in insertion order."""
-        return [announcement for _, announcement in self._announcements]
-
-    def prefixes_for_asn(self, asn: int) -> List[str]:
-        """Return every prefix announced by an AS."""
-        return [a.prefix for _, a in self._announcements if a.origin_asn == asn]
-
-    def covers(self, prefix: NetLike) -> bool:
-        """Return True when the table contains an announcement equal to or covering the prefix."""
-        target = parse_network(prefix)
-        for network, _announcement in self._announcements:
-            if network.version != target.version:
-                continue
-            if target.subnet_of(network):
-                return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._announcements)
+        return list(self._seen.values())

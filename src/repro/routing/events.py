@@ -103,6 +103,3 @@ class BgpEventFeed:
             if event.affects_asn(asns) or event.affects_prefix(networks):
                 affected.append(event)
         return affected
-
-    def __len__(self) -> int:
-        return len(self._events)

@@ -16,7 +16,6 @@ certificates from scans.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -47,22 +46,6 @@ class CensysHostRecord:
                 if name not in names:
                     names.append(name)
         return names
-
-    def certificate_identity(self) -> Tuple[Certificate, ...]:
-        """The identity of the certificate material presented by the host.
-
-        Daily snapshots overlap heavily: the same backend serves the same
-        certificates day after day, and the incremental discovery cache
-        (:class:`repro.core.discovery.HostClassificationCache`) keys each host
-        observation on ``(ip, certificate identity)`` to reuse the prior day's
-        classification verdicts.  The identity is the certificate tuple
-        itself: comparing two days' tuples short-circuits on object identity
-        for unchanged certificates (endpoints serve the same objects across
-        days) and falls back to value equality, so a rotated certificate —
-        even one replaced by an equal copy — always compares correctly and a
-        changed one is re-classified.
-        """
-        return self.certificates
 
 
 @dataclass
@@ -123,41 +106,6 @@ class CensysSnapshot:
             for record in self.records.values()
             if any(endpoint in wanted for endpoint in record.open_ports)
         }
-
-    def search_certificates(self, name_regex: str) -> List[Tuple[str, Certificate, str]]:
-        """Return (ip, certificate, matched name) for names matching a regex.
-
-        Mirrors Censys certificate search: the regex is applied to every DNS name
-        (CN and SANs) of every certificate in the snapshot.  Names are matched both
-        with and without a trailing dot, as the paper's DNSDB-style patterns end in
-        ``\\.$``.
-        """
-        pattern = re.compile(name_regex)
-        matches: List[Tuple[str, Certificate, str]] = []
-        for record in self.hosts():
-            for certificate in record.certificates:
-                for name in certificate.all_dns_names():
-                    candidate = name.rstrip(".")
-                    if pattern.search(candidate) or pattern.search(candidate + "."):
-                        matches.append((record.ip, certificate, candidate))
-                        break
-        return matches
-
-    def search_name_string(self, name_substring: str) -> List[Tuple[str, Certificate, str]]:
-        """String search over certificate names (Censys "string search" queries).
-
-        Wildcard-style queries like ``*.iot.us-east-1.amazonaws.com`` match any name
-        ending with the part after ``*``.
-        """
-        needle = name_substring.lstrip("*")
-        results: List[Tuple[str, Certificate, str]] = []
-        for record in self.hosts():
-            for certificate in record.certificates:
-                for name in certificate.all_dns_names():
-                    if name.endswith(needle) or needle in name:
-                        results.append((record.ip, certificate, name))
-                        break
-        return results
 
 
 class CensysService:
@@ -220,10 +168,6 @@ class CensysService:
         if day not in self._snapshots:
             self._snapshots[day] = self._build_snapshot(day)
         return self._snapshots[day]
-
-    def snapshots(self, days: Iterable[date]) -> List[CensysSnapshot]:
-        """Return snapshots for several days."""
-        return [self.snapshot(day) for day in days]
 
     def _build_snapshot(self, day: date) -> CensysSnapshot:
         snapshot = CensysSnapshot(snapshot_date=day)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import Iterable, List, Optional, Tuple
 
 _serial_counter = itertools.count(1)
@@ -61,11 +61,6 @@ class Certificate:
         """Return True when the certificate validity interval covers the day."""
         return self.not_before <= day <= self.not_after
 
-    def is_valid_during(self, start: date, end: date) -> bool:
-        """Return True when the certificate is valid at any point in [start, end)."""
-        last_day = end - timedelta(days=1)
-        return self.not_before <= last_day and self.not_after >= start
-
     def covers_domain(self, fqdn: str) -> bool:
         """Return True when any certificate name covers the FQDN.
 
@@ -111,10 +106,3 @@ def make_certificate(
         not_after=not_after,
         self_signed=self_signed,
     )
-
-
-def certificates_valid_during(
-    certificates: Iterable[Certificate], start: date, end: date
-) -> List[Certificate]:
-    """Filter certificates to those valid at some point during [start, end)."""
-    return [cert for cert in certificates if cert.is_valid_during(start, end)]

@@ -15,7 +15,7 @@ modelled here explicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.scan.certificates import Certificate
 
@@ -58,16 +58,6 @@ class TlsServerConfig:
         if self.require_sni:
             return None
         return self.default_certificate
-
-    def all_certificates(self) -> Tuple[Certificate, ...]:
-        """Return every certificate configured on this endpoint (for world tooling)."""
-        certificates = []
-        if self.default_certificate is not None:
-            certificates.append(self.default_certificate)
-        for cert in self.sni_certificates.values():
-            if cert not in certificates:
-                certificates.append(cert)
-        return tuple(certificates)
 
 
 @dataclass(frozen=True)

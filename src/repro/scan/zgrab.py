@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.netmodel.topology import BackendServer, ServiceEndpoint
 from repro.protocols import amqp, http, mqtt
@@ -120,15 +120,3 @@ class ZGrabScanner:
         if protocol in ("HTTP", "HTTPS"):
             return http.probe_server(http.HttpServerBehaviour()).spoke_http
         return False
-
-
-def certificates_from_results(results: Iterable[ZGrabResult]) -> Dict[str, List[Certificate]]:
-    """Group observed certificates by address."""
-    grouped: Dict[str, List[Certificate]] = {}
-    for result in results:
-        if result.certificate is None:
-            continue
-        bucket = grouped.setdefault(result.ip, [])
-        if result.certificate not in bucket:
-            bucket.append(result.certificate)
-    return grouped

@@ -71,10 +71,6 @@ class BlocklistAggregate:
     def __init__(self, blocklists: Iterable[Blocklist] = ()) -> None:
         self._blocklists: List[Blocklist] = list(blocklists)
 
-    def add_list(self, blocklist: Blocklist) -> None:
-        """Register a blocklist."""
-        self._blocklists.append(blocklist)
-
     def lists(self, include_unmaintained: bool = False) -> List[Blocklist]:
         """Return registered lists, excluding unmaintained ones by default."""
         return [

@@ -9,7 +9,8 @@ of flows, discovery, all analyses) runs in well under a minute on a laptop; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from repro.simulation.clock import MAIN_STUDY_PERIOD, OUTAGE_STUDY_PERIOD, StudyPeriod
 
@@ -25,7 +26,6 @@ class ScenarioConfig:
     scale: float = 0.02
     min_ipv4_servers: int = 3
     min_ipv6_servers: int = 1
-    churn_pool_factor: float = 3.0
 
     # ISP population
     n_subscriber_lines: int = 4000
@@ -47,7 +47,6 @@ class ScenarioConfig:
     n_non_iot_hosts: int = 40
     shared_domains_per_ip: int = 25
     n_background_dns_records: int = 200
-    n_background_bgp_prefixes: int = 50
     n_blocklisted_backend_ips: int = 12
 
     # Study periods
@@ -58,6 +57,12 @@ class ScenarioConfig:
     shared_ip_domain_threshold: int = 10
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type in ("float", float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value!r}")
+            if spec.type in ("int", int) and spec.name != "seed" and value < 0:
+                raise ValueError(f"{spec.name} must be >= 0, got {value!r}")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.n_subscriber_lines <= 0:
@@ -72,6 +77,10 @@ class ScenarioConfig:
             raise ValueError("ipv6_line_fraction must be within [0, 1]")
         if not 0.0 <= self.iot_household_fraction <= 1.0:
             raise ValueError("iot_household_fraction must be within [0, 1]")
+        if not 0.0 <= self.geolocation_error_rate <= 1.0:
+            raise ValueError("geolocation_error_rate must be within [0, 1]")
+        if self.isp_prefix_count < 1:
+            raise ValueError("isp_prefix_count must be >= 1")
 
     @classmethod
     def small(cls, seed: int = 7) -> "ScenarioConfig":
@@ -82,7 +91,6 @@ class ScenarioConfig:
             n_subscriber_lines=800,
             n_non_iot_hosts=10,
             n_background_dns_records=40,
-            n_background_bgp_prefixes=15,
             n_blocklisted_backend_ips=6,
         )
 

@@ -39,11 +39,6 @@ class RngRegistry:
         self._seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def seed(self) -> int:
-        """Return the base seed of this registry."""
-        return self._seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream registered under ``name``, creating it if needed.
 

@@ -57,6 +57,10 @@ def test_scale_zero_is_rejected_by_the_parser():
     with pytest.raises(SystemExit):
         parser.parse_args(["table1", "--scale", "-0.5"])
     with pytest.raises(SystemExit):
+        parser.parse_args(["table1", "--scale", "nan"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["table1", "--scale", "inf"])
+    with pytest.raises(SystemExit):
         parser.parse_args(["table1", "--subscriber-lines", "0"])
 
 
@@ -185,6 +189,19 @@ def test_sweep_rejects_invalid_axis_value_as_parser_error(capsys):
         main(["sweep", "--small", "--axis", "scale=-1"])
     assert excinfo.value.code == 2
     assert "scale must be positive" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_nan_axis_value_as_parser_error(capsys):
+    """NaN parses as a float but is no scenario value: the sweep stops before any run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "sweep", "--small", "--subscriber-lines", "60",
+                "--axis", "volume_sigma=nan,0.75", "--metrics", "traffic",
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert "volume_sigma must be finite" in capsys.readouterr().err
 
 
 def test_sweep_exits_nonzero_when_scenarios_fail(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from repro.core.matcher import CompiledPatternSet, _parse_literal_suffix
+from repro.core.matcher import CompiledPatternSet
 from repro.core.patterns import DomainPattern, PatternSet, build_patterns
 from repro.core.providers import PROVIDERS
 from repro.dns.names import SUBDOMAIN_FIXED, build_fqdn, region_label
@@ -98,8 +98,14 @@ def test_match_many_agrees_with_single_lookups(pattern_set):
 
 def test_match_many_agrees_on_dotted_and_fallback_patterns():
     patterns = {
-        "dotted": [DomainPattern("dotted", r"^[a-z0-9-]+\.dot\.example\.$")],
-        "indexed": [DomainPattern("indexed", r"^[a-z0-9-]+\.shared\.example\.?$")],
+        "dotted": [
+            DomainPattern("dotted", r"^[a-z0-9-]+\.dot\.example\.$", suffix_hint="dot.example")
+        ],
+        "indexed": [
+            DomainPattern(
+                "indexed", r"^[a-z0-9-]+\.shared\.example\.?$", suffix_hint="shared.example"
+            )
+        ],
         "odd": [DomainPattern("odd", r"device-[0-9]+\.example\.(com|net)$")],
     }
     names = [
@@ -113,16 +119,12 @@ def test_match_many_agrees_on_dotted_and_fallback_patterns():
     ]
     for keys in (("dotted", "indexed"), tuple(patterns)):
         engine = CompiledPatternSet.from_patterns({key: patterns[key] for key in keys})
+        # The dotted pattern sits in the suffix index, not in the fallback list.
+        assert engine.indexed_suffixes() == ["dot.example", "shared.example"]
         bulk = engine.match_many(names + names)
         assert bulk == {name: engine.match(name) for name in names}
         assert bulk["x.dot.example"] == "dotted"
         assert bulk["X.Shared.Example."] == "indexed"
-
-
-def test_pattern_set_delegation_consistency(pattern_set):
-    for name in ("tenant.iot.eu-west-1.amazonaws.com", "mqtt.googleapis.com.", "x.example"):
-        assert pattern_set.match(name) == pattern_set.engine().match(name)
-        assert pattern_set.matches_any(name) == (pattern_set.match(name) is not None)
 
 
 def test_engine_normalization(pattern_set):
@@ -134,9 +136,9 @@ def test_engine_normalization(pattern_set):
 
 
 def test_match_all_returns_every_matching_provider():
+    shared = r"^[a-z0-9-]+\.shared\.example\.?$"
     patterns = {
-        "alpha": [DomainPattern("alpha", r"^[a-z0-9-]+\.shared\.example\.?$")],
-        "beta": [DomainPattern("beta", r"^[a-z0-9-]+\.shared\.example\.?$")],
+        key: [DomainPattern(key, shared, suffix_hint="shared.example")] for key in ("alpha", "beta")
     }
     engine = CompiledPatternSet.from_patterns(patterns)
     assert engine.match_all("x.shared.example") == ("alpha", "beta")
@@ -158,7 +160,7 @@ def test_fallback_for_unindexable_regex():
 def test_single_label_suffix_falls_back_to_linear_scan():
     # The two-label tail probe can never reach a one-label index key, so such
     # patterns must take the fallback path and still match.
-    patterns = {"q": [DomainPattern("q", r"example\.com$")]}
+    patterns = {"q": [DomainPattern("q", r"example\.com$", suffix_hint="com")]}
     engine = CompiledPatternSet.from_patterns(patterns)
     assert engine.match("foo.example.com") == "q"
     assert engine.match("fooexample.com") == "q"
@@ -166,28 +168,29 @@ def test_single_label_suffix_falls_back_to_linear_scan():
 
 
 def test_dotted_dnsdb_style_pattern_matches_stripped_names():
-    # DNSDB flex-search regexes anchor on the dotted spelling; both the legacy
-    # DomainPattern.matches path and the engine must retry with the dot.
-    pattern = DomainPattern("p", r"device\.example\.com\.$")
-    assert pattern.matches("device.example.com")
-    assert pattern.matches("device.example.com.")
-    assert not pattern.matches("other.example.com")
-    engine = CompiledPatternSet.from_patterns({"p": [pattern]})
-    assert engine.match("device.example.com") == "p"
-    assert engine.match("device.example.com.") == "p"
-    assert engine.match("other.example.com") is None
+    # DNSDB flex-search regexes anchor on the dotted spelling; the engine must
+    # retry with the dot, both in the suffix index and in the fallback list.
+    regex = r"device\.example\.com\.$"
+    for hint in ("example.com", ""):
+        engine = CompiledPatternSet.from_patterns(
+            {"p": [DomainPattern("p", regex, suffix_hint=hint)]}
+        )
+        assert engine.indexed_suffixes() == ([hint] if hint else []), hint
+        assert engine.match("device.example.com") == "p", hint
+        assert engine.match("device.example.com.") == "p", hint
+        assert engine.match("other.example.com") is None, hint
 
 
 def test_top_level_alternation_falls_back_to_linear_scan():
-    # Only the last branch's suffix would be indexable; all branches must match.
+    # A pattern without a suffix hint is scanned linearly, so every branch matches.
     patterns = {"r": [DomainPattern("r", r"^a\.x\.com\.?$|^b\.y\.com\.?$")]}
     engine = CompiledPatternSet.from_patterns(patterns)
     assert engine.match("a.x.com") == "r"
     assert engine.match("b.y.com") == "r"
     assert engine.match("c.z.com") is None
-    # Alternation inside a group stays indexable.
+    # Alternation inside a group stays indexable under its hint.
     grouped = CompiledPatternSet.from_patterns(
-        {"g": [DomainPattern("g", r"^(?:a|b)\.shared\.example\.?$")]}
+        {"g": [DomainPattern("g", r"^(?:a|b)\.shared\.example\.?$", suffix_hint="shared.example")]}
     )
     assert grouped.indexed_suffixes() == ["shared.example"]
     assert grouped.match("a.shared.example") == "g"
@@ -197,16 +200,14 @@ def test_dotted_retry_covers_any_trailing_dot_spelling():
     # The legacy dual search must survive for every hand-built spelling of a
     # mandatory trailing dot, not just the literal r"\.$".
     for regex in (r"dev\.example\.com[.]$", r"dev\.example\.com(\.)$"):
-        pattern = DomainPattern("p", regex)
-        assert pattern.matches("dev.example.com"), regex
-        engine = CompiledPatternSet.from_patterns({"p": [pattern]})
+        engine = CompiledPatternSet.from_patterns({"p": [DomainPattern("p", regex)]})
         assert engine.match("dev.example.com") == "p", regex
 
 
-def test_hand_built_pattern_is_indexed_via_regex_parse():
+def test_hand_built_pattern_without_hint_matches_through_fallback():
     patterns = {"p": [DomainPattern("p", r"^[a-z]+\.things\.example\.com\.?$")]}
     engine = CompiledPatternSet.from_patterns(patterns)
-    assert engine.indexed_suffixes() == ["things.example.com"]
+    assert engine.indexed_suffixes() == []
     assert engine.match("hub.things.example.com") == "p"
     assert engine.match("hub.things.example.com.") == "p"
     assert engine.match("hub.xthings.example.com") is None
@@ -215,13 +216,15 @@ def test_hand_built_pattern_is_indexed_via_regex_parse():
 
 def test_engine_rebuilds_after_pattern_mutation(pattern_set):
     mutable = PatternSet.for_providers()
-    assert mutable.match("gw.new-provider.example") is None
+    assert mutable.engine().match("gw.new-provider.example") is None
     mutable.patterns["newprov"] = [
-        DomainPattern("newprov", r"^[a-z0-9-]+\.new-provider\.example\.?$")
+        DomainPattern(
+            "newprov", r"^[a-z0-9-]+\.new-provider\.example\.?$", suffix_hint="new-provider.example"
+        )
     ]
-    assert mutable.match("gw.new-provider.example") == "newprov"
+    assert mutable.engine().match("gw.new-provider.example") == "newprov"
     del mutable.patterns["newprov"]
-    assert mutable.match("gw.new-provider.example") is None
+    assert mutable.engine().match("gw.new-provider.example") is None
 
 
 def test_generated_patterns_carry_suffix_hints():
@@ -239,29 +242,8 @@ def test_all_provider_patterns_are_suffix_indexed(pattern_set):
     assert len(engine._fallback) == 0
 
 
-def test_parse_literal_suffix():
-    assert _parse_literal_suffix(r"^mqtt\.googleapis\.com\.?$") == ("mqtt.googleapis.com", True)
-    assert _parse_literal_suffix(r"^[a-z0-9]+\.azure\-devices\.net\.?$") == (
-        "azure-devices.net",
-        False,
-    )
-    assert _parse_literal_suffix(r"^[a-z]+x\.example\.com$") == ("example.com", False)
-    assert _parse_literal_suffix(r"device\.(com|net)$") == (None, False)
-    assert _parse_literal_suffix(r"^[a-z]+\.example\.com") == (None, False)  # unanchored
-    assert _parse_literal_suffix(r"^[a-z]+\.iot\.sap\.$") == ("iot.sap", False)
-
-
-def test_compiled_pattern_cached_on_instance():
-    pattern = DomainPattern("p", r"^a\.example\.?$")
-    first = pattern.compiled()
-    assert pattern.compiled() is first
-    assert pattern.matches("a.example")
-    assert pattern.matches("A.EXAMPLE.")
-    assert not pattern.matches("b.example")
-
-
 def test_lru_cache_hits_on_repeats(pattern_set):
-    engine = CompiledPatternSet.from_pattern_set(pattern_set)
+    engine = CompiledPatternSet.from_patterns(pattern_set.patterns)
     for _ in range(5):
         engine.match("tenant.iot.eu-west-1.amazonaws.com")
     info = engine.cache_info()

@@ -10,19 +10,15 @@ from repro.core.providers import (
     STRATEGY_DI,
     STRATEGY_DI_PR,
     STRATEGY_PR,
-    cloud_dependent_providers,
     get_provider,
-    other_providers,
     provider_keys,
-    provider_names,
-    top4_providers,
 )
 
 
 def test_sixteen_providers_in_catalog():
     assert len(PROVIDERS) == 16
     assert len(set(provider_keys())) == 16
-    assert len(set(provider_names())) == 16
+    assert len({spec.name for spec in PROVIDERS}) == 16
 
 
 def test_lookup_by_key_and_name():
@@ -63,7 +59,10 @@ def test_nine_di_and_six_pr_providers():
 
 
 def test_groups_partition_catalog():
-    groups = {GROUP_TOP4: top4_providers(), GROUP_CLOUD: cloud_dependent_providers(), GROUP_OTHER: other_providers()}
+    groups = {
+        group: [spec for spec in PROVIDERS if spec.group == group]
+        for group in (GROUP_TOP4, GROUP_CLOUD, GROUP_OTHER)
+    }
     total = sum(len(v) for v in groups.values())
     assert total == len(PROVIDERS)
     assert len(groups[GROUP_TOP4]) == 4

@@ -9,7 +9,6 @@ from repro.core.traffic import (
     EmpiricalDistribution,
     ScannerExclusion,
     activity_timeseries,
-    daily_active_lines,
     direction_ratio_timeseries,
     mean_direction_ratio,
     overall_visibility,
@@ -69,7 +68,6 @@ class TestEmpiricalDistribution:
         assert dist.quantile(1.0) == 5
         assert dist.quantile(0.5) == 3
         assert dist.fraction_below(3) == pytest.approx(0.4)
-        assert dist.fraction_between(2, 5) == pytest.approx(0.6)
 
     def test_empty_distribution(self):
         dist = EmpiricalDistribution([])
@@ -201,9 +199,3 @@ def test_region_crossing_categories():
     assert report.category_fraction("Asia") == pytest.approx(0.25)
     assert abs(sum(report.line_categories.values()) - 1.0) < 1e-9
     assert abs(sum(report.traffic_by_continent.values()) - 1.0) < 1e-9
-
-
-def test_daily_active_lines():
-    flows = _table(_flow(1, "10.0.0.1"), _flow(2, "10.0.0.1", ip_version=6))
-    assert daily_active_lines(flows) == {DAY: 2}
-    assert daily_active_lines(flows, ip_version=6) == {DAY: 1}

@@ -325,15 +325,6 @@ class TestTrafficAnalysisParity:
             {continent: bytes_ / total_bytes for continent, bytes_ in traffic_by_continent.items()}
         )
 
-    def test_daily_active_lines(self, records, table):
-        for ip_version in (None, 6):
-            lines = {}
-            for r in records:
-                if ip_version is None or r.ip_version == ip_version:
-                    lines.setdefault(r.timestamp.date(), set()).add(r.subscriber_id)
-            expected = {day: len(ids) for day, ids in lines.items()}
-            assert traffic.daily_active_lines(table, ip_version) == expected
-
     def test_scanner_exclusion(self, records, table):
         backend = {r.server_ip for r in records if r.ip_version == 4}
         contacts = {}

@@ -14,8 +14,6 @@ from repro.netmodel.addressing import (
     parse_ip,
     parse_network,
     prefix_of,
-    split_by_version,
-    summarize_prefixes,
 )
 
 
@@ -45,17 +43,6 @@ def test_count_slash24_and_slash56():
     ips = ["10.0.0.1", "10.0.0.200", "10.0.1.1", "fd00::1", "fd00:0:0:100::1"]
     assert count_slash24(ips) == 2
     assert count_slash56(ips) == 2
-
-
-def test_split_by_version():
-    v4, v6 = split_by_version(["10.0.0.1", "fd00::1"])
-    assert len(v4) == 1 and v4[0].version == 4
-    assert len(v6) == 1 and v6[0].version == 6
-
-
-def test_summarize_prefixes_sorted_unique():
-    prefixes = summarize_prefixes(["10.0.0.1", "10.0.0.2", "10.0.1.1"])
-    assert [str(p) for p in prefixes] == ["10.0.0.0/24", "10.0.1.0/24"]
 
 
 class TestPrefixAllocator:

@@ -1,39 +1,11 @@
-"""Tests for the port registry and classification."""
+"""Tests for the port registry and the figures' port labels."""
 
 from repro.protocols.ports import (
     IANA_PORT_SERVICES,
     STANDARD_IOT_PORTS,
-    classify_port,
     describe_port,
-    is_standard_iot_port,
-    is_web_port,
     port_label,
 )
-
-
-def test_standard_iot_ports_classified():
-    assert classify_port("tcp", 8883) == "iot-standard"
-    assert classify_port("tcp", 1883) == "iot-standard"
-    assert classify_port("udp", 5684) == "iot-standard"
-    assert classify_port("tcp", 5671) == "iot-standard"
-
-
-def test_web_ports_classified():
-    assert classify_port("tcp", 443) == "web"
-    assert classify_port("tcp", 80) == "web"
-    assert is_web_port("TCP", 443)
-
-
-def test_nonstandard_iot_ports_classified():
-    assert classify_port("tcp", 1884) == "iot-nonstandard"
-    assert classify_port("udp", 5682) == "iot-nonstandard"
-    assert classify_port("tcp", 61616) == "iot-nonstandard"
-    assert classify_port("tcp", 9123) == "iot-nonstandard"
-
-
-def test_other_ports():
-    assert classify_port("tcp", 22) == "other"
-    assert classify_port("udp", 53) == "other"
 
 
 def test_describe_known_and_unknown_ports():
@@ -50,5 +22,4 @@ def test_port_labels():
 
 def test_standard_ports_are_registered():
     for transport, port in STANDARD_IOT_PORTS:
-        assert is_standard_iot_port(transport, port)
         assert (transport, port) in IANA_PORT_SERVICES

@@ -1,9 +1,7 @@
-"""Tests for the routing substrate: prefix-to-AS table, BGP events, anycast."""
+"""Tests for the routing substrate: prefix-to-AS table and BGP events."""
 
 from datetime import date
 
-from repro.netmodel.geo import world_locations
-from repro.routing.anycast import AnycastGroup
 from repro.routing.bgp import Announcement, RoutingTable
 from repro.routing.events import BgpEvent, BgpEventFeed, EventKind
 
@@ -13,30 +11,21 @@ class TestRoutingTable:
         table = RoutingTable()
         table.announce(Announcement("10.0.0.0/8", 65001, "Org A"))
         table.announce(Announcement("10.1.0.0/16", 65002, "Org B"))
-        assert table.origin_asn("10.1.2.3") == 65002
-        assert table.origin_asn("10.2.0.1") == 65001
-        assert table.origin_asn("192.0.2.1") is None
+        assert table.lookup("10.1.2.3").origin_asn == 65002
+        assert table.lookup("10.2.0.1").origin_asn == 65001
+        assert table.lookup("192.0.2.1") is None
 
     def test_duplicate_announcements_ignored(self):
         table = RoutingTable()
         table.announce(Announcement("10.0.0.0/24", 65001))
         table.announce(Announcement("10.0.0.0/24", 65001))
-        assert len(table) == 1
-
-    def test_prefixes_for_asn_and_covers(self):
-        table = RoutingTable()
-        table.announce_many(
-            [Announcement("10.0.0.0/24", 65001), Announcement("10.0.1.0/24", 65002)]
-        )
-        assert table.prefixes_for_asn(65001) == ["10.0.0.0/24"]
-        assert table.covers("10.0.0.0/25")
-        assert not table.covers("10.9.0.0/24")
+        assert len(table.announcements()) == 1
 
     def test_ipv6_lookup(self):
         table = RoutingTable()
         table.announce(Announcement("fd00::/56", 65010))
-        assert table.origin_asn("fd00::1") == 65010
-        assert table.origin_asn("10.0.0.1") is None
+        assert table.lookup("fd00::1").origin_asn == 65010
+        assert table.lookup("10.0.0.1") is None
 
 
 class TestBgpEvents:
@@ -65,21 +54,3 @@ class TestBgpEvents:
         affected_by_prefix = feed.events_affecting(set(), ["10.0.0.0/25"])
         assert len(affected_by_prefix) == 1
         assert feed.events_affecting({1}, ["198.51.100.0/24"]) == []
-
-
-class TestAnycast:
-    def test_catchment_prefers_local_continent(self):
-        locations = world_locations()
-        eu = next(loc for loc in locations if loc.continent == "EU")
-        us = next(loc for loc in locations if loc.continent == "NA")
-        group = AnycastGroup("global-accelerator")
-        group.add_site(eu)
-        group.add_site(us)
-        assert group.catchment("EU") == eu
-        assert group.catchment("NA") == us
-        # Unknown continents fall back deterministically.
-        assert group.catchment("AF") in (eu, us)
-        assert group.continents() == ["EU", "NA"]
-
-    def test_empty_group(self):
-        assert AnycastGroup("empty").catchment("EU") is None

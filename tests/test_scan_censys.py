@@ -69,21 +69,6 @@ def test_snapshot_is_cached_and_ipv6_skipped():
     assert snapshot.get("fd00::1") is None
 
 
-def test_search_certificates_regex():
-    service = _service([_server("10.0.0.1", "tenant.iot.acme.example")])
-    snapshot = service.snapshot(DAY)
-    matches = snapshot.search_certificates(r"\.iot\.acme\.example$")
-    assert [m[0] for m in matches] == ["10.0.0.1"]
-    assert snapshot.search_certificates(r"\.does-not-exist\.example$") == []
-
-
-def test_search_name_string():
-    service = _service([_server("10.0.0.1", "tenant.iot.acme.example")])
-    snapshot = service.snapshot(DAY)
-    assert snapshot.search_name_string("*.iot.acme.example")
-    assert not snapshot.search_name_string("*.other.example")
-
-
 def test_banners_collected():
     service = _service([_server("10.0.0.1", "gw.example")])
     record = service.snapshot(DAY).get("10.0.0.1")

@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 
-from repro.scan.certificates import Certificate, certificates_valid_during, make_certificate
+from repro.scan.certificates import Certificate, make_certificate
 
 
 def test_make_certificate_sets_cn_and_sans():
@@ -28,15 +28,6 @@ def test_validity_checks():
     cert = Certificate("a.example", not_before=date(2022, 1, 1), not_after=date(2022, 6, 30))
     assert cert.is_valid_on(date(2022, 3, 1))
     assert not cert.is_valid_on(date(2021, 12, 31))
-    assert cert.is_valid_during(date(2022, 6, 1), date(2022, 7, 15))
-    assert not cert.is_valid_during(date(2022, 7, 1), date(2022, 8, 1))
-
-
-def test_certificates_valid_during_filter():
-    valid = Certificate("a.example", not_before=date(2022, 1, 1), not_after=date(2023, 1, 1))
-    expired = Certificate("b.example", not_before=date(2020, 1, 1), not_after=date(2021, 1, 1))
-    selected = certificates_valid_during([valid, expired], date(2022, 2, 28), date(2022, 3, 7))
-    assert selected == [valid]
 
 
 def test_covers_domain_exact_and_wildcard():

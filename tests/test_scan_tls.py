@@ -61,13 +61,3 @@ def test_no_certificate_configured():
     result = perform_handshake(TlsServerConfig())
     assert not result.success
     assert result.observed_certificate is None
-
-
-def test_all_certificates_listing():
-    default = _cert("default.example")
-    sni = _cert("sni.example")
-    config = TlsServerConfig(default_certificate=default, sni_certificates={"sni.example": sni})
-    assert set(c.subject_common_name for c in config.all_certificates()) == {
-        "default.example",
-        "sni.example",
-    }

@@ -36,10 +36,19 @@ def test_with_overrides_returns_new_object():
         {"sampling_ratio": 0},
         {"ipv6_line_fraction": 1.5},
         {"iot_household_fraction": -0.1},
+        {"volume_sigma": float("nan")},
+        {"scale": float("nan")},
+        {"scale": float("inf")},
+        {"geolocation_error_rate": float("nan")},
+        {"geolocation_error_rate": 1.5},
+        {"isp_prefix_count": 0},
+        {"n_blocklisted_backend_ips": -1},
+        {"n_scanner_lines": -1},
     ],
 )
 def test_invalid_configurations_rejected(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         ScenarioConfig(**kwargs)
 
 

@@ -150,7 +150,7 @@ class TestWarmContextDigestParity:
         if backend == "numpy" and not kernels.numpy_available():
             pytest.skip("numpy not importable")
         kernels.set_backend(backend)
-        from repro.core.traffic import daily_active_lines, volume_timeseries
+        from repro.core.traffic import activity_timeseries, volume_timeseries
 
         config = _tiny(seed=61)
         root = tmp_path / "store"
@@ -165,7 +165,9 @@ class TestWarmContextDigestParity:
         assert volume_timeseries(warm_clean, warm.anonymization) == (
             volume_timeseries(cold_clean, cold.anonymization)
         )
-        assert daily_active_lines(warm_clean) == daily_active_lines(cold_clean)
+        assert activity_timeseries(warm_clean, warm.anonymization) == (
+            activity_timeseries(cold_clean, cold.anonymization)
+        )
 
 
 class TestOutOfPoolCode:
