@@ -12,7 +12,7 @@ scan snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult
 from repro.protocols.ports import STANDARD_IOT_PORTS

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.patterns import PatternSet
 from repro.obs import metrics as obs_metrics

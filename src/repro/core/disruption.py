@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import datetime
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult

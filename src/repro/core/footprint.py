@@ -18,7 +18,6 @@ For every provider, the discovered addresses are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.discovery import DiscoveryResult
@@ -31,7 +30,7 @@ from repro.core.providers import (
     get_provider,
 )
 from repro.netmodel.addressing import count_slash24, count_slash56
-from repro.netmodel.asn import AsKind, AsRegistry
+from repro.netmodel.asn import AsRegistry
 from repro.netmodel.geo import GeoDatabase, Location, LocationVote, majority_vote
 from repro.routing.bgp import RoutingTable
 from repro.scan.censys import CensysSnapshot

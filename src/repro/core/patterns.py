@@ -30,9 +30,7 @@ from repro.core.providers import PROVIDERS, ProviderSpec
 from repro.dns.names import (
     REGION_STYLE_AIRPORT,
     REGION_STYLE_CODE,
-    REGION_STYLE_NONE,
     REGION_STYLE_ZONE,
-    SUBDOMAIN_CUSTOMER,
     SUBDOMAIN_FIXED,
     SUBDOMAIN_SERVICE,
     DomainNamingScheme,

@@ -25,14 +25,14 @@ re-classifies Censys hosts whose certificate material changed since day N
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.discovery import BackendDiscovery, DiscoveryResult
 from repro.core.footprint import FootprintReport, characterize_all
 from repro.core.patterns import PatternSet
-from repro.core.providers import PROVIDERS, ProviderSpec, get_provider
+from repro.core.providers import PROVIDERS, ProviderSpec
 from repro.core.validation import (
     GroundTruthReport,
     SharedIpClassification,

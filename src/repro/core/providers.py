@@ -20,11 +20,10 @@ builder scales them down with ``ScenarioConfig.scale``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.dns.names import (
-    REGION_STYLE_AIRPORT,
     REGION_STYLE_CODE,
     REGION_STYLE_NONE,
     REGION_STYLE_ZONE,

@@ -7,8 +7,9 @@ small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
+
+from repro.flows.kernels import fold_sum
 
 
 def format_count(value: float) -> str:
@@ -71,7 +72,7 @@ def render_series(series: Mapping[str, Mapping[object, float]], value_format=for
             continue
         lines.append(
             f"{name}: n={len(values)} min={value_format(min(values))} "
-            f"max={value_format(max(values))} mean={value_format(sum(values) / len(values))}"
+            f"max={value_format(max(values))} mean={value_format(fold_sum(values) / len(values))}"
         )
     return "\n".join(lines)
 

@@ -10,7 +10,7 @@ IPv6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.discovery import (
     SOURCE_ACTIVE_DNS,

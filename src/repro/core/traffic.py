@@ -354,7 +354,7 @@ def port_mix(table: FlowTable, anonymization: AnonymizationMap) -> Dict[str, Dic
         volume[anonymization.label(provider_key)][port_label(transport, port)] += down + up
     mix: Dict[str, Dict[str, float]] = {}
     for label, per_port in volume.items():
-        total = sum(per_port.values())
+        total = kernels.fold_sum(per_port.values())
         if total <= 0:
             continue
         mix[label] = {
@@ -501,7 +501,7 @@ def region_crossing(table: FlowTable) -> RegionCrossingReport:
     categories: Dict[str, int] = defaultdict(int)
     for continents in continents_per_line.values():
         categories[_categorize_continents(continents)] += 1
-    total_traffic = sum(traffic_by_continent.values())
+    total_traffic = kernels.fold_sum(traffic_by_continent.values())
     return RegionCrossingReport(
         line_categories={
             category: (categories.get(category, 0) / total_lines if total_lines else 0.0)

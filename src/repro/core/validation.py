@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import compress
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
 from repro.core.patterns import PatternSet
 from repro.dns.passive_db import PassiveDnsDatabase
+from repro.flows import kernels
 from repro.flows.flowtable import FlowTable
 from repro.netmodel.addressing import ip_in_prefix
 
@@ -184,28 +184,21 @@ def traffic_coverage(
     """Quantify the traffic underestimation caused by undiscovered server IPs.
 
     Only the rows of the given provider are considered; each row adds its
-    ``bytes_down + bytes_up`` to its server address, in row order.  An "active"
-    server IP is one that exchanges traffic with at least one subscriber line
-    during the period.
+    ``bytes_down + bytes_up`` to its server address, in row order, in one
+    grouped kernel pass.  Both totals fold the per-address sums left to
+    right in first-appearance order, so they depend on neither the hash seed
+    nor the kernel backend.  An "active" server IP is one that exchanges
+    traffic with at least one subscriber line during the period.
     """
     discovered = result.ips(provider_key)
     mask = table.mask_code("provider_key", lambda key: key == provider_key)
-    ip_pool = table.pool("server_ip")
-    bytes_per_ip: Dict[str, float] = {}
-    for ip_code, down, up in compress(
-        zip(table.codes("server_ip"), table.numeric("bytes_down"), table.numeric("bytes_up")),
-        mask,
-    ):
-        ip = ip_pool[ip_code]
-        bytes_per_ip[ip] = bytes_per_ip.get(ip, 0.0) + (down + up)
-    total = sum(bytes_per_ip.values())
-    missed_ips = {ip for ip in bytes_per_ip if ip not in discovered}
-    missed_bytes = sum(bytes_per_ip[ip] for ip in missed_ips)
+    bytes_per_ip = table.group_pair_sums("server_ip", "bytes_down", "bytes_up", mask=mask)
+    missed = [volume for ip, volume in bytes_per_ip.items() if ip not in discovered]
     return TrafficCoverageReport(
         provider_key=provider_key,
         active_server_ips=len(bytes_per_ip),
-        active_discovered=len(bytes_per_ip) - len(missed_ips),
-        missed_ips=len(missed_ips),
-        traffic_bytes_total=total,
-        traffic_bytes_missed=missed_bytes,
+        active_discovered=len(bytes_per_ip) - len(missed),
+        missed_ips=len(missed),
+        traffic_bytes_total=kernels.fold_sum(bytes_per_ip.values()),
+        traffic_bytes_missed=kernels.fold_sum(missed),
     )

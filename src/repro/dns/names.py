@@ -17,8 +17,8 @@ while the concrete customer identifiers are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 #: The subdomain carries a per-customer identifier (hash or tenant name).
 SUBDOMAIN_CUSTOMER = "customer"

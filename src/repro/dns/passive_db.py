@@ -15,9 +15,9 @@ of global DNS traffic (a limitation the paper notes in Section 3.6).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dns.zone import RTYPE_A, RTYPE_AAAA, normalize_name
 

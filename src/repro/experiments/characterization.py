@@ -3,7 +3,7 @@ and the Section 3.4 ground-truth validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.patterns import appendix_table

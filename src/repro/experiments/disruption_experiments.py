@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, time
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 from repro.baselines.portscan_only import PortScanBaselineReport, portscan_only_discovery
 from repro.core.disruption import (
-    GROUP_ALL,
     GROUP_EU,
     GROUP_US_EAST,
     BgpExposureReport,
@@ -18,10 +17,11 @@ from repro.core.disruption import (
     blocklist_exposure,
     outage_impact,
 )
-from repro.core.discovery import BackendDiscovery, DiscoveryResult
+from repro.core.discovery import BackendDiscovery
 from repro.core.providers import get_provider
-from repro.core.report import format_count, format_percent, render_series, render_table
+from repro.core.report import format_percent, render_series, render_table
 from repro.experiments.context import ExperimentContext
+from repro.flows.kernels import fold_sum
 from repro.simulation.clock import AWS_OUTAGE_DATE, AWS_OUTAGE_HOURS
 
 
@@ -57,8 +57,8 @@ class OutageExperimentResult:
 
     def eu_to_us_traffic_ratio(self) -> float:
         """How much more traffic the EU regions serve compared to US-East overall."""
-        eu_total = sum(self.report.traffic_series[GROUP_EU].values())
-        us_total = sum(self.report.traffic_series[GROUP_US_EAST].values())
+        eu_total = fold_sum(self.report.traffic_series[GROUP_EU].values())
+        us_total = fold_sum(self.report.traffic_series[GROUP_US_EAST].values())
         return eu_total / us_total if us_total > 0 else float("inf")
 
     def render(self, figure: str = "15") -> str:

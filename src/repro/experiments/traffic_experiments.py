@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import traffic
 from repro.core.report import (
-    format_bytes,
-    format_count,
     format_percent,
     render_distribution_summary,
     render_series,
     render_table,
 )
 from repro.experiments.context import ExperimentContext
+from repro.flows.kernels import fold_sum
 
 
 # -- Figure 5: scanner threshold sweep ------------------------------------------------------
@@ -178,12 +177,12 @@ class TimeSeriesResult:
         per_hour: Dict[int, List[float]] = {}
         for timestamp, value in self.series[label].items():
             per_hour.setdefault(timestamp.hour, []).append(value)
-        means = {hour: sum(vals) / len(vals) for hour, vals in per_hour.items()}
+        means = {hour: fold_sum(vals) / len(vals) for hour, vals in per_hour.items()}
         return max(means, key=means.get)
 
     def total(self, label: str) -> float:
         """Sum of the series for one provider."""
-        return sum(self.series[label].values())
+        return fold_sum(self.series[label].values())
 
     def render(self) -> str:
         return render_series(self.series, title=self.title)

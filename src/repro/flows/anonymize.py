@@ -11,7 +11,7 @@ records already carry (``subscriber_prefix``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.providers import (
     GROUP_CLOUD,

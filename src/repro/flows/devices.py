@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.providers import ProviderSpec
+from repro.flows.kernels import fold_sum
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,13 @@ class ActivityProfile:
 
     def activity_probability(self, hour: int) -> float:
         """Probability that a device of this class is active during an hour."""
-        total = sum(self.hourly_weights)
+        total = fold_sum(self.hourly_weights)
         probability = self.hourly_weights[hour % 24] / total * self.active_hours_per_day
         return min(1.0, probability)
 
     def weight_share(self, hour: int) -> float:
         """Share of the day's traffic generated in this hour, given the device is active."""
-        total = sum(self.hourly_weights)
+        total = fold_sum(self.hourly_weights)
         return self.hourly_weights[hour % 24] / total
 
 

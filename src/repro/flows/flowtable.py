@@ -682,6 +682,14 @@ class FlowTable:
         """Sum one numeric column per group key."""
         return {key: sums[0] for key, sums in self.group_sums(by, (value,), mask=mask).items()}
 
+    def group_pair_sums(
+        self, by: str, first: str, second: str, mask: Optional[Sequence[int]] = None
+    ) -> Dict[object, float]:
+        """Per value of ``by``, the row-order sum of ``first + second`` (one pass)."""
+        from repro.flows import kernels
+
+        return kernels.group_pair_sums(self, by, first, second, mask)
+
     def group_distinct(
         self, by: Sequence[str], of: str, mask: Optional[Sequence[int]] = None
     ) -> Dict[GroupKey, Set[object]]:

@@ -37,9 +37,10 @@ neither set the numpy backend is auto-detected.  All backends are
 (numpy ``bincount`` is a sequential loop), integer sums that could overflow
 an int64 accumulator fall back to the python kernels (exact arbitrary
 precision), and result dicts preserve the first-appearance key order of the
-reference implementation.  The one documented exception: a group whose
-*first* contribution is ``-0.0`` keeps the sign bit on the python paths but
-not under numpy (``bincount`` starts from ``+0.0``).
+reference implementation.  Every production path starts a group's sum from
+zero (``0 + -0.0`` is ``+0.0``, and ``bincount`` starts from ``+0.0``), so a
+group whose *first* contribution is ``-0.0`` sums to ``+0.0`` on both
+backends; only the reference kernels of the parity harness keep that sign.
 
 The :class:`GroupIndex` cache lives on the table (``FlowTable.group_index``)
 and is invalidated by a mutation counter bumped by every mutating primitive
@@ -52,8 +53,10 @@ from __future__ import annotations
 
 import os
 from array import array
+from functools import reduce
 from itertools import compress
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from operator import add
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.flows.flowtable import FlowTable, GroupKey
@@ -275,6 +278,34 @@ def group_sums(
     return fused_group_sums(index, columns, mask)
 
 
+def group_pair_sums(
+    table: "FlowTable",
+    by: str,
+    first: str,
+    second: str,
+    mask: Optional[Sequence[int]] = None,
+) -> Dict[object, float]:
+    """Per value of column ``by``, the row-order sum of ``first + second``.
+
+    Each row adds its two columns; each value of ``by`` adds its rows'
+    totals in row order from ``0.0``, keyed in (masked) first-appearance
+    order.  numpy selects the masked rows, adds them and runs ``bincount``;
+    python runs one loop over the rows.  Both give the same floats.
+    """
+    _check_mask(mask, len(table))
+    left, right = table.numeric(first), table.numeric(second)
+    if _use_numpy():
+        result = _numpy_kernels().group_pair_sums(table.group_index((by,)), left, right, mask)
+        if result is not NotImplemented:
+            return result
+    members, pool = table._key_column(by)
+    rows = zip(members, left, right)
+    sums: Dict[object, float] = {}
+    for member, a, b in rows if mask is None else compress(rows, mask):
+        sums[member] = sums.get(member, 0.0) + (a + b)
+    return sums if pool is None else {pool[member]: total for member, total in sums.items()}
+
+
 def group_distinct_count(
     table: "FlowTable",
     by: Sequence[str],
@@ -309,6 +340,18 @@ def group_distinct(
     return fused_group_distinct(index, members, pool, mask)
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """Add ``values`` strictly left to right, starting from the integer 0.
+
+    This is ``sum()`` up to Python 3.11.  From 3.12 on, ``sum()`` adds floats
+    with compensated summation, which changes the last bits of a total, while
+    numpy's ``cumsum`` adds left to right.  Every float total that feeds an
+    output goes through this fold, so it is the same on every interpreter and
+    kernel backend.  Integers add exactly either way.
+    """
+    return reduce(add, values, 0)
+
+
 def total(table: "FlowTable", value: str) -> float:
     """Sum one numeric column over all rows on the active backend."""
     column = table.numeric(value)
@@ -316,7 +359,7 @@ def total(table: "FlowTable", value: str) -> float:
         result = _numpy_kernels().total(column)
         if result is not NotImplemented:
             return result
-    return sum(column)
+    return fold_sum(column)
 
 
 def distinct(table: "FlowTable", name: str) -> Set[object]:
@@ -347,10 +390,11 @@ def fused_group_sums(
 ) -> Dict["GroupKey", List[float]]:
     """One traversal over dense group ids, accumulating into flat lists.
 
-    Initializing accumulators with integer ``0`` reproduces the reference
-    semantics bit for bit: ``0 + v`` adopts the first value unchanged
-    (including a ``-0.0`` sign bit) and keeps integer sums exact at arbitrary
-    precision.
+    Every accumulator, masked or not, starts at the integer ``0``: ``0 + v``
+    adopts a first float value unchanged except that ``-0.0`` becomes
+    ``+0.0``, as under numpy's ``bincount``, and integer sums stay exact at
+    arbitrary precision.  Only the reference kernels keep a ``-0.0`` first
+    contribution.
     """
     group_keys = index.group_keys
     count = len(group_keys)
@@ -385,15 +429,15 @@ def fused_group_sums(
     slots: List[Optional[List[float]]] = [None] * count
     order: List[int] = []
     push = order.append
+    width = len(columns)
     rows = zip(compress(gids, mask), *(compress(column, mask) for column in columns))
     for gid, *row in rows:
         bucket = slots[gid]
         if bucket is None:
-            slots[gid] = list(row)
+            bucket = slots[gid] = [0] * width
             push(gid)
-        else:
-            for position, value in enumerate(row):
-                bucket[position] += value
+        for position, value in enumerate(row):
+            bucket[position] += value
     return {group_keys[gid]: slots[gid] for gid in order}
 
 

@@ -7,8 +7,8 @@ returns ``NotImplemented`` so the dispatcher runs the python path instead:
 
 * Float group sums use ``np.bincount``, whose accumulation is a sequential
   loop in row order -- the same addition order as the python kernels, hence
-  the same IEEE-754 result (the lone exception, a leading ``-0.0``, is
-  documented in :mod:`repro.flows.kernels`).
+  the same IEEE-754 result; both start each sum from zero, so a leading
+  ``-0.0`` sums to ``+0.0`` on either backend.
 * Integer group sums accumulate into an int64 array via ``np.add.at``.
 * Result dicts preserve the reference first-appearance key order: group ids
   are dense in first-appearance order by construction, and masked
@@ -405,6 +405,27 @@ def group_sums(index, columns: Sequence, mask: Optional[Sequence[int]]):
     }
 
 
+def group_pair_sums(index, first: Sequence, second: Sequence, mask: Optional[Sequence[int]]):
+    left, right = _as_np(first), _as_np(second)
+    if left is None or right is None or left.dtype != np.float64 or right.dtype != np.float64:
+        return _fallback("group_pair_sums", "column_type")
+    group_keys = index.group_keys
+    count = len(group_keys)
+    if not count:
+        return {}
+    gids = index.gids_numpy()
+    order = range(count)
+    if mask is not None:
+        selector = _truth(mask)
+        if selector is None:
+            return _fallback("group_pair_sums", "mask_type")
+        # Selecting before adding keeps every temporary to the masked rows.
+        gids, left, right = gids[selector], left[selector], right[selector]
+        order = _first_appearance_order(gids, count).tolist()
+    sums = np.bincount(gids, weights=left + right, minlength=count).tolist()
+    return {group_keys[gid]: sums[gid] for gid in order}
+
+
 def _packed_pairs(kernel: str, index, members: Sequence, mask: Optional[Sequence[int]]):
     """(masked gids, packed member*count+gid pairs) or NotImplemented."""
     count = len(index.group_keys)
@@ -499,7 +520,7 @@ def total(column: Sequence):
     if not values.size:
         return 0
     if values.dtype == np.float64:
-        # cumsum accumulates strictly sequentially, matching python sum().
+        # cumsum accumulates strictly sequentially, matching kernels.fold_sum.
         return float(np.cumsum(values)[-1])
     if not _int_bound_ok(values, len(values)):
         return _fallback("total", "int64_overflow")

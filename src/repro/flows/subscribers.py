@@ -11,9 +11,9 @@ hosts zero or more IoT devices, each tied to one backend provider.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.providers import PROVIDERS, ProviderSpec
+from repro.core.providers import ProviderSpec
 from repro.flows.devices import DeviceModel, build_device_model
 from repro.simulation.rng import RngRegistry
 
@@ -107,13 +107,15 @@ class SubscriberPopulation:
         n_heavy_lines:
             Number of additional "heavy" lines hosting devices from many providers,
             giving the scanner-threshold curve of Figure 5 its long tail.  Defaults
-            to 1% of lines when 0.
+            to 1% of lines when 0, capped at the number of IoT lines; an explicit
+            count above that number raises ``ValueError``.
         """
         if n_lines <= 0:
             raise ValueError("n_lines must be positive")
         stream = rng.stream("subscribers")
         models: Dict[str, DeviceModel] = {spec.key: build_device_model(spec) for spec in providers}
-        if n_heavy_lines <= 0:
+        explicit_heavy = n_heavy_lines > 0
+        if not explicit_heavy:
             n_heavy_lines = max(1, n_lines // 100)
         population = cls()
         for line_id in range(n_lines):
@@ -139,7 +141,7 @@ class SubscriberPopulation:
                     devices=tuple(devices),
                 )
             )
-        _mark_heavy_lines(population, providers, models, n_heavy_lines, rng)
+        _mark_heavy_lines(population, providers, models, n_heavy_lines, rng, explicit_heavy)
         _mark_scanner_lines(population, n_scanner_lines, rng)
         return population
 
@@ -150,10 +152,19 @@ def _mark_heavy_lines(
     models: Dict[str, DeviceModel],
     n_heavy_lines: int,
     rng: RngRegistry,
+    explicit: bool,
 ) -> None:
-    """Upgrade a few lines to host devices from many providers (long-tail households)."""
+    """Upgrade a few lines to host devices from many providers (long-tail households).
+
+    Only the lines with IoT devices qualify: an ``explicit`` count above their
+    number raises ``ValueError``, the derived default is capped at it.
+    """
     stream = rng.stream("heavy-lines")
     iot_lines = population.iot_lines()
+    if explicit and n_heavy_lines > len(iot_lines):
+        raise ValueError(
+            f"n_heavy_lines ({n_heavy_lines}) exceeds the {len(iot_lines)} lines with IoT devices"
+        )
     if not iot_lines:
         return
     n_heavy_lines = min(n_heavy_lines, len(iot_lines))

@@ -87,7 +87,6 @@ class PrefixAllocator:
         self._pool = parse_network(pool)
         self._cursor = int(self._pool.network_address)
         self._end = int(self._pool.broadcast_address) + 1
-        self._allocated: List[IPNetwork] = []
 
     def allocate_prefix(self, prefix_length: int) -> IPNetwork:
         """Allocate the next available prefix of the requested length.
@@ -108,16 +107,17 @@ class PrefixAllocator:
             self._cursor += block_size - (self._cursor % block_size)
         if self._cursor + block_size > self._end:
             raise ValueError(f"prefix pool {self._pool} exhausted")
-        network_address = ipaddress.ip_address(self._cursor)
+        # Built from (integer, length): no text is formatted or parsed.
+        network = type(self._pool)((self._cursor, prefix_length))
         self._cursor += block_size
-        network = ipaddress.ip_network(f"{network_address}/{prefix_length}")
-        self._allocated.append(network)
         return network
 
     def hosts_in(self, network: NetLike, count: int, start_offset: int = 1) -> List[IPAddress]:
         """Return ``count`` host addresses from a network, starting at an offset.
 
-        The offset defaults to 1 to skip the network address for IPv4.
+        The offset defaults to 1 to skip the network address for IPv4.  The
+        addresses are built from integers, so a parsed network is never
+        formatted or parsed again.
         """
         net = parse_network(network)
         base = int(net.network_address)
@@ -126,7 +126,8 @@ class PrefixAllocator:
             raise ValueError(
                 f"requested {count} hosts but {net} only has {max_hosts} available"
             )
-        return [ipaddress.ip_address(base + start_offset + i) for i in range(count)]
+        address = type(net.network_address)
+        return [address(base + start_offset + i) for i in range(count)]
 
 
 class PrefixIndex(Generic[V]):
@@ -176,3 +177,22 @@ class PrefixIndex(Generic[V]):
             if hit is not _MISSING:
                 return hit
         return None
+
+    def overlaps(self, prefix: NetLike) -> bool:
+        """True when some indexed network shares an address with ``prefix``.
+
+        Two CIDR blocks are nested or disjoint, so this is integer
+        containment per indexed length: an indexed network no longer than
+        ``prefix`` must hold its network address, and a longer one must lie
+        inside ``prefix``.
+        """
+        network = parse_network(prefix)
+        value = int(network.network_address)
+        own_mask = int(network.netmask)
+        for prefixlen, mask, table in self._probes[network.version]:
+            if prefixlen <= network.prefixlen:
+                if (value & mask) in table:
+                    return True
+            elif any((key & own_mask) == value for key in table):
+                return True
+        return False

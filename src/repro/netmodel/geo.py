@@ -9,7 +9,7 @@ catalog and the lookup database those heuristics consult.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.netmodel.addressing import IPLike, NetLike, PrefixIndex, parse_ip

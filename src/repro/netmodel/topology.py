@@ -13,15 +13,9 @@ it only sees their reflections in DNS, certificates, scan snapshots, and flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.netmodel.addressing import (
-    IPAddress,
-    count_slash24,
-    count_slash56,
-    parse_ip,
-    prefix_of,
-)
+from repro.netmodel.addressing import IPAddress, count_slash24, count_slash56, parse_ip
 from repro.netmodel.geo import Location
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for type checkers
@@ -59,7 +53,11 @@ class ServiceEndpoint:
 
 @dataclass
 class BackendServer:
-    """An Internet-facing IoT backend gateway server."""
+    """An Internet-facing IoT backend gateway server.
+
+    ``ip`` may be given as text or as a parsed address; either way it is
+    stored as normalized text, and ``address`` keeps the parsed form.
+    """
 
     ip: str
     provider: str
@@ -75,7 +73,8 @@ class BackendServer:
     address: IPAddress = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Normalise the address textual form once, so set membership is stable.
+        # Normalise the address textual form once, so set membership is stable;
+        # a parsed address is taken as is.
         self.address = parse_ip(self.ip)
         self.ip = str(self.address)
 

@@ -13,9 +13,9 @@ servers in the affected region during the outage window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import date, datetime, time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from datetime import datetime, time
+from typing import Iterable, List, Optional, Tuple
 
 from repro.simulation.clock import AWS_OUTAGE_DATE, AWS_OUTAGE_HOURS
 

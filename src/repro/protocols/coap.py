@@ -10,8 +10,8 @@ decode round-trips can be property-tested.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 COAP_VERSION = 1
 

@@ -8,8 +8,8 @@ is a 4xx, which is still enough to confirm an HTTP stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 CRLF = "\r\n"
 

@@ -16,7 +16,7 @@ round-trip property tests are meaningful.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 PROTOCOL_NAME = "MQTT"

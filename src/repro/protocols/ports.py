@@ -10,7 +10,7 @@ standard IoT ports is one of the paper's take-aways.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 TCP = "tcp"
 UDP = "udp"

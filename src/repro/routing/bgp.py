@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.netmodel.addressing import IPLike, PrefixIndex, parse_network
+from repro.netmodel.addressing import IPLike, IPNetwork, PrefixIndex, parse_network
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,19 @@ class RoutingTable:
     """A longest-prefix-match table over announcements."""
 
     def __init__(self) -> None:
-        # (prefix, origin AS) -> announcement, in insertion order.
-        self._seen: Dict[Tuple[str, int], Announcement] = {}
+        # (network, origin AS) -> announcement, in insertion order.
+        self._seen: Dict[Tuple[IPNetwork, int], Announcement] = {}
         self._index: PrefixIndex[Announcement] = PrefixIndex()
 
-    def announce(self, announcement: Announcement) -> None:
-        """Insert an announcement; duplicate (prefix, origin) pairs are ignored."""
-        network = announcement.network()
-        key = (str(network), announcement.origin_asn)
+    def announce(self, announcement: Announcement, network: Optional[IPNetwork] = None) -> None:
+        """Insert an announcement; duplicate (prefix, origin) pairs are ignored.
+
+        ``network`` is the announcement's prefix already parsed, when the
+        caller holds it; otherwise the prefix text is parsed here.
+        """
+        if network is None:
+            network = announcement.network()
+        key = (network, announcement.origin_asn)
         if key in self._seen:
             return
         self._seen[key] = announcement

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.netmodel.addressing import NetLike, parse_network
+from repro.netmodel.addressing import NetLike, PrefixIndex
 
 
 class EventKind(enum.Enum):
@@ -39,18 +39,9 @@ class BgpEvent:
         """Return True when the event's AS is one of the given ASes."""
         return self.asn is not None and self.asn in asns
 
-    def affects_prefix(self, prefixes: Sequence[NetLike]) -> bool:
-        """Return True when the event's prefix overlaps any of the given prefixes."""
-        if self.prefix is None:
-            return False
-        event_net = parse_network(self.prefix)
-        for prefix in prefixes:
-            net = parse_network(prefix)
-            if net.version != event_net.version:
-                continue
-            if net.subnet_of(event_net) or event_net.subnet_of(net):
-                return True
-        return False
+    def affects_prefix(self, prefixes: PrefixIndex) -> bool:
+        """Return True when the event's prefix overlaps a network of the index."""
+        return self.prefix is not None and prefixes.overlaps(self.prefix)
 
 
 class BgpEventFeed:
@@ -96,8 +87,10 @@ class BgpEventFeed:
         end: Optional[date] = None,
     ) -> List[BgpEvent]:
         """Return the events in the window that touch any given AS or prefix."""
-        # Parsed once here, not once per event (parse_network passes networks through).
-        networks = [parse_network(prefix) for prefix in prefixes]
+        # Each prefix is parsed once here, not once per event.
+        networks: PrefixIndex[bool] = PrefixIndex()
+        for prefix in prefixes:
+            networks[prefix] = True
         affected = []
         for event in self.events(start, end):
             if event.affects_asn(asns) or event.affects_prefix(networks):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.netmodel.geo import GeoDatabase, Location
 from repro.netmodel.topology import BackendServer, ServiceEndpoint
@@ -108,6 +108,16 @@ class CensysSnapshot:
         }
 
 
+class _HostProbe(NamedTuple):
+    """The day-independent part of a server's scan (see ``CensysService._probe``)."""
+
+    open_ports: Tuple[Tuple[str, int], ...]
+    #: Every distinct certificate observed without SNI, valid or not.
+    certificates: Tuple[Certificate, ...]
+    banners: Tuple[Banner, ...]
+    location: Optional[Location]
+
+
 class CensysService:
     """Builds daily snapshots by scanning the hosts visible on a given day.
 
@@ -159,9 +169,13 @@ class CensysService:
         self._extra_hosts = list(extra_hosts)
         self._geolocation_error_rate = geolocation_error_rate
         self._location_pool = list(location_pool)
+        self._scanned = frozenset(self.SCANNED_PORTS)
         self._snapshots: Dict[date, CensysSnapshot] = {}
         # Banners by upper-cased protocol name (None for unprobed protocols).
         self._banners: Dict[str, Optional[Banner]] = {}
+        # Per-server probe results by ``id(server)``; each entry holds its
+        # server, so the id cannot be recycled while the entry lives.
+        self._probes: Dict[int, Tuple[BackendServer, Optional[_HostProbe]]] = {}
 
     def snapshot(self, day: date) -> CensysSnapshot:
         """Return (building and caching if necessary) the snapshot for a day."""
@@ -190,13 +204,21 @@ class CensysService:
             self._banners[protocol] = grab_banner(endpoint)
         return self._banners[protocol]
 
-    def _scan_host(self, server: BackendServer, day: date, index: int) -> Optional[CensysHostRecord]:
+    def _probe(self, server: BackendServer) -> Optional[_HostProbe]:
+        """Everything a scan of ``server`` sees that does not depend on the day.
+
+        Computed on the first snapshot that scans the server and reused by the
+        others: nothing mutates a server or the geolocation database after the
+        world is built.  ``None`` when the server has no scanned port open.
+        """
+        entry = self._probes.get(id(server))
+        if entry is not None:
+            return entry[1]
         open_ports: List[Tuple[str, int]] = []
         certificates: List[Certificate] = []
         banners: List[Banner] = []
-        scanned = set(self.SCANNED_PORTS)
         for endpoint in server.endpoints:
-            if endpoint.key not in scanned:
+            if endpoint.key not in self._scanned:
                 continue
             open_ports.append(endpoint.key)
             banner = self._banner(endpoint)
@@ -206,12 +228,24 @@ class CensysService:
                 # Internet-wide scans connect by IP: no SNI, no client certificate.
                 handshake = perform_handshake(endpoint.tls, server_name=None)
                 certificate = handshake.observed_certificate
-                if certificate is not None and certificate.is_valid_on(day):
-                    if certificate not in certificates:
-                        certificates.append(certificate)
-        if not open_ports:
+                if certificate is not None and certificate not in certificates:
+                    certificates.append(certificate)
+        probe = None
+        if open_ports:
+            probe = _HostProbe(
+                open_ports=tuple(open_ports),
+                certificates=tuple(certificates),
+                banners=tuple(banners),
+                location=self._geo_database.lookup_ip(server.address) or server.location,
+            )
+        self._probes[id(server)] = (server, probe)
+        return probe
+
+    def _scan_host(self, server: BackendServer, day: date, index: int) -> Optional[CensysHostRecord]:
+        probe = self._probe(server)
+        if probe is None:
             return None
-        location = self._geo_database.lookup_ip(server.address) or server.location
+        location = probe.location
         if self._location_pool and self._geolocation_error_rate > 0:
             # Deterministic perturbation: a fixed slice of hosts gets a wrong location.
             if (index % 1000) < int(self._geolocation_error_rate * 1000):
@@ -219,8 +253,9 @@ class CensysService:
         return CensysHostRecord(
             ip=server.ip,
             snapshot_date=day,
-            open_ports=tuple(open_ports),
-            certificates=tuple(certificates),
+            open_ports=probe.open_ports,
+            # Validity is the one per-day property of a certificate.
+            certificates=tuple(c for c in probe.certificates if c.is_valid_on(day)),
             location=location,
-            banners=tuple(banners),
+            banners=probe.banners,
         )

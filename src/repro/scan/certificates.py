@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 _serial_counter = itertools.count(1)
 

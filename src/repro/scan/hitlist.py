@@ -11,9 +11,9 @@ fraction of ground-truth IPv6 servers on the hitlist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Set
+from typing import Iterable, Iterator, Set
 
-from repro.netmodel.addressing import parse_ip
+from repro.netmodel.addressing import IPLike, parse_ip
 
 
 @dataclass
@@ -23,8 +23,8 @@ class IPv6Hitlist:
     name: str = "ipv6-hitlist"
     addresses: Set[str] = field(default_factory=set)
 
-    def add(self, address: str) -> None:
-        """Add an address to the hitlist (must be IPv6)."""
+    def add(self, address: IPLike) -> None:
+        """Add an address, as text or parsed, to the hitlist (must be IPv6)."""
         parsed = parse_ip(address)
         if parsed.version != 6:
             raise ValueError(f"{address} is not an IPv6 address")

@@ -10,7 +10,7 @@ certificates, and runs the protocol handshake modules on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from typing import List, Mapping, Optional, Sequence, Tuple
 

@@ -11,9 +11,9 @@ surface over synthetic lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
-from repro.netmodel.addressing import parse_ip
+from repro.netmodel.addressing import IPLike, parse_ip
 
 #: Categories used to annotate why an address was listed.
 CATEGORY_OPEN_PROXY = "open-proxy"
@@ -38,8 +38,8 @@ class Blocklist:
     entries: Set[str] = field(default_factory=set)
     well_maintained: bool = True
 
-    def add(self, ip: str) -> None:
-        """Add an address to the list."""
+    def add(self, ip: IPLike) -> None:
+        """Add an address, as text or parsed; entries are normalized text."""
         self.entries.add(str(parse_ip(ip)))
 
     def __contains__(self, ip: object) -> bool:

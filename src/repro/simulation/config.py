@@ -67,6 +67,12 @@ class ScenarioConfig:
             raise ValueError("scale must be positive")
         if self.n_subscriber_lines <= 0:
             raise ValueError("n_subscriber_lines must be positive")
+        for name in ("n_scanner_lines", "n_heavy_lines"):
+            if getattr(self, name) > self.n_subscriber_lines:
+                raise ValueError(
+                    f"{name} ({getattr(self, name)}) exceeds n_subscriber_lines "
+                    f"({self.n_subscriber_lines})"
+                )
         if self.sampling_ratio < 1:
             raise ValueError("sampling_ratio must be >= 1")
         if self.servers_per_device < 1:

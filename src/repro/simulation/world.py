@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only (the store is an optional add-on)
@@ -39,9 +40,10 @@ from repro.dns.passive_db import PassiveDnsDatabase
 from repro.dns.resolver import VantagePoint
 from repro.dns.zone import RTYPE_A, RTYPE_AAAA
 from repro.flows.flowtable import FlowTable
+from repro.flows.kernels import fold_sum
 from repro.flows.subscribers import SubscriberPopulation
 from repro.flows.workload import WorkloadGenerator
-from repro.netmodel.addressing import PrefixAllocator
+from repro.netmodel.addressing import IPAddress, IPNetwork, PrefixAllocator
 from repro.netmodel.asn import AsKind, AsRegistry, AutonomousSystem
 from repro.netmodel.geo import (
     CONTINENT_ASIA,
@@ -84,6 +86,9 @@ _US_EAST_BONUS = 4.0  # us-east-1 is by far the largest cloud region.
 
 #: Protocols whose endpoints are TLS-wrapped (certificates observable by scanners).
 _TLS_PROTOCOLS = {"MQTTS", "HTTPS", "AMQPS", "AGNOSTIC"}
+
+#: One allocated block of a provider: its text form, origin AS and parsed network.
+_Block = Tuple[str, int, IPNetwork]
 
 
 @dataclass
@@ -259,13 +264,26 @@ class _WorldBuilder:
         self._host_counters[prefix] = counter
         return counter
 
+    def _register_block(self, network: IPNetwork, asn: int, location: Location) -> str:
+        """Announce and geolocate a freshly allocated block; return its text form."""
+        prefix = str(network)
+        self.routing_table.announce(
+            Announcement(prefix, asn, self._organization_for_asn(asn)), network
+        )
+        self.geo_database.register_prefix(network, location)
+        return prefix
+
     def _assign_address(
         self,
         location: Location,
-        prefixes: Dict[Tuple[str, int], List[Tuple[str, int]]],
+        prefixes: Dict[Tuple[str, int], List[_Block]],
         ip_version: int,
-    ) -> Tuple[str, int, str]:
-        """Pick (allocating more prefixes on demand) an address for a new server."""
+    ) -> Tuple[str, int, IPAddress]:
+        """Pick (allocating more prefixes on demand) an address for a new server.
+
+        Blocks carry their parsed network, so the address is built from an
+        integer offset and no prefix or address text is parsed.
+        """
         key = (location.region_code, ip_version)
         prefix_list = prefixes.get(key)
         if not prefix_list:
@@ -281,20 +299,14 @@ class _WorldBuilder:
             else:
                 prefix_list = next(iter(prefixes.values()))
         capacity = 250 if ip_version == 4 else 10_000
-        prefix, asn = prefix_list[-1]
-        if self._host_counters.get(prefix, 0) >= capacity:
-            allocator = self.ipv4_allocator if ip_version == 4 else self.ipv6_allocator
-            new_prefix = allocator.allocate_prefix(24 if ip_version == 4 else 56)
-            self.routing_table.announce(
-                Announcement(str(new_prefix), asn, self._organization_for_asn(asn))
-            )
-            self.geo_database.register_prefix(new_prefix, location)
-            prefix_list.append((str(new_prefix), asn))
-            prefix = str(new_prefix)
         allocator = self.ipv4_allocator if ip_version == 4 else self.ipv6_allocator
+        prefix, asn, network = prefix_list[-1]
+        if self._host_counters.get(prefix, 0) >= capacity:
+            network = allocator.allocate_prefix(24 if ip_version == 4 else 56)
+            prefix = self._register_block(network, asn, location)
+            prefix_list.append((prefix, asn, network))
         host_offset = self._next_host_offset(prefix)
-        ip = str(allocator.hosts_in(prefix, 1, start_offset=host_offset)[0])
-        return prefix, asn, ip
+        return prefix, asn, allocator.hosts_in(network, 1, start_offset=host_offset)[0]
 
     # -- top level ----------------------------------------------------------------------
 
@@ -425,7 +437,7 @@ class _WorldBuilder:
     def _spread_servers(self, spec: ProviderSpec, total: int, locations: List[Location]) -> List[Location]:
         """Return a per-server location assignment of length ``total``."""
         weights = [self._location_weight(location) for location in locations]
-        weight_sum = sum(weights)
+        weight_sum = fold_sum(weights)
         counts = [max(0, int(round(total * weight / weight_sum))) for weight in weights]
         # Fix rounding drift while keeping at least one server in the first location.
         while sum(counts) < total:
@@ -526,31 +538,24 @@ class _WorldBuilder:
 
     def _allocate_prefixes(
         self, spec: ProviderSpec, locations: List[Location], n_ipv4: int, n_ipv6: int
-    ) -> Dict[Tuple[str, int], List[Tuple[str, int]]]:
-        """Allocate prefixes per (region, family); return {(region, family): [(prefix, asn)]}."""
+    ) -> Dict[Tuple[str, int], List[_Block]]:
+        """Allocate prefixes per (region, family); return {(region, family): [block]}."""
         per_location_v4 = max(1, (n_ipv4 // max(1, len(locations))) + 1)
-        prefixes: Dict[Tuple[str, int], List[Tuple[str, int]]] = {}
+        prefixes: Dict[Tuple[str, int], List[_Block]] = {}
         cloud_cycle = list(spec.cloud_hosts) or [None]
         for loc_index, location in enumerate(locations):
             needed = max(1, (per_location_v4 + 253) // 254)
-            v4_list: List[Tuple[str, int]] = []
+            v4_list: List[_Block] = []
             for block in range(needed):
-                prefix = self.ipv4_allocator.allocate_prefix(24)
+                network = self.ipv4_allocator.allocate_prefix(24)
                 asn = self._origin_asn(spec, cloud_cycle, loc_index + block)
-                self.routing_table.announce(
-                    Announcement(str(prefix), asn, self._organization_for_asn(asn))
-                )
-                self.geo_database.register_prefix(prefix, location)
-                v4_list.append((str(prefix), asn))
+                v4_list.append((self._register_block(network, asn, location), asn, network))
             prefixes[(location.region_code, 4)] = v4_list
             if n_ipv6 > 0:
-                prefix6 = self.ipv6_allocator.allocate_prefix(56)
+                network6 = self.ipv6_allocator.allocate_prefix(56)
                 asn6 = self._origin_asn(spec, cloud_cycle, loc_index)
-                self.routing_table.announce(
-                    Announcement(str(prefix6), asn6, self._organization_for_asn(asn6))
-                )
-                self.geo_database.register_prefix(prefix6, location)
-                prefixes[(location.region_code, 6)] = [(str(prefix6), asn6)]
+                prefix6 = self._register_block(network6, asn6, location)
+                prefixes[(location.region_code, 6)] = [(prefix6, asn6, network6)]
         return prefixes
 
     def _origin_asn(self, spec: ProviderSpec, cloud_cycle: List[Optional[str]], index: int) -> int:
@@ -574,12 +579,13 @@ class _WorldBuilder:
         self,
         spec: ProviderSpec,
         location: Location,
-        prefixes: Mapping[Tuple[str, int], List[Tuple[str, int]]],
+        prefixes: Mapping[Tuple[str, int], List[_Block]],
         index: int,
         ip_version: int,
         cert_exposed: bool = True,
     ) -> BackendServer:
-        prefix, asn, ip = self._assign_address(location, prefixes, ip_version)
+        prefix, asn, address = self._assign_address(location, prefixes, ip_version)
+        ip = str(address)
 
         dedicated = True
         if spec.shared_web_fraction > 0:
@@ -587,7 +593,7 @@ class _WorldBuilder:
                 spec.shared_web_fraction * 1000
             )
         domains = self._domains_for_server(spec, location, index, dedicated)
-        endpoints = self._endpoints_for_server(spec, ip, domains, cert_exposed)
+        endpoints = self._endpoints_for_server(spec, domains, cert_exposed)
         cloud_host = None
         if spec.strategy == STRATEGY_PR:
             cloud_host = spec.cloud_hosts[index % len(spec.cloud_hosts)]
@@ -599,7 +605,7 @@ class _WorldBuilder:
             cloud_host = "Amazon Web Services"
         anycast = spec.uses_anycast and index % 10 == 0
         return BackendServer(
-            ip=ip,
+            ip=address,
             provider=spec.key,
             location=location,
             asn=asn,
@@ -641,7 +647,7 @@ class _WorldBuilder:
         return names
 
     def _endpoints_for_server(
-        self, spec: ProviderSpec, ip: str, domains: Sequence[str], cert_exposed: bool
+        self, spec: ProviderSpec, domains: Sequence[str], cert_exposed: bool
     ) -> Tuple[ServiceEndpoint, ...]:
         certificate = self._certificate_for(spec, domains)
         endpoints: List[ServiceEndpoint] = []
@@ -769,7 +775,7 @@ class _WorldBuilder:
                 spec.ipv6_hitlist_coverage * 1000
             )
             if covered:
-                self.hitlist.add(server.ip)
+                self.hitlist.add(server.address)
 
     def _register_published_ranges(self, spec: ProviderSpec, deployment: ProviderDeployment) -> None:
         if spec.publishes_ip_ranges:
@@ -783,13 +789,12 @@ class _WorldBuilder:
         if self.config.n_non_iot_hosts <= 0:
             return hosts
         web_as = self.as_registry.create("Generic Hosting", "Generic Hosting", AsKind.OTHER)
-        prefix = self.background_allocator.allocate_prefix(24)
-        self.routing_table.announce(Announcement(str(prefix), web_as.asn, "Generic Hosting"))
+        network = self.background_allocator.allocate_prefix(24)
         location = self.locations[0]
-        self.geo_database.register_prefix(prefix, location)
-        ips = PrefixAllocator(str(prefix)).hosts_in(prefix, self.config.n_non_iot_hosts)
+        prefix = self._register_block(network, web_as.asn, location)
+        addresses = self.background_allocator.hosts_in(network, self.config.n_non_iot_hosts)
         period = self.config.study_period
-        for index, ip in enumerate(ips):
+        for index, address in enumerate(addresses):
             domain = f"www.shop-{index:03d}.example"
             certificate = make_certificate(
                 [domain],
@@ -802,21 +807,20 @@ class _WorldBuilder:
                 protocol="HTTPS",
                 tls=TlsServerConfig(default_certificate=certificate),
             )
-            hosts.append(
-                BackendServer(
-                    ip=str(ip),
-                    provider="web-hosting",
-                    location=location,
-                    asn=web_as.asn,
-                    prefix=str(prefix),
-                    endpoints=(endpoint,),
-                    domains=(domain,),
-                    dedicated_iot=False,
-                )
+            host = BackendServer(
+                ip=address,
+                provider="web-hosting",
+                location=location,
+                asn=web_as.asn,
+                prefix=prefix,
+                endpoints=(endpoint,),
+                domains=(domain,),
+                dedicated_iot=False,
             )
+            hosts.append(host)
             self.passive_dns.add_observation(
                 rrname=domain,
-                rdata=str(ip),
+                rdata=host.ip,
                 first_seen=period.start - timedelta(days=90),
                 last_seen=period.end,
             )
@@ -847,15 +851,15 @@ class _WorldBuilder:
         ]
         for blocklist in lists:
             for _ in range(400):
-                blocklist.add(
-                    f"172.{stream.randrange(16, 32)}.{stream.randrange(256)}.{stream.randrange(1, 255)}"
-                )
-        backend_ips = [server.ip for server in self._all_ipv4_backend_servers()]
-        if backend_ips:
-            count = min(self.config.n_blocklisted_backend_ips, len(backend_ips))
-            chosen = stream.sample(backend_ips, count)
-            for index, ip in enumerate(chosen):
-                lists[index % 4].add(ip)
+                # 172.b.c.d, drawn in the order b, c, d.
+                b, c, d = stream.randrange(16, 32), stream.randrange(256), stream.randrange(1, 255)
+                blocklist.add(IPv4Address(0xAC000000 | b << 16 | c << 8 | d))
+        backend = [server.address for server in self._all_ipv4_backend_servers()]
+        if backend:
+            count = min(self.config.n_blocklisted_backend_ips, len(backend))
+            chosen = stream.sample(backend, count)
+            for index, address in enumerate(chosen):
+                lists[index % 4].add(address)
         return BlocklistAggregate(lists)
 
     def _all_ipv4_backend_servers(self) -> List[BackendServer]:

@@ -30,7 +30,6 @@ from repro.store.codec import (
     dumps_discovery,
     dumps_pipeline_result,
     dumps_table,
-    load_discovery,
     load_pipeline_result,
     load_table,
     load_table_lazy,
@@ -57,7 +56,6 @@ __all__ = [
     "dumps_discovery",
     "dumps_pipeline_result",
     "dumps_table",
-    "load_discovery",
     "load_pipeline_result",
     "load_table",
     "load_table_lazy",

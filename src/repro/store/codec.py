@@ -57,6 +57,7 @@ import struct
 import sys
 from array import array
 from datetime import date, datetime
+from itertools import islice
 from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.flows.flowtable import (
@@ -97,6 +98,11 @@ _TAG_FLOAT = 3
 _TAG_BOOL = 4
 _TAG_DATETIME = 5
 _TAG_DATE = 6
+
+
+#: Precompiled layouts of the discovery codec's hot loops.
+_U32 = struct.Struct("<I")
+_U32X3 = struct.Struct("<III")
 
 
 class StoreFormatError(ValueError):
@@ -163,56 +169,51 @@ def dumps_table(table: FlowTable) -> bytes:
     return buffer.getvalue()
 
 
-#: Reads larger than this are pre-flighted against the remaining stream/buffer
-#: size before any allocation, so a corrupt 64-bit length field fails with
-#: :class:`StoreFormatError` instead of attempting a near-2**64-byte read.
-_PREFLIGHT_BYTES = 1 << 20
-
-
 class _Reader:
-    """Bounds-checked cursor over the serialized byte stream."""
+    """Bounds-checked cursor over one serialized payload held in memory.
 
-    __slots__ = ("_stream",)
+    ``view`` is a ``memoryview`` (the table parser: :meth:`take_view` slices
+    alias the buffer, so column payloads stay on a mapped file until first
+    touch) or ``bytes`` (the discovery codec: slices are small copies).
+    Reading past the end raises :class:`StoreFormatError` before anything
+    is allocated, so a corrupt length field cannot trigger a huge read.
+    """
 
-    def __init__(self, stream: BinaryIO) -> None:
-        self._stream = stream
+    __slots__ = ("_view", "_pos")
 
-    def remaining(self) -> Optional[int]:
-        """Bytes left before end-of-stream, or ``None`` when not seekable."""
-        stream = self._stream
-        try:
-            position = stream.tell()
-            end = stream.seek(0, io.SEEK_END)
-            stream.seek(position)
-        except (AttributeError, OSError, ValueError, io.UnsupportedOperation):
-            return None
-        return max(0, end - position)
+    def __init__(self, view: Union[bytes, memoryview]) -> None:
+        self._view = view
+        self._pos = 0
+
+    def take_view(self, count: int) -> Union[bytes, memoryview]:
+        end = self._pos + count
+        if count < 0 or end > len(self._view):
+            raise StoreFormatError(
+                f"truncated table: wanted {count} bytes, "
+                f"only {len(self._view) - self._pos} remain"
+            )
+        view = self._view[self._pos : end]
+        self._pos = end
+        return view
 
     def take(self, count: int) -> bytes:
-        if count > _PREFLIGHT_BYTES:
-            # A length field this large is either a huge (legitimate) column
-            # or corruption; only the stream itself can tell.  Checking the
-            # remaining size first keeps a corrupt 2**64 length from turning
-            # into a giant allocation inside read().
-            available = self.remaining()
-            if available is not None and count > available:
-                raise StoreFormatError(
-                    f"truncated table: wanted {count} bytes, only {available} remain"
-                )
-        data = self._stream.read(count)
-        if len(data) != count:
-            raise StoreFormatError(
-                f"truncated table: wanted {count} bytes, got {len(data)}"
-            )
-        return data
+        return bytes(self.take_view(count))
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def read_str(self) -> str:
-        (length,) = self.unpack("<I")
+        view, start = self._view, self._pos + 4
+        if start > len(view):
+            raise StoreFormatError("truncated table: string length runs past the end")
+        end = start + _U32.unpack_from(view, self._pos)[0]
+        if end > len(view):
+            raise StoreFormatError(
+                f"truncated table: wanted {end - start} bytes, only {len(view) - start} remain"
+            )
+        self._pos = end
         try:
-            return self.take(length).decode("utf-8")
+            return str(view[start:end], "utf-8")
         except UnicodeDecodeError as error:
             raise StoreFormatError(f"corrupt string field: {error}") from None
 
@@ -260,35 +261,6 @@ class _Reader:
                 f"array byte length {nbytes} is not a multiple of itemsize {itemsize}"
             )
         return typecode, itemsize, nbytes
-
-
-class _BufferReader(_Reader):
-    """Bounds-checked cursor over an in-memory buffer (bytes, mmap, memoryview).
-
-    Unlike the stream reader it can hand out :meth:`take_view` slices that
-    alias the underlying buffer, which is what makes the table parser
-    zero-copy: column payloads stay on the mapped file until first touch.
-    """
-
-    __slots__ = ("_view", "_pos")
-
-    def __init__(self, view: memoryview) -> None:
-        self._view = view
-        self._pos = 0
-
-    def take_view(self, count: int) -> memoryview:
-        end = self._pos + count
-        if count < 0 or end > len(self._view):
-            raise StoreFormatError(
-                f"truncated table: wanted {count} bytes, "
-                f"only {len(self._view) - self._pos} remain"
-            )
-        view = self._view[self._pos : end]
-        self._pos = end
-        return view
-
-    def take(self, count: int) -> bytes:
-        return bytes(self.take_view(count))
 
 
 def _code_bounds_validator(
@@ -346,7 +318,7 @@ def _parse_table(
     ``store.mmap_fallbacks.byte_order`` or ``.typecode``
     (:data:`MMAP_FALLBACK_COUNTER`) while metrics are on.
     """
-    reader = _BufferReader(view)
+    reader = _Reader(view)
     if reader.take(len(_MAGIC)) != _MAGIC:
         raise StoreFormatError("not a serialized FlowTable (bad magic)")
     version, byte_order, length = reader.unpack("<BBQ")
@@ -551,52 +523,113 @@ def _write_discovery_body(write: Callable[[bytes], object], result, pool: _Value
                 write(struct.pack("<I", pool.add(domain)))
 
 
-class _PooledReader(_Reader):
-    """A byte-stream cursor with an attached value pool for reference reads."""
-
-    __slots__ = ("pool",)
-
-    def __init__(self, stream: BinaryIO) -> None:
-        super().__init__(stream)
-        self.pool: List[object] = []
-
-    def read_pool(self) -> None:
-        (size,) = self.unpack("<I")
-        self.pool = [self.read_value() for _ in range(size)]
-
-    def pool_str(self, index: int) -> str:
-        if index >= len(self.pool):
+def _check_refs(pool: List[object], refs: Sequence[int]) -> None:
+    """Raise :class:`StoreFormatError` unless every reference names a pooled string."""
+    for index in refs:
+        if index >= len(pool):
             raise StoreFormatError(f"pool reference {index} out of range")
-        value = self.pool[index]
-        if not isinstance(value, str):
+        if not isinstance(pool[index], str):
             raise StoreFormatError(f"pool reference {index} is not a string")
-        return value
-
-    def read_ref_str(self) -> str:
-        (index,) = self.unpack("<I")
-        return self.pool_str(index)
 
 
-def _read_discovery_body(reader: _PooledReader):
-    """Read one discovery result written by :func:`_write_discovery_body`."""
+def _read_pool(reader: _Reader) -> Tuple[List[object], bool]:
+    """Read one value pool; return it and whether every value is a string.
+
+    Strings, nearly all of a discovery pool, are decoded inline.
+    """
+    (size,) = reader.unpack("<I")
+    data = reader._view
+    end = len(data)
+    pos = reader._pos
+    if size > end - pos:
+        # Every value takes at least its tag byte.
+        raise StoreFormatError(f"truncated table: {size} pool values, {end - pos} bytes left")
+    pool: List[object] = []
+    append = pool.append
+    unpack_length = _U32.unpack_from
+    all_strings = True
+    try:
+        for _ in range(size):
+            if pos + 5 <= end and data[pos] == _TAG_STR:
+                start = pos + 5
+                pos = start + unpack_length(data, pos + 1)[0]
+                if pos > end:
+                    raise StoreFormatError("truncated table: string runs past the end")
+                append(str(data[start:pos], "utf-8"))
+            else:
+                # Any other tag; a string can only land here truncated, and raises.
+                reader._pos = pos
+                append(reader.read_value())
+                pos = reader._pos
+                all_strings = False
+    except UnicodeDecodeError as error:
+        raise StoreFormatError(f"corrupt string field: {error}") from None
+    reader._pos = pos
+    return pool, all_strings
+
+
+def _read_discovery(reader: _Reader):
+    """Decode one block written by :func:`dump_discovery` at the reader's offset.
+
+    After the pool, the records are decoded by one loop of ``unpack_from``
+    calls over the buffer: a record's header in one call, all its source
+    and domain references in another.  Truncation, out-of-range references
+    and references to non-string values raise :class:`StoreFormatError`.
+    """
     from repro.core.discovery import DiscoveredIP, DiscoveryResult
 
+    if reader.take(len(_MAGIC_DISCOVERY)) != _MAGIC_DISCOVERY:
+        raise StoreFormatError("not a serialized DiscoveryResult (bad magic)")
+    (version,) = reader.unpack("<B")
+    if version != DISCOVERY_CODEC_VERSION:
+        raise StoreFormatError(
+            f"unsupported discovery codec version {version} "
+            f"(expected {DISCOVERY_CODEC_VERSION})"
+        )
+    pool, all_strings = _read_pool(reader)
     day = reader.read_value()
     if day is not None and (not isinstance(day, date) or isinstance(day, datetime)):
         raise StoreFormatError("discovery day is not a date")
     result = DiscoveryResult(day=day)
     (n_providers,) = reader.unpack("<I")
+    n_pool = len(pool)
+    lookup = pool.__getitem__
+    data = reader._view
+    end = len(data)
+    pos = reader._pos
+    unpack_header = _U32X3.unpack_from
+    unpack_from = struct.unpack_from
     for _ in range(n_providers):
+        reader._pos = pos
         provider_ref, n_ips = reader.unpack("<II")
-        provider_key = reader.pool_str(provider_ref)
+        pos = reader._pos
+        _check_refs(pool, (provider_ref,))
+        provider_key = pool[provider_ref]
+        bucket = result.per_provider.setdefault(provider_key, {})
         for _ in range(n_ips):
-            ip_ref, n_sources, n_domains = reader.unpack("<III")
-            ip = reader.pool_str(ip_ref)
-            sources = {reader.read_ref_str() for _ in range(n_sources)}
-            domains = {reader.read_ref_str() for _ in range(n_domains)}
-            result.add(
-                DiscoveredIP(ip=ip, provider_key=provider_key, sources=sources, domains=domains)
-            )
+            stop = pos + 12
+            if stop > end:
+                raise StoreFormatError("truncated table: discovery record header")
+            ip_ref, n_sources, n_domains = unpack_header(data, pos)
+            pos = stop
+            n_refs = n_sources + n_domains
+            stop = pos + 4 * n_refs
+            if stop > end:
+                raise StoreFormatError("truncated table: discovery record references")
+            refs = unpack_from(f"<{n_refs}I", data, pos)
+            pos = stop
+            if not all_strings or ip_ref >= n_pool or (refs and max(refs) >= n_pool):
+                _check_refs(pool, (ip_ref, *refs))
+            ip = pool[ip_ref]
+            # The first n_sources references are sources, the rest domains.
+            values = map(lookup, refs)
+            record = DiscoveredIP(ip, provider_key, set(islice(values, n_sources)), set(values))
+            existing = bucket.get(ip)
+            if existing is None:
+                bucket[ip] = record
+            else:
+                existing.merge(record)
+    reader._pos = pos
     return result
 
 
@@ -620,24 +653,9 @@ def dumps_discovery(result) -> bytes:
     return buffer.getvalue()
 
 
-def load_discovery(stream: BinaryIO):
-    """Deserialize a discovery result written by :func:`dump_discovery`."""
-    reader = _PooledReader(stream)
-    if reader.take(len(_MAGIC_DISCOVERY)) != _MAGIC_DISCOVERY:
-        raise StoreFormatError("not a serialized DiscoveryResult (bad magic)")
-    (version,) = reader.unpack("<B")
-    if version != DISCOVERY_CODEC_VERSION:
-        raise StoreFormatError(
-            f"unsupported discovery codec version {version} "
-            f"(expected {DISCOVERY_CODEC_VERSION})"
-        )
-    reader.read_pool()
-    return _read_discovery_body(reader)
-
-
 def loads_discovery(data: bytes):
     """Deserialize a discovery result from bytes."""
-    return load_discovery(io.BytesIO(data))
+    return _read_discovery(_Reader(bytes(data)))
 
 
 def _write_str_tuple(write: Callable[[bytes], object], values) -> None:
@@ -666,7 +684,8 @@ def _write_location(write: Callable[[bytes], object], location) -> None:
         _write_str(write, text)
 
 
-def _read_location(reader: _Reader):
+def _read_location(reader: _Reader, seen: Dict[Tuple[str, ...], object]):
+    """Read one optional location; equal ones share the instance in ``seen``."""
     from repro.netmodel.geo import Location
 
     (present,) = reader.unpack("<B")
@@ -674,7 +693,12 @@ def _read_location(reader: _Reader):
         return None
     if present != 1:
         raise StoreFormatError(f"bad location presence flag {present}")
-    return Location(*(reader.read_str() for _ in range(5)))
+    read_str = reader.read_str
+    fields = (read_str(), read_str(), read_str(), read_str(), read_str())
+    location = seen.get(fields)
+    if location is None:
+        location = seen[fields] = Location(*fields)
+    return location
 
 
 def dump_pipeline_result(result, stream: BinaryIO) -> None:
@@ -780,7 +804,27 @@ def dumps_pipeline_result(result) -> bytes:
 
 
 def load_pipeline_result(stream: BinaryIO):
-    """Deserialize a pipeline result written by :func:`dump_pipeline_result`."""
+    """Deserialize a pipeline result written by :func:`dump_pipeline_result`.
+
+    Reads the rest of the stream once and decodes one result from that
+    buffer; a seekable stream is then positioned just past it, so trailing
+    bytes stay unread.
+    """
+    data = stream.read()
+    reader = _Reader(data)
+    result = _read_pipeline_result(reader)
+    if reader._pos < len(data) and stream.seekable():
+        stream.seek(reader._pos - len(data), io.SEEK_CUR)
+    return result
+
+
+def loads_pipeline_result(data: bytes):
+    """Deserialize a pipeline result from bytes."""
+    return _read_pipeline_result(_Reader(bytes(data)))
+
+
+def _read_pipeline_result(reader: _Reader):
+    """Decode one pipeline result at the reader's offset."""
     from repro.core.discovery import DiscoveryResult
     from repro.core.footprint import FootprintReport
     from repro.core.patterns import DomainPattern, PatternSet
@@ -792,7 +836,6 @@ def load_pipeline_result(stream: BinaryIO):
     )
     from repro.simulation.clock import StudyPeriod
 
-    reader = _Reader(stream)
     if reader.take(len(_MAGIC_PIPELINE)) != _MAGIC_PIPELINE:
         raise StoreFormatError("not a serialized PipelineResult (bad magic)")
     (version,) = reader.unpack("<B")
@@ -837,11 +880,11 @@ def load_pipeline_result(stream: BinaryIO):
             day = reader.read_value()
             if not isinstance(day, date) or isinstance(day, datetime):
                 raise StoreFormatError("daily-result key is not a date")
-            daily_results[day] = load_discovery(stream)
-        combined = load_discovery(stream)
+            daily_results[day] = _read_discovery(reader)
+        combined = _read_discovery(reader)
 
         (threshold,) = reader.unpack("<q")
-        dedicated = load_discovery(stream)
+        dedicated = _read_discovery(reader)
         shared = []
         (n_shared,) = reader.unpack("<I")
         for _ in range(n_shared):
@@ -856,6 +899,7 @@ def load_pipeline_result(stream: BinaryIO):
         )
 
         footprints: Dict[str, FootprintReport] = {}
+        locations: Dict[Tuple[str, ...], object] = {}
         (n_footprints,) = reader.unpack("<I")
         for _ in range(n_footprints):
             provider_key = reader.read_str()
@@ -880,7 +924,7 @@ def load_pipeline_result(stream: BinaryIO):
             (n_locations,) = reader.unpack("<I")
             for _ in range(n_locations):
                 ip = reader.read_str()
-                locations_by_ip[ip] = _read_location(reader)
+                locations_by_ip[ip] = _read_location(reader, locations)
             footprints[provider_key] = FootprintReport(
                 provider_key=provider_key,
                 provider_name=provider_name,
@@ -937,7 +981,3 @@ def load_pipeline_result(stream: BinaryIO):
         ground_truth=ground_truth,
     )
 
-
-def loads_pipeline_result(data: bytes):
-    """Deserialize a pipeline result from bytes."""
-    return load_pipeline_result(io.BytesIO(data))

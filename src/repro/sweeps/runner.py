@@ -62,6 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import logging
 
 from repro.core.report import render_table
+from repro.flows.kernels import fold_sum
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger, log_event
@@ -505,7 +506,7 @@ class SweepResult:
             row: List[object] = [row_key]
             for col_key in col_values:
                 samples = cells.get((row_key, col_key))
-                row.append(round(sum(samples) / len(samples), 6) if samples else "-")
+                row.append(round(fold_sum(samples) / len(samples), 6) if samples else "-")
             rows.append(row)
         return rows
 

@@ -101,7 +101,6 @@ KEEP: Dict[str, str] = {
     "flows/netflow.py::_binomial_many": LIVE,
     "store/artifacts.py::default_store_root": LIVE,
     "store/artifacts.py::ArtifactStore._discard_corrupt": LIVE,
-    "store/codec.py::_Reader.remaining": LIVE,
     "sweeps/metrics.py::available_metrics": LIVE,
     "sweeps/runner.py::_wall_clock_limit.<locals>._on_alarm": LIVE,
     "sweeps/runner.py::_Campaign.record_retry": LIVE,
@@ -130,6 +129,8 @@ KEEP: Dict[str, str] = {
     "netmodel/topology.py::BackendServer.open_ports": BRANCH,
     "netmodel/topology.py::ProviderDeployment.ips": BRANCH,
     "obs/bench.py::visible_cpus": BRANCH,
+    # RoutingTable.announce, when the caller passes no parsed network.
+    "routing/bgp.py::Announcement.network": BRANCH,
     "scan/censys.py::CensysSnapshot.hosts": BRANCH,
     # TlsServerConfig.certificate_for, when a client sends SNI.
     "scan/certificates.py::Certificate.covers_domain": BRANCH,

@@ -204,6 +204,19 @@ def test_sweep_rejects_a_nan_axis_value_as_parser_error(capsys):
     assert "volume_sigma must be finite" in capsys.readouterr().err
 
 
+def test_sweep_rejects_more_scanner_lines_than_subscriber_lines(capsys):
+    """Clamping 100 scanner lines to 60 lines made every line a scanner: 0 clean flows, ok."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "sweep", "--small", "--subscriber-lines", "60",
+                "--axis", "n_scanner_lines=100", "--metrics", "traffic",
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert "n_scanner_lines (100) exceeds n_subscriber_lines (60)" in capsys.readouterr().err
+
+
 def test_sweep_exits_nonzero_when_scenarios_fail(capsys, monkeypatch):
     from repro.sweeps import metrics as metrics_module
 

@@ -1,6 +1,10 @@
 """Tests for shared-IP classification and ground-truth validation."""
 
+import os
+import subprocess
+import sys
 from datetime import date, datetime
+from pathlib import Path
 
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
 from repro.core.validation import (
@@ -87,3 +91,69 @@ def test_traffic_coverage_underestimation():
 def test_traffic_coverage_with_no_flows():
     report = traffic_coverage(_result_with([("10.0.0.1", "microsoft")]), "microsoft", FlowTable())
     assert report.underestimation_fraction == 0.0
+
+
+#: Five missed servers in first-appearance order: summing their bytes in set
+#: order gave 1e16 or 1.0000000000000004e16 depending on PYTHONHASHSEED.
+_MISSED_VOLUMES = (("10.0.0.11", 1.0), ("10.0.0.12", 1.0), ("10.0.0.13", 1e16),
+                   ("10.0.0.14", 1.0), ("10.0.0.15", 1.0))
+
+
+def coverage_by_backend():
+    """``(total, missed)`` bytes of the five-missed-server case on each backend."""
+    from repro.flows import kernels
+
+    result = _result_with([("10.0.0.1", "microsoft")])
+    flows = [
+        make_flow(
+            timestamp=datetime(2022, 2, 28, 10),
+            subscriber_id=1,
+            subscriber_prefix="p",
+            ip_version=4,
+            provider_key="microsoft",
+            server_ip=ip,
+            server_continent="EU",
+            server_region="eu-west-1",
+            transport="tcp",
+            port=8883,
+            bytes_down=volume,
+            bytes_up=0.0,
+        )
+        for ip, volume in (("10.0.0.1", 5.0),) + _MISSED_VOLUMES
+    ]
+    table = FlowTable.from_records(flows)
+    backends = [kernels.BACKEND_PYTHON] + ([kernels.BACKEND_NUMPY] if kernels.numpy_available() else [])
+    values = {}
+    for backend in backends:
+        kernels.set_backend(backend)
+        report = traffic_coverage(result, "microsoft", table)
+        values[backend] = (report.traffic_bytes_total, report.traffic_bytes_missed)
+    kernels.set_backend(None)
+    return values
+
+
+def test_traffic_coverage_totals_ignore_hash_seed_and_backend():
+    """Missed bytes fold left to right in first-appearance order, in every process."""
+    expected_missed = 0.0
+    for _ip, volume in _MISSED_VOLUMES:
+        expected_missed += volume
+    expected_total = 5.0 + expected_missed
+    program = (
+        "import sys; sys.path.insert(0, 'tests');"
+        "from test_core_validation import coverage_by_backend;"
+        "print(repr(sorted(coverage_by_backend().items())))"
+    )
+    root = Path(__file__).resolve().parents[1]
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        environment = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src"))
+        environment.pop("IOT_REPRO_KERNELS", None)
+        completed = subprocess.run(
+            [sys.executable, "-c", program], cwd=root, env=environment,
+            capture_output=True, text=True, check=True,
+        )
+        outputs.add(completed.stdout)
+    assert len(outputs) == 1, outputs
+    for backend, (total, missed) in coverage_by_backend().items():
+        assert (total, missed) == (expected_total, expected_missed), backend
+    assert repr(sorted(coverage_by_backend().items())) + "\n" in outputs

@@ -1,5 +1,7 @@
 """Tests for the subscriber population."""
 
+import pytest
+
 from repro.core.providers import PROVIDERS
 from repro.flows.subscribers import SubscriberPopulation
 from repro.simulation.rng import RngRegistry
@@ -35,6 +37,15 @@ def test_scanner_lines_marked():
     population = _population(n_scanner_lines=3)
     assert len(population.scanner_lines()) == 3
     assert all(line.is_scanner for line in population.scanner_lines())
+
+
+def test_heavy_lines_beyond_the_iot_lines_are_rejected():
+    iot_lines = len(_population(n_lines=100).iot_lines())
+    assert len(_population(n_lines=100, n_heavy_lines=iot_lines).iot_lines()) == iot_lines
+    with pytest.raises(ValueError, match="n_heavy_lines"):
+        _population(n_lines=100, n_heavy_lines=iot_lines + 1)
+    # The derived default (1% of lines) is capped instead, here at zero IoT lines.
+    assert _population(n_lines=100, iot_household_fraction=0.0).iot_lines() == []
 
 
 def test_heavy_lines_host_many_providers():

@@ -177,8 +177,14 @@ def reference_group_distinct_count(
 
 
 def reference_total(table: "FlowTable", value: str) -> float:
-    """Sequential python sum (parity ground truth)."""
-    return sum(table.numeric(value))
+    """Left-to-right python fold (parity ground truth).
+
+    Not ``sum()``: from Python 3.12 on it compensates float rounding.
+    """
+    total = 0
+    for item in table.numeric(value):
+        total += item
+    return total
 
 
 def reference_distinct(table: "FlowTable", name: str) -> Set[object]:
@@ -587,6 +593,57 @@ def test_totals_and_distinct_parity(seed):
             for backend in _backends():
                 kernels.set_backend(backend)
                 assert table.distinct(name) == reference, f"{label}/{name}/{backend}"
+
+
+def _flow(provider_key: str, bytes_down: float, hour: int = 0):
+    return make_flow(
+        timestamp=datetime(2022, 3, 1) + timedelta(hours=hour),
+        subscriber_id=1,
+        subscriber_prefix="p0",
+        ip_version=4,
+        provider_key=provider_key,
+        server_ip="10.0.0.1",
+        server_continent="EU",
+        server_region="eu-west-1",
+        transport="tcp",
+        port=443,
+        bytes_down=bytes_down,
+        bytes_up=0.0,
+    )
+
+
+def test_float_totals_fold_left_to_right():
+    """Ten rows of 0.1 total 0.9999999999999999 on every backend and interpreter.
+
+    From Python 3.12 on, ``sum()`` compensates and gives 1.0, so a total
+    built on it would differ by interpreter and from numpy's ``cumsum``.
+    """
+    table = FlowTable.from_records(_flow("amazon", 0.1, hour) for hour in range(10))
+    for backend in _backends():
+        kernels.set_backend(backend)
+        assert table.total("bytes_down") == 0.9999999999999999, backend
+    assert kernels.fold_sum([0.1] * 10) == 0.9999999999999999
+    if sys.version_info >= (3, 12):
+        assert sum([0.1] * 10) == 1.0
+
+
+@pytest.mark.parametrize("masked", (False, True))
+def test_leading_negative_zero_sums_to_positive_zero_on_every_backend(masked):
+    """A group whose first contribution is -0.0 sums to +0.0, masked or not."""
+    table = FlowTable.from_records(
+        [_flow("amazon", -0.0), _flow("google", -0.0), _flow("bosch", 5.0), _flow("google", 2.5)]
+    )
+    mask = bytearray([1, 1, 0, 1]) if masked else None
+    results = []
+    for backend in _backends():
+        kernels.set_backend(backend)
+        table._group_cache.clear()
+        got = table.group_sums(("provider_key",), ("bytes_down",), mask=mask)
+        assert _float_bits(got["amazon"][0]) == _float_bits(0.0), backend
+        assert got["google"] == [2.5], backend
+        results.append(got)
+    for got in results[1:]:
+        _assert_bit_identical("leading -0.0", results[0], got)
 
 
 def _digest(table: FlowTable) -> str:

@@ -156,6 +156,36 @@ def test_prefix_index_last_write_and_first_write_semantics(seed):
         assert first_wins.lookup(query) == oracle_routing_lookup(first_oracle, query)
 
 
+def oracle_overlaps(networks: List[object], prefix) -> bool:
+    """The former two-``subnet_of`` overlap scan of ``BgpEvent.affects_prefix``."""
+    query = parse_network(prefix)
+    return any(
+        network.version == query.version
+        and (network.subnet_of(query) or query.subnet_of(network))
+        for network in networks
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_prefix_overlap_matches_the_subnet_scan(seed):
+    registrations, queries = _fuzz_case(seed)
+    index: PrefixIndex[bool] = PrefixIndex()
+    for prefix, _value in registrations:
+        index[prefix] = True
+    networks = [parse_network(prefix) for prefix, _value in registrations]
+    rng = random.Random(seed)
+    hits = 0
+    for address in queries:
+        lengths = V4_LENGTHS if parse_ip(address).version == 4 else V6_LENGTHS
+        prefix = f"{address}/{rng.choice(lengths)}"
+        expected = oracle_overlaps(networks, prefix)
+        assert index.overlaps(prefix) == expected, prefix
+        hits += expected
+    assert hits
+    for prefix, _value in registrations:
+        assert index.overlaps(prefix)
+
+
 def test_prefix_index_edge_lengths_and_misses():
     index: PrefixIndex[str] = PrefixIndex()
     assert index.lookup("10.0.0.1") is None

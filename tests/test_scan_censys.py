@@ -75,3 +75,75 @@ def test_banners_collected():
     protocols = {banner.protocol for banner in record.banners}
     assert "HTTPS" in protocols
     assert "MQTTS" in protocols
+
+
+def test_certificate_validity_is_checked_per_day():
+    """The per-server probe keeps expired certificates; each day filters its own."""
+    from datetime import timedelta
+
+    cert = make_certificate(["gw.example"], not_before=date(2021, 6, 1), not_after=DAY)
+    server = BackendServer(
+        ip="10.0.0.1",
+        provider="acme",
+        location=world_locations()[0],
+        asn=65001,
+        prefix="10.0.0.0/24",
+        endpoints=(ServiceEndpoint("tcp", 443, "HTTPS", tls=TlsServerConfig(default_certificate=cert)),),
+    )
+    service = _service([server])
+    assert service.snapshot(DAY + timedelta(days=1)).get("10.0.0.1").certificates == ()
+    assert service.snapshot(DAY).get("10.0.0.1").certificates == (cert,)
+
+
+def test_snapshots_do_not_depend_on_build_order():
+    """Per-server probes are reused across days: any day order gives the same snapshots."""
+    from repro.simulation.config import ScenarioConfig
+    from repro.simulation.world import build_world
+    from test_golden import snapshot_text
+
+    config = ScenarioConfig.small(7)
+    days = config.study_period.days()
+    forward = build_world(config).censys
+    backward = build_world(config).censys
+    expected = [snapshot_text(forward.snapshot(day)) for day in days]
+    reverse = [snapshot_text(backward.snapshot(day)) for day in reversed(days)]
+    assert reverse[::-1] == expected
+
+
+def test_each_server_is_probed_once_per_service(monkeypatch):
+    """Handshakes and geolocation run once per server, not once per snapshot."""
+    from repro.scan import censys as censys_module
+    from repro.simulation.config import ScenarioConfig
+    from repro.simulation.world import build_world
+
+    handshakes: dict = {}
+    real_handshake = censys_module.perform_handshake
+
+    def counting_handshake(config, server_name=None):
+        handshakes[id(config)] = handshakes.get(id(config), 0) + 1
+        return real_handshake(config, server_name=server_name)
+
+    monkeypatch.setattr(censys_module, "perform_handshake", counting_handshake)
+    config = ScenarioConfig.small(7)
+    world = build_world(config)
+    lookups: dict = {}
+    real_lookup = world.geo_database.lookup_ip
+
+    def counting_lookup(ip):
+        lookups[ip] = lookups.get(ip, 0) + 1
+        return real_lookup(ip)
+
+    monkeypatch.setattr(world.geo_database, "lookup_ip", counting_lookup)
+    scanned = set()
+    for day in config.study_period.days():
+        scanned.update(world.censys.snapshot(day).records)
+    tls_configs = {
+        id(endpoint.tls)
+        for server in world.all_servers()
+        if server.ip in scanned
+        for endpoint in server.endpoints
+        if endpoint.tls is not None and endpoint.key in CensysService.SCANNED_PORTS
+    }
+    assert tls_configs and tls_configs <= set(handshakes)
+    assert set(handshakes.values()) == {1}
+    assert len(lookups) >= len(scanned) and set(lookups.values()) == {1}

@@ -44,6 +44,8 @@ def test_with_overrides_returns_new_object():
         {"isp_prefix_count": 0},
         {"n_blocklisted_backend_ips": -1},
         {"n_scanner_lines": -1},
+        {"n_scanner_lines": 4001},
+        {"n_heavy_lines": 4001},
     ],
 )
 def test_invalid_configurations_rejected(kwargs):

@@ -581,3 +581,107 @@ class TestPipelineResultCodec:
                 pass
             except MemoryError:
                 pytest.fail("corrupt length field caused an allocation blow-up")
+
+
+class TestOneBufferDiscoveryDecode:
+    """The pipeline decode reads one buffer; every check of the stream decoder holds."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        """The small scenario's pipeline result cut to a few entries of every kind."""
+        from dataclasses import replace
+
+        from repro.core.discovery import DiscoveryResult
+        from repro.core.patterns import PatternSet
+        from repro.core.pipeline import DiscoveryPipeline
+        from repro.core.validation import SharedIpClassification, SharedIpRecord
+        from repro.simulation.config import ScenarioConfig
+        from repro.simulation.world import build_world
+
+        result = DiscoveryPipeline(build_world(ScenarioConfig.small(seed=7))).run()
+
+        def few(discovery):
+            cut = DiscoveryResult(day=discovery.day)
+            for record in discovery.records()[:3]:
+                cut.add(record)
+            return cut
+
+        provider = sorted(result.footprints)[0]
+        patterns = PatternSet()
+        patterns.patterns[provider] = result.pattern_set.patterns[provider][:1]
+        footprint = result.footprints[provider]
+        locations = dict(sorted(footprint.locations_by_ip.items())[:2])
+        locations["10.9.9.8"] = None
+        ground_key = sorted(result.ground_truth)[0]
+        return replace(
+            result,
+            pattern_set=patterns,
+            daily_results={
+                day: few(result.daily_results[day]) for day in sorted(result.daily_results)[:2]
+            },
+            combined=few(result.combined),
+            validation=SharedIpClassification(
+                threshold=result.validation.threshold,
+                dedicated=few(result.validation.dedicated),
+                shared=[SharedIpRecord("10.9.9.9", provider, 30)],
+            ),
+            footprints={provider: replace(footprint, locations_by_ip=locations)},
+            ground_truth={ground_key: result.ground_truth[ground_key]},
+        )
+
+    def test_truncation_at_every_offset_raises(self, tiny):
+        from repro.store.codec import dumps_pipeline_result, load_pipeline_result
+
+        blob = dumps_pipeline_result(tiny)
+        assert load_pipeline_result(io.BytesIO(blob)) == tiny
+        for cut in range(len(blob)):
+            with pytest.raises(StoreFormatError):
+                load_pipeline_result(io.BytesIO(blob[:cut]))
+
+    @staticmethod
+    def _block(pool, provider_ref, ip_ref, source_refs) -> bytes:
+        """A one-record discovery block with chosen pool and references."""
+        from repro.store.codec import DISCOVERY_CODEC_VERSION, _write_value
+
+        parts = [b"RDSC", struct.pack("<BI", DISCOVERY_CODEC_VERSION, len(pool))]
+        for value in pool:
+            _write_value(parts.append, value)
+        _write_value(parts.append, None)  # the result's day
+        parts.append(struct.pack("<III", 1, provider_ref, 1))
+        parts.append(struct.pack("<III", ip_ref, len(source_refs), 0))
+        parts.append(struct.pack(f"<{len(source_refs)}I", *source_refs))
+        return b"".join(parts)
+
+    @pytest.mark.parametrize(
+        "pool, provider_ref, ip_ref, source_refs, message",
+        [
+            (["amazon", "10.0.0.1", "tls"], 0, 1, (2,), None),
+            (["amazon", "10.0.0.1", "tls"], 0, 1, (7,), "pool reference 7 out of range"),
+            (["amazon", "10.0.0.1", "tls"], 0, 3, (2,), "pool reference 3 out of range"),
+            (["amazon", "10.0.0.1", "tls"], 9, 1, (2,), "pool reference 9 out of range"),
+            (["amazon", 5, "tls"], 0, 1, (2,), "pool reference 1 is not a string"),
+            (["amazon", "10.0.0.1", 2.5], 0, 1, (2,), "pool reference 2 is not a string"),
+            ([None, "10.0.0.1", "tls"], 0, 1, (2,), "pool reference 0 is not a string"),
+        ],
+    )
+    def test_bad_pool_references_raise(self, tiny, pool, provider_ref, ip_ref, source_refs, message):
+        from repro.store.codec import (
+            dumps_discovery,
+            dumps_pipeline_result,
+            loads_discovery,
+            loads_pipeline_result,
+        )
+
+        block = self._block(pool, provider_ref, ip_ref, source_refs)
+        blob = dumps_pipeline_result(tiny)
+        combined = dumps_discovery(tiny.combined)
+        at = blob.index(combined)
+        spliced = blob[:at] + block + blob[at + len(combined):]
+        if message is None:
+            assert loads_discovery(block).ips() == {"10.0.0.1"}
+            assert loads_pipeline_result(spliced).combined.ips() == {"10.0.0.1"}
+            return
+        with pytest.raises(StoreFormatError, match=message):
+            loads_discovery(block)
+        with pytest.raises(StoreFormatError, match=message):
+            loads_pipeline_result(spliced)
