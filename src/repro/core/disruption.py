@@ -93,9 +93,10 @@ def outage_impact(
     line of the figures.  Hours during the daily quiet period are naturally part of
     the minimum, as in the paper.
 
-    The three region groups are row masks over one shared timestamp grouping,
-    so all six series run on the grouped-aggregation kernels against a single
-    cached :class:`~repro.flows.kernels.GroupIndex`.  Sampling correction
+    The three region groups are row masks over one timestamp grouping, so
+    all six series run on the grouped-aggregation kernels: on numpy against
+    a single cached :class:`~repro.flows.kernels.GroupIndex`, on python each
+    over only the rows its mask keeps.  Sampling correction
     multiplies the per-hour sums (sum-then-scale, as in
     :func:`~repro.core.traffic.volume_timeseries`).
     """

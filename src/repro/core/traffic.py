@@ -313,17 +313,22 @@ def volume_timeseries(
 def direction_ratio_timeseries(
     table: FlowTable, anonymization: AnonymizationMap
 ) -> Dict[str, Dict[datetime, float]]:
-    """Hourly downstream/upstream byte ratio per provider (Figure 10)."""
-    down = volume_timeseries(table, anonymization, direction="down")
-    up = volume_timeseries(table, anonymization, direction="up")
-    ratios: Dict[str, Dict[datetime, float]] = {}
-    for label, per_hour in down.items():
-        ratios[label] = {}
-        for timestamp, downstream in per_hour.items():
-            upstream = up.get(label, {}).get(timestamp, 0.0)
-            if upstream > 0:
-                ratios[label][timestamp] = downstream / upstream
-    return ratios
+    """Hourly downstream/upstream byte ratio per provider (Figure 10).
+
+    One grouped pass sums both directions, each in row order.  The
+    anonymization map is one-to-one, so each (label, hour) is exactly one
+    (provider, hour) group; hours without upstream bytes get no ratio.
+    """
+    grouped = table.group_sums(("provider_key", "timestamp"), ("bytes_down", "bytes_up"))
+    ratios: Dict[str, Dict[datetime, float]] = defaultdict(dict)
+    for (provider_key, timestamp), (downstream, upstream) in grouped.items():
+        per_hour = ratios[anonymization.label(provider_key)]
+        if upstream > 0:
+            per_hour[timestamp] = downstream / upstream
+    return {
+        label: dict(sorted(per_hour.items()))
+        for label, per_hour in sorted(ratios.items(), key=lambda item: _label_sort_key(item[0]))
+    }
 
 
 def mean_direction_ratio(table: FlowTable, anonymization: AnonymizationMap) -> Dict[str, float]:

@@ -86,8 +86,8 @@ class OutageExperimentResult:
 def fig15_fig16_outage(context: ExperimentContext, provider_label: str = "T1") -> OutageExperimentResult:
     """Reproduce Figures 15 and 16 for the provider affected by the AWS outage."""
     provider_key = context.anonymization.provider(provider_label)
-    # Columnar table: outage_impact's masked kernels run on it directly and
-    # the timestamp GroupIndex is shared across all six series.
+    # Columnar table: outage_impact's masked kernels run on it directly; on
+    # numpy the timestamp GroupIndex is shared across all six series.
     flows = context.outage_table()
     window = _outage_window()
     baseline = (

@@ -32,7 +32,9 @@ raise ``ValueError`` naming both lengths otherwise.  The grouping permutation
 is computed once per ``(table, key columns)`` pair -- :meth:`group_index` --
 and cached until any mutating primitive (:meth:`extend`, :meth:`append`,
 :meth:`append_columns`, :meth:`assign_numeric`) bumps the table's mutation
-counter, so analyses sharing a grouping share the index.
+counter, so analyses sharing a grouping share the index.  The numpy kernels
+use it for every aggregation; the python kernels only for unmasked ones, as a
+masked python call groups just the rows its mask keeps.
 
 ``FlowTable`` iterates and indexes like a sequence of ``FlowRecord`` row
 views (materialized on demand), and :meth:`from_records`/:meth:`to_records`
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 from array import array
 from datetime import date
+from itertools import compress
 from operator import attrgetter
 from typing import (
     Callable,
@@ -579,26 +582,33 @@ class FlowTable:
 
     # -- grouped aggregation -----------------------------------------------------
 
-    def _group_codes(self, by: Sequence[str]) -> Tuple[Iterable, Callable[[object], GroupKey]]:
+    def _group_codes(
+        self, by: Sequence[str], mask: Optional[Sequence[int]] = None
+    ) -> Tuple[Iterable, Callable[[object], GroupKey]]:
         """Per-row composite key iterator plus a decoder back to values.
 
         All-categorical key combinations are packed into single integers
         (mixed-radix over the pool sizes): int keys hash far faster than
         tuples of strings/datetimes, which is where grouped aggregations
-        spend their time.  This is the python builder's key source; the numpy
-        builder packs whole columns instead (:mod:`repro.flows.kernels_np`).
+        spend their time.  With ``mask``, each key column is compressed to
+        the rows whose mask entry is truthy before packing, so only kept rows
+        are keyed, in row order.  This is the python kernels' key source; the
+        numpy builder packs whole columns instead (:mod:`repro.flows.kernels_np`).
         """
+        columns = [self._key_column(name) for name in by]
+        if mask is not None:
+            columns = [(compress(keys, mask), pool) for keys, pool in columns]
         if len(by) == 1:
-            keys, pool = self._key_column(by[0])
+            keys, pool = columns[0]
             if pool is None:
                 return keys, lambda key: key
             return keys, lambda key: pool[key]
+        key_columns = [keys for keys, _pool in columns]
+        pools = [pool for _keys, pool in columns]
         if all(name in self._codes for name in by):
-            code_arrays = [self._codes[name] for name in by]
-            pools = [self._pools[name].values for name in by]
             sizes = [len(pool) for pool in pools]
             if len(by) == 2:
-                first, second = code_arrays
+                first, second = key_columns
                 radix = sizes[1]
                 first_pool, second_pool = pools
 
@@ -615,21 +625,17 @@ class FlowTable:
                 return tuple(reversed(parts))
 
             packed: List[int] = []
-            for row in zip(*code_arrays):
+            for row in zip(*key_columns):
                 key = 0
                 for code, size in zip(row, sizes):
                     key = key * size + code
                 packed.append(key)
             return packed, decode_packed
-        columns = [self._key_column(name) for name in by]
-        key_pools = [pool for _keys, pool in columns]
 
         def decode(key: Tuple[int, ...]) -> Tuple[object, ...]:
-            return tuple(
-                part if pool is None else pool[part] for part, pool in zip(key, key_pools)
-            )
+            return tuple(part if pool is None else pool[part] for part, pool in zip(key, pools))
 
-        return zip(*(keys for keys, _pool in columns)), decode
+        return zip(*key_columns), decode
 
     def group_index(self, by: Sequence[str]) -> "kernels.GroupIndex":
         """The cached grouping permutation for a key-column combination.
@@ -668,9 +674,11 @@ class FlowTable:
         aggregation to the rows whose mask entry is truthy without copying
         any column.  Returns ``{key: [sum per value column]}``.
 
-        Runs on the active :mod:`repro.flows.kernels` backend over the cached
-        :meth:`group_index`; all backends are bit-identical to the reference
-        kernels (see ``tests/test_kernel_parity.py``).
+        Runs on the active :mod:`repro.flows.kernels` backend: the numpy
+        kernels and unmasked python calls read the cached :meth:`group_index`,
+        a masked python call groups only the kept rows.  All backends are
+        bit-identical to the reference kernels (see
+        ``tests/test_kernel_parity.py``).
         """
         from repro.flows import kernels
 

@@ -9,10 +9,16 @@ interchangeable implementations:
   ground truth both backends are differentially fuzzed against.  Nothing in
   the program calls them, so they live with that harness
   (``reference_*`` in ``tests/test_kernel_parity.py``).
-* **Fused pure-python kernels** -- a :class:`GroupIndex` maps every row to a
-  dense group id once per ``(table, key columns)`` pair; aggregations then
-  run a single traversal accumulating into flat lists indexed by group id,
-  skipping both the per-call packed-key build and the per-row dict probes.
+* **Pure-python kernels** -- an unmasked call reads a :class:`GroupIndex`,
+  which maps every row to a dense group id once per ``(table, key columns)``
+  pair, and runs a single traversal accumulating into flat lists indexed by
+  group id (``fused_*``), skipping both the per-call packed-key build and the
+  per-row dict probes.  A masked call groups only the rows its mask keeps:
+  key, value and member columns are compressed to the kept rows, the keys
+  packed (``FlowTable._group_codes``), and one dict pass accumulates per
+  packed key in masked first-appearance order (``masked_group_sums`` and the
+  member-set pass).  It never builds, reads or caches a :class:`GroupIndex`,
+  so a mask keeping a fraction of a week's rows costs that fraction.
 * **Numpy kernels** (:mod:`repro.flows.kernels_np`, import-guarded) -- the
   same contracts on ``bincount``/``unique``; selected automatically when
   numpy is importable.  Columns loaded zero-copy from an mmap'd store
@@ -46,7 +52,9 @@ The :class:`GroupIndex` cache lives on the table (``FlowTable.group_index``)
 and is invalidated by a mutation counter bumped by every mutating primitive
 (``extend``/``append``/``append_columns``/``assign_numeric``); pool growth
 alone (``encode_value``, sibling tables sharing pools) does not change any row
-and deliberately does not invalidate.
+and deliberately does not invalidate.  The numpy kernels take the index for
+masked and unmasked calls alike; each dispatcher fetches it inside its numpy
+branch, so the python backend asks for it only for unmasked calls.
 """
 
 from __future__ import annotations
@@ -56,7 +64,17 @@ from array import array
 from functools import reduce
 from itertools import compress
 from operator import add
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.flows.flowtable import FlowTable, GroupKey
@@ -140,7 +158,8 @@ class GroupIndex:
     ``group_keys[gid]`` is the decoded group key (bare value for one key
     column, tuple for several) -- exactly the dict keys, in exactly the
     insertion order, the reference kernels produce.  The index is
-    mask-independent (masks subset rows at aggregation time) and is computed
+    mask-independent (the numpy kernels subset rows at aggregation time;
+    masked python calls group the kept rows without it) and is computed
     once per table revision: ``version`` snapshots the owning table's
     mutation counter so any row mutation makes the cached index unusable.
     """
@@ -269,13 +288,14 @@ def group_sums(
 ) -> Dict["GroupKey", List[float]]:
     """Sum numeric columns per group key on the active backend."""
     _check_mask(mask, len(table))
-    index = table.group_index(by)
     columns = [table.numeric(name) for name in values]
     if _use_numpy():
-        result = _numpy_kernels().group_sums(index, columns, mask)
+        result = _numpy_kernels().group_sums(table.group_index(by), columns, mask)
         if result is not NotImplemented:
             return result
-    return fused_group_sums(index, columns, mask)
+    if mask is not None:
+        return masked_group_sums(table, by, columns, mask)
+    return fused_group_sums(table.group_index(by), columns)
 
 
 def group_pair_sums(
@@ -290,7 +310,8 @@ def group_pair_sums(
     Each row adds its two columns; each value of ``by`` adds its rows'
     totals in row order from ``0.0``, keyed in (masked) first-appearance
     order.  numpy selects the masked rows, adds them and runs ``bincount``;
-    python runs one loop over the rows.  Both give the same floats.
+    python compresses the three columns to the masked rows and runs one loop
+    over them.  Both give the same floats.
     """
     _check_mask(mask, len(table))
     left, right = table.numeric(first), table.numeric(second)
@@ -299,9 +320,10 @@ def group_pair_sums(
         if result is not NotImplemented:
             return result
     members, pool = table._key_column(by)
-    rows = zip(members, left, right)
+    if mask is not None:
+        members, left, right = (compress(column, mask) for column in (members, left, right))
     sums: Dict[object, float] = {}
-    for member, a, b in rows if mask is None else compress(rows, mask):
+    for member, a, b in zip(members, left, right):
         sums[member] = sums.get(member, 0.0) + (a + b)
     return sums if pool is None else {pool[member]: total for member, total in sums.items()}
 
@@ -314,13 +336,15 @@ def group_distinct_count(
 ) -> Dict["GroupKey", int]:
     """Count distinct values of one column per group key on the active backend."""
     _check_mask(mask, len(table))
-    index = table.group_index(by)
     members, _pool = table._key_column(of)
     if _use_numpy():
-        result = _numpy_kernels().group_distinct_count(index, members, mask)
+        result = _numpy_kernels().group_distinct_count(table.group_index(by), members, mask)
         if result is not NotImplemented:
             return result
-    return fused_group_distinct_count(index, members, mask)
+    if mask is not None:
+        sets, decode = _masked_member_sets(table, by, members, mask)
+        return {decode(key): len(bucket) for key, bucket in sets.items()}
+    return fused_group_distinct_count(table.group_index(by), members)
 
 
 def group_distinct(
@@ -331,13 +355,15 @@ def group_distinct(
 ) -> Dict["GroupKey", Set[object]]:
     """Distinct values of one column per group key on the active backend."""
     _check_mask(mask, len(table))
-    index = table.group_index(by)
     members, pool = table._key_column(of)
     if _use_numpy():
-        result = _numpy_kernels().group_distinct(index, members, pool, mask)
+        result = _numpy_kernels().group_distinct(table.group_index(by), members, pool, mask)
         if result is not NotImplemented:
             return result
-    return fused_group_distinct(index, members, pool, mask)
+    if mask is not None:
+        sets, decode = _masked_member_sets(table, by, members, mask)
+        return _decoded_sets(((decode(key), bucket) for key, bucket in sets.items()), pool)
+    return fused_group_distinct(table.group_index(by), members, pool)
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -381,119 +407,129 @@ def distinct(table: "FlowTable", name: str) -> Set[object]:
 
 
 # ---------------------------------------------------------------------------------
-# Fused pure-python kernels
+# Pure-python kernels
 # ---------------------------------------------------------------------------------
 
 
 def fused_group_sums(
-    index: GroupIndex, columns: Sequence[Sequence], mask: Optional[Sequence[int]]
+    index: GroupIndex, columns: Sequence[Sequence]
 ) -> Dict["GroupKey", List[float]]:
-    """One traversal over dense group ids, accumulating into flat lists.
+    """Unmasked sums: one traversal over dense group ids into flat lists.
 
-    Every accumulator, masked or not, starts at the integer ``0``: ``0 + v``
-    adopts a first float value unchanged except that ``-0.0`` becomes
-    ``+0.0``, as under numpy's ``bincount``, and integer sums stay exact at
-    arbitrary precision.  Only the reference kernels keep a ``-0.0`` first
-    contribution.
+    Every accumulator starts at the integer ``0``: ``0 + v`` adopts a first
+    float value unchanged except that ``-0.0`` becomes ``+0.0``, as under
+    numpy's ``bincount``, and integer sums stay exact at arbitrary precision.
+    Only the reference kernels keep a ``-0.0`` first contribution.
     """
     group_keys = index.group_keys
     count = len(group_keys)
-    if not count:
-        return {}
     gids: Sequence[int] = index.gids
-    if mask is None:
-        if len(columns) == 1:
-            sums = [0] * count
-            for gid, value in zip(gids, columns[0]):
-                sums[gid] += value
-            return {key: [value] for key, value in zip(group_keys, sums)}
-        if len(columns) == 2:
-            first, second = columns
-            sums_a = [0] * count
-            sums_b = [0] * count
-            for gid, value_a, value_b in zip(gids, first, second):
-                sums_a[gid] += value_a
-                sums_b[gid] += value_b
-            return {
-                key: [value_a, value_b]
-                for key, value_a, value_b in zip(group_keys, sums_a, sums_b)
-            }
-        buckets = [[0] * len(columns) for _ in range(count)]
-        for gid, row in zip(gids, zip(*columns)):
-            bucket = buckets[gid]
-            for position, value in enumerate(row):
-                bucket[position] += value
-        return dict(zip(group_keys, buckets))
-    # Masked: only groups with surviving rows appear, in masked
-    # first-appearance order (the reference dict-insertion order).
-    slots: List[Optional[List[float]]] = [None] * count
-    order: List[int] = []
-    push = order.append
-    width = len(columns)
-    rows = zip(compress(gids, mask), *(compress(column, mask) for column in columns))
-    for gid, *row in rows:
-        bucket = slots[gid]
-        if bucket is None:
-            bucket = slots[gid] = [0] * width
-            push(gid)
+    if len(columns) == 1:
+        sums = [0] * count
+        for gid, value in zip(gids, columns[0]):
+            sums[gid] += value
+        return {key: [value] for key, value in zip(group_keys, sums)}
+    if len(columns) == 2:
+        first, second = columns
+        sums_a = [0] * count
+        sums_b = [0] * count
+        for gid, value_a, value_b in zip(gids, first, second):
+            sums_a[gid] += value_a
+            sums_b[gid] += value_b
+        return {
+            key: [value_a, value_b]
+            for key, value_a, value_b in zip(group_keys, sums_a, sums_b)
+        }
+    buckets = [[0] * len(columns) for _ in range(count)]
+    for gid, row in zip(gids, zip(*columns)):
+        bucket = buckets[gid]
         for position, value in enumerate(row):
             bucket[position] += value
-    return {group_keys[gid]: slots[gid] for gid in order}
+    return dict(zip(group_keys, buckets))
 
 
-def fused_group_distinct_count(
-    index: GroupIndex, members: Sequence, mask: Optional[Sequence[int]]
-) -> Dict["GroupKey", int]:
-    """Distinct-count via per-group set buckets indexed by dense group id.
+def fused_group_distinct_count(index: GroupIndex, members: Sequence) -> Dict["GroupKey", int]:
+    """Unmasked distinct counts via per-group sets indexed by dense group id.
 
     The dense-id list lookup replaces the reference path's packed-key dict
     probe on every row, which is where the original loop spent its time.
     """
-    group_keys = index.group_keys
-    count = len(group_keys)
-    if not count:
-        return {}
-    gids: Sequence[int] = index.gids
-    if mask is not None:
-        gids = compress(gids, mask)
-        members = compress(members, mask)
-    slots, order = _member_sets_from(gids, members, count)
-    return {group_keys[gid]: len(slots[gid]) for gid in order}
-
-
-def fused_group_distinct(
-    index: GroupIndex,
-    members: Sequence,
-    pool: Optional[List[object]],
-    mask: Optional[Sequence[int]],
-) -> Dict["GroupKey", Set[object]]:
-    """Per-group sets of decoded member values."""
-    if not index.group_keys:
-        return {}
-    gids: Sequence[int] = index.gids
-    if mask is not None:
-        gids = compress(gids, mask)
-        members = compress(members, mask)
-    slots, order = _member_sets_from(gids, members, len(index.group_keys))
-    group_keys = index.group_keys
-    if pool is None:
-        return {group_keys[gid]: slots[gid] for gid in order}
     return {
-        group_keys[gid]: {pool[member] for member in slots[gid]} for gid in order
+        key: len(bucket) for key, bucket in zip(index.group_keys, _member_sets(index, members))
     }
 
 
-def _member_sets_from(
-    gids, members, count: int
-) -> Tuple[List[Optional[Set]], List[int]]:
-    slots: List[Optional[Set]] = [None] * count
-    order: List[int] = []
-    push = order.append
-    for gid, member in zip(gids, members):
-        bucket = slots[gid]
+def fused_group_distinct(
+    index: GroupIndex, members: Sequence, pool: Optional[List[object]]
+) -> Dict["GroupKey", Set[object]]:
+    """Unmasked per-group sets of decoded member values."""
+    return _decoded_sets(zip(index.group_keys, _member_sets(index, members)), pool)
+
+
+def _member_sets(index: GroupIndex, members: Sequence) -> List[Set]:
+    """Each group's set of raw member values, by dense group id.
+
+    Unmasked, every group id has a row, and ids are dense in first-appearance
+    order, so the list is already in the reference key order.
+    """
+    slots: List[Set] = [set() for _ in index.group_keys]
+    for gid, member in zip(index.gids, members):
+        slots[gid].add(member)
+    return slots
+
+
+def masked_group_sums(
+    table: "FlowTable", by: Sequence[str], columns: Sequence[Sequence], mask: Sequence[int]
+) -> Dict["GroupKey", List[float]]:
+    """Sums over only the rows ``mask`` keeps, with no :class:`GroupIndex`.
+
+    The key columns are compressed to the kept rows and packed
+    (``FlowTable._group_codes``), each value column is compressed the same
+    way, and one dict pass per value column adds the values to their packed
+    key's total, from the integer ``0`` as in :func:`fused_group_sums`.
+    Keys come out in masked first-appearance order.
+    """
+    keys, decode = table._group_codes(by, mask)
+    if len(columns) == 1:
+        sums = _sums_by_key(keys, compress(columns[0], mask))
+        return {decode(key): [total] for key, total in sums.items()}
+    keys = list(keys)  # read once per value column
+    totals = [_sums_by_key(keys, compress(column, mask)) for column in columns]
+    return {decode(key): [sums[key] for sums in totals] for key in dict.fromkeys(keys)}
+
+
+def _sums_by_key(keys: Iterable, values: Iterable) -> Dict[object, float]:
+    """Each key's values added in row order from ``0``, keys in first-appearance order."""
+    sums: Dict[object, float] = {}
+    get = sums.get
+    for key, value in zip(keys, values):
+        sums[key] = get(key, 0) + value
+    return sums
+
+
+def _masked_member_sets(
+    table: "FlowTable", by: Sequence[str], members: Sequence, mask: Sequence[int]
+) -> Tuple[Dict[object, Set], Callable[[object], "GroupKey"]]:
+    """Each packed key's set of raw member values over the rows ``mask`` keeps.
+
+    Keys come out in masked first-appearance order, with the decoder back to
+    group keys; no :class:`GroupIndex` is built or read.
+    """
+    keys, decode = table._group_codes(by, mask)
+    sets: Dict[object, Set] = {}
+    for key, member in zip(keys, compress(members, mask)):
+        bucket = sets.get(key)
         if bucket is None:
-            slots[gid] = {member}
-            push(gid)
+            sets[key] = {member}
         else:
             bucket.add(member)
-    return slots, order
+    return sets, decode
+
+
+def _decoded_sets(
+    groups: Iterable[Tuple["GroupKey", Set]], pool: Optional[List[object]]
+) -> Dict["GroupKey", Set[object]]:
+    """``{group key: member set}``, members decoded through ``pool`` when given."""
+    if pool is None:
+        return dict(groups)
+    return {key: {pool[member] for member in bucket} for key, bucket in groups}

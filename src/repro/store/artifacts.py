@@ -309,7 +309,9 @@ class ArtifactStore:
             "period": f"{period.start.isoformat()}..{period.end.isoformat()}",
             "rows": rows,
             "payload_bytes": payload_bytes,
-            "created": time.time(),
+            # Fixed width (six decimals), so equal payloads give stores of
+            # equal size; float() reads it as it reads the older bare number.
+            "created": f"{time.time():.6f}",
             "config": repr(config),
             "fingerprint_version": FINGERPRINT_VERSION,
             "codec_version": CODEC_VERSION,

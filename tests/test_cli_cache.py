@@ -126,7 +126,7 @@ class TestCachePrune:
         # Backdate one artifact's sidecar far beyond the cutoff.
         meta_path = store._meta_path(digests[0])
         meta = json.loads(meta_path.read_text())
-        meta["created"] = meta["created"] - 10 * 86400.0
+        meta["created"] = float(meta["created"]) - 10 * 86400.0
         meta_path.write_text(json.dumps(meta))
         assert main(
             ["cache", "prune", "--store", str(store.root), "--older-than-days", "5"]

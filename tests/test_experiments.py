@@ -3,11 +3,18 @@ small scenario; the benchmarks repeat them at the default scale)."""
 
 import pytest
 
+from repro.core.traffic import volume_timeseries
 from repro.experiments import characterization as ch
 from repro.experiments import disruption_experiments as de
 from repro.experiments import traffic_experiments as te
 from repro.experiments.context import build_context
+from repro.flows import kernels
 from repro.store.artifacts import ArtifactStore
+
+#: Every kernel backend this interpreter can run.
+BACKENDS = (kernels.BACKEND_PYTHON,) + (
+    (kernels.BACKEND_NUMPY,) if kernels.numpy_available() else ()
+)
 
 
 def test_table1_and_render(small_context):
@@ -92,6 +99,41 @@ def test_fig8_fig9_fig10_timeseries(small_context):
     assert ratio.overall["O6"] < 1.0
     assert ratio.overall["T1"] > 1.0
     assert "Figure 8" in activity.render()
+
+
+def _two_pass_direction_ratios(table, anonymization):
+    """Fig. 10's hourly ratios from one volume series per direction."""
+    down = volume_timeseries(table, anonymization, direction="down")
+    up = volume_timeseries(table, anonymization, direction="up")
+    ratios = {}
+    for label, per_hour in down.items():
+        ratios[label] = {}
+        for timestamp, downstream in per_hour.items():
+            upstream = up.get(label, {}).get(timestamp, 0.0)
+            if upstream > 0:
+                ratios[label][timestamp] = downstream / upstream
+    return ratios
+
+
+def _exact(series):
+    return [
+        (label, [(when, value.hex()) for when, value in per_hour.items()])
+        for label, per_hour in series.items()
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fig10_hourly_equals_the_two_pass_ratios(small_context, backend):
+    """One grouped pass over both directions gives every hourly ratio bit for bit."""
+    kernels.set_backend(backend)
+    try:
+        hourly = te.fig10_direction_ratio(small_context).hourly
+        expected = _two_pass_direction_ratios(
+            small_context.clean_table(), small_context.anonymization
+        )
+    finally:
+        kernels.set_backend(None)
+    assert hourly and _exact(hourly) == _exact(expected)
 
 
 def test_fig11_port_mix(small_context):

@@ -176,6 +176,24 @@ def reference_group_distinct_count(
     return {decode(key): len(bucket) for key, bucket in groups.items()}
 
 
+def reference_group_pair_sums(
+    table: "FlowTable",
+    by: str,
+    first: str,
+    second: str,
+    mask: Optional[Sequence[int]] = None,
+) -> Dict[object, float]:
+    """The original dict loop of the pair sums: ``a + b`` per row onto ``0.0``."""
+    members, pool = table._key_column(by)
+    rows = zip(members, table.numeric(first), table.numeric(second))
+    if mask is not None:
+        rows = compress(rows, mask)
+    sums: Dict[object, float] = {}
+    for member, a, b in rows:
+        sums[member] = sums.get(member, 0.0) + (a + b)
+    return sums if pool is None else {pool[member]: total for member, total in sums.items()}
+
+
 def reference_total(table: "FlowTable", value: str) -> float:
     """Left-to-right python fold (parity ground truth).
 
@@ -386,6 +404,73 @@ def test_backends_bit_identical_on_adversarial_tables(seed):
                         _assert_bit_identical(
                             f"{label}/count/{by}/{of}/{backend}", count_ref, got_count
                         )
+
+
+#: Key columns of the pair-sum fuzz: one categorical, one integer.
+_PAIR_KEYS = ("server_ip", "subscriber_id")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_group_pair_sums_bit_identical_on_adversarial_tables(seed):
+    """Pair sums equal the reference dict loop on every shape, mask and backend."""
+    for label, table in _adversarial_tables(seed):
+        rng = random.Random(seed * 1000 + len(table))
+        for mask in _masks(rng, len(table)):
+            for by in _PAIR_KEYS:
+                reference = reference_group_pair_sums(table, by, "bytes_down", "bytes_up", mask)
+                for backend in _backends():
+                    kernels.set_backend(backend)
+                    table._group_cache.clear()
+                    got = table.group_pair_sums(by, "bytes_down", "bytes_up", mask=mask)
+                    _assert_bit_identical(f"{label}/pairs/{by}/{backend}", reference, got)
+
+
+def _masked_aggregations(table: FlowTable, by, mask):
+    """Every masked grouped aggregation of one grouping, in comparable form."""
+    distinct = table.group_distinct(by, "server_ip", mask=mask)
+    return (
+        table.group_sums(by, ("bytes_down", "bytes_up"), mask=mask),
+        table.group_distinct_count(by, "subscriber_id", mask=mask),
+        list(distinct.items()),
+    )
+
+
+def test_masked_python_calls_build_and_read_no_group_index():
+    """On python, a masked aggregation groups the kept rows and leaves the cache alone."""
+    kernels.set_backend(kernels.BACKEND_PYTHON)
+    table = _adversarial_tables(0)[0][1]
+    mask = bytearray(index % 2 for index in range(len(table)))
+    table._group_cache.clear()
+
+    def run():
+        for by in _GROUPINGS:
+            _masked_aggregations(table, by, mask)
+        for by in _PAIR_KEYS:
+            table.group_pair_sums(by, "bytes_down", "bytes_up", mask=mask)
+
+    _result, counted = _counted(run, "flowtable.group_index")
+    assert counted == {}
+    assert table._group_cache == {}
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_masked_results_do_not_depend_on_a_built_index(seed):
+    """A masked result is the same whether or not the grouping's index was built first."""
+    for label, table in _adversarial_tables(seed):
+        rng = random.Random(seed * 31 + len(table))
+        masks = [mask for mask in _masks(rng, len(table)) if mask is not None]
+        for backend in _backends():
+            kernels.set_backend(backend)
+            for by in _GROUPINGS:
+                for mask in masks:
+                    table._group_cache.clear()
+                    without = _masked_aggregations(table, by, mask)
+                    table.group_index(by)
+                    with_index = _masked_aggregations(table, by, mask)
+                    where = f"{label}/{by}/{backend}"
+                    _assert_bit_identical(f"{where}/sums", without[0], with_index[0])
+                    _assert_bit_identical(f"{where}/count", without[1], with_index[1])
+                    assert without[2] == with_index[2], f"{where}/distinct"
 
 
 @pytest.mark.parametrize("seed", SEEDS)

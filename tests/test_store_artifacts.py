@@ -1,5 +1,6 @@
 """Tests for the content-addressed artifact store and its warm-start wiring."""
 
+import json
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +16,7 @@ from repro.obs.metrics import MetricsRegistry, disable, enable, set_registry
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
 from repro.simulation.world import build_world
+from repro.store import artifacts
 from repro.store.artifacts import (
     STAGE_RAW_EXPORT,
     ArtifactStore,
@@ -122,6 +124,30 @@ class TestStore:
         removed, _freed = store.prune(older_than_seconds=3600.0)
         assert removed == 0
         assert len(store.entries()) == 1
+
+    def test_sidecar_size_does_not_depend_on_the_clock(self, store, table, monkeypatch):
+        """Two write times whose float reprs differ in length give equal sidecars."""
+        sizes = []
+        for stage, now in (("early", 1760772139.5), ("later", 1760772139.1234567)):
+            monkeypatch.setattr(artifacts.time, "time", lambda now=now: now)
+            store.put_table(_tiny(), PERIOD, stage, table)
+            digest = scenario_fingerprint(_tiny(), PERIOD, stage)
+            sizes.append(store._meta_path(digest).stat().st_size)
+        assert sizes[0] == sizes[1]
+        created = {entry.stage: entry.created for entry in store.entries()}
+        assert created == {"early": 1760772139.5, "later": 1760772139.123457}
+
+    def test_sidecar_with_a_numeric_created_still_lists(self, store, table):
+        """A sidecar written before the fixed-width form keeps its place and age."""
+        store.put_table(_tiny(), PERIOD, "old", table)
+        store.put_table(_tiny(), PERIOD, "new", table)
+        meta_path = store._meta_path(scenario_fingerprint(_tiny(), PERIOD, "old"))
+        meta = json.loads(meta_path.read_text())
+        meta["created"] = float(meta["created"]) - 3600.0
+        meta_path.write_text(json.dumps(meta))
+        entries = store.entries()
+        assert [entry.stage for entry in entries] == ["old", "new"]
+        assert entries[0].age_seconds >= 3600.0
 
 
 class TestShardedLayout:
