@@ -37,10 +37,10 @@ bit-identical to an uninterrupted run, only timing fields differ.
 
 Common options select the scenario scale and seed; ``--store DIR`` attaches the
 persistent artifact cache so repeated invocations warm-start from disk.  The
-store covers both flow tables (``generated:*``, ``raw-export``, ``clean:*``
-stages) and persisted discovery footprints (``discovery:<pattern
-fingerprint>``), so warm ``discovery``/``table1``/``sources`` runs skip the
-multi-source classification pipeline entirely; ``cache ls`` lists every stage.
+store covers both flow tables (``raw-export`` and ``clean:*`` stages) and
+persisted discovery footprints (``discovery:<pattern fingerprint>``), so warm
+``discovery``/``table1``/``sources`` runs skip the multi-source
+classification pipeline entirely; ``cache ls`` lists every stage.
 
 Flow generation runs serially inside one process; ``sweep --workers N``
 parallelizes across scenarios instead, one process per scenario.

@@ -8,10 +8,15 @@ them once and caches the results.  Two cache layers exist:
   (:func:`build_context`'s module-level cache, bounded so a sweep over dozens
   of configurations cannot hold every world in memory), and
 * an optional on-disk :class:`~repro.store.artifacts.ArtifactStore`: when one
-  is passed to :func:`build_context`, the generated, exported, and
-  scanner-cleaned flow tables — and the discovery pipeline's full
+  is passed to :func:`build_context`, the exported and scanner-cleaned flow
+  tables — and the discovery pipeline's full
   :class:`~repro.core.pipeline.PipelineResult` — warm-start from disk across
   processes.
+
+The context is the one owner of flow tables, in memory and on disk.  Both
+stages go through one load-or-build path keyed by (period, stage).  The
+generated workload behind an export is never kept: it is garbage as soon as
+it has been sampled, and no analysis reads it.
 
 The discovery pipeline is built *lazily*: a context whose flow tables all come
 from the artifact store never pays for a discovery run it does not use.  This
@@ -26,7 +31,7 @@ later contexts skip classification entirely.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.pipeline import DiscoveryPipeline, PipelineResult
 from repro.core.traffic import DEFAULT_SCANNER_THRESHOLD, ScannerExclusion
@@ -38,9 +43,7 @@ from repro.obs.trace import span
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
 from repro.simulation.world import World, build_world
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only
-    from repro.store.artifacts import ArtifactStore
+from repro.store.artifacts import STAGE_RAW_EXPORT, ArtifactStore, clean_stage, discovery_stage
 
 
 class ExperimentContext:
@@ -51,7 +54,7 @@ class ExperimentContext:
         config: ScenarioConfig,
         world: World,
         anonymization: Optional[AnonymizationMap] = None,
-        store: Optional["ArtifactStore"] = None,
+        store: Optional[ArtifactStore] = None,
         pipeline: Optional[DiscoveryPipeline] = None,
         result: Optional[PipelineResult] = None,
     ) -> None:
@@ -62,7 +65,7 @@ class ExperimentContext:
         self._pipeline = pipeline
         self._result = result
         self._scanner_cache: Dict[Tuple[StudyPeriod, int], Set[int]] = {}
-        self._table_cache: Dict[Tuple, FlowTable] = {}
+        self._table_cache: Dict[Tuple[StudyPeriod, str], FlowTable] = {}
 
     # -- discovery (lazy) ----------------------------------------------------------
 
@@ -93,8 +96,6 @@ class ExperimentContext:
         period = self.config.study_period
         with span("context.discovery"):
             if self.store is not None:
-                from repro.store.artifacts import discovery_stage
-
                 stage = discovery_stage(self.pipeline.pattern_set)
                 cached = self.store.get_pipeline_result(self.config, period, stage)
                 if cached is not None:
@@ -127,32 +128,20 @@ class ExperimentContext:
         """Sampled NetFlow export for a period, scanners included.
 
         Flows are generated straight into ``FlowTable`` columns and sampled
-        column-wise.  With an artifact store attached the export warm-starts
-        from disk, skipping generation and sampling entirely.
+        column-wise; the generated table is dropped once sampled.  With an
+        artifact store attached the export warm-starts from disk, skipping
+        generation and sampling entirely.
         """
         period = period or self.config.study_period
-        key = (period, True)
-        if key not in self._table_cache:
-            self._table_cache[key] = self._load_or_build_raw(period)
-        return self._table_cache[key]
+        return self._stage_table(
+            period, STAGE_RAW_EXPORT, "context.raw_table", lambda: self._export(period)
+        )
 
-    def _load_or_build_raw(self, period: StudyPeriod) -> FlowTable:
-        stage = None
-        with span("context.raw_table"):
-            if self.store is not None:
-                from repro.store.artifacts import STAGE_RAW_EXPORT
-
-                stage = STAGE_RAW_EXPORT
-                cached = self.store.get_table(self.config, period, stage)
-                if cached is not None:
-                    return cached
-            generated = self.world.flows_table(period)
-            with span("netflow.export"):
-                collector = NetFlowCollector(self.config.sampling_ratio)
-                table = collector.export_table(generated, self.world.rng.spawn("netflow"))
-            if self.store is not None:
-                self.store.put_table(self.config, period, stage, table)
-        return table
+    def _export(self, period: StudyPeriod) -> FlowTable:
+        generated = self.world.workload_generator().generate_period_table(period)
+        with span("netflow.export"):
+            collector = NetFlowCollector(self.config.sampling_ratio)
+            return collector.export_table(generated, self.world.rng.spawn("netflow"))
 
     def clean_table(
         self,
@@ -167,25 +156,30 @@ class ExperimentContext:
         needs.
         """
         period = period or self.config.study_period
-        key = (period, threshold, False)
-        if key not in self._table_cache:
-            self._table_cache[key] = self._load_or_build_clean(period, threshold)
-        return self._table_cache[key]
+        return self._stage_table(
+            period,
+            clean_stage(threshold),
+            "context.clean_table",
+            lambda: self.raw_table(period).exclude_subscribers(
+                self.scanner_lines(period, threshold)
+            ),
+        )
 
-    def _load_or_build_clean(self, period: StudyPeriod, threshold: int) -> FlowTable:
-        stage = None
-        with span("context.clean_table"):
-            if self.store is not None:
-                from repro.store.artifacts import clean_stage
-
-                stage = clean_stage(threshold)
-                cached = self.store.get_table(self.config, period, stage)
-                if cached is not None:
-                    return cached
-            scanners = self.scanner_lines(period, threshold)
-            table = self.raw_table(period).exclude_subscribers(scanners)
-            if self.store is not None:
-                self.store.put_table(self.config, period, stage, table)
+    def _stage_table(
+        self, period: StudyPeriod, stage: str, span_name: str, build: Callable[[], FlowTable]
+    ) -> FlowTable:
+        """The table of one (period, stage): held, else loaded, else built and stored."""
+        key = (period, stage)
+        table = self._table_cache.get(key)
+        if table is None:
+            with span(span_name):
+                if self.store is not None:
+                    table = self.store.get_table(self.config, period, stage)
+                if table is None:
+                    table = build()
+                    if self.store is not None:
+                        self.store.put_table(self.config, period, stage, table)
+            self._table_cache[key] = table
         return table
 
     def outage_table(self) -> FlowTable:
@@ -201,15 +195,15 @@ class ExperimentContext:
 
 
 #: Upper bound of the in-process context cache.  Contexts hold a full world
-#: plus every generated flow table, so the LRU stays deliberately small; bulk
-#: multi-scenario work (``repro.sweeps``) bypasses it and relies on the disk
-#: store instead.
+#: plus every exported and cleaned flow table, so the LRU stays deliberately
+#: small; bulk multi-scenario work (``repro.sweeps``) bypasses it and relies on
+#: the disk store instead.
 CONTEXT_CACHE_MAX_ENTRIES = 4
 
 _CONTEXT_CACHE: "OrderedDict[Tuple, ExperimentContext]" = OrderedDict()
 
 
-def _cache_key(config: ScenarioConfig, store: Optional["ArtifactStore"]) -> Tuple:
+def _cache_key(config: ScenarioConfig, store: Optional[ArtifactStore]) -> Tuple:
     """The LRU key: the frozen config plus the attached store's identity.
 
     The store participates so a storeless hit can never shadow a store-backed
@@ -222,7 +216,7 @@ def _cache_key(config: ScenarioConfig, store: Optional["ArtifactStore"]) -> Tupl
 def build_context(
     config: Optional[ScenarioConfig] = None,
     use_cache: bool = True,
-    store: Optional["ArtifactStore"] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> ExperimentContext:
     """Build (or fetch from cache) the experiment context for a configuration.
 
@@ -244,7 +238,6 @@ def build_context(
     obs_metrics.inc("context.cold_builds")
     with span("context.build"):
         world = build_world(config)
-    world.artifact_store = store
     context = ExperimentContext(config=config, world=world, store=store)
     if use_cache:
         _CONTEXT_CACHE[cache_key] = context

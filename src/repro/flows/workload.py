@@ -70,6 +70,7 @@ from repro.flows.scanners import append_scanner_flows
 from repro.flows.subscribers import DeviceInstance, SubscriberPopulation
 from repro.netmodel.geo import CONTINENT_EUROPE, CONTINENT_NORTH_AMERICA
 from repro.netmodel.topology import ProviderDeployment
+from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.outage.injector import OutageSchedule
 from repro.simulation.clock import StudyPeriod
@@ -327,7 +328,8 @@ class WorkloadGenerator:
         Each day's hours are drawn in order, one ``gen.hour`` span each; the
         active kernel backend's column builder then turns the day's draws
         into rows, appended straight into ``FlowTable`` columns, followed by
-        that day's scanner traffic when ``include_scanners`` is set.
+        that day's scanner traffic when ``include_scanners`` is set.  The
+        table's length is added to the ``gen.rows`` counter.
         """
         with span("gen.period", start=period.start.isoformat()):
             table = FlowTable()
@@ -352,6 +354,7 @@ class WorkloadGenerator:
                 if include_scanners:
                     with span("gen.scanners", day=day.isoformat()):
                         append_scanner_flows(table, scanner_lines, catalog, day, self.rng)
+        obs_metrics.inc("gen.rows", len(table))
         return table
 
     def _model_tables(

@@ -1,4 +1,4 @@
-"""Simulated time: study periods and hourly time bins.
+"""Simulated time: study periods.
 
 The paper studies two periods:
 
@@ -14,8 +14,8 @@ objects interpreted as the ISP's local time.  No component reads the wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
-from typing import Iterator, List
+from datetime import date, timedelta
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -35,41 +35,9 @@ class StudyPeriod:
         """Number of whole days covered by the period."""
         return (self.end - self.start).days
 
-    @property
-    def n_hours(self) -> int:
-        """Number of whole hours covered by the period."""
-        return self.n_days * 24
-
     def days(self) -> List[date]:
         """Return the list of dates in the period, in order."""
         return [self.start + timedelta(days=i) for i in range(self.n_days)]
-
-    def hours(self) -> Iterator[datetime]:
-        """Iterate over the start of every hour in the period, in order."""
-        current = datetime.combine(self.start, datetime.min.time())
-        end = datetime.combine(self.end, datetime.min.time())
-        while current < end:
-            yield current
-            current += timedelta(hours=1)
-
-    def contains(self, when: datetime | date) -> bool:
-        """Return True if the timestamp or date falls inside the period."""
-        if isinstance(when, datetime):
-            when = when.date()
-        return self.start <= when < self.end
-
-    def first_timestamp(self) -> datetime:
-        """Return the first instant of the period."""
-        return datetime.combine(self.start, datetime.min.time())
-
-    def last_timestamp(self) -> datetime:
-        """Return the last hourly instant inside the period."""
-        return datetime.combine(self.end, datetime.min.time()) - timedelta(hours=1)
-
-    def previous_week(self) -> "StudyPeriod":
-        """Return the period of identical length immediately preceding this one."""
-        span = self.end - self.start
-        return StudyPeriod(self.start - span, self.start, name=f"{self.name}-previous")
 
 
 #: Main study period (footprint + traffic analyses), Feb 28 -- Mar 7 2022.
@@ -83,13 +51,3 @@ AWS_OUTAGE_DATE = date(2021, 12, 7)
 
 #: Hours (local time) during which the outage degraded the affected region.
 AWS_OUTAGE_HOURS = (16, 23)
-
-
-def is_night_hour(hour: int) -> bool:
-    """Return True for the night shading used in the paper's figures (8 pm -- 8 am)."""
-    return hour >= 20 or hour < 8
-
-
-def hour_bins(period: StudyPeriod) -> List[datetime]:
-    """Return all hourly bin starts of a study period as a list."""
-    return list(period.hours())

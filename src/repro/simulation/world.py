@@ -7,6 +7,10 @@ scanners, Censys-like daily snapshots, IPv6 hitlists, a routing table, blocklist
 a BGP event feed, an ISP subscriber population, and the outage schedule.
 
 The build is a pure function of the :class:`~repro.simulation.config.ScenarioConfig`.
+A world holds no flow tables and knows no artifact store: it hands out
+workload generators (:meth:`World.workload_generator`), and
+:class:`~repro.experiments.context.ExperimentContext` exports, caches and
+persists what they generate.
 """
 
 from __future__ import annotations
@@ -14,10 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from ipaddress import IPv4Address
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only (the store is an optional add-on)
-    from repro.store.artifacts import ArtifactStore
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.providers import (
     CLOUD_AKAMAI_ORGS,
@@ -39,7 +40,6 @@ from repro.dns.names import (
 from repro.dns.passive_db import PassiveDnsDatabase
 from repro.dns.resolver import VantagePoint
 from repro.dns.zone import RTYPE_A, RTYPE_AAAA
-from repro.flows.flowtable import FlowTable
 from repro.flows.kernels import fold_sum
 from repro.flows.subscribers import SubscriberPopulation
 from repro.flows.workload import WorkloadGenerator
@@ -115,13 +115,9 @@ class World:
     outage_schedule: OutageSchedule
     vantage_points: List[VantagePoint]
     iot_domains: Dict[str, List[str]]
-    _table_cache: Dict[str, FlowTable] = field(default_factory=dict)
     #: Device plans shared by every workload generator of this world, built
     #: by the first one that generates.
     _device_plans: list = field(default_factory=list)
-    #: Optional persistent cache; when set, generated period tables warm-start
-    #: from disk (see :mod:`repro.store.artifacts`).
-    artifact_store: Optional["ArtifactStore"] = None
 
     # -- ground-truth views -----------------------------------------------------------
 
@@ -194,32 +190,6 @@ class World:
             volume_sigma=self.config.volume_sigma,
             device_plans=self._device_plans,
         )
-
-    def flows_table(
-        self, period: Optional[StudyPeriod] = None, include_scanners: bool = True
-    ) -> FlowTable:
-        """Return (and cache) the generated flow table of a study period."""
-        period = period or self.config.study_period
-        cache_key = f"{period.name}:{period.start}:{period.end}:{include_scanners}"
-        if cache_key not in self._table_cache:
-            self._table_cache[cache_key] = self._load_or_generate_table(period, include_scanners)
-        return self._table_cache[cache_key]
-
-    def _load_or_generate_table(self, period: StudyPeriod, include_scanners: bool) -> FlowTable:
-        """Warm-start a period table from the artifact store, else generate it."""
-        store = self.artifact_store
-        if store is None:
-            generator = self.workload_generator()
-            return generator.generate_period_table(period, include_scanners=include_scanners)
-        from repro.store.artifacts import generated_stage
-
-        stage = generated_stage(include_scanners)
-        table = store.get_table(self.config, period, stage)
-        if table is None:
-            generator = self.workload_generator()
-            table = generator.generate_period_table(period, include_scanners=include_scanners)
-            store.put_table(self.config, period, stage, table)
-        return table
 
 
 def build_world(

@@ -14,8 +14,8 @@ The store turns the in-memory world-build memoization into something durable:
 * :mod:`repro.store.artifacts` — :class:`ArtifactStore`, a content-addressed
   on-disk cache keyed by the SHA-256 of the frozen scenario configuration, the
   study period, the pipeline stage, and a format-version tag (discovery
-  artifacts additionally key on the pattern-set fingerprint).  ``World`` and
-  ``ExperimentContext`` consult it so repeated runs (CLI invocations,
+  artifacts additionally key on the pattern-set fingerprint).
+  ``ExperimentContext`` consults it so repeated runs (CLI invocations,
   benchmark sessions, sweep workers) warm-start from disk instead of
   regenerating a week of flows or re-running the discovery pipeline.
 """

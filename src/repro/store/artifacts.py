@@ -8,9 +8,8 @@ covers every scenario knob, two configurations differing in any field hash to
 different artifacts, and a codec or fingerprint version bump orphans (never
 mis-reads) old files.
 
-Three stages are cached along the generation path:
+Two stages are cached along the flow path:
 
-* ``generated:*`` — the raw workload of a period (``World.flows_table``),
 * ``raw-export`` — the packet-sampled NetFlow export (``ExperimentContext.raw_table``),
 * ``clean:<threshold>`` — the scanner-excluded baseline (``ExperimentContext.clean_table``),
 
@@ -23,8 +22,9 @@ plus one along the discovery path:
   pattern collection can never be served stale footprints.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent sweep workers can
-share one store directory; a corrupt or truncated artifact is treated as a
-cache miss and removed.  Table reads take the zero-copy mmap path
+share one store directory; a structurally corrupt or truncated artifact is
+treated as a cache miss and removed.  Payloads carry no checksum, so a flip
+inside a stored value loads silently.  Table reads take the zero-copy mmap path
 (:func:`~repro.store.codec.load_table_mmap`): the payload is mapped, columns
 stay on the map as :class:`~repro.flows.flowtable.LazyColumn` views until
 first touch, and every way a bad file can fail the mapping or the parse folds
@@ -50,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import BinaryIO, Callable, List, Optional, Tuple, Union
 
 from repro.flows.flowtable import FlowTable
 from repro.obs import metrics as obs_metrics
@@ -75,15 +75,8 @@ _META_SUFFIX = ".json"
 #: Environment variable overriding the default store location.
 STORE_ENV_VAR = "IOT_REPRO_STORE"
 
-#: Stage tags of the cached steps along the generation path.
-STAGE_GENERATED_ALL = "generated:with-scanners"
-STAGE_GENERATED_DEVICES = "generated:devices-only"
+#: Stage tag of the packet-sampled NetFlow export.
 STAGE_RAW_EXPORT = "raw-export"
-
-
-def generated_stage(include_scanners: bool) -> str:
-    """Stage tag of a generated workload table."""
-    return STAGE_GENERATED_ALL if include_scanners else STAGE_GENERATED_DEVICES
 
 
 def clean_stage(threshold: int) -> str:
@@ -212,25 +205,9 @@ class ArtifactStore:
     ) -> Path:
         """Persist a table under its scenario fingerprint (atomic)."""
         digest = scenario_fingerprint(config, period, stage)
-        path = self._payload_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}{self._tmp_suffix()}")
-        try:
-            with tmp.open("wb") as stream:
-                dump_table(table, stream)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        self._write_sidecar(
-            digest,
-            stage=stage,
-            period=period,
-            rows=len(table),
-            payload_bytes=path.stat().st_size,
-            config=config,
+        return self._put(
+            digest, config, period, stage, len(table), lambda stream: dump_table(table, stream)
         )
-        return path
 
     @staticmethod
     def _pipeline_fingerprint_stage(stage: str) -> str:
@@ -273,36 +250,28 @@ class ArtifactStore:
     ) -> Path:
         """Persist a pipeline result under its scenario fingerprint (atomic)."""
         digest = scenario_fingerprint(config, period, self._pipeline_fingerprint_stage(stage))
-        path = self._payload_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}{self._tmp_suffix()}")
-        try:
-            with tmp.open("wb") as stream:
-                dump_pipeline_result(result, stream)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
-        self._write_sidecar(
+        return self._put(
             digest,
-            stage=stage,
-            period=period,
-            rows=result.combined.total_count(),
-            payload_bytes=path.stat().st_size,
-            config=config,
+            config,
+            period,
+            stage,
+            result.combined.total_count(),
+            lambda stream: dump_pipeline_result(result, stream),
         )
-        return path
 
-    def _write_sidecar(
+    def _put(
         self,
         digest: str,
-        stage: str,
-        period: StudyPeriod,
-        rows: int,
-        payload_bytes: int,
         config: ScenarioConfig,
-    ) -> None:
-        """Write (atomically) the JSON metadata sidecar of one artifact."""
+        period: StudyPeriod,
+        stage: str,
+        rows: int,
+        dump: Callable[[BinaryIO], object],
+    ) -> Path:
+        """Write one artifact: ``dump``'s payload, then its JSON sidecar."""
+        path = self._payload_path(digest)
+        self._write_atomically(path, dump)
+        payload_bytes = path.stat().st_size
         meta = {
             "digest": digest,
             "stage": stage,
@@ -316,17 +285,29 @@ class ArtifactStore:
             "fingerprint_version": FINGERPRINT_VERSION,
             "codec_version": CODEC_VERSION,
         }
-        meta_path = self._meta_path(digest)
-        meta_path.parent.mkdir(parents=True, exist_ok=True)
-        meta_tmp = meta_path.with_name(f"{meta_path.name}{self._tmp_suffix()}")
-        try:
-            meta_tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-            os.replace(meta_tmp, meta_path)
-        finally:
-            if meta_tmp.exists():
-                meta_tmp.unlink()
+        text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        self._write_atomically(
+            self._meta_path(digest), lambda stream: stream.write(text.encode("utf-8"))
+        )
         obs_metrics.inc("store.writes")
         obs_metrics.inc("store.bytes_written", float(payload_bytes))
+        return path
+
+    def _write_atomically(self, path: Path, dump: Callable[[BinaryIO], object]) -> None:
+        """Write a file through a per-writer temp name and ``os.replace``.
+
+        Racing writers of one path each finish a whole file and the last
+        rename wins, so a reader never sees a partial one.
+        """
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}{self._tmp_suffix()}")
+        try:
+            with tmp.open("wb") as stream:
+                dump(stream)
+            os.replace(tmp, path)
+        finally:
+            if tmp.exists():
+                tmp.unlink()
 
     def _discard(self, digest: str) -> int:
         """Remove one artifact (payload + sidecar); return bytes freed."""

@@ -275,14 +275,6 @@ KEEP: Dict[str, str] = {
     "scan/hitlist.py::IPv6Hitlist.merge": TEST_PINNED,
     "scan/hitlist.py::IPv6Hitlist.__contains__": TEST_PINNED,
     "security/blocklists.py::BlocklistAggregate.total_entries": TEST_PINNED,
-    "simulation/clock.py::StudyPeriod.n_hours": TEST_PINNED,
-    "simulation/clock.py::StudyPeriod.hours": TEST_PINNED,
-    "simulation/clock.py::StudyPeriod.contains": TEST_PINNED,
-    "simulation/clock.py::StudyPeriod.first_timestamp": TEST_PINNED,
-    "simulation/clock.py::StudyPeriod.last_timestamp": TEST_PINNED,
-    "simulation/clock.py::StudyPeriod.previous_week": TEST_PINNED,
-    "simulation/clock.py::is_night_hour": TEST_PINNED,
-    "simulation/clock.py::hour_bins": TEST_PINNED,
     "simulation/rng.py::RngRegistry.choice": TEST_PINNED,
     "simulation/rng.py::RngRegistry.shuffled": TEST_PINNED,
 }

@@ -2,7 +2,6 @@
 
 from repro.baselines.portscan_only import portscan_only_discovery
 from repro.baselines.tls_only import tls_only_discovery
-from repro.core.discovery import BackendDiscovery
 
 
 def test_tls_only_discovery_is_subset_of_full(small_world, small_pipeline_result):

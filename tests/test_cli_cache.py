@@ -18,7 +18,7 @@ from repro.flows.flowtable import FlowTable
 from repro.flows.netflow import make_flow
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
-from repro.store.artifacts import STORE_ENV_VAR, ArtifactStore, generated_stage
+from repro.store.artifacts import STORE_ENV_VAR, ArtifactStore
 
 CONFIG = ScenarioConfig.small(seed=5)
 PERIOD = StudyPeriod(date(2022, 3, 1), date(2022, 3, 2), name="cache-cli")

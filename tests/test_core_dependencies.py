@@ -7,7 +7,7 @@ from repro.core.dependencies import (
     shared_hosting_organizations,
 )
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
-from repro.core.providers import CLOUD_AWS, get_provider
+from repro.core.providers import CLOUD_AWS
 from repro.netmodel.asn import AsKind, AsRegistry
 from repro.routing.bgp import Announcement, RoutingTable
 

@@ -2,14 +2,13 @@
 
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
 from repro.core.footprint import (
-    characterize_all,
     characterize_provider,
     continent_distribution,
     geolocate_ip,
     infer_strategy,
     location_hint_from_domain,
 )
-from repro.core.providers import STRATEGY_DI, STRATEGY_DI_PR, STRATEGY_PR, get_provider
+from repro.core.providers import STRATEGY_DI, STRATEGY_DI_PR, STRATEGY_PR
 from repro.netmodel.asn import AsKind, AsRegistry
 from repro.netmodel.geo import GeoDatabase, world_locations
 from repro.routing.bgp import Announcement, RoutingTable

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.discovery import SOURCE_TLS, BackendDiscovery, HostClassificationCache
+from repro.core.discovery import BackendDiscovery, HostClassificationCache
 from repro.core.patterns import DomainPattern, PatternSet
 from repro.core.pipeline import DiscoveryPipeline
 from repro.experiments.context import build_context

@@ -11,6 +11,7 @@ from datetime import date, datetime, time
 import pytest
 
 from repro.core.providers import PROVIDERS
+from repro.experiments.context import build_context
 from repro.flows import kernels
 from repro.flows.flowtable import CATEGORICAL_COLUMNS, COLUMN_TYPECODES, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import DEFAULT_PACKET_SIZE
@@ -417,3 +418,23 @@ def test_numpy_column_builder_hands_unsafe_inputs_to_python():
     assert counters["kernels.fallbacks.flow_columns.port_weights"] == 1
     assert counters["kernels.fallbacks.flow_columns.packet_range"] == 1
 
+
+def test_generation_counts_its_rows_while_metrics_are_on(small_config, small_world):
+    """A cold context's ``gen.rows`` is the sum of both periods' generated lengths."""
+    periods = (small_config.study_period, small_config.outage_period)
+    expected = sum(
+        len(small_world.workload_generator().generate_period_table(period)) for period in periods
+    )
+    was_enabled = obs_metrics.enabled()
+    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        context = build_context(small_config, use_cache=False)
+        for period in periods:
+            context.raw_table(period)
+        counted = obs_metrics.registry().counter("gen.rows")
+    finally:
+        if not was_enabled:
+            obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+    assert counted == expected

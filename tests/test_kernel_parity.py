@@ -32,7 +32,6 @@ import random
 import struct
 import subprocess
 import sys
-from array import array
 from datetime import datetime, timedelta
 from itertools import compress
 from pathlib import Path

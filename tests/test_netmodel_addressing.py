@@ -12,7 +12,6 @@ from repro.netmodel.addressing import (
     ip_in_prefix,
     is_ipv6,
     parse_ip,
-    parse_network,
     prefix_of,
 )
 

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.netmodel.geo import (
-    CONTINENT_EUROPE,
-    CONTINENT_NORTH_AMERICA,
     GeoDatabase,
     Location,
     LocationVote,

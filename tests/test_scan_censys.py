@@ -4,7 +4,7 @@ from datetime import date
 
 from repro.netmodel.geo import GeoDatabase, world_locations
 from repro.netmodel.topology import BackendServer, ServiceEndpoint
-from repro.scan.censys import CensysService, CensysSnapshot, CensysHostRecord
+from repro.scan.censys import CensysService
 from repro.scan.certificates import make_certificate
 from repro.scan.tls import TlsServerConfig
 

@@ -1,6 +1,6 @@
 """Tests for the simulated clock and study periods."""
 
-from datetime import date, datetime
+from datetime import date
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.simulation.clock import (
     MAIN_STUDY_PERIOD,
     OUTAGE_STUDY_PERIOD,
     StudyPeriod,
-    hour_bins,
-    is_night_hour,
 )
 
 
@@ -21,7 +19,7 @@ def test_main_period_matches_paper():
 
 
 def test_outage_period_contains_outage_date():
-    assert OUTAGE_STUDY_PERIOD.contains(AWS_OUTAGE_DATE)
+    assert AWS_OUTAGE_DATE in OUTAGE_STUDY_PERIOD.days()
 
 
 def test_invalid_period_rejected():
@@ -32,41 +30,4 @@ def test_invalid_period_rejected():
 def test_days_and_hours_counts():
     period = StudyPeriod(date(2022, 1, 1), date(2022, 1, 4))
     assert len(period.days()) == 3
-    assert period.n_hours == 72
-    assert len(list(period.hours())) == 72
 
-
-def test_hours_are_in_order_and_hourly():
-    period = StudyPeriod(date(2022, 1, 1), date(2022, 1, 2))
-    hours = list(period.hours())
-    assert hours[0] == datetime(2022, 1, 1, 0)
-    assert hours[-1] == datetime(2022, 1, 1, 23)
-    assert all((b - a).total_seconds() == 3600 for a, b in zip(hours, hours[1:]))
-
-
-def test_contains_accepts_datetime_and_date():
-    assert MAIN_STUDY_PERIOD.contains(datetime(2022, 3, 1, 15))
-    assert not MAIN_STUDY_PERIOD.contains(date(2022, 3, 7))
-
-
-def test_first_and_last_timestamp():
-    period = StudyPeriod(date(2022, 1, 1), date(2022, 1, 3))
-    assert period.first_timestamp() == datetime(2022, 1, 1, 0)
-    assert period.last_timestamp() == datetime(2022, 1, 2, 23)
-
-
-def test_previous_week():
-    previous = MAIN_STUDY_PERIOD.previous_week()
-    assert previous.end == MAIN_STUDY_PERIOD.start
-    assert previous.n_days == MAIN_STUDY_PERIOD.n_days
-
-
-def test_night_hours():
-    assert is_night_hour(22)
-    assert is_night_hour(3)
-    assert not is_night_hour(12)
-
-
-def test_hour_bins_helper():
-    assert hour_bins(MAIN_STUDY_PERIOD)[0] == MAIN_STUDY_PERIOD.first_timestamp()
-    assert len(hour_bins(MAIN_STUDY_PERIOD)) == MAIN_STUDY_PERIOD.n_hours

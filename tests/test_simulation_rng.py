@@ -1,7 +1,5 @@
 """Tests for the deterministic RNG registry."""
 
-import random
-
 from hypothesis import given, strategies as st
 
 from repro.simulation.rng import RngRegistry, stable_hash

@@ -1,8 +1,10 @@
 """Tests for the content-addressed artifact store and its warm-start wiring."""
 
+import gc
 import json
 import random
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
@@ -22,9 +24,10 @@ from repro.store.artifacts import (
     ArtifactStore,
     clean_stage,
     config_digest,
-    generated_stage,
+    discovery_stage,
     scenario_fingerprint,
 )
+from repro.store.codec import dumps_pipeline_result
 
 from test_store_codec import random_records
 
@@ -206,22 +209,33 @@ class TestShardedLayout:
         assert removed >= 1
         assert list(store.root.iterdir()) == [], "prune must leave no shard dirs behind"
 
-    def test_concurrent_writers_of_one_digest_all_succeed(self, store, table):
-        """Racing writers must never corrupt the artifact (atomic os.replace)."""
+    @pytest.mark.parametrize("kind", ("table", "pipeline-result"))
+    def test_concurrent_writers_of_one_digest_all_succeed(self, store, table, kind):
+        """Racing writers must never corrupt the artifact (atomic os.replace).
+
+        Both artifact kinds are raced: a flow table (``put_table``) and a
+        pipeline result (``put_pipeline_result``).
+        """
         config = _tiny()
+        if kind == "table":
+            put, get, value, canonical = store.put_table, store.get_table, table, FlowTable.to_records
+        else:
+            put, get = store.put_pipeline_result, store.get_pipeline_result
+            value = DiscoveryPipeline(build_world(config)).run(PERIOD)
+            canonical = dumps_pipeline_result
         n_writers = 8
         barrier = threading.Barrier(n_writers)
 
         def write():
             barrier.wait()
-            return store.put_table(config, PERIOD, "raced", table)
+            return put(config, PERIOD, "raced", value)
 
         with ThreadPoolExecutor(max_workers=n_writers) as pool:
             paths = [future.result() for future in [pool.submit(write) for _ in range(n_writers)]]
         assert len({str(p) for p in paths}) == 1, "all writers converge on one payload path"
-        loaded = store.get_table(config, PERIOD, "raced")
+        loaded = get(config, PERIOD, "raced")
         assert loaded is not None
-        assert loaded.to_records() == table.to_records()
+        assert canonical(loaded) == canonical(value)
         assert len(store.entries()) == 1
         # No temp files may survive the race.
         strays = [p.name for p in store.root.rglob("*") if ".tmp-" in p.name]
@@ -229,19 +243,6 @@ class TestShardedLayout:
 
 
 class TestWarmStart:
-    def test_world_flows_table_warm_starts(self, store, monkeypatch):
-        config = _tiny(seed=31)
-        cold = build_context(config, use_cache=False, store=store)
-        cold_records = cold.world.flows_table(PERIOD).to_records()
-
-        # A warm world must never call the generator again.
-        def boom(self, period, include_scanners=True):
-            raise AssertionError("generator ran despite a warm store")
-
-        monkeypatch.setattr(WorkloadGenerator, "generate_period_table", boom)
-        warm = build_context(config, use_cache=False, store=store)
-        assert warm.world.flows_table(PERIOD).to_records() == cold_records
-
     def test_context_tables_warm_start_and_skip_discovery(self, store):
         config = _tiny(seed=32)
         cold = build_context(config, use_cache=False, store=store)
@@ -255,13 +256,19 @@ class TestWarmStart:
         assert warm._result is None
 
     def test_store_stages_are_populated(self, store):
+        """A cold clean table persists the export, the clean table and discovery.
+
+        The generated workload is not persisted: no run reads it back.
+        """
         config = _tiny(seed=33)
         context = build_context(config, use_cache=False, store=store)
         context.clean_table()
         stages = {entry.stage for entry in store.entries()}
-        assert generated_stage(True) in stages
-        assert STAGE_RAW_EXPORT in stages
-        assert clean_stage(100) in stages
+        assert stages == {
+            STAGE_RAW_EXPORT,
+            clean_stage(100),
+            discovery_stage(context.pipeline.pattern_set),
+        }
 
     def test_distinct_configs_do_not_alias(self, store):
         low = build_context(_tiny(seed=34), use_cache=False, store=store)
@@ -271,3 +278,24 @@ class TestWarmStart:
         assert len(low.raw_table(PERIOD)) != len(high.raw_table(PERIOD)) or (
             low.raw_table(PERIOD).to_records() != high.raw_table(PERIOD).to_records()
         )
+
+
+@pytest.mark.parametrize("with_store", (False, True))
+def test_generated_table_is_garbage_after_export(tmp_path, monkeypatch, with_store):
+    """Neither the context nor the world keeps the generated workload alive."""
+    generated = []
+    original = WorkloadGenerator.generate_period_table
+
+    def spy(self, period, include_scanners=True):
+        table = original(self, period, include_scanners=include_scanners)
+        generated.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(WorkloadGenerator, "generate_period_table", spy)
+    store = ArtifactStore(tmp_path / "store") if with_store else None
+    context = build_context(_tiny(seed=35), use_cache=False, store=store)
+    raw = context.raw_table(PERIOD)
+    gc.collect()
+    assert len(generated) == 1
+    assert generated[0]() is None, "the generated table outlived its export"
+    assert len(raw) > 0

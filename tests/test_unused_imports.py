@@ -1,10 +1,12 @@
-"""No module of ``src/repro`` imports a name it never uses.
+"""No module of ``src/repro``, ``tests/``, ``benchmarks/`` or ``examples/`` imports an unused name.
 
 A stdlib-``ast`` scan: every name a module binds by ``import`` or
 ``from ... import`` must appear in its code as a name, as the base of an
 attribute, inside a string annotation, or in ``__all__``.  Package
 ``__init__.py`` files re-export names and are skipped, as are
-``from __future__`` imports.
+``from __future__`` imports.  Outside ``src/repro`` an import on a line
+marked ``# noqa: F401`` is skipped too: such a line only probes that an
+optional module is installed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
+#: The trees outside the package that are scanned, honouring ``NOQA``.
+SCRIPT_TREES = tuple(REPO / name for name in ("tests", "benchmarks", "examples"))
+NOQA = "# noqa: F401"
 
 
 def _imported_names(tree: ast.Module) -> Dict[str, int]:
@@ -68,27 +74,47 @@ def _used_names(tree: ast.Module) -> Set[str]:
     return used
 
 
-def unused_imports(root: Path = SRC) -> List[Tuple[str, int, str]]:
-    """``(path, line, name)`` for every imported name its module never uses."""
+def unused_imports(root: Path = SRC, skip_noqa: bool = False) -> List[Tuple[str, int, str]]:
+    """``(path, line, name)`` for every imported name its module never uses.
+
+    Paths are relative to the repository root.  With ``skip_noqa``, an
+    import on a line marked :data:`NOQA` is not reported.
+    """
     found: List[Tuple[str, int, str]] = []
     for path in sorted(root.rglob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
         used = _used_names(tree)
         for name, line in sorted(_imported_names(tree).items(), key=lambda item: item[1]):
-            if name not in used:
-                found.append((str(path.relative_to(root)), line, name))
+            if name not in used and not (skip_noqa and NOQA in lines[line - 1]):
+                found.append((str(path.relative_to(REPO)), line, name))
     return found
+
+
+def script_unused_imports() -> List[Tuple[str, int, str]]:
+    """:func:`unused_imports` over :data:`SCRIPT_TREES`, lines marked :data:`NOQA` skipped."""
+    return [entry for tree in SCRIPT_TREES for entry in unused_imports(tree, skip_noqa=True)]
+
+
+def _report(unused: List[Tuple[str, int, str]]) -> str:
+    return "unused imports:\n" + "\n".join(
+        f"  {path}:{line}: {name}" for path, line, name in unused
+    )
 
 
 def test_src_has_no_unused_imports():
     unused = unused_imports()
-    assert not unused, "unused imports:\n" + "\n".join(
-        f"  src/repro/{path}:{line}: {name}" for path, line, name in unused
-    )
+    assert not unused, _report(unused)
+
+
+def test_tests_benchmarks_and_examples_have_no_unused_imports():
+    unused = script_unused_imports()
+    assert not unused, _report(unused)
 
 
 if __name__ == "__main__":
-    for path, line, name in unused_imports():
-        print(f"src/repro/{path}:{line}: {name}")
+    for path, line, name in unused_imports() + script_unused_imports():
+        print(f"{path}:{line}: {name}")

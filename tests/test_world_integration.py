@@ -3,7 +3,6 @@
 from datetime import timedelta
 
 from repro.core.providers import PROVIDERS, get_provider
-from repro.simulation.config import ScenarioConfig
 from repro.simulation.world import build_world
 
 
