@@ -30,11 +30,19 @@ interchangeable implementations:
 ``FlowTable.select_mask`` and every ``where_*`` filter, scanner exclusion and
 NetFlow export) and four mask builders -- :func:`expand_code_mask` (a
 per-pool-entry mask expanded over a code column, optionally AND-ed with a row
-mask), :func:`equal_mask`, :func:`not_in_mask` and :func:`nonzero_mask`.  Each
-python path is the original per-row loop; the numpy kernel returns
-``NotImplemented`` for anything it cannot reproduce byte for byte.  Row masks
-must have one entry per row: the dispatchers raise ``ValueError`` naming both
-lengths instead of letting ``compress`` silently cut the table to the mask.
+mask), :func:`equal_mask`, :func:`not_in_mask` and :func:`nonzero_mask`.  The
+python :func:`expand_code_mask` runs in C-level byte operations: it translates
+the low-byte plane of the codes through each 256-entry block of flags
+(``bytes.translate``), keeps each block's bytes where the codes' second byte
+names that block, and ANDs a row mask in as one integer ``&``.  It takes that
+path for ``array('i')`` codes on a little-endian host, ``bytes``/``bytearray``
+flags and mask, at most :data:`_MAX_BYTE_BLOCKS` blocks and every code in
+range; any other input runs the per-row lookup, the only path for it.  The
+other python row kernels are the original loops (``compress`` for the
+filter); the numpy kernel returns ``NotImplemented`` for anything it cannot
+reproduce byte for byte.  Row masks must have one entry per row: the
+dispatchers raise ``ValueError`` naming both lengths instead of letting
+``compress`` silently cut the table to the mask.
 
 Backend selection: ``IOT_REPRO_KERNELS=python|numpy`` forces a backend,
 :func:`set_backend` overrides it in-process (tests, benchmarks), and with
@@ -60,6 +68,7 @@ branch, so the python backend asks for it only for unmasked calls.
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from functools import reduce
 from itertools import compress
@@ -89,6 +98,24 @@ BACKEND_NUMPY = "numpy"
 #: ``max(|value|) * rows`` could reach 2**62 the numpy integer kernels defer
 #: to the python paths, whose arbitrary-precision ints cannot overflow.
 INT64_SAFE_LIMIT = 2**62
+
+#: Most 256-entry pool blocks the byte path of :func:`expand_code_mask`
+#: takes.  Each block with a set flag costs two ``bytes.translate`` and two
+#: ``int.from_bytes`` passes over the rows, so the byte path slows with the
+#: block count while the per-row lookup does not.  Over 160,000 random codes
+#: (2-CPU x86-64 Xeon, CPython 3.11, best of 3 runs of minimum-of-15) the
+#: byte path took 0.9, 3.1, 4.2, 7.2, 12.0 and 20.9 ms at 1, 2, 4, 8, 16 and
+#: 32 blocks, the lookup 10-13 ms at every size: the crossover lies near 16
+#: blocks, and 8 keeps a margin of about 1.7x.
+_MAX_BYTE_BLOCKS = 8
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: Every byte value in order: ``_BYTE_VALUES[:n]`` holds the bytes below ``n``.
+_BYTE_VALUES = bytes(range(256))
+
+#: ``bytes.translate`` table mapping every non-zero byte to 1.
+_TRUTH = b"\x00" + b"\x01" * 255
 
 _UNSET = object()
 _np_kernels = _UNSET
@@ -238,14 +265,27 @@ def expand_code_mask(
     """Row mask ``code_mask[code]`` of a code column, AND-ed with ``mask``.
 
     ``code_mask`` holds one flag per pool entry, so a predicate runs once per
-    distinct value; the result is a fresh row mask.  With ``mask`` every row
-    becomes ``1`` when both its mask entry and its code flag are truthy.
+    distinct value; the result is a fresh row mask.  Unmasked, each row holds
+    its code's flag byte as given; with ``mask`` every row becomes ``1`` when
+    both its mask entry and its code flag are truthy, else ``0``.
+
+    The python path expands bytes in C (:func:`_expand_bytes`) when the codes
+    are a 4-byte ``array('i')`` (a lazy column is materialized first, which
+    runs its code-range check) on a little-endian host, ``code_mask`` and
+    ``mask`` are ``bytes``/``bytearray``, the pool spans 1 to
+    :data:`_MAX_BYTE_BLOCKS` blocks of 256 entries and every code lies in
+    ``[0, len(code_mask))``.  Any other input runs the per-row lookup, so a
+    negative code still counts from the end and a code past the pool still
+    raises ``IndexError``.
     """
     _check_mask(mask, len(codes))
     if _use_numpy():
         result = _numpy_kernels().expand_code_mask(codes, code_mask, mask)
         if result is not NotImplemented:
             return result
+    result = _expand_bytes(codes, code_mask, mask)
+    if result is not None:
+        return result
     if mask is None:
         return bytearray(map(code_mask.__getitem__, codes))
     return bytearray(1 if keep and code_mask[code] else 0 for keep, code in zip(mask, codes))
@@ -409,6 +449,71 @@ def distinct(table: "FlowTable", name: str) -> Set[object]:
 # ---------------------------------------------------------------------------------
 # Pure-python kernels
 # ---------------------------------------------------------------------------------
+
+
+def _expand_bytes(
+    codes: Sequence[int], code_mask: bytearray, mask: Optional[Sequence[int]]
+) -> Optional[bytearray]:
+    """The python :func:`expand_code_mask` in C-level byte operations.
+
+    ``None`` unless every condition :func:`expand_code_mask` lists holds.  A
+    little-endian ``int32`` code is four byte planes: the low byte indexes a
+    block of 256 flags, the second names the block, and the top two are zero
+    below 65536.  A block's expansion is one ``translate`` of the low plane,
+    kept, as a little-endian int, where the second plane names the block.
+    """
+    if not (
+        _LITTLE_ENDIAN
+        and isinstance(code_mask, (bytes, bytearray))
+        and (mask is None or isinstance(mask, (bytes, bytearray)))
+    ):
+        return None
+    blocks = -(-len(code_mask) // 256)
+    if not 1 <= blocks <= _MAX_BYTE_BLOCKS:
+        return None
+    materialize = getattr(codes, "materialize", None)  # a LazyColumn: decode and check
+    if materialize is not None:
+        codes = materialize()
+    if not (isinstance(codes, array) and codes.typecode == "i" and codes.itemsize == 4):
+        return None
+    rows = len(codes)
+    raw = codes.tobytes()
+    zeros = bytes(rows)
+    high = raw[1::4]
+    if raw[3::4] != zeros or raw[2::4] != zeros or high.translate(None, _BYTE_VALUES[:blocks]):
+        return None  # a negative code, or one past the last block
+    low = raw[0::4]
+    last = blocks - 1
+    tail = len(code_mask) - 256 * last  # entries in the last block
+    flags = code_mask if mask is None else code_mask.translate(_TRUTH)
+    if blocks == 1:
+        if low.translate(None, _BYTE_VALUES[:tail]):
+            return None  # a code past the end of the pool
+        expanded = low.translate(flags.ljust(256, b"\x00"))
+        if mask is None:
+            return bytearray(expanded)
+        result = int.from_bytes(expanded, "little")
+    else:
+        in_last = _rows_in_block(high, last)
+        past_tail = low.translate(bytes(tail).ljust(256, b"\xff"))
+        if in_last & int.from_bytes(past_tail, "little"):
+            return None  # a code past the end of the pool
+        result = 0
+        for block in range(blocks):
+            table = flags[256 * block : 256 * (block + 1)]
+            if any(table):
+                in_block = in_last if block == last else _rows_in_block(high, block)
+                expanded = low.translate(table.ljust(256, b"\x00"))
+                result |= int.from_bytes(expanded, "little") & in_block
+    if mask is not None:
+        result &= int.from_bytes(mask.translate(_TRUTH), "little")
+    return bytearray(result.to_bytes(rows, "little"))
+
+
+def _rows_in_block(high: bytes, block: int) -> int:
+    """A little-endian int with byte ``0xFF`` where ``high`` holds ``block``, else 0."""
+    selector = bytes(block) + b"\xff" + bytes(255 - block)
+    return int.from_bytes(high.translate(selector), "little")
 
 
 def fused_group_sums(

@@ -14,6 +14,13 @@ returns ``NotImplemented`` so the dispatcher runs the python path instead:
   are dense in first-appearance order by construction, and masked
   aggregations recover the masked first-appearance order with the same
   sort-free first-rows pass (:func:`_first_rows`) over the masked group ids.
+* Distinct sets and counts (``group_distinct``, ``group_distinct_count``)
+  pack each row as ``member * groups + gid`` and mark the pairs in one
+  sort-free bitset of member rows x group columns (:func:`_pair_bitset`)
+  while their span is at most :data:`_BITSET_SPAN_LIMIT` cells: its column
+  sums are the counts, and its marked positions, in order, are
+  ``np.unique(pairs)``, so the sets and their insertion order are the
+  sort's.  Only a wider span sorts with ``np.unique``.
 * Row filters boolean-index each column's view and fill the result ``array``
   with one ``frombytes``; row masks compare or index whole column views and
   come back as the same 0/1 ``bytearray`` the python loops build.
@@ -74,9 +81,10 @@ _DTYPES = {
 
 _INT_TYPECODES = ("b", "i", "q")
 
-#: Cell bound for the sort-free bitset distinct-count layout (64 MiB of
-#: bool); wider (member range x group count) spans fall back to the
-#: ``np.unique`` sort, which needs no memory proportional to the value range.
+#: Cell bound for the sort-free bitset of distinct packed pairs behind
+#: ``group_distinct`` and ``group_distinct_count`` (64 MiB of bool); wider
+#: (member range x group count) spans fall back to the ``np.unique`` sort,
+#: which needs no memory proportional to the value range.
 _BITSET_SPAN_LIMIT = 1 << 26
 
 #: Mirrors :data:`repro.flows.kernels.INT64_SAFE_LIMIT` (redefined here to
@@ -446,7 +454,31 @@ def _packed_pairs(kernel: str, index, members: Sequence, mask: Optional[Sequence
     return gids, member_view * count + gids
 
 
+def _pair_bitset(pairs: np.ndarray, count: int) -> Optional[Tuple[np.ndarray, int]]:
+    """The packed pairs marked in a bitset of member rows x group columns.
+
+    Returns ``(seen, base)``: cell ``(r, j)`` of ``seen`` stands for the pair
+    ``base + r * count + j``, so ``np.flatnonzero(seen) + base`` equals
+    ``np.unique(pairs)`` and ``seen.sum(axis=0)`` counts each group's
+    distinct members -- O(rows + span) against the O(rows log rows) sort
+    inside ``np.unique``, which dominates when most pairs are distinct.
+    ``base`` aligns the bitset to a gid-0 boundary (negative members too).
+    ``None`` for no pairs, or when the span exceeds
+    :data:`_BITSET_SPAN_LIMIT`; the caller then sorts with ``np.unique``.
+    """
+    if not pairs.size:
+        return None
+    base = (int(pairs.min()) // count) * count
+    span_rows = (int(pairs.max()) - base) // count + 1
+    if span_rows * count > _BITSET_SPAN_LIMIT:
+        return None
+    seen = np.zeros((span_rows, count), dtype=bool)
+    seen.reshape(-1)[pairs - base] = True
+    return seen, base
+
+
 def group_distinct_count(index, members: Sequence, mask: Optional[Sequence[int]]):
+    """Distinct members per group: the bitset's column sums (``np.unique`` above its limit)."""
     group_keys = index.group_keys
     count = len(group_keys)
     if not count:
@@ -455,23 +487,11 @@ def group_distinct_count(index, members: Sequence, mask: Optional[Sequence[int]]
     if packed is NotImplemented:
         return NotImplemented
     gids, pairs = packed
-    if not pairs.size:
-        return {}
-    # Sort-free when the (member range x group count) span is modest: mark
-    # packed pairs in a bitset laid out as member rows x group columns, then
-    # a column sum counts distinct members per group -- O(rows + span) versus
-    # the O(rows log rows) sort inside np.unique, which dominates when most
-    # pairs are distinct.  ``base`` aligns the bitset to a gid-0 boundary so
-    # column j holds exactly group j (works for negative members too).
-    base = (int(pairs.min()) // count) * count
-    span_rows = (int(pairs.max()) - base) // count + 1
-    if span_rows * count <= _BITSET_SPAN_LIMIT:
-        seen = np.zeros(span_rows * count, dtype=bool)
-        seen[pairs - base] = True
-        counts = seen.reshape(span_rows, count).sum(axis=0, dtype=np.int64)
+    bitset = _pair_bitset(pairs, count)
+    if bitset is None:
+        counts = np.bincount(np.unique(pairs) % count, minlength=count)
     else:
-        uniq = np.unique(pairs)
-        counts = np.bincount(uniq % count, minlength=count)
+        counts = bitset[0].sum(axis=0, dtype=np.int64)
     if mask is None:
         # Unmasked, every group id occurs, so the reference first-appearance
         # order is the index order 0..count-1 -- skip the recovery sort.
@@ -486,6 +506,7 @@ def group_distinct(
     pool: Optional[List[object]],
     mask: Optional[Sequence[int]],
 ):
+    """Member sets per group, filled from the distinct pairs in ``np.unique`` order."""
     group_keys = index.group_keys
     count = len(group_keys)
     if not count:
@@ -494,7 +515,8 @@ def group_distinct(
     if packed is NotImplemented:
         return NotImplemented
     gids, pairs = packed
-    uniq = np.unique(pairs)
+    bitset = _pair_bitset(pairs, count)
+    uniq = np.unique(pairs) if bitset is None else np.flatnonzero(bitset[0]) + bitset[1]
     sets: Dict[object, Set[object]] = {}
     pair_gids = (uniq % count).tolist()
     pair_members = (uniq // count).tolist()

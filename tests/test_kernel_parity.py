@@ -28,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import mmap
 import random
 import struct
 import subprocess
 import sys
+from array import array
 from datetime import datetime, timedelta
 from itertools import compress
 from pathlib import Path
@@ -210,6 +212,21 @@ def reference_distinct(table: "FlowTable", name: str) -> Set[object]:
         pool = table.pool(name)
         return {pool[code] for code in set(table.codes(name))}
     return set(table.numeric(name))
+
+
+def reference_expand_code_mask(
+    codes: Sequence[int], code_mask: Sequence[int], mask: Optional[Sequence[int]] = None
+) -> bytearray:
+    """The original per-row mask expansion: one ``code_mask[code]`` per row.
+
+    Unmasked, each row holds its code's flag as given; masked, ``1`` where
+    the mask entry and the flag are both truthy.  A negative code counts
+    from the end, and the flag lookup of a row whose mask entry is falsy is
+    skipped.
+    """
+    if mask is None:
+        return bytearray(map(code_mask.__getitem__, codes))
+    return bytearray(1 if keep and code_mask[code] else 0 for keep, code in zip(mask, codes))
 
 
 def _backends():
@@ -606,6 +623,42 @@ def test_sort_free_builder_matches_the_python_builder_on_every_branch(monkeypatc
             assert list(distinct) == list(distinct_ref) and distinct == distinct_ref
 
 
+def test_pair_bitset_equals_np_unique_and_both_branches_agree(monkeypatch):
+    """The bitset's marked cells are ``np.unique(pairs)``, its column sums the counts.
+
+    Above ``_BITSET_SPAN_LIMIT`` (forced to 1 here) the distinct kernels sort
+    with ``np.unique`` instead, with the reference kernels' results.
+    """
+    if not kernels.numpy_available():
+        pytest.skip("numpy not importable")
+    from repro.flows import kernels_np
+
+    np = kernels_np.np
+    rng = random.Random(11)
+    for count in (1, 3, 50):
+        for members in ([0], [-5, -5, 2], [rng.randrange(-300, 300) for _ in range(500)]):
+            gids = [rng.randrange(count) for _ in members]
+            pairs = np.array(members, dtype=np.int64) * count + np.array(gids, dtype=np.int64)
+            unique = np.unique(pairs)
+            seen, base = kernels_np._pair_bitset(pairs, count)
+            assert (np.flatnonzero(seen) + base).tolist() == unique.tolist()
+            assert seen.sum(axis=0).tolist() == np.bincount(unique % count, minlength=count).tolist()
+    assert kernels_np._pair_bitset(np.array([], dtype=np.int64), 3) is None
+    kernels.set_backend(kernels.BACKEND_NUMPY)
+    table = _adversarial_tables(0)[0][1]
+    for limit in (kernels_np._BITSET_SPAN_LIMIT, 1):
+        monkeypatch.setattr(kernels_np, "_BITSET_SPAN_LIMIT", limit)
+        for mask in _masks(random.Random(limit), len(table)):
+            for by in (("provider_key",), ("subscriber_id", "port")):
+                distinct = table.group_distinct(by, "subscriber_id", mask=mask)
+                expected = reference_group_distinct(table, by, "subscriber_id", mask)
+                assert list(distinct) == list(expected) and distinct == expected
+                assert table.group_distinct_count(by, "server_ip", mask=mask) == (
+                    reference_group_distinct_count(table, by, "server_ip", mask)
+                )
+    assert kernels_np._pair_bitset(np.array([0, 5], dtype=np.int64), 3) is None
+
+
 def _counted(run, prefix: str):
     """Run ``run()`` with metrics on; return (its result, new ``prefix`` counters)."""
     was_enabled = obs_metrics.enabled()
@@ -900,8 +953,52 @@ def test_select_mask_matches_a_per_row_oracle(seed, tmp_path):
                 assert _digest(got) == expected, f"{label}/mask{number}/{backend}"
 
 
-def _row_mask_outputs(table: FlowTable, rng: random.Random):
-    """Every row mask and mask-built filter of one table, as comparable bytes."""
+def _expansions(table: FlowTable, rng: random.Random):
+    """Each mask expansion of one table: (its call, the oracle's arguments).
+
+    The oracle's per-code flags come from the predicate over the pool, not
+    from the table's own ``_code_mask``.
+    """
+
+    def flags(name, predicate):
+        return bytearray(1 if predicate(value) else 0 for value in table.pool(name))
+
+    def in_providers(key):
+        return key in ("amazon", "bosch")
+
+    ips = table.pool("server_ip")
+    allowed = set(ips[::2]) | {"192.0.2.1"}
+    per_code = bytearray(rng.randrange(2) for _ in ips)
+    base = bytearray(rng.randrange(3) for _ in range(len(table)))
+    cases = [
+        (
+            lambda: table.mask_code("provider_key", in_providers),
+            (table.codes("provider_key"), flags("provider_key", in_providers)),
+        ),
+        (
+            lambda: table.mask_server_ips(allowed),
+            (table.codes("server_ip"), flags("server_ip", allowed.__contains__)),
+        ),
+        (
+            lambda: kernels.expand_code_mask(table.codes("server_ip"), per_code, base),
+            (table.codes("server_ip"), per_code, base),
+        ),
+    ]
+    days = sorted({ts.date() for ts in table.pool("timestamp")}) + [
+        datetime(2030, 1, 1).date()
+    ]
+    for day in days:
+        cases.append(
+            (
+                lambda day=day: table.mask_day(day),
+                (table.codes("timestamp"), flags("timestamp", lambda ts: ts.date() == day)),
+            )
+        )
+    return cases
+
+
+def _row_mask_outputs(table: FlowTable):
+    """Every other row mask and mask-built filter of one table, as comparable bytes."""
     lines = sorted(set(table.numeric("subscriber_id")))
     exclusions = [
         set(),
@@ -909,19 +1006,7 @@ def _row_mask_outputs(table: FlowTable, rng: random.Random):
         {10**6, -(10**6), 2**70},  # unknown ids, one beyond int64
         {line for line in lines if line < 0} | {-1, -2},  # negative ids
     ]
-    days = sorted({ts.date() for ts in table.pool("timestamp")}) + [
-        datetime(2030, 1, 1).date()
-    ]
-    ips = table.pool("server_ip")
-    per_code = bytearray(rng.randrange(2) for _ in ips)
-    base = bytearray(rng.randrange(3) for _ in range(len(table)))
-    outputs = [
-        table.mask_code("provider_key", lambda key: key in ("amazon", "bosch")),
-        table.mask_server_ips(set(ips[::2]) | {"192.0.2.1"}),
-        kernels.expand_code_mask(table.codes("server_ip"), per_code, base),
-    ]
-    outputs += [table.mask_day(day) for day in days]
-    outputs += [table.mask_ip_version(version) for version in (4, 6, 5, 300)]
+    outputs = [table.mask_ip_version(version) for version in (4, 6, 5, 300)]
     outputs += [_digest(table.exclude_subscribers(excluded)) for excluded in exclusions]
     outputs += [_digest(table.where_ip_version(6)), _digest(table.where_provider("google"))]
     for output in outputs:
@@ -931,14 +1016,141 @@ def _row_mask_outputs(table: FlowTable, rng: random.Random):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_row_masks_are_byte_identical_across_backends(seed, tmp_path):
+    """Expansions equal the per-row oracle; other masks equal the python backend's."""
     for label, table in _row_tables(seed, tmp_path):
+        cases = _expansions(table, random.Random(seed))
+        expected = [reference_expand_code_mask(*arguments) for _call, arguments in cases]
         results = {}
         for backend in _backends():
             kernels.set_backend(backend)
-            results[backend] = _row_mask_outputs(table, random.Random(seed))
+            for number, ((call, _arguments), oracle) in enumerate(zip(cases, expected)):
+                got = call()
+                assert type(got) is bytearray and got == oracle, (
+                    f"{label}/expansion{number}/{backend}"
+                )
+            results[backend] = _row_mask_outputs(table)
         reference = results[kernels.BACKEND_PYTHON]
         for backend, outputs in results.items():
             assert outputs == reference, f"{label}/{backend}"
+
+
+#: Pool sizes on both sides of every block boundary the byte path handles,
+#: up to its last (8 blocks of 256) and one entry past it (the per-row path).
+_POOL_SIZES = (1, 2, 255, 256, 257, 511, 512, 2048, 2049)
+
+
+def _boundary_codes(pool_size: int, rng: random.Random) -> array:
+    """Both codes around every block boundary of a pool, then random codes."""
+    edges = {pool_size - 1}
+    for start in range(256, pool_size, 256):
+        edges |= {start - 1, start}
+    codes = sorted(edges) + [rng.randrange(pool_size) for _ in range(600)]
+    rng.shuffle(codes)
+    return array("i", codes)
+
+
+def _flag_tables(pool_size: int, rng: random.Random):
+    """Per-code flags: bytes 0/1/2/255 with the second block all zero, and all zero."""
+    flags = bytearray(rng.choice((0, 1, 2, 255)) for _ in range(pool_size))
+    flags[256:512] = bytes(len(flags[256:512]))
+    return [flags, bytes(flags), bytearray(pool_size)]
+
+
+def _row_mask_kinds(rows: int, rng: random.Random):
+    """No mask, 0/2/255 bytes as ``bytearray`` and as ``bytes``, and a bool list."""
+    truthy = bytearray(rng.choice((0, 2, 255)) for _ in range(rows))
+    return [None, truthy, bytes(truthy), [bool(flag) for flag in truthy]]
+
+
+def _mapped_codes(codes: array, path: Path, checked: List[int]) -> LazyColumn:
+    """``codes`` as a lazy column over an mmap'd file, counting its deferred check."""
+    path.write_bytes(codes.tobytes())
+    with open(path, "rb") as handle:
+        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    return LazyColumn("i", memoryview(mapped), validate=lambda _column: checked.append(1))
+
+
+@pytest.mark.parametrize("pool_size", _POOL_SIZES)
+@pytest.mark.parametrize("backend", _backends())
+def test_expand_code_mask_matches_the_oracle_on_every_block_layout(backend, pool_size, tmp_path):
+    """Every pool size, flag byte, mask kind and code storage gives the oracle's bytes."""
+    kernels.set_backend(backend)
+    rng = random.Random(pool_size)
+    codes = _boundary_codes(pool_size, rng)
+    checked: List[int] = []
+    lazy = _mapped_codes(codes, tmp_path / "codes.bin", checked)
+    for code_mask in _flag_tables(pool_size, rng):
+        for mask in _row_mask_kinds(len(codes), rng):
+            expected = reference_expand_code_mask(codes, code_mask, mask)
+            for label, column in (("array", codes), ("mmap", lazy)):
+                got = kernels.expand_code_mask(column, code_mask, mask)
+                assert type(got) is bytearray and got == expected, (
+                    f"{label}/{type(code_mask).__name__}/{type(mask).__name__}"
+                )
+        assert kernels.expand_code_mask(array("i"), code_mask) == bytearray()
+        assert kernels.expand_code_mask(array("i"), code_mask, b"") == bytearray()
+    assert checked == [1], "the lazy column's deferred check ran once, before any value"
+
+
+@pytest.mark.parametrize("pool_size", (1, 300, 2048, 2049))
+@pytest.mark.parametrize("backend", _backends())
+def test_expand_code_mask_index_contract(backend, pool_size):
+    """Past-the-end codes raise, negative codes count from the end, results are fresh."""
+    kernels.set_backend(backend)
+    code_mask = bytearray(range(pool_size)) if pool_size <= 256 else bytearray(
+        index % 7 for index in range(pool_size)
+    )
+    code_mask[-1] = 9
+    # Past the end, and codes with a non-zero byte only in the third or fourth plane.
+    for bad in (pool_size, 2**16, 2**24, -(2**31)):
+        for mask in (None, bytearray([1, 1])):
+            with pytest.raises(IndexError):
+                kernels.expand_code_mask(array("i", [0, bad]), code_mask, mask)
+    assert kernels.expand_code_mask(array("i", [-1, 0]), code_mask) == bytearray(
+        [9, code_mask[0]]
+    )
+    assert kernels.expand_code_mask(array("i", [-pool_size]), code_mask) == bytearray(
+        code_mask[:1]
+    )
+    with pytest.raises(IndexError):
+        kernels.expand_code_mask(array("i", [-pool_size - 1]), code_mask)
+    codes, mask = array("i", [0, pool_size - 1]), bytearray([1, 3])
+    before = (codes.tobytes(), bytes(code_mask), bytes(mask))
+    for result in (
+        kernels.expand_code_mask(codes, code_mask),
+        kernels.expand_code_mask(codes, code_mask, mask),
+    ):
+        result[:] = b"\xee" * len(result)
+    assert (codes.tobytes(), bytes(code_mask), bytes(mask)) == before
+
+
+class _LookupSpy(bytearray):
+    """Per-code flags that count the single-code lookups made through them."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, int):
+            self.lookups += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="the byte path needs a little-endian host")
+def test_expand_code_mask_takes_the_byte_path_up_to_eight_blocks(tmp_path):
+    """The python backend expands int32 codes over 1..8 blocks without a per-row lookup."""
+    kernels.set_backend(kernels.BACKEND_PYTHON)
+    for pool_size in _POOL_SIZES:
+        rng = random.Random(pool_size)
+        codes = _boundary_codes(pool_size, rng)
+        lazy = _mapped_codes(codes, tmp_path / f"{pool_size}.bin", [])
+        code_mask = _LookupSpy(rng.randrange(2) for _ in range(pool_size))
+        for mask in _row_mask_kinds(len(codes), rng):
+            for column in (codes, lazy):
+                code_mask.lookups = 0
+                got = kernels.expand_code_mask(column, code_mask, mask)
+                assert got == reference_expand_code_mask(codes, bytes(code_mask), mask)
+                per_row = pool_size > 8 * 256 or isinstance(mask, list)
+                assert (code_mask.lookups > 0) == per_row, (pool_size, type(mask).__name__)
 
 
 @pytest.mark.parametrize("ratio", (1, 4))
@@ -1145,7 +1357,7 @@ def _run_analysis_subprocess(tmp_path, *args: str) -> str:
     script.write_text(_SUBPROCESS_SCRIPT)
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(
-        [sys.executable, str(script), *args],
+        [sys.executable, "-B", str(script), *args],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
