@@ -397,26 +397,39 @@ class BackendDiscovery:
         domains: Iterable[str],
         retries: int = 2,
     ) -> DiscoveryResult:
-        """Resolve the given domains from every vantage point and attribute answers."""
-        result = DiscoveryResult()
+        """Resolve the given domains from every vantage point and attribute answers.
+
+        Domains are resolved in sorted order, every vantage point in turn, A
+        then AAAA.  The answers are folded into one domain set per
+        ``(provider, address)`` in first-seen order, then one record is made
+        per address, so the result holds the records and the insertion order
+        that adding one record per answer gives.
+        """
         engine = self.pattern_set.engine()
         resolvers = [StubResolver(authoritative, vp, retries=retries) for vp in vantage_points]
+        # provider -> address -> domains; a provider enters at its first answer.
+        folded: Dict[str, Dict[str, Set[str]]] = {}
         for domain in sorted(set(domains)):
             provider_key = engine.match(domain)
             if provider_key is None:
                 continue
+            bucket = None
             for resolver in resolvers:
                 for rtype in (RTYPE_A, RTYPE_AAAA):
-                    answer = resolver.resolve(domain, rtype)
-                    for address in answer.addresses:
-                        result.add(
-                            DiscoveredIP(
-                                ip=address,
-                                provider_key=provider_key,
-                                sources={SOURCE_ACTIVE_DNS},
-                                domains={domain},
-                            )
-                        )
+                    for address in resolver.resolve(domain, rtype).addresses:
+                        if bucket is None:
+                            bucket = folded.setdefault(provider_key, {})
+                        names = bucket.get(address)
+                        if names is None:
+                            bucket[address] = {domain}
+                        else:
+                            names.add(domain)
+        result = DiscoveryResult()
+        for provider_key, bucket in folded.items():
+            result.per_provider[provider_key] = {
+                address: DiscoveredIP(address, provider_key, {SOURCE_ACTIVE_DNS}, names)
+                for address, names in bucket.items()
+            }
         return result
 
     # -- combined ------------------------------------------------------------------------

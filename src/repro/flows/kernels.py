@@ -276,7 +276,7 @@ def expand_code_mask(
     :data:`_MAX_BYTE_BLOCKS` blocks of 256 entries and every code lies in
     ``[0, len(code_mask))``.  Any other input runs the per-row lookup, so a
     negative code still counts from the end and a code past the pool still
-    raises ``IndexError``.
+    raises ``IndexError``, whatever its row's mask entry, on either backend.
     """
     _check_mask(mask, len(codes))
     if _use_numpy():
@@ -288,7 +288,9 @@ def expand_code_mask(
         return result
     if mask is None:
         return bytearray(map(code_mask.__getitem__, codes))
-    return bytearray(1 if keep and code_mask[code] else 0 for keep, code in zip(mask, codes))
+    # Every code is looked up, whatever its mask entry, so an out-of-pool
+    # code raises here as it does on numpy.
+    return bytearray(1 if code_mask[code] and keep else 0 for keep, code in zip(mask, codes))
 
 
 def equal_mask(column: Sequence, value: object) -> bytearray:

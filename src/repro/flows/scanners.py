@@ -9,16 +9,21 @@ module generates the scan flows for the lines marked as scanners in the populati
 :func:`append_scanner_flows` appends one day of scan traffic straight into
 ``FlowTable`` columns.  :func:`_scan_plans` performs every draw of the
 ``scanner-traffic`` stream (coverage, target sample, probe hour and port per
-target) in one pass per scanner line; the append then encodes each distinct
-target and timestamp once and adds the whole day as one column batch.
+target) in one pass per scanner line, the hour and port as the inlined
+``getrandbits`` rejection loops that ``randrange`` runs.  The append builds
+each column in C: each distinct hour and target is encoded once, in the order
+the rows first reference it (pools are per column, so that keeps every pool's
+order), code columns are mapped from those codes and constant columns are
+repeated arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from datetime import date, datetime, time
-from itertools import repeat
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import List, Sequence, Tuple
 
 from repro.flows.flowtable import FlowTable
 from repro.flows.netflow import DEFAULT_PACKET_SIZE
@@ -36,7 +41,14 @@ SCAN_PORTS = (("tcp", 443), ("tcp", 8883), ("tcp", 1883), ("tcp", 5671))
 _SCAN_PACKETS_DOWN = max(1, int(math.ceil(SCAN_PROBE_BYTES_DOWN / DEFAULT_PACKET_SIZE)))
 _SCAN_PACKETS_UP = max(1, int(math.ceil(SCAN_PROBE_BYTES_UP / DEFAULT_PACKET_SIZE)))
 
+#: The columns of a catalog tuple's four fields, in tuple order.
+_TARGET_COLUMNS = ("provider_key", "server_ip", "server_continent", "server_region")
+
 _ScanPlan = Tuple[SubscriberLine, List[tuple], List[int], List[int]]
+
+#: Bit widths of the hour and port-index draws (``randrange``'s ``k``).
+_HOUR_BITS = (24).bit_length()
+_PORT_BITS = len(SCAN_PORTS).bit_length()
 
 
 def _scan_plans(
@@ -48,7 +60,9 @@ def _scan_plans(
     """Draw each scanner's (targets, hours, port indexes) for one day.
 
     The registered streams carry state across days, so consecutive days scan
-    different catalog subsets, as at the ISP.
+    different catalog subsets, as at the ISP.  Per target, the hour is
+    ``getrandbits(5)`` redrawn until below 24 and the port index
+    ``getrandbits(3)`` redrawn until below 4, the draws ``randrange`` makes.
     """
     stream = rng.stream("scanner-traffic")
     plans: List[_ScanPlan] = []
@@ -56,6 +70,7 @@ def _scan_plans(
     if not catalog:
         return plans
     low, high = coverage_range
+    getrandbits = stream.getrandbits
     n_ports = len(SCAN_PORTS)
     for line in scanner_lines:
         if not line.is_scanner:
@@ -65,9 +80,17 @@ def _scan_plans(
         targets = stream.sample(catalog, n_targets)
         hours: List[int] = []
         port_indexes: List[int] = []
+        add_hour = hours.append
+        add_port = port_indexes.append
         for _ in range(n_targets):
-            hours.append(stream.randrange(24))
-            port_indexes.append(stream.randrange(n_ports))
+            hour = getrandbits(_HOUR_BITS)
+            while hour >= 24:
+                hour = getrandbits(_HOUR_BITS)
+            port = getrandbits(_PORT_BITS)
+            while port >= n_ports:
+                port = getrandbits(_PORT_BITS)
+            add_hour(hour)
+            add_port(port)
         plans.append((line, targets, hours, port_indexes))
     return plans
 
@@ -101,73 +124,47 @@ def append_scanner_flows(
     if not plans:
         return 0
     encode = table.encode_value
-    timestamp_codes: Dict[int, int] = {}
-    target_codes: Dict[tuple, Tuple[int, int, int, int]] = {}
-    port_columns: List[Tuple[int, int]] = [
-        (encode("transport", transport), port) for transport, port in SCAN_PORTS
-    ]
-    timestamp_column: List[int] = []
-    prefix_codes: List[int] = []
-    provider_codes: List[int] = []
-    ip_codes: List[int] = []
-    continent_codes: List[int] = []
-    region_codes: List[int] = []
-    transport_codes: List[int] = []
-    subscriber_ids: List[int] = []
-    ip_versions: List[int] = []
-    ports: List[int] = []
-    count = 0
-    for line, targets, hours, port_indexes in plans:
-        prefix_code = encode("subscriber_prefix", line.isp_prefix)
-        line_id = line.line_id
-        version = line.ip_version
-        for target, hour, port_index in zip(targets, hours, port_indexes):
-            timestamp_code = timestamp_codes.get(hour)
-            if timestamp_code is None:
-                timestamp_code = timestamp_codes[hour] = encode(
-                    "timestamp", datetime.combine(day, time(hour=hour))
-                )
-            codes = target_codes.get(target)
-            if codes is None:
-                provider_key, server_ip, continent, region_code = target
-                codes = target_codes[target] = (
-                    encode("provider_key", provider_key),
-                    encode("server_ip", server_ip),
-                    encode("server_continent", continent),
-                    encode("server_region", region_code),
-                )
-            transport_code, port = port_columns[port_index]
-            timestamp_column.append(timestamp_code)
-            prefix_codes.append(prefix_code)
-            provider_codes.append(codes[0])
-            ip_codes.append(codes[1])
-            continent_codes.append(codes[2])
-            region_codes.append(codes[3])
-            transport_codes.append(transport_code)
-            subscriber_ids.append(line_id)
-            ip_versions.append(version)
-            ports.append(port)
-            count += 1
+    transport_codes = [encode("transport", transport) for transport, _port in SCAN_PORTS]
+    port_numbers = [port for _transport, port in SCAN_PORTS]
+    prefix_codes = array("i")
+    subscriber_ids = array("q")
+    ip_versions = array("b")
+    for line, line_targets, _hours, _ports in plans:
+        n = len(line_targets)
+        prefix_codes += array("i", [encode("subscriber_prefix", line.isp_prefix)]) * n
+        subscriber_ids += array("q", [line.line_id]) * n
+        ip_versions += array("b", [line.ip_version]) * n
+    targets = list(chain.from_iterable(plan[1] for plan in plans))
+    hours = list(chain.from_iterable(plan[2] for plan in plans))
+    port_indexes = list(chain.from_iterable(plan[3] for plan in plans))
+    count = len(targets)
+    # Each distinct hour and target is encoded once, in the order the rows
+    # first reference it, which keeps every pool in first-appearance order.
+    timestamp_of = {
+        hour: encode("timestamp", datetime.combine(day, time(hour=hour)))
+        for hour in dict.fromkeys(hours)
+    }
+    distinct_targets = list(dict.fromkeys(targets))
+    codes = {
+        "timestamp": map(timestamp_of.__getitem__, hours),
+        "subscriber_prefix": prefix_codes,
+        "transport": map(transport_codes.__getitem__, port_indexes),
+    }
+    for position, name in enumerate(_TARGET_COLUMNS):
+        code_of = {target: encode(name, target[position]) for target in distinct_targets}
+        codes[name] = map(code_of.__getitem__, targets)
     table.append_columns(
         count,
-        codes={
-            "timestamp": timestamp_column,
-            "subscriber_prefix": prefix_codes,
-            "provider_key": provider_codes,
-            "server_ip": ip_codes,
-            "server_continent": continent_codes,
-            "server_region": region_codes,
-            "transport": transport_codes,
-        },
+        codes=codes,
         numeric={
             "subscriber_id": subscriber_ids,
             "ip_version": ip_versions,
-            "port": ports,
-            "bytes_down": repeat(SCAN_PROBE_BYTES_DOWN, count),
-            "bytes_up": repeat(SCAN_PROBE_BYTES_UP, count),
-            "packets_down": repeat(_SCAN_PACKETS_DOWN, count),
-            "packets_up": repeat(_SCAN_PACKETS_UP, count),
-            "sampled": repeat(0, count),
+            "port": map(port_numbers.__getitem__, port_indexes),
+            "bytes_down": array("d", [SCAN_PROBE_BYTES_DOWN]) * count,
+            "bytes_up": array("d", [SCAN_PROBE_BYTES_UP]) * count,
+            "packets_down": array("q", [_SCAN_PACKETS_DOWN]) * count,
+            "packets_up": array("q", [_SCAN_PACKETS_UP]) * count,
+            "sampled": array("b", bytes(count)),
         },
     )
     return count

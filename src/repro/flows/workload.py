@@ -14,10 +14,13 @@ affected devices disappears from the data entirely.
 :meth:`WorkloadGenerator.generate_period_table` appends each day's flows straight
 into dictionary-encoded :class:`~repro.flows.flowtable.FlowTable` columns.  All
 per-device invariants — candidate server subsets (which cost several SHA-256
-hashes to resolve), per-model hourly activity probabilities, cumulative port
-weights, volume multipliers, dictionary codes for every categorical value — are
-resolved once per period (the device plans once per world), so the hourly draw
-loop touches only the RNG and plain ints/floats.
+hashes to resolve; each provider's candidate pools are resolved once per
+generator), per-model hourly activity probabilities, cumulative port weights,
+volume multipliers, dictionary codes for every categorical value — are
+resolved once per world: the device plans and their encoding are shared by
+every generator of a world (:class:`SharedPlans`), and each period's table
+starts from the encoding's pools, so the hourly draw loop touches only the
+RNG and plain ints/floats.
 
 Generation stream layout (v1).  Each hour draws from its own stream
 (``workload:<hour-iso>``) through the two C-level Mersenne Twister primitives
@@ -89,6 +92,14 @@ class _ServerChoice:
     cloud_host: Optional[str]
 
 
+#: One provider's candidate pools for one ip version: every server, the
+#: globally load-balanced spread pool, the European pool, whether any server
+#: is outside Europe, and the remote-entry subset.
+_ProviderPools = Tuple[
+    List[_ServerChoice], List[_ServerChoice], List[_ServerChoice], bool, List[_ServerChoice]
+]
+
+
 @dataclass(frozen=True)
 class _DevicePlan:
     """Per-device invariants precomputed once per generator (RNG-free)."""
@@ -121,6 +132,8 @@ class _EncodedPlans:
     hour_probabilities: Tuple[List[float], ...]
     volume_sigma: float
     volume_correction: float
+    #: Every categorical column's pool values right after encoding, in order.
+    pools: Dict[str, List[object]] = field(default_factory=dict)
     # -- per device
     candidate_count: List[int] = field(default_factory=list)
     pick_bits: List[int] = field(default_factory=list)
@@ -144,6 +157,15 @@ class _EncodedPlans:
     port_cumulative: List[Tuple[float, ...]] = field(default_factory=list)
     port_transport: List[Tuple[int, ...]] = field(default_factory=list)
     port_number: List[Tuple[int, ...]] = field(default_factory=list)
+
+    def new_table(self) -> FlowTable:
+        """An empty table whose pools hold :attr:`pools` in order, so its
+        codes are the encoded ones."""
+        table = FlowTable()
+        for name, values in self.pools.items():
+            for value in values:
+                table.encode_value(name, value)
+        return table
 
     @cached_property
     def candidate_rows(self) -> List[tuple]:
@@ -177,6 +199,19 @@ class _EncodedPlans:
 
 
 @dataclass
+class SharedPlans:
+    """The device plans of one world and their first encoding.
+
+    Every workload generator of a world shares one instance: the first to
+    generate fills ``plans`` and keeps its :class:`_EncodedPlans` in
+    ``encoding``; the others reuse both.
+    """
+
+    plans: List[_DevicePlan] = field(default_factory=list)
+    encoding: Optional[_EncodedPlans] = None
+
+
+@dataclass
 class _DayDraws:
     """The draws of one day's device flows, one entry per flow in draw order.
 
@@ -198,9 +233,9 @@ class WorkloadGenerator:
     """Generates hourly flow tables for a subscriber population and deployments.
 
     ``device_plans`` lets generators over the same population, deployments
-    and ``servers_per_device`` share one list of device plans (see
-    :meth:`_device_plans`): the first to need them fills it, the others
-    reuse it.
+    and ``servers_per_device`` share one list of device plans and its
+    encoding (see :meth:`_device_plans` and :meth:`_encoded_plans`): the
+    first to need them fills the :class:`SharedPlans`, the others reuse it.
     """
 
     def __init__(
@@ -212,7 +247,7 @@ class WorkloadGenerator:
         providers: Sequence[ProviderSpec] = PROVIDERS,
         servers_per_device: int = 2,
         volume_sigma: float = 0.75,
-        device_plans: Optional[List[_DevicePlan]] = None,
+        device_plans: Optional[SharedPlans] = None,
     ) -> None:
         self.population = population
         self.deployments = dict(deployments)
@@ -226,7 +261,8 @@ class WorkloadGenerator:
         self._model_cache: Dict[
             DeviceModel, Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[Tuple[str, int], ...]]
         ] = {}
-        self._plans: List[_DevicePlan] = [] if device_plans is None else device_plans
+        self._shared = SharedPlans() if device_plans is None else device_plans
+        self._candidate_pools: Dict[Tuple[str, int], Optional[_ProviderPools]] = {}
 
     # -- server indexing ---------------------------------------------------------
 
@@ -267,13 +303,39 @@ class WorkloadGenerator:
         continent (Section 5.7).  Providers with global load balancing instead
         spread devices over the whole fleet.
         """
-        by_version = self._choices.get(device.provider_key, {})
-        pools = by_version.get(ip_version) or by_version.get(4) or {}
-        if not pools:
+        pools = self._provider_pools(device.provider_key, ip_version)
+        if pools is None:
             return []
+        all_choices, spread_pool, eu_pool, has_remote, remote_entry = pools
         model = device.model
-        all_choices = [choice for choices in pools.values() for choice in choices]
         if model.global_server_selection:
+            return self._hash_subset(device.device_id, spread_pool, self.servers_per_device * 4)
+        assigned_to_eu = (
+            bool(eu_pool)
+            and (
+                not has_remote
+                or stable_hash(device.device_id + ":region", 1000) < int(model.eu_share * 1000)
+            )
+        )
+        pool = eu_pool if assigned_to_eu else remote_entry
+        if not pool:
+            pool = all_choices
+        return self._hash_subset(device.device_id, pool, self.servers_per_device)
+
+    def _provider_pools(self, provider_key: str, ip_version: int) -> Optional[_ProviderPools]:
+        """The candidate pools of one provider and ip version (``None``: no servers).
+
+        Resolved once per generator: every pool, and the provider-wide
+        remote-entry subset, which costs two SHA-256 hashes.
+        """
+        key = (provider_key, ip_version)
+        if key in self._candidate_pools:
+            return self._candidate_pools[key]
+        by_version = self._choices.get(provider_key, {})
+        pools = by_version.get(ip_version) or by_version.get(4) or {}
+        resolved: Optional[_ProviderPools] = None
+        if pools:
+            all_choices = [choice for choices in pools.values() for choice in choices]
             # Globally load-balanced providers spread European devices across their
             # whole European and North-American fleet, which is why almost all of
             # their backend addresses are visible from the ISP (the paper's T2).
@@ -282,19 +344,8 @@ class WorkloadGenerator:
                 for c in all_choices
                 if c.continent in (CONTINENT_EUROPE, CONTINENT_NORTH_AMERICA)
             ] or all_choices
-            return self._hash_subset(device.device_id, spread_pool, self.servers_per_device * 4)
-        eu_pool = pools.get(CONTINENT_EUROPE, [])
-        remote_pool = [c for c in all_choices if c.continent != CONTINENT_EUROPE]
-        assigned_to_eu = (
-            bool(eu_pool)
-            and (
-                not remote_pool
-                or stable_hash(device.device_id + ":region", 1000) < int(model.eu_share * 1000)
-            )
-        )
-        if assigned_to_eu:
-            pool = eu_pool
-        else:
+            eu_pool = pools.get(CONTINENT_EUROPE, [])
+            remote_pool = [c for c in all_choices if c.continent != CONTINENT_EUROPE]
             # Remote-assigned European devices are provisioned against the provider's
             # main remote region (typically a large North-American region), not spread
             # over the whole remote fleet: only a handful of remote entry points are
@@ -302,12 +353,12 @@ class WorkloadGenerator:
             na_pool = [c for c in remote_pool if c.continent == CONTINENT_NORTH_AMERICA]
             entry_pool = na_pool or remote_pool or eu_pool
             entry_count = max(self.servers_per_device, len(entry_pool) // 8)
-            pool = self._hash_subset(
-                device.provider_key + ":remote-entry", entry_pool, entry_count
+            remote_entry = self._hash_subset(
+                provider_key + ":remote-entry", entry_pool, entry_count
             )
-        if not pool:
-            pool = all_choices
-        return self._hash_subset(device.device_id, pool, self.servers_per_device)
+            resolved = (all_choices, spread_pool, eu_pool, bool(remote_pool), remote_entry)
+        self._candidate_pools[key] = resolved
+        return resolved
 
     @staticmethod
     def _hash_subset(seed: str, pool: Sequence[_ServerChoice], size: int) -> List[_ServerChoice]:
@@ -332,8 +383,8 @@ class WorkloadGenerator:
         table's length is added to the ``gen.rows`` counter.
         """
         with span("gen.period", start=period.start.isoformat()):
-            table = FlowTable()
-            plan = self._encoded_plans(table)
+            plan = self._encoded_plans()
+            table = plan.new_table()
             scanner_lines = self.population.scanner_lines() if include_scanners else []
             catalog = self.server_catalog(ip_version=4) if include_scanners else []
             for day in period.days():
@@ -388,8 +439,8 @@ class WorkloadGenerator:
         plan draws no random value and holds nothing of the outage schedule,
         which the hourly draws consult instead.
         """
-        if not self._plans:
-            plans: List[_DevicePlan] = []
+        plans = self._shared.plans
+        if not plans:
             for line in self.population.lines:
                 for device in line.devices:
                     model = device.model
@@ -415,15 +466,25 @@ class WorkloadGenerator:
                             port_pairs=port_pairs,
                         )
                     )
-            self._plans.extend(plans)
-        return self._plans
+        return plans
 
-    def _encoded_plans(self, table: FlowTable) -> _EncodedPlans:
-        """Encode the device plans against one table's dictionary pools.
+    def _encoded_plans(self) -> _EncodedPlans:
+        """The device plans encoded against an empty table's dictionary pools.
 
-        Values are interned device by device in population order, so every
-        pool keeps the order the rows first reference it in.
+        Encoded once per world: every period's table interns the same
+        population-order values before its first row, so the first encoding
+        is kept with the shared plans and every period's table starts from
+        its pools (:meth:`_EncodedPlans.new_table`), which gives the same
+        codes.  The volume sigma and correction are per generator, so a
+        generator whose sigma differs from the kept encoding's encodes its
+        own, and keeps nothing.
         """
+        shared = self._shared
+        if shared.encoding is not None and shared.encoding.volume_sigma == self.volume_sigma:
+            return shared.encoding
+        # Values are interned device by device in population order, so every
+        # pool keeps the order the rows first reference it in.
+        table = FlowTable()
         encode = table.encode_value
         plans = self._device_plans()
         outage_index: Dict[Tuple[Optional[str], str], int] = {}
@@ -434,6 +495,7 @@ class WorkloadGenerator:
             ),
             volume_sigma=self.volume_sigma,
             volume_correction=self._volume_correction,
+            pools={name: table.pool(name) for name in CATEGORICAL_COLUMNS},
         )
         for plan in plans:
             prefix = encode("subscriber_prefix", plan.prefix)
@@ -469,6 +531,8 @@ class WorkloadGenerator:
                 encoded.per_hour_up.append(plan.per_hour_up)
                 encoded.multiplier.append(plan.multiplier)
                 encoded.port_table.append(ports)
+        if shared.encoding is None:
+            shared.encoding = encoded
         return encoded
 
     def _draw_hour(

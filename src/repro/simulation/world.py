@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from ipaddress import IPv4Address
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.providers import (
@@ -42,7 +41,7 @@ from repro.dns.resolver import VantagePoint
 from repro.dns.zone import RTYPE_A, RTYPE_AAAA
 from repro.flows.kernels import fold_sum
 from repro.flows.subscribers import SubscriberPopulation
-from repro.flows.workload import WorkloadGenerator
+from repro.flows.workload import SharedPlans, WorkloadGenerator
 from repro.netmodel.addressing import IPAddress, IPNetwork, PrefixAllocator
 from repro.netmodel.asn import AsKind, AsRegistry, AutonomousSystem
 from repro.netmodel.geo import (
@@ -115,9 +114,9 @@ class World:
     outage_schedule: OutageSchedule
     vantage_points: List[VantagePoint]
     iot_domains: Dict[str, List[str]]
-    #: Device plans shared by every workload generator of this world, built
-    #: by the first one that generates.
-    _device_plans: list = field(default_factory=list)
+    #: Device plans and their first encoding, shared by every workload
+    #: generator of this world and built by the first one that generates.
+    _device_plans: SharedPlans = field(default_factory=SharedPlans)
 
     # -- ground-truth views -----------------------------------------------------------
 
@@ -176,10 +175,10 @@ class World:
     def workload_generator(self) -> WorkloadGenerator:
         """Return a workload generator over the dedicated IoT infrastructure.
 
-        Every generator of a world shares one list of device plans; each
-        gets a fresh ``workload`` registry, because the registered scanner
-        stream must start afresh every period, and the world's current
-        outage schedule.
+        Every generator of a world shares one list of device plans and their
+        encoding; each gets a fresh ``workload`` registry, because the
+        registered scanner stream must start afresh every period, and the
+        world's current outage schedule.
         """
         return WorkloadGenerator(
             population=self.population,
@@ -819,11 +818,23 @@ class _WorldBuilder:
             Blocklist("personal-blocklist", CATEGORY_PERSONAL),
             Blocklist("stale-list", CATEGORY_ATTACKS, well_maintained=False),
         ]
+        getrandbits = stream.getrandbits
         for blocklist in lists:
+            add = blocklist.entries.add
             for _ in range(400):
-                # 172.b.c.d, drawn in the order b, c, d.
-                b, c, d = stream.randrange(16, 32), stream.randrange(256), stream.randrange(1, 255)
-                blocklist.add(IPv4Address(0xAC000000 | b << 16 | c << 8 | d))
+                # 172.b.c.d, drawn in the order b, c, d with the draws of
+                # randrange(16, 32), randrange(256) and randrange(1, 255), and
+                # added as the dotted-quad text Blocklist.add normalizes to.
+                b = getrandbits(5)
+                while b >= 16:
+                    b = getrandbits(5)
+                c = getrandbits(9)
+                while c >= 256:
+                    c = getrandbits(9)
+                d = getrandbits(8)
+                while d >= 254:
+                    d = getrandbits(8)
+                add(f"172.{16 + b}.{c}.{1 + d}")
         backend = [server.address for server in self._all_ipv4_backend_servers()]
         if backend:
             count = min(self.config.n_blocklisted_backend_ips, len(backend))

@@ -25,7 +25,9 @@ shared-IP validation, per-provider footprints, ground truth, and the pattern
 set that produced it) in the same tagged-pool style: every scalar of a
 discovery result goes through a deduplicating value pool (provider keys,
 addresses, sources, and domains repeat heavily) and structures reference pool
-indices.  ``load_pipeline_result(dump_pipeline_result(r)) == r`` holds
+indices.  A discovery result is written in one walk: the pool and the body's
+uint32 references are collected together, then written in a few calls.
+``load_pipeline_result(dump_pipeline_result(r)) == r`` holds
 dataclass-for-dataclass.
 
 **Zero-copy reads.**  One structural pass parses every flow table: it reads
@@ -103,6 +105,8 @@ _TAG_DATE = 6
 #: Precompiled layouts of the discovery codec's hot loops.
 _U32 = struct.Struct("<I")
 _U32X3 = struct.Struct("<III")
+#: A pooled string's tag and byte length.
+_STR_HEADER = struct.Struct("<BI")
 
 
 class StoreFormatError(ValueError):
@@ -491,38 +495,6 @@ class _ValuePool:
         return index
 
 
-def _pool_discovery(result, pool: _ValuePool) -> None:
-    """Intern every scalar of a discovery result (canonical sorted order)."""
-    for provider_key in sorted(result.per_provider):
-        pool.add(provider_key)
-        bucket = result.per_provider[provider_key]
-        for ip in sorted(bucket):
-            pool.add(ip)
-            record = bucket[ip]
-            for source in sorted(record.sources):
-                pool.add(source)
-            for domain in sorted(record.domains):
-                pool.add(domain)
-
-
-def _write_discovery_body(write: Callable[[bytes], object], result, pool: _ValuePool) -> None:
-    """Write one discovery result as pool references (pool written separately)."""
-    _write_value(write, result.day)
-    write(struct.pack("<I", len(result.per_provider)))
-    for provider_key in sorted(result.per_provider):
-        bucket = result.per_provider[provider_key]
-        write(struct.pack("<II", pool.add(provider_key), len(bucket)))
-        for ip in sorted(bucket):
-            record = bucket[ip]
-            sources = sorted(record.sources)
-            domains = sorted(record.domains)
-            write(struct.pack("<III", pool.add(ip), len(sources), len(domains)))
-            for source in sources:
-                write(struct.pack("<I", pool.add(source)))
-            for domain in domains:
-                write(struct.pack("<I", pool.add(domain)))
-
-
 def _check_refs(pool: List[object], refs: Sequence[int]) -> None:
     """Raise :class:`StoreFormatError` unless every reference names a pooled string."""
     for index in refs:
@@ -634,16 +606,39 @@ def _read_discovery(reader: _Reader):
 
 
 def dump_discovery(result, stream: BinaryIO) -> None:
-    """Serialize a :class:`~repro.core.discovery.DiscoveryResult` to a stream."""
-    write = stream.write
-    write(_MAGIC_DISCOVERY)
-    write(struct.pack("<B", DISCOVERY_CODEC_VERSION))
+    """Serialize a :class:`~repro.core.discovery.DiscoveryResult` to a stream.
+
+    One walk over the result in canonical sorted order (providers, then
+    addresses, then each record's sorted sources and domains) interns every
+    scalar in the value pool, first reference first, and collects the body's
+    uint32 references.  Then it writes the pool (string values packed in one
+    ``join``), the day, the provider count and the whole body in one
+    ``struct.pack``.
+    """
     pool = _ValuePool()
-    _pool_discovery(result, pool)
-    write(struct.pack("<I", len(pool.values)))
+    add = pool.add
+    body: List[int] = []
+    per_provider = result.per_provider
+    for provider_key in sorted(per_provider):
+        bucket = per_provider[provider_key]
+        body += (add(provider_key), len(bucket))
+        for ip in sorted(bucket):
+            record = bucket[ip]
+            sources = sorted(record.sources)
+            domains = sorted(record.domains)
+            body += (add(ip), len(sources), len(domains))
+            body += map(add, sources)
+            body += map(add, domains)
+    parts = [_MAGIC_DISCOVERY, struct.pack("<BI", DISCOVERY_CODEC_VERSION, len(pool.values))]
     for value in pool.values:
-        _write_value(write, value)
-    _write_discovery_body(write, result, pool)
+        if isinstance(value, str):
+            data = value.encode("utf-8")
+            parts += (_STR_HEADER.pack(_TAG_STR, len(data)), data)
+        else:
+            _write_value(parts.append, value)
+    _write_value(parts.append, result.day)
+    parts.append(struct.pack(f"<I{len(body)}I", len(per_provider), *body))
+    stream.write(b"".join(parts))
 
 
 def dumps_discovery(result) -> bytes:

@@ -13,7 +13,11 @@ from repro.core.discovery import (
     DiscoveryResult,
 )
 from repro.core.patterns import PatternSet
+from repro.dns.authoritative import AnswerPolicy
 from repro.dns.passive_db import PassiveDnsDatabase
+from repro.dns.resolver import StubResolver
+from repro.dns.zone import RTYPE_A, RTYPE_AAAA
+from repro.store.codec import dumps_discovery
 
 
 def test_discovered_ip_merge_rules():
@@ -96,3 +100,55 @@ def test_combine_unions_sources(small_world):
     combined = discovery.combine([passive, active])
     assert combined.total_count() >= max(passive.total_count(), active.total_count())
     assert combined.ips() == passive.ips() | active.ips()
+
+
+def _per_answer_active_dns(discovery, authoritative, vantage_points, domains, retries=2):
+    """Active DNS adding one record per answer address (test oracle)."""
+    result = DiscoveryResult()
+    engine = discovery.pattern_set.engine()
+    resolvers = [StubResolver(authoritative, vp, retries=retries) for vp in vantage_points]
+    for domain in sorted(set(domains)):
+        provider_key = engine.match(domain)
+        if provider_key is None:
+            continue
+        for resolver in resolvers:
+            for rtype in (RTYPE_A, RTYPE_AAAA):
+                answer = resolver.resolve(domain, rtype)
+                for address in answer.addresses:
+                    result.add(
+                        DiscoveredIP(
+                            ip=address,
+                            provider_key=provider_key,
+                            sources={SOURCE_ACTIVE_DNS},
+                            domains={domain},
+                        )
+                    )
+    return result
+
+
+def test_active_dns_matches_the_per_answer_oracle(small_world):
+    discovery = BackendDiscovery()
+    servers = (small_world.authoritative.fresh_copy(), small_world.authoritative.fresh_copy())
+    domains = sorted({name for name, _rtype in servers[0]._entries})
+    # Twice in a row, so the second call starts from advanced rotations.
+    for _ in range(2):
+        produced = discovery.discover_from_active_dns(
+            servers[0], small_world.vantage_points, domains
+        )
+        expected = _per_answer_active_dns(
+            discovery, servers[1], small_world.vantage_points, domains
+        )
+        assert dumps_discovery(produced) == dumps_discovery(expected)
+        assert list(produced.per_provider) == list(expected.per_provider)
+        for provider_key, bucket in expected.per_provider.items():
+            assert list(produced.per_provider[provider_key]) == list(bucket)
+        counters = [
+            [(key, entry.query_counter) for key, entry in server._entries.items()]
+            for server in servers
+        ]
+        assert counters[0] == counters[1]
+    rotated = {
+        entry.policy for entry in servers[0]._entries.values() if entry.query_counter
+    }
+    assert {AnswerPolicy.GEO, AnswerPolicy.ROUND_ROBIN} <= rotated
+    assert any(len(record.domains) > 1 for record in produced.records())

@@ -7,26 +7,37 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 from datetime import date, datetime, time
+from itertools import repeat
 
 import pytest
 
 from repro.core.providers import PROVIDERS
 from repro.experiments.context import build_context
 from repro.flows import kernels
+from repro.flows import workload as workload_module
 from repro.flows.flowtable import CATEGORICAL_COLUMNS, COLUMN_TYPECODES, NUMERIC_COLUMNS, FlowTable
 from repro.flows.netflow import DEFAULT_PACKET_SIZE
-from repro.flows.scanners import append_scanner_flows
+from repro.flows.scanners import (
+    _SCAN_PACKETS_DOWN,
+    _SCAN_PACKETS_UP,
+    SCAN_PORTS,
+    SCAN_PROBE_BYTES_DOWN,
+    SCAN_PROBE_BYTES_UP,
+    append_scanner_flows,
+)
 from repro.flows.workload import _DayDraws, _EncodedPlans, build_flow_columns
+from repro.netmodel.geo import CONTINENT_EUROPE, CONTINENT_NORTH_AMERICA
 from repro.obs import metrics as obs_metrics
 from repro.simulation.clock import AWS_OUTAGE_DATE, StudyPeriod
 from repro.simulation.config import ScenarioConfig
-from repro.simulation.rng import RngRegistry
+from repro.simulation.rng import RngRegistry, stable_hash
 from repro.simulation.world import build_world
 from repro.store.codec import dumps_table
 
 _NUMERIC_NAMES = tuple(name for name, _typecode in NUMERIC_COLUMNS)
 
 ONE_DAY = StudyPeriod(date(2022, 2, 28), date(2022, 3, 1), name="one-day")
+THREE_DAYS = StudyPeriod(date(2022, 2, 28), date(2022, 3, 3), name="three-days")
 OUTAGE_DAY = StudyPeriod(AWS_OUTAGE_DATE, date(2021, 12, 8), name="outage-day")
 
 
@@ -184,9 +195,13 @@ def _stdlib_hour_oracle(generator, table, when, hits):
     )
 
 
-def _stdlib_period_oracle(generator, period, hits):
+def _interned_plans(generator) -> FlowTable:
+    """An empty table holding the plan values in the generator's order.
+
+    Each pool gets its values in the order the rows first reference them,
+    device by device in population order.
+    """
     table = FlowTable()
-    # Intern the plan values in the generator's order, so the pools match.
     for plan in generator._device_plans():
         for choice in plan.candidates:
             table.encode_value("server_ip", choice.ip)
@@ -196,6 +211,12 @@ def _stdlib_period_oracle(generator, period, hits):
         table.encode_value("provider_key", plan.provider_key)
         for transport, _port in plan.port_pairs:
             table.encode_value("transport", transport)
+    return table
+
+
+def _stdlib_period_oracle(generator, period, hits):
+    # Intern the plan values in the generator's order, so the pools match.
+    table = _interned_plans(generator)
     for day in period.days():
         for hour in range(24):
             _stdlib_hour_oracle(generator, table, datetime.combine(day, time(hour=hour)), hits)
@@ -438,3 +459,220 @@ def test_generation_counts_its_rows_while_metrics_are_on(small_config, small_wor
             obs_metrics.disable()
         obs_metrics.set_registry(previous)
     assert counted == expected
+
+
+# -- candidate pools, one encoding per world ---------------------------------------
+
+
+def _per_device_candidate_servers(generator, device, ip_version):
+    """The candidate subset with every pool rebuilt per device (test oracle)."""
+    by_version = generator._choices.get(device.provider_key, {})
+    pools = by_version.get(ip_version) or by_version.get(4) or {}
+    if not pools:
+        return []
+    model = device.model
+    all_choices = [choice for choices in pools.values() for choice in choices]
+    if model.global_server_selection:
+        spread_pool = [
+            c for c in all_choices if c.continent in (CONTINENT_EUROPE, CONTINENT_NORTH_AMERICA)
+        ] or all_choices
+        return generator._hash_subset(
+            device.device_id, spread_pool, generator.servers_per_device * 4
+        )
+    eu_pool = pools.get(CONTINENT_EUROPE, [])
+    remote_pool = [c for c in all_choices if c.continent != CONTINENT_EUROPE]
+    assigned_to_eu = bool(eu_pool) and (
+        not remote_pool
+        or stable_hash(device.device_id + ":region", 1000) < int(model.eu_share * 1000)
+    )
+    if assigned_to_eu:
+        pool = eu_pool
+    else:
+        na_pool = [c for c in remote_pool if c.continent == CONTINENT_NORTH_AMERICA]
+        entry_pool = na_pool or remote_pool or eu_pool
+        entry_count = max(generator.servers_per_device, len(entry_pool) // 8)
+        pool = generator._hash_subset(
+            device.provider_key + ":remote-entry", entry_pool, entry_count
+        )
+    if not pool:
+        pool = all_choices
+    return generator._hash_subset(device.device_id, pool, generator.servers_per_device)
+
+
+@pytest.mark.parametrize("scale", (None, 0.02))
+@pytest.mark.parametrize("servers_per_device", (1, 2))
+def test_candidate_pools_match_the_per_device_oracle(scale, servers_per_device):
+    config = ScenarioConfig.small(7).with_overrides(servers_per_device=servers_per_device)
+    if scale is not None:
+        config = config.with_overrides(scale=scale)
+    world = build_world(config)
+    generator = world.workload_generator()
+    plans = generator._device_plans()
+    devices = [(line, device) for line in world.population.lines for device in line.devices]
+    assert len(plans) == len(devices)
+    remote = global_selection = 0
+    for plan, (line, device) in zip(plans, devices):
+        expected = _per_device_candidate_servers(generator, device, line.ip_version)
+        assert list(plan.candidates) == expected
+        global_selection += device.model.global_server_selection
+        remote += any(choice.continent != CONTINENT_EUROPE for choice in expected)
+    # Both kinds of provider, and remote-assigned devices, were resolved.
+    assert global_selection and remote
+
+
+@pytest.mark.parametrize(
+    "kernel_backend", (kernels.BACKEND_PYTHON, kernels.BACKEND_NUMPY), indirect=True
+)
+def test_plans_are_encoded_once_per_world(kernel_backend):
+    config = ScenarioConfig.small(5).with_overrides(scale=0.02)
+    world = build_world(config)
+    first, second = world.workload_generator(), world.workload_generator()
+    first.generate_period_table(config.study_period)
+    later = second.generate_period_table(config.outage_period)
+    assert first._encoded_plans() is second._encoded_plans()
+    fresh = build_world(config).workload_generator().generate_period_table(config.outage_period)
+    assert dumps_table(later) == dumps_table(fresh)
+    # Each pool starts with the plan values in the order their rows first
+    # reference them, as when the plans are encoded into the table itself.
+    interned = _interned_plans(first)
+    for table in (later, fresh):
+        for name in CATEGORICAL_COLUMNS:
+            expected = interned.pool(name)
+            assert table.pool(name)[: len(expected)] == expected, name
+
+
+# -- scanner flows ------------------------------------------------------------------
+
+
+def _randrange_scan_plans(scanner_lines, catalog, rng, coverage_range):
+    """The scanner draws on ``randrange`` (test oracle for the inlined loops)."""
+    stream = rng.stream("scanner-traffic")
+    plans = []
+    catalog = list(catalog)
+    if not catalog:
+        return plans
+    low, high = coverage_range
+    n_ports = len(SCAN_PORTS)
+    for line in scanner_lines:
+        if not line.is_scanner:
+            continue
+        coverage = stream.uniform(low, high)
+        n_targets = max(1, int(round(coverage * len(catalog))))
+        targets = stream.sample(catalog, n_targets)
+        hours = []
+        port_indexes = []
+        for _ in range(n_targets):
+            hours.append(stream.randrange(24))
+            port_indexes.append(stream.randrange(n_ports))
+        plans.append((line, targets, hours, port_indexes))
+    return plans
+
+
+def _per_row_scanner_flows(
+    table, scanner_lines, server_catalog, day, rng, coverage_range=(0.6, 0.95)
+):
+    """One day of scan traffic appended row by row (test oracle).
+
+    Encodes each hour and target the first time a row references it.
+    """
+    plans = _randrange_scan_plans(scanner_lines, server_catalog, rng, coverage_range)
+    if not plans:
+        return 0
+    encode = table.encode_value
+    timestamp_codes = {}
+    target_codes = {}
+    port_columns = [(encode("transport", transport), port) for transport, port in SCAN_PORTS]
+    timestamp_column = []
+    prefix_codes = []
+    provider_codes = []
+    ip_codes = []
+    continent_codes = []
+    region_codes = []
+    transport_codes = []
+    subscriber_ids = []
+    ip_versions = []
+    ports = []
+    count = 0
+    for line, targets, hours, port_indexes in plans:
+        prefix_code = encode("subscriber_prefix", line.isp_prefix)
+        line_id = line.line_id
+        version = line.ip_version
+        for target, hour, port_index in zip(targets, hours, port_indexes):
+            timestamp_code = timestamp_codes.get(hour)
+            if timestamp_code is None:
+                timestamp_code = timestamp_codes[hour] = encode(
+                    "timestamp", datetime.combine(day, time(hour=hour))
+                )
+            codes = target_codes.get(target)
+            if codes is None:
+                provider_key, server_ip, continent, region_code = target
+                codes = target_codes[target] = (
+                    encode("provider_key", provider_key),
+                    encode("server_ip", server_ip),
+                    encode("server_continent", continent),
+                    encode("server_region", region_code),
+                )
+            transport_code, port = port_columns[port_index]
+            timestamp_column.append(timestamp_code)
+            prefix_codes.append(prefix_code)
+            provider_codes.append(codes[0])
+            ip_codes.append(codes[1])
+            continent_codes.append(codes[2])
+            region_codes.append(codes[3])
+            transport_codes.append(transport_code)
+            subscriber_ids.append(line_id)
+            ip_versions.append(version)
+            ports.append(port)
+            count += 1
+    table.append_columns(
+        count,
+        codes={
+            "timestamp": timestamp_column,
+            "subscriber_prefix": prefix_codes,
+            "provider_key": provider_codes,
+            "server_ip": ip_codes,
+            "server_continent": continent_codes,
+            "server_region": region_codes,
+            "transport": transport_codes,
+        },
+        numeric={
+            "subscriber_id": subscriber_ids,
+            "ip_version": ip_versions,
+            "port": ports,
+            "bytes_down": repeat(SCAN_PROBE_BYTES_DOWN, count),
+            "bytes_up": repeat(SCAN_PROBE_BYTES_UP, count),
+            "packets_down": repeat(_SCAN_PACKETS_DOWN, count),
+            "packets_up": repeat(_SCAN_PACKETS_UP, count),
+            "sampled": repeat(0, count),
+        },
+    )
+    return count
+
+
+@pytest.mark.parametrize("seed", (3, 11, 29))
+def test_scanner_flows_match_the_randrange_oracle(seed, monkeypatch):
+    world = build_world(ScenarioConfig.small(seed))
+    generator = world.workload_generator()
+    catalog = generator.server_catalog(ip_version=4)
+    scanners = world.population.scanner_lines()
+    assert scanners and catalog
+    # Fresh tables, three consecutive days on one registry each: the
+    # scanner-traffic stream carries its state from one day to the next.
+    tables = (FlowTable(), FlowTable())
+    registries = (RngRegistry(seed), RngRegistry(seed))
+    for day in THREE_DAYS.days():
+        counts = [
+            append(table, scanners, catalog, day, rng)
+            for append, table, rng in zip(
+                (append_scanner_flows, _per_row_scanner_flows), tables, registries
+            )
+        ]
+        assert counts[0] == counts[1] > 0
+        assert dumps_table(tables[0]) == dumps_table(tables[1])
+    # Tables that already hold each day's device flows, as the generator
+    # appends them.
+    produced = world.workload_generator().generate_period_table(THREE_DAYS)
+    monkeypatch.setattr(workload_module, "append_scanner_flows", _per_row_scanner_flows)
+    expected = world.workload_generator().generate_period_table(THREE_DAYS)
+    assert len(produced) > len(tables[0])
+    assert dumps_table(produced) == dumps_table(expected)

@@ -221,12 +221,12 @@ def reference_expand_code_mask(
 
     Unmasked, each row holds its code's flag as given; masked, ``1`` where
     the mask entry and the flag are both truthy.  A negative code counts
-    from the end, and the flag lookup of a row whose mask entry is falsy is
-    skipped.
+    from the end, and every row's flag is looked up, whatever its mask
+    entry, so a code past the pool raises ``IndexError``.
     """
     if mask is None:
         return bytearray(map(code_mask.__getitem__, codes))
-    return bytearray(1 if keep and code_mask[code] else 0 for keep, code in zip(mask, codes))
+    return bytearray(1 if code_mask[code] and keep else 0 for keep, code in zip(mask, codes))
 
 
 def _backends():
@@ -1095,15 +1095,17 @@ def test_expand_code_mask_matches_the_oracle_on_every_block_layout(backend, pool
 @pytest.mark.parametrize("pool_size", (1, 300, 2048, 2049))
 @pytest.mark.parametrize("backend", _backends())
 def test_expand_code_mask_index_contract(backend, pool_size):
-    """Past-the-end codes raise, negative codes count from the end, results are fresh."""
+    """Past-the-end codes raise under any mask, negative codes count from the end,
+    results are fresh."""
     kernels.set_backend(backend)
     code_mask = bytearray(range(pool_size)) if pool_size <= 256 else bytearray(
         index % 7 for index in range(pool_size)
     )
     code_mask[-1] = 9
-    # Past the end, and codes with a non-zero byte only in the third or fourth plane.
+    # Past the end, and codes with a non-zero byte only in the third or fourth
+    # plane; a falsy mask entry on the bad code's row raises too.
     for bad in (pool_size, 2**16, 2**24, -(2**31)):
-        for mask in (None, bytearray([1, 1])):
+        for mask in (None, bytearray([1, 1]), bytearray([1, 0]), bytearray([0, 0])):
             with pytest.raises(IndexError):
                 kernels.expand_code_mask(array("i", [0, bad]), code_mask, mask)
     assert kernels.expand_code_mask(array("i", [-1, 0]), code_mask) == bytearray(

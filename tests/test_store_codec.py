@@ -531,6 +531,55 @@ class TestDiscoveryCodec:
             loads_table(corrupted)
 
 
+def reference_dump_discovery(result) -> bytes:
+    """The two-pass discovery writer (test oracle).
+
+    One pass interns every scalar in canonical sorted order; a second writes
+    the pool, the day and the body, one ``struct.pack`` and ``write`` per
+    reference.
+    """
+    from repro.store.codec import (
+        _MAGIC_DISCOVERY,
+        DISCOVERY_CODEC_VERSION,
+        _ValuePool,
+        _write_value,
+    )
+
+    buffer = io.BytesIO()
+    write = buffer.write
+    write(_MAGIC_DISCOVERY)
+    write(struct.pack("<B", DISCOVERY_CODEC_VERSION))
+    pool = _ValuePool()
+    for provider_key in sorted(result.per_provider):
+        pool.add(provider_key)
+        bucket = result.per_provider[provider_key]
+        for ip in sorted(bucket):
+            pool.add(ip)
+            record = bucket[ip]
+            for source in sorted(record.sources):
+                pool.add(source)
+            for domain in sorted(record.domains):
+                pool.add(domain)
+    write(struct.pack("<I", len(pool.values)))
+    for value in pool.values:
+        _write_value(write, value)
+    _write_value(write, result.day)
+    write(struct.pack("<I", len(result.per_provider)))
+    for provider_key in sorted(result.per_provider):
+        bucket = result.per_provider[provider_key]
+        write(struct.pack("<II", pool.add(provider_key), len(bucket)))
+        for ip in sorted(bucket):
+            record = bucket[ip]
+            sources = sorted(record.sources)
+            domains = sorted(record.domains)
+            write(struct.pack("<III", pool.add(ip), len(sources), len(domains)))
+            for source in sources:
+                write(struct.pack("<I", pool.add(source)))
+            for domain in domains:
+                write(struct.pack("<I", pool.add(domain)))
+    return buffer.getvalue()
+
+
 class TestPipelineResultCodec:
     @pytest.fixture(scope="class")
     def result(self):
@@ -540,6 +589,30 @@ class TestPipelineResultCodec:
 
         world = build_world(ScenarioConfig.small(seed=7))
         return DiscoveryPipeline(world).run()
+
+    def test_discovery_dump_matches_the_two_pass_oracle(self, result):
+        from datetime import date
+
+        from repro.core.discovery import DiscoveredIP, DiscoveryResult
+        from repro.store.codec import dumps_discovery
+
+        undated = DiscoveryResult(per_provider=result.combined.per_provider, day=None)
+        # Pool values other than strings go through the tagged writer.
+        tagged = DiscoveryResult(day=date(2022, 3, 1))
+        tagged.add(DiscoveredIP("10.0.0.1", "amazon", {"tls-certificates"}, {3, 7}))
+        tagged.add(DiscoveredIP("10.0.0.2", "bosch", {2.5}, {date(2022, 3, 2)}))
+        tagged.add(DiscoveredIP("10.0.0.3", "bosch", {True, False}, {"é.example", "a"}))
+        cases = [
+            *result.daily_results.values(),
+            result.combined,
+            result.validation.dedicated,
+            DiscoveryResult(),
+            undated,
+            tagged,
+        ]
+        assert len(result.daily_results) == 7 and result.combined.total_count()
+        for case in cases:
+            assert dumps_discovery(case) == reference_dump_discovery(case)
 
     def test_full_pipeline_result_round_trips(self, result):
         from repro.store.codec import dumps_pipeline_result, loads_pipeline_result

@@ -1,8 +1,21 @@
 """Integration tests for the world builder."""
 
 from datetime import timedelta
+from ipaddress import IPv4Address
+
+import pytest
 
 from repro.core.providers import PROVIDERS, get_provider
+from repro.security.blocklists import (
+    CATEGORY_ATTACKS,
+    CATEGORY_MALWARE,
+    CATEGORY_OPEN_PROXY,
+    CATEGORY_PERSONAL,
+    Blocklist,
+    BlocklistAggregate,
+)
+from repro.simulation import world as world_module
+from repro.simulation.config import ScenarioConfig
 from repro.simulation.world import build_world
 
 
@@ -123,3 +136,41 @@ def test_vantage_points_two_eu_one_us(small_world):
     continents = [vp.location.continent for vp in small_world.vantage_points]
     assert continents.count("EU") == 2
     assert continents.count("NA") == 1
+
+
+def _randrange_blocklists(builder):
+    """The blocklists drawn with ``randrange`` and added as parsed addresses (test oracle)."""
+    stream = builder.rng.stream("blocklists")
+    lists = [
+        Blocklist("open-proxy-list", CATEGORY_OPEN_PROXY),
+        Blocklist("malware-tracker", CATEGORY_MALWARE),
+        Blocklist("attack-feed", CATEGORY_ATTACKS),
+        Blocklist("personal-blocklist", CATEGORY_PERSONAL),
+        Blocklist("stale-list", CATEGORY_ATTACKS, well_maintained=False),
+    ]
+    for blocklist in lists:
+        for _ in range(400):
+            b, c, d = stream.randrange(16, 32), stream.randrange(256), stream.randrange(1, 255)
+            blocklist.add(IPv4Address(0xAC000000 | b << 16 | c << 8 | d))
+    backend = [server.address for server in builder._all_ipv4_backend_servers()]
+    if backend:
+        count = min(builder.config.n_blocklisted_backend_ips, len(backend))
+        chosen = stream.sample(backend, count)
+        for index, address in enumerate(chosen):
+            lists[index % 4].add(address)
+    return BlocklistAggregate(lists)
+
+
+@pytest.mark.parametrize("seed", (3, 11, 29))
+def test_blocklists_match_the_randrange_oracle(seed, monkeypatch):
+    config = ScenarioConfig.small(seed)
+    produced = build_world(config).blocklists.lists(include_unmaintained=True)
+    monkeypatch.setattr(world_module._WorldBuilder, "_build_blocklists", _randrange_blocklists)
+    expected = build_world(config).blocklists.lists(include_unmaintained=True)
+    assert [blocklist.name for blocklist in produced] == [blocklist.name for blocklist in expected]
+    for have, want in zip(produced, expected):
+        assert have.entries == want.entries
+        assert list(have.entries) == list(want.entries)
+    # The draws span every listed range, and backend addresses were listed.
+    assert sum(len(blocklist) for blocklist in produced) > 5 * 390
+    assert any(not entry.startswith("172.") for entry in produced[0].entries)
