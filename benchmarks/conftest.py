@@ -1,9 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper at the default
-scenario scale.  Building the world, running the discovery pipeline, and
-generating the flows happen once per session; the benchmarks then measure the
-analysis step itself and print the regenerated rows/series.
+Every paper-claim test regenerates one table or figure of the paper at the
+default scenario scale.  Building the world, running the discovery pipeline,
+and generating the flows happen once per test run; each test then calls its
+analysis once, prints the regenerated rows/series and asserts what the paper
+found.  Analysis timings come from ``perfbench/`` (its ``exp.*_s`` metrics),
+not from these tests.
 
 The ``test_perf_*`` modules print their measurements on every run but rewrite
 their committed ``BENCH_*.json`` artifact only when ``IOT_REPRO_BENCH_WRITE=1``

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.disruption_experiments import ablation_portscan_baseline
 
 
-def test_ablation_portscan_baseline(benchmark, context):
-    result = benchmark(ablation_portscan_baseline, context)
+def test_ablation_portscan_baseline(context):
+    result = ablation_portscan_baseline(context)
     emit("Ablation: port-scan-only baseline", result.render())
 
     report = result.report

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.disruption_experiments import ablation_vantage_points
 
 
-def test_ablation_vantage_points(benchmark, context):
-    result = benchmark(ablation_vantage_points, context)
+def test_ablation_vantage_points(context):
+    result = ablation_vantage_points(context)
     emit("Ablation: active-DNS vantage points", result.render())
 
     # Resolving from three vantage points (two in Europe, one in the US) discovers

@@ -13,9 +13,8 @@ from repro.core.providers import CLOUD_AWS, get_provider
 from repro.core.report import format_percent, render_table
 
 
-def test_cascade_dependencies(benchmark, context):
-    dependencies = benchmark(
-        hosting_dependencies,
+def test_cascade_dependencies(context):
+    dependencies = hosting_dependencies(
         context.result.combined,
         context.world.routing_table,
         context.world.as_registry,

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig10_direction_ratio
 
 
-def test_fig10_direction_ratio(benchmark, context):
-    result = benchmark(fig10_direction_ratio, context)
+def test_fig10_direction_ratio(context):
+    result = fig10_direction_ratio(context)
     emit("Figure 10: downstream/upstream byte ratio per provider", result.render())
 
     ratios = result.overall

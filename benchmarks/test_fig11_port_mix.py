@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig11_port_mix
 
 
-def test_fig11_port_mix(benchmark, context):
-    result = benchmark(fig11_port_mix, context)
+def test_fig11_port_mix(context):
+    result = fig11_port_mix(context)
     emit("Figure 11: share of traffic volume per port and provider", result.render())
 
     assert result.mix

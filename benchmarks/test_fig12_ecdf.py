@@ -7,8 +7,8 @@ from repro.experiments.traffic_experiments import fig12_per_subscriber_volumes
 MB = 1024.0 * 1024.0
 
 
-def test_fig12_per_subscriber_volumes(benchmark, context):
-    result = benchmark(fig12_per_subscriber_volumes, context)
+def test_fig12_per_subscriber_volumes(context):
+    result = fig12_per_subscriber_volumes(context)
     emit("Figure 12: per-subscriber daily traffic distributions", result.render())
 
     # Figure 12a: the vast majority of lines exchange small volumes with IoT

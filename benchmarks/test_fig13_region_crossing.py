@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig13_fig14_region_crossing
 
 
-def test_fig13_region_crossing(benchmark, context):
-    result = benchmark(fig13_fig14_region_crossing, context)
+def test_fig13_region_crossing(context):
+    result = fig13_fig14_region_crossing(context)
     emit("Figure 13: subscriber lines and servers per continent", result.render())
 
     categories = result.report.line_categories

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig13_fig14_region_crossing
 
 
-def test_fig14_traffic_regions(benchmark, context):
-    result = benchmark(fig13_fig14_region_crossing, context)
+def test_fig14_traffic_regions(context):
+    result = fig13_fig14_region_crossing(context)
     emit("Figure 14: share of traffic per server continent", result.render())
 
     traffic = result.report.traffic_by_continent

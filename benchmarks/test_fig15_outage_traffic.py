@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.disruption_experiments import fig15_fig16_outage
 
 
-def test_fig15_outage_traffic(benchmark, context):
-    result = benchmark(fig15_fig16_outage, context)
+def test_fig15_outage_traffic(context):
+    result = fig15_fig16_outage(context)
     emit("Figure 15: AWS us-east-1 outage, downstream traffic of T1", result.render("15"))
 
     # During the outage, T1's US-East downstream traffic drops well below the

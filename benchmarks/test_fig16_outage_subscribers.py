@@ -6,8 +6,8 @@ from repro.core.disruption import GROUP_EU, GROUP_US_EAST
 from repro.experiments.disruption_experiments import fig15_fig16_outage
 
 
-def test_fig16_outage_subscribers(benchmark, context):
-    result = benchmark(fig15_fig16_outage, context)
+def test_fig16_outage_subscribers(context):
+    result = fig15_fig16_outage(context)
     emit("Figure 16: AWS us-east-1 outage, subscriber lines of T1", result.render("16"))
 
     # The number of subscriber lines barely changes: devices keep retrying against

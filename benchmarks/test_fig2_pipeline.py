@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.characterization import pipeline_summary
 
 
-def test_fig2_pipeline_summary(benchmark, context):
-    result = benchmark(pipeline_summary, context)
+def test_fig2_pipeline_summary(context):
+    result = pipeline_summary(context)
     emit("Figure 2: methodology outcome", result.render())
 
     # IPv4 backends dominate and IPv6 support is present but much rarer (paper:

@@ -6,8 +6,8 @@ from repro.core.source_attribution import CATEGORY_PASSIVE_DNS, CATEGORY_SCAN
 from repro.experiments.characterization import fig3_source_contribution
 
 
-def test_fig3_source_contribution(benchmark, context):
-    result = benchmark(fig3_source_contribution, context)
+def test_fig3_source_contribution(context):
+    result = fig3_source_contribution(context)
     emit("Figure 3: contribution of each data source", result.render())
 
     # Amazon has by far the most discovered addresses.

@@ -6,8 +6,8 @@ from repro.core.stability import max_churn_by_provider
 from repro.experiments.characterization import fig4_stability
 
 
-def test_fig4_stability(benchmark, context):
-    result = benchmark(fig4_stability, context)
+def test_fig4_stability(context):
+    result = fig4_stability(context)
     emit("Figure 4: stability of backend IP sets", result.render())
 
     churn = max_churn_by_provider(result.comparisons)

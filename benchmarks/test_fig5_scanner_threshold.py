@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig5_scanner_threshold
 
 
-def test_fig5_scanner_threshold(benchmark, context):
-    result = benchmark(fig5_scanner_threshold, context)
+def test_fig5_scanner_threshold(context):
+    result = fig5_scanner_threshold(context)
     emit("Figure 5: scanner threshold sweep", result.render())
 
     counts = [point.scanner_line_count for point in result.points]

@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig6_visibility
 
 
-def test_fig6_visibility(benchmark, context):
-    result = benchmark(fig6_visibility, context)
+def test_fig6_visibility(context):
+    result = fig6_visibility(context)
     emit("Figure 6: share of backend server IPs visible from the ISP", result.render())
 
     # Overall, only part of the discovered backend is contacted from the ISP.

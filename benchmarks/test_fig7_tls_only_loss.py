@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig7_tls_only_loss
 
 
-def test_fig7_tls_only_loss(benchmark, context):
-    result = benchmark(fig7_tls_only_loss, context)
+def test_fig7_tls_only_loss(context):
+    result = fig7_tls_only_loss(context)
     emit("Figure 7: decrease in visible IoT subscriber lines (TLS-only discovery)", result.render())
 
     rows_v4 = [row for row in result.rows if row.ip_version == 4]

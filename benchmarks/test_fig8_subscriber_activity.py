@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig8_subscriber_activity
 
 
-def test_fig8_subscriber_activity(benchmark, context):
-    result = benchmark(fig8_subscriber_activity, context)
+def test_fig8_subscriber_activity(context):
+    result = fig8_subscriber_activity(context)
     emit("Figure 8: active subscriber lines per provider per hour", result.render())
 
     labels = result.providers()

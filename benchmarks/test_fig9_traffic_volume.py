@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.traffic_experiments import fig8_subscriber_activity, fig9_traffic_volume
 
 
-def test_fig9_traffic_volume(benchmark, context):
-    result = benchmark(fig9_traffic_volume, context)
+def test_fig9_traffic_volume(context):
+    result = fig9_traffic_volume(context)
     emit("Figure 9: normalized downstream traffic volume per provider per hour", result.render())
 
     assert "T1" in result.providers()

@@ -18,17 +18,19 @@ Floors enforced here (the ROADMAP perf-ladder acceptance numbers):
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import defaultdict
+from dataclasses import fields
 from datetime import datetime
 from pathlib import Path
 
 from conftest import record_bench
 
 from repro.flows import kernels
-from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import make_flow
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
+from repro.flows.netflow import DEFAULT_PACKET_SIZE, FlowRecord
 from repro.obs.bench import bench_env
 
 FLOW_COUNT = 500_000
@@ -45,10 +47,17 @@ _CONTINENTS = ("EU", "NA", "AS")
 _PORTS = (443, 8883, 1883, 5683, 5671, 61616)
 
 
-def _generate_flows(count: int, seed: int = 99) -> list:
+def _packets(volume: float) -> int:
+    """Packets of one direction: ``ceil(bytes / DEFAULT_PACKET_SIZE)``, at least one."""
+    return max(1, int(math.ceil(volume / DEFAULT_PACKET_SIZE))) if volume > 0 else 0
+
+
+def _generate_columns(count: int, seed: int = 99) -> dict:
+    """The corpus as one list per column, drawn row by row in a fixed order."""
     rng = random.Random(seed)
     timestamps = [datetime(2022, 3, 1 + day, hour) for day in range(7) for hour in range(24)]
-    flows = []
+    names = CATEGORICAL_COLUMNS + tuple(name for name, _typecode in NUMERIC_COLUMNS)
+    columns = {name: [] for name in names}
     for _ in range(count):
         provider = _PROVIDERS[rng.randrange(len(_PROVIDERS))]
         ip_version = 6 if rng.random() < 0.25 else 4
@@ -57,23 +66,41 @@ def _generate_flows(count: int, seed: int = 99) -> list:
             if ip_version == 6
             else f"10.{rng.randrange(16)}.{rng.randrange(256)}.{rng.randrange(1, 255)}"
         )
-        flows.append(
-            make_flow(
-                timestamp=timestamps[rng.randrange(len(timestamps))],
-                subscriber_id=rng.randrange(20_000),
-                subscriber_prefix=f"prefix-{rng.randrange(256)}",
-                ip_version=ip_version,
-                provider_key=provider,
-                server_ip=server,
-                server_continent=_CONTINENTS[rng.randrange(len(_CONTINENTS))],
-                server_region="eu-central-1",
-                transport="tcp" if rng.random() < 0.85 else "udp",
-                port=_PORTS[rng.randrange(len(_PORTS))],
-                bytes_down=rng.uniform(100, 100_000),
-                bytes_up=rng.uniform(10, 10_000),
-            )
-        )
-    return flows
+        columns["timestamp"].append(timestamps[rng.randrange(len(timestamps))])
+        columns["subscriber_id"].append(rng.randrange(20_000))
+        columns["subscriber_prefix"].append(f"prefix-{rng.randrange(256)}")
+        columns["ip_version"].append(ip_version)
+        columns["provider_key"].append(provider)
+        columns["server_ip"].append(server)
+        columns["server_continent"].append(_CONTINENTS[rng.randrange(len(_CONTINENTS))])
+        columns["server_region"].append("eu-central-1")
+        columns["transport"].append("tcp" if rng.random() < 0.85 else "udp")
+        columns["port"].append(_PORTS[rng.randrange(len(_PORTS))])
+        columns["bytes_down"].append(rng.uniform(100, 100_000))
+        columns["bytes_up"].append(rng.uniform(10, 10_000))
+    columns["packets_down"] = [_packets(volume) for volume in columns["bytes_down"]]
+    columns["packets_up"] = [_packets(volume) for volume in columns["bytes_up"]]
+    columns["sampled"] = [0] * count
+    return columns
+
+
+def _build_table(columns: dict) -> FlowTable:
+    """The table, built as the generator builds one: each distinct value encoded
+    once, in first-appearance order, then one ``append_columns`` call."""
+    table = FlowTable()
+    codes = {}
+    for name in CATEGORICAL_COLUMNS:
+        code_of = {value: table.encode_value(name, value) for value in dict.fromkeys(columns[name])}
+        codes[name] = list(map(code_of.__getitem__, columns[name]))
+    numeric = {name: columns[name] for name, _typecode in NUMERIC_COLUMNS}
+    table.append_columns(len(columns["timestamp"]), codes, numeric)
+    return table
+
+
+def _records(columns: dict) -> list:
+    """The corpus as the ``FlowRecord`` list the naive pass scans (unsampled)."""
+    names = [field.name for field in fields(FlowRecord) if field.name != "sampled"]
+    return [FlowRecord(*row) for row in zip(*(columns[name] for name in names))]
 
 
 def _naive_volume_by_provider_hour(flows):
@@ -130,13 +157,14 @@ def _measure_backend(table: FlowTable, backend: str) -> dict:
 
 
 def test_perf_flowtable_grouped_aggregation():
-    flows = _generate_flows(FLOW_COUNT)
+    columns = _generate_columns(FLOW_COUNT)
+    flows = _records(columns)
 
     naive_volume_seconds, naive_volume = _best_of(lambda: _naive_volume_by_provider_hour(flows))
     naive_lines_seconds, naive_lines = _best_of(lambda: _naive_active_lines_by_provider_hour(flows))
 
     start = time.perf_counter()
-    table = FlowTable.from_records(flows)
+    table = _build_table(columns)
     build_seconds = time.perf_counter() - start
 
     python_run = _measure_backend(table, kernels.BACKEND_PYTHON)

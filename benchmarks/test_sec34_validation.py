@@ -5,8 +5,8 @@ from conftest import emit
 from repro.experiments.characterization import sec34_validation
 
 
-def test_sec34_validation(benchmark, context):
-    result = benchmark(sec34_validation, context)
+def test_sec34_validation(context):
+    result = sec34_validation(context)
     emit("Section 3.4: validation against ground truth", result.render())
 
     # Cisco, Siemens, and Microsoft publish (parts of) their ranges.

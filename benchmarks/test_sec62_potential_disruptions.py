@@ -6,8 +6,8 @@ from repro.experiments.disruption_experiments import sec62_potential_disruptions
 from repro.routing.events import EventKind
 
 
-def test_sec62_potential_disruptions(benchmark, context):
-    result = benchmark(sec62_potential_disruptions, context)
+def test_sec62_potential_disruptions(context):
+    result = sec62_potential_disruptions(context)
     emit("Section 6.2: potential disruptions", result.render())
 
     # The study week contains many routing incidents (paper: 10 leaks, 40 possible

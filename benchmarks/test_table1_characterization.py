@@ -6,8 +6,8 @@ from repro.core.providers import STRATEGY_DI, STRATEGY_PR
 from repro.experiments.characterization import table1_characterization
 
 
-def test_table1_characterization(benchmark, context):
-    result = benchmark(table1_characterization, context)
+def test_table1_characterization(context):
+    result = table1_characterization(context)
     emit("Table 1: IoT backend characteristics", result.render())
 
     assert len(result.rows) == 16

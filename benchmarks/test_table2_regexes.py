@@ -6,8 +6,8 @@ from repro.core.providers import PROVIDERS
 from repro.experiments.characterization import table2_regexes
 
 
-def test_table2_regexes(benchmark, context):
-    result = benchmark(table2_regexes)
+def test_table2_regexes(context):
+    result = table2_regexes()
     emit("Table 2: domain patterns and external-service queries", result.render())
 
     providers = {row["provider"] for row in result.rows}

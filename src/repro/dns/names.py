@@ -138,10 +138,3 @@ def build_fqdn(
         parts.append(region)
     parts.append(scheme.second_level_domain)
     return ".".join(part.strip(".") for part in parts if part)
-
-
-def registrable_suffix(fqdn: str, scheme: DomainNamingScheme) -> bool:
-    """Return True when the FQDN belongs to the scheme's second-level domain."""
-    fqdn = fqdn.rstrip(".").lower()
-    suffix = scheme.second_level_domain.rstrip(".").lower()
-    return fqdn == suffix or fqdn.endswith("." + suffix)

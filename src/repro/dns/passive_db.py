@@ -192,7 +192,3 @@ class PassiveDnsDatabase:
     ) -> Set[str]:
         """Return the distinct owner names observed resolving to an address."""
         return {record.rrname for record in self.inverse_search(address, since, until)}
-
-    def names(self) -> List[str]:
-        """Return every distinct owner name present in the database."""
-        return sorted(self._by_name)

@@ -14,33 +14,33 @@ aggregation; the table stores the same data as parallel columns:
   packet counts, port, subscriber id, ip version, sampled flag) -- no numpy
   dependency.
 
-On top of the columns the table offers bulk filters (:meth:`where_day`,
-:meth:`exclude_subscribers`, :meth:`where_provider`, :meth:`where_ip_version`,
-:meth:`restrict_server_ips`), row masks (:meth:`mask_code`, :meth:`mask_day`,
-:meth:`mask_server_ips`, :meth:`mask_ip_version`) and grouped aggregations
-(:meth:`group_sums`, :meth:`group_distinct`, :meth:`group_distinct_count`)
-keyed by any column combination -- provider, hour, subscriber, port,
-continent pair.  The Section 5 analyses in :mod:`repro.core.traffic` run on
-these primitives instead of repeated linear passes over record lists.
+Rows go in one way: values interned with :meth:`encode_value` and appended
+column-wise with :meth:`append_columns` (or whole columns adopted by the
+store codec through :meth:`adopt_columns`).  Rows are filtered one way: a
+row mask (:meth:`mask_code`, :meth:`mask_day`, :meth:`mask_server_ips`, or a
+kernel mask over a numeric column) goes into :meth:`select_mask`, which
+:meth:`exclude_subscribers` also ends in, or straight into the ``mask=`` of a
+grouped aggregation (:meth:`group_sums`, :meth:`group_distinct`,
+:meth:`group_distinct_count`) keyed by any column combination -- provider,
+hour, subscriber, port, continent pair.  The Section 5 analyses in
+:mod:`repro.core.traffic` run on these primitives instead of repeated linear
+passes over record lists.
 
 Filters, masks and aggregations are all executed by the pluggable kernel
 layer in :mod:`repro.flows.kernels` (pure-python loops, optional numpy
-backend behind ``IOT_REPRO_KERNELS``).  Every filter ends in
-:meth:`select_mask`, one row-filter kernel call.  A row mask must have
-exactly one entry per row: :meth:`select_mask` and the grouped aggregations
-raise ``ValueError`` naming both lengths otherwise.  The grouping permutation
-is computed once per ``(table, key columns)`` pair -- :meth:`group_index` --
-and cached until any mutating primitive (:meth:`extend`, :meth:`append`,
-:meth:`append_columns`, :meth:`assign_numeric`) bumps the table's mutation
-counter, so analyses sharing a grouping share the index.  The numpy kernels
-use it for every aggregation; the python kernels only for unmasked ones, as a
-masked python call groups just the rows its mask keeps.
+backend behind ``IOT_REPRO_KERNELS``).  A row mask must have exactly one
+entry per row: :meth:`select_mask` and the grouped aggregations raise
+``ValueError`` naming both lengths otherwise.  The grouping permutation is
+computed once per ``(table, key columns)`` pair -- :meth:`group_index` -- and
+cached until a mutating primitive (:meth:`append_columns`,
+:meth:`assign_numeric`) bumps the table's mutation counter, so analyses
+sharing a grouping share the index.  The numpy kernels use it for every
+aggregation; the python kernels only for unmasked ones, as a masked python
+call groups just the rows its mask keeps.
 
-``FlowTable`` iterates and indexes like a sequence of ``FlowRecord`` row
-views (materialized on demand), and :meth:`from_records`/:meth:`to_records`
-convert losslessly in both directions for tests and small hand-built inputs.
-Filtered tables share the value pools of their parent, which keeps slicing
-cheap.
+:meth:`to_records` materializes every row as a ``FlowRecord`` for
+assertions.  Filtered tables share the value pools of their parent, which
+keeps filtering cheap.
 
 Columns are usually plain :mod:`array` objects, but a table loaded through the
 zero-copy store read path (:func:`repro.store.codec.load_table_mmap`) holds
@@ -59,7 +59,6 @@ from __future__ import annotations
 from array import array
 from datetime import date
 from itertools import compress
-from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -107,10 +106,6 @@ COLUMN_TYPECODES = ("i",) * len(CATEGORICAL_COLUMNS) + tuple(
 
 _NUMERIC_TYPECODES = dict(NUMERIC_COLUMNS)
 _NUMERIC_NAMES = tuple(_NUMERIC_TYPECODES)
-
-#: Every FlowRecord field in column order, and one C-level fetch of them all.
-_RECORD_FIELD_NAMES = CATEGORICAL_COLUMNS + _NUMERIC_NAMES
-_RECORD_FIELDS = attrgetter(*_RECORD_FIELD_NAMES)
 
 GroupKey = Union[object, Tuple[object, ...]]
 
@@ -199,13 +194,6 @@ class LazyColumn:
 ColumnStorage = Union[array, LazyColumn]
 
 
-def _seq(column: ColumnStorage) -> Sequence:
-    """The directly indexable storage of a column (decodes lazy columns)."""
-    if type(column) is LazyColumn:
-        return column.materialize()
-    return column
-
-
 class _Pool:
     """An append-only dictionary-encoded value pool shared between tables."""
 
@@ -259,17 +247,6 @@ class FlowTable:
                 self._numeric[name] = column.materialize()
 
     # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> "FlowTable":
-        """Build a table from flow records (one full pass)."""
-        table = cls()
-        table.extend(records)
-        return table
-
-    def append(self, record: FlowRecord) -> None:
-        """Append one record (intended for freshly built tables)."""
-        self.extend((record,))
 
     def encode_value(self, name: str, value: object) -> int:
         """Intern a value in a categorical column's pool and return its code.
@@ -370,26 +347,7 @@ class FlowTable:
         self._numeric[name] = column
         self._version += 1
 
-    def extend(self, records: Iterable[FlowRecord]) -> None:
-        """Append many records through one atomic :meth:`append_columns` call.
-
-        Each categorical value is interned in its column's pool in row order;
-        pools are per column, so the codes match a row-by-row encoding.  A
-        record that fails mid-batch leaves the rows unchanged (pools are
-        append-only, so values interned before the failure are harmless).
-        """
-        rows = list(map(_RECORD_FIELDS, records))
-        columns = list(zip(*rows)) or [()] * len(_RECORD_FIELD_NAMES)
-        values = dict(zip(_RECORD_FIELD_NAMES, columns))
-        codes = {
-            name: list(map(self._pools[name].encode, values[name]))
-            for name in CATEGORICAL_COLUMNS
-        }
-        numeric = {name: values[name] for name in _NUMERIC_NAMES}
-        numeric["sampled"] = [1 if flag else 0 for flag in values["sampled"]]
-        self.append_columns(len(rows), codes, numeric)
-
-    # -- sequence protocol -------------------------------------------------------
+    # -- rows --------------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._length
@@ -421,19 +379,6 @@ class FlowTable:
             sampled=bool(numeric["sampled"][index]),
         )
 
-    def __getitem__(
-        self, index: Union[int, slice]
-    ) -> Union[FlowRecord, "FlowTable"]:
-        """Sequence indexing: an int (negative allowed) materializes one record,
-        a slice returns a new :class:`FlowTable` sharing the value pools."""
-        if isinstance(index, slice):
-            return self.select(range(*index.indices(self._length)))
-        return self.record_at(index)
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        for index in range(self._length):
-            yield self.record_at(index)
-
     def to_records(self) -> List[FlowRecord]:
         """Materialize every row as a :class:`FlowRecord` (lossless)."""
         return [self.record_at(index) for index in range(self._length)]
@@ -461,15 +406,6 @@ class FlowTable:
         """The primitive column of a numeric column (array or lazy view)."""
         return self._numeric[name]
 
-    def column(self, name: str) -> List[object]:
-        """The fully decoded values of any column (one list per call)."""
-        if name in self._codes:
-            values = self._pools[name].values
-            return [values[code] for code in self._codes[name]]
-        if name == "sampled":
-            return [bool(flag) for flag in self._numeric[name]]
-        return list(self._numeric[name])
-
     def _key_column(self, name: str) -> Tuple[Sequence, Optional[List[object]]]:
         """Return (per-row key codes, decode pool or None) for a column."""
         if name in self._codes:
@@ -477,19 +413,6 @@ class FlowTable:
         return self._numeric[name], None
 
     # -- bulk filters ------------------------------------------------------------
-
-    def select(self, indices: Sequence[int]) -> "FlowTable":
-        """Return a new table with the given rows, sharing the value pools."""
-        table = FlowTable()
-        table._pools = self._pools
-        for name in CATEGORICAL_COLUMNS:
-            source = _seq(self._codes[name])
-            table._codes[name] = array("i", map(source.__getitem__, indices))
-        for name, typecode in NUMERIC_COLUMNS:
-            source = _seq(self._numeric[name])
-            table._numeric[name] = array(typecode, map(source.__getitem__, indices))
-        table._length = len(indices)
-        return table
 
     def select_mask(self, mask: Sequence[int]) -> "FlowTable":
         """Return a new table with the rows whose mask entry is truthy.
@@ -537,39 +460,6 @@ class FlowTable:
         """Row mask selecting flows whose server address is in the given set."""
         allowed = set(ips)
         return self.mask_code("server_ip", lambda ip: ip in allowed)
-
-    def mask_ip_version(self, ip_version: int) -> bytearray:
-        """Row mask selecting one address family."""
-        from repro.flows import kernels
-
-        return kernels.equal_mask(self._numeric["ip_version"], ip_version)
-
-    def where_code(self, name: str, predicate: Callable[[object], bool]) -> "FlowTable":
-        """Rows whose categorical column value satisfies a predicate.
-
-        The predicate runs once per *distinct* value, not once per row.
-        Prefer passing a mask (:meth:`mask_code`) straight to the grouped
-        aggregations when the filtered table is used only once -- that skips
-        the 15-column row copy entirely.
-        """
-        return self.select_mask(self.mask_code(name, predicate))
-
-    def where_day(self, day: date) -> "FlowTable":
-        """Rows whose timestamp falls on the given calendar day."""
-        return self.where_code("timestamp", lambda ts: ts.date() == day)
-
-    def where_provider(self, provider_key: str) -> "FlowTable":
-        """Rows of one provider."""
-        return self.where_code("provider_key", lambda key: key == provider_key)
-
-    def restrict_server_ips(self, ips: Iterable[str]) -> "FlowTable":
-        """Rows whose server address is in the given set."""
-        allowed = set(ips)
-        return self.where_code("server_ip", lambda ip: ip in allowed)
-
-    def where_ip_version(self, ip_version: int) -> "FlowTable":
-        """Rows of one address family."""
-        return self.select_mask(self.mask_ip_version(ip_version))
 
     def exclude_subscribers(self, subscriber_ids: Iterable[int]) -> "FlowTable":
         """Drop all rows of the given subscriber lines."""
@@ -641,10 +531,10 @@ class FlowTable:
         """The cached grouping permutation for a key-column combination.
 
         Built once per table revision and reused by every aggregation that
-        shares the grouping; any mutation (:meth:`extend`, :meth:`append`,
-        :meth:`append_columns`, :meth:`assign_numeric`) bumps :attr:`_version`,
-        so a stale index can never be returned.  Derived tables (:meth:`select`, slices) start
-        with an empty cache of their own.
+        shares the grouping; any mutation (:meth:`append_columns`,
+        :meth:`assign_numeric`) bumps :attr:`_version`, so a stale index can
+        never be returned.  Derived tables (:meth:`select_mask`) start with an
+        empty cache of their own.
         """
         from repro.flows import kernels
         from repro.obs import metrics as obs_metrics

@@ -27,11 +27,11 @@ interchangeable implementations:
   a column into an ``array`` on first touch instead.
 
 **Row kernels** follow the same contract: :func:`filter_rows` (behind
-``FlowTable.select_mask`` and every ``where_*`` filter, scanner exclusion and
-NetFlow export) and four mask builders -- :func:`expand_code_mask` (a
-per-pool-entry mask expanded over a code column, optionally AND-ed with a row
-mask), :func:`equal_mask`, :func:`not_in_mask` and :func:`nonzero_mask`.  The
-python :func:`expand_code_mask` runs in C-level byte operations: it translates
+``FlowTable.select_mask``, scanner exclusion and NetFlow export) and three
+mask builders -- :func:`expand_code_mask` (a per-pool-entry mask expanded
+over a code column, optionally AND-ed with a row mask), :func:`not_in_mask`
+and :func:`nonzero_mask`.  The python :func:`expand_code_mask` runs in
+C-level byte operations: it translates
 the low-byte plane of the codes through each 256-entry block of flags
 (``bytes.translate``), keeps each block's bytes where the codes' second byte
 names that block, and ANDs a row mask in as one integer ``&``.  It takes that
@@ -58,9 +58,9 @@ backends; only the reference kernels of the parity harness keep that sign.
 
 The :class:`GroupIndex` cache lives on the table (``FlowTable.group_index``)
 and is invalidated by a mutation counter bumped by every mutating primitive
-(``extend``/``append``/``append_columns``/``assign_numeric``); pool growth
-alone (``encode_value``, sibling tables sharing pools) does not change any row
-and deliberately does not invalidate.  The numpy kernels take the index for
+(``append_columns``/``assign_numeric``); pool growth alone (``encode_value``,
+sibling tables sharing pools) does not change any row and deliberately does
+not invalidate.  The numpy kernels take the index for
 masked and unmasked calls alike; each dispatcher fetches it inside its numpy
 branch, so the python backend asks for it only for unmasked calls.
 """
@@ -291,15 +291,6 @@ def expand_code_mask(
     # Every code is looked up, whatever its mask entry, so an out-of-pool
     # code raises here as it does on numpy.
     return bytearray(1 if code_mask[code] and keep else 0 for keep, code in zip(mask, codes))
-
-
-def equal_mask(column: Sequence, value: object) -> bytearray:
-    """Row mask of a numeric column equal to ``value``."""
-    if _use_numpy():
-        result = _numpy_kernels().equal_mask(column, value)
-        if result is not NotImplemented:
-            return result
-    return bytearray(1 if item == value else 0 for item in column)
 
 
 def not_in_mask(column: Sequence, values: Set[object]) -> bytearray:

@@ -48,7 +48,7 @@ while metrics are on:
   non-integer column where a mask compares against python ints.
 * ``mask_type`` -- a row mask (or per-code mask) that is not a flat
   bool/int/float sequence, whose truthiness ``!= 0`` could not reproduce.
-* ``value_type`` -- a comparison or membership value that is not an ``int``.
+* ``value_type`` -- a membership value that is not an ``int``.
 * ``port_weights`` / ``packet_range`` -- the generation column builder
   (:func:`build_flow_columns`) met a port table that is not finite and
   non-decreasing, or a packet count outside int64.
@@ -331,19 +331,6 @@ def expand_code_mask(codes: Sequence, code_mask, mask: Optional[Sequence[int]]):
     if selector is None:
         return _fallback("expand_code_mask", "mask_type")
     return _as_bytearray(selector & (rows != 0))
-
-
-def equal_mask(column: Sequence, value: object):
-    """Row mask of an integer column equal to an ``int``."""
-    view = _int_view(column)
-    if view is None:
-        return _fallback("equal_mask", "column_type")
-    if type(value) is not int:
-        return _fallback("equal_mask", "value_type")
-    bounds = np.iinfo(view.dtype)
-    if not bounds.min <= value <= bounds.max:
-        return bytearray(len(view))  # no stored value can equal it
-    return _as_bytearray(view == value)
 
 
 def not_in_mask(column: Sequence, values: Set[object]):

@@ -15,9 +15,8 @@ sampled packet count is zero in both directions are not exported — including
 at ``sampling_ratio == 1``, where a flow with no packets was never visible to
 the collector in the first place.
 
-:class:`FlowRecord` is the row view of a table (see
-:meth:`~repro.flows.flowtable.FlowTable.record_at`); :func:`make_flow` builds
-one from byte volumes.
+:class:`FlowRecord` is one row of a table as
+:meth:`~repro.flows.flowtable.FlowTable.to_records` materializes it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,10 @@ from repro.simulation.rng import RngRegistry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flowtable stores FlowRecords)
     from repro.flows.flowtable import FlowTable
 
-#: Approximate bytes per packet used to derive packet counts from byte volumes.
+#: Approximate bytes per packet used to derive packet counts from byte volumes:
+#: a direction with a positive volume carries ``ceil(bytes / 900)`` packets,
+#: at least one, and a direction with none carries zero.  The generator's two
+#: column builders and the scanner's probe constants apply this rule.
 DEFAULT_PACKET_SIZE = 900
 
 
@@ -64,47 +66,6 @@ class FlowRecord:
     packets_down: int
     packets_up: int
     sampled: bool = False
-
-    @property
-    def total_bytes(self) -> float:
-        """Total bytes in both directions."""
-        return self.bytes_down + self.bytes_up
-
-
-def make_flow(
-    timestamp: datetime,
-    subscriber_id: int,
-    subscriber_prefix: str,
-    ip_version: int,
-    provider_key: str,
-    server_ip: str,
-    server_continent: str,
-    server_region: str,
-    transport: str,
-    port: int,
-    bytes_down: float,
-    bytes_up: float,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-) -> FlowRecord:
-    """Build a flow record, deriving packet counts from byte volumes."""
-    packets_down = max(1, int(math.ceil(bytes_down / packet_size))) if bytes_down > 0 else 0
-    packets_up = max(1, int(math.ceil(bytes_up / packet_size))) if bytes_up > 0 else 0
-    return FlowRecord(
-        timestamp=timestamp,
-        subscriber_id=subscriber_id,
-        subscriber_prefix=subscriber_prefix,
-        ip_version=ip_version,
-        provider_key=provider_key,
-        server_ip=server_ip,
-        server_continent=server_continent,
-        server_region=server_region,
-        transport=transport,
-        port=port,
-        bytes_down=float(bytes_down),
-        bytes_up=float(bytes_up),
-        packets_down=packets_down,
-        packets_up=packets_up,
-    )
 
 
 class NetFlowCollector:

@@ -37,7 +37,7 @@ SCAN_PROBE_BYTES_DOWN = 320.0
 #: Ports a scanner sweeps (standard IoT and Web ports).
 SCAN_PORTS = (("tcp", 443), ("tcp", 8883), ("tcp", 1883), ("tcp", 5671))
 
-#: Packet counts of one probe, derived exactly as :func:`~repro.flows.netflow.make_flow` would.
+#: Packet counts of one probe, by the rule of :data:`~repro.flows.netflow.DEFAULT_PACKET_SIZE`.
 _SCAN_PACKETS_DOWN = max(1, int(math.ceil(SCAN_PROBE_BYTES_DOWN / DEFAULT_PACKET_SIZE)))
 _SCAN_PACKETS_UP = max(1, int(math.ceil(SCAN_PROBE_BYTES_UP / DEFAULT_PACKET_SIZE)))
 

@@ -64,18 +64,6 @@ class SubscriberPopulation:
         """Return the lines hosting a scanner."""
         return [line for line in self.lines if line.is_scanner]
 
-    def lines_for_provider(self, provider_key: str) -> List[SubscriberLine]:
-        """Return the lines with at least one device of the given provider."""
-        return [
-            line
-            for line in self.lines
-            if any(device.provider_key == provider_key for device in line.devices)
-        ]
-
-    def device_count(self) -> int:
-        """Total number of devices across all lines."""
-        return sum(len(line.devices) for line in self.lines)
-
     @classmethod
     def build(
         cls,

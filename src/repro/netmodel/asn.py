@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 
 class AsKind(enum.Enum):
@@ -40,11 +40,10 @@ class AutonomousSystem:
 
 
 class AsRegistry:
-    """Registry of autonomous systems keyed by AS number and by organisation."""
+    """Registry of autonomous systems keyed by AS number."""
 
     def __init__(self) -> None:
         self._by_asn: Dict[int, AutonomousSystem] = {}
-        self._by_org: Dict[str, List[AutonomousSystem]] = {}
         self._next_asn = 64500  # private-use 16-bit ASN range and above
 
     def register(self, autonomous_system: AutonomousSystem) -> AutonomousSystem:
@@ -55,7 +54,6 @@ class AsRegistry:
                 raise ValueError(f"conflicting registration for AS{autonomous_system.asn}")
             return existing
         self._by_asn[autonomous_system.asn] = autonomous_system
-        self._by_org.setdefault(autonomous_system.organization, []).append(autonomous_system)
         return autonomous_system
 
     def create(self, name: str, organization: str, kind: AsKind) -> AutonomousSystem:
@@ -69,26 +67,3 @@ class AsRegistry:
     def get(self, asn: int) -> Optional[AutonomousSystem]:
         """Return the AS registered under the AS number, or None."""
         return self._by_asn.get(asn)
-
-    def by_organization(self, organization: str) -> List[AutonomousSystem]:
-        """Return all ASes registered for an organisation."""
-        return list(self._by_org.get(organization, []))
-
-    def all(self) -> List[AutonomousSystem]:
-        """Return every registered AS, ordered by AS number."""
-        return [self._by_asn[asn] for asn in sorted(self._by_asn)]
-
-    def organizations(self) -> List[str]:
-        """Return every organisation name with at least one registered AS."""
-        return sorted(self._by_org)
-
-    def __len__(self) -> int:
-        return len(self._by_asn)
-
-    def __contains__(self, asn: object) -> bool:
-        return asn in self._by_asn
-
-
-def distinct_asns(systems: Iterable[AutonomousSystem]) -> int:
-    """Count the number of distinct AS numbers in a collection."""
-    return len({s.asn for s in systems})

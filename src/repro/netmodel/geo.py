@@ -109,7 +109,7 @@ def world_locations() -> List[Location]:
 
 
 class GeoDatabase:
-    """Maps prefixes (and thus IPs) to locations, with per-IP overrides.
+    """Maps prefixes (and thus IPs) to locations.
 
     This plays the role of the geolocation metadata returned by scan services and
     of the prefix-announcement-location heuristic.  A small, configurable fraction
@@ -119,7 +119,6 @@ class GeoDatabase:
 
     def __init__(self) -> None:
         self._prefix_locations: PrefixIndex[Location] = PrefixIndex()
-        self._ip_overrides: Dict[object, Location] = {}
         self._locations_by_region: Dict[str, Location] = {}
         self._locations_by_airport: Dict[str, Location] = {}
 
@@ -136,22 +135,12 @@ class GeoDatabase:
         self.register_location(location)
         self._prefix_locations[prefix] = location
 
-    def register_ip(self, ip: IPLike, location: Location) -> None:
-        """Associate a single IP with a location, overriding its prefix."""
-        self.register_location(location)
-        self._ip_overrides[parse_ip(ip)] = location
-
     def lookup_ip(self, ip: IPLike) -> Optional[Location]:
         """Return the location of an address, or None if unknown.
 
-        A per-IP override wins; otherwise the most specific registered prefix
-        covering the address decides.
+        The most specific registered prefix covering the address decides.
         """
-        addr = parse_ip(ip)
-        override = self._ip_overrides.get(addr)
-        if override is not None:
-            return override
-        return self._prefix_locations.lookup(addr)
+        return self._prefix_locations.lookup(parse_ip(ip))
 
     def lookup_region_code(self, region_code: str) -> Optional[Location]:
         """Return the location registered under a cloud-style region code."""

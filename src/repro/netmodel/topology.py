@@ -13,9 +13,9 @@ it only sees their reflections in DNS, certificates, scan snapshots, and flows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.netmodel.addressing import IPAddress, count_slash24, count_slash56, parse_ip
+from repro.netmodel.addressing import IPAddress, parse_ip
 from repro.netmodel.geo import Location
 
 if TYPE_CHECKING:  # pragma: no cover - import only needed for type checkers
@@ -95,14 +95,6 @@ class BackendServer:
                 return ep
         return None
 
-    def open_ports(self) -> List[Tuple[str, int]]:
-        """Return the list of (transport, port) pairs with listening services."""
-        return [ep.key for ep in self.endpoints]
-
-    def tls_endpoints(self) -> List[ServiceEndpoint]:
-        """Return the endpoints that are TLS-wrapped."""
-        return [ep for ep in self.endpoints if ep.tls is not None]
-
 
 @dataclass
 class ProviderDeployment:
@@ -111,19 +103,7 @@ class ProviderDeployment:
     provider: str
     servers: List[BackendServer] = field(default_factory=list)
 
-    def add_server(self, server: BackendServer) -> None:
-        """Add a server, enforcing that it belongs to this provider."""
-        if server.provider != self.provider:
-            raise ValueError(
-                f"server {server.ip} belongs to {server.provider}, not {self.provider}"
-            )
-        self.servers.append(server)
-
     # -- address views ------------------------------------------------------------
-
-    def ips(self) -> List[str]:
-        """Return every server address (IPv4 and IPv6)."""
-        return [server.ip for server in self.servers]
 
     def ipv4_servers(self) -> List[BackendServer]:
         """Return the IPv4 servers."""
@@ -133,24 +113,7 @@ class ProviderDeployment:
         """Return the IPv6 servers."""
         return [server for server in self.servers if server.is_ipv6]
 
-    def server_by_ip(self) -> Dict[str, BackendServer]:
-        """Return a lookup table keyed by address string."""
-        return {server.ip: server for server in self.servers}
-
     # -- aggregate characteristics (ground-truth versions of Table 1 columns) ------
-
-    def slash24_count(self) -> int:
-        """Ground-truth number of distinct IPv4 /24 blocks."""
-        return count_slash24(self.ips())
-
-    def slash56_count(self) -> int:
-        """Ground-truth number of distinct IPv6 /56 blocks."""
-        return count_slash56(self.ips())
-
-    def locations(self) -> List[Location]:
-        """Distinct deployment locations, ordered by region code."""
-        unique = {server.location.region_code: server.location for server in self.servers}
-        return [unique[code] for code in sorted(unique)]
 
     def countries(self) -> List[str]:
         """Distinct country codes of the deployment."""
@@ -167,26 +130,3 @@ class ProviderDeployment:
     def prefixes(self) -> List[str]:
         """Distinct announced prefixes of the deployment."""
         return sorted({server.prefix for server in self.servers})
-
-    def ports(self) -> List[Tuple[str, int]]:
-        """Distinct (transport, port) pairs offered across the deployment."""
-        pairs: Set[Tuple[str, int]] = set()
-        for server in self.servers:
-            pairs.update(server.open_ports())
-        return sorted(pairs)
-
-    def uses_anycast(self) -> bool:
-        """True when any server of the deployment is anycast."""
-        return any(server.anycast for server in self.servers)
-
-    def cloud_hosts(self) -> List[str]:
-        """Distinct cloud/CDN organisations hosting parts of the deployment."""
-        return sorted({s.cloud_host for s in self.servers if s.cloud_host is not None})
-
-    def servers_in_region(self, region_code: str) -> List[BackendServer]:
-        """Return the servers located in the given cloud region."""
-        return [s for s in self.servers if s.location.region_code == region_code]
-
-    def servers_in_continent(self, continent: str) -> List[BackendServer]:
-        """Return the servers located on the given continent."""
-        return [s for s in self.servers if s.location.continent == continent]

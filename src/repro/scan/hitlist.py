@@ -11,7 +11,7 @@ fraction of ground-truth IPv6 servers on the hitlist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Set
+from typing import Iterator, Set
 
 from repro.netmodel.addressing import IPLike, parse_ip
 
@@ -29,23 +29,6 @@ class IPv6Hitlist:
         if parsed.version != 6:
             raise ValueError(f"{address} is not an IPv6 address")
         self.addresses.add(str(parsed))
-
-    def extend(self, addresses: Iterable[str]) -> None:
-        """Add several addresses."""
-        for address in addresses:
-            self.add(address)
-
-    def merge(self, other: "IPv6Hitlist") -> "IPv6Hitlist":
-        """Return a new hitlist combining this list with another."""
-        merged = IPv6Hitlist(name=f"{self.name}+{other.name}")
-        merged.addresses = set(self.addresses) | set(other.addresses)
-        return merged
-
-    def __contains__(self, address: object) -> bool:
-        try:
-            return str(parse_ip(str(address))) in self.addresses
-        except ValueError:
-            return False
 
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self.addresses))

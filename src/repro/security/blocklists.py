@@ -79,10 +79,6 @@ class BlocklistAggregate:
             if include_unmaintained or blocklist.well_maintained
         ]
 
-    def total_entries(self, include_unmaintained: bool = False) -> int:
-        """Total number of (non-deduplicated) entries across lists."""
-        return sum(len(blocklist) for blocklist in self.lists(include_unmaintained))
-
     def check(self, ip: str, include_unmaintained: bool = False) -> List[BlocklistMatch]:
         """Return every list the address appears on."""
         normalized = str(parse_ip(ip))

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Dict
 
 
 def _derive_seed(base_seed: int, name: str) -> int:
@@ -61,18 +59,6 @@ class RngRegistry:
     def spawn(self, name: str) -> "RngRegistry":
         """Return a child registry whose streams are independent of this one."""
         return RngRegistry(_derive_seed(self._seed, f"registry:{name}"))
-
-    def choice(self, name: str, items: Sequence[T]) -> T:
-        """Convenience wrapper: choose one item using the named stream."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return self.stream(name).choice(list(items))
-
-    def shuffled(self, name: str, items: Iterable[T]) -> list[T]:
-        """Return a new list with the items shuffled using the named stream."""
-        result = list(items)
-        self.stream(name).shuffle(result)
-        return result
 
 
 def stable_hash(value: str, modulus: int = 2**32) -> int:

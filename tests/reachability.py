@@ -68,14 +68,8 @@ MICRO_BENCH = "used by a benchmarks/test_perf_* micro-benchmark"
 PAPER_CLAIM = "used by a paper-claim benchmark"
 #: ROADMAP item 4 decides whether the upstream DNSDB method wires it in.
 OPEN_ITEM_4 = "ROADMAP item 4 decides"
-#: Tests build or read tables and flows with it; moving it into tests/ is no reduction.
-TEST_BUILDER = "test builder"
 #: A test uses it to set up or observe live behaviour it checks.
 TEST_HELPER = "test helper for another check"
-#: Only its own unit test calls it.  Deleting it deletes that test too, and a
-#: change may delete only a few tests, so each waits for a later change
-#: (ROADMAP item 5).  This category only shrinks: nothing new goes under it.
-TEST_PINNED = "pinned by its own unit test only; deletion deferred"
 
 CATEGORIES = (
     LIVE,
@@ -85,9 +79,7 @@ CATEGORIES = (
     MICRO_BENCH,
     PAPER_CLAIM,
     OPEN_ITEM_4,
-    TEST_BUILDER,
     TEST_HELPER,
-    TEST_PINNED,
 )
 
 #: ``"<path under src/repro>::<qualified name>"`` -> keep category.
@@ -121,13 +113,7 @@ KEEP: Dict[str, str] = {
     "core/pipeline.py::DiscoveryPipeline.discover_passive_dns": BRANCH,
     "flows/flowtable.py::LazyColumn.tobytes": BRANCH,
     "flows/flowtable.py::LazyColumn.__getitem__": BRANCH,
-    "flows/flowtable.py::_seq": BRANCH,
-    "flows/flowtable.py::FlowTable.mask_ip_version": BRANCH,
     "flows/flowtable.py::FlowTable._group_codes.<locals>.decode_packed": BRANCH,
-    "flows/kernels.py::equal_mask": BRANCH,
-    "flows/kernels_np.py::equal_mask": BRANCH,
-    "netmodel/topology.py::BackendServer.open_ports": BRANCH,
-    "netmodel/topology.py::ProviderDeployment.ips": BRANCH,
     "obs/bench.py::visible_cpus": BRANCH,
     # RoutingTable.announce, when the caller passes no parsed network.
     "routing/bgp.py::Announcement.network": BRANCH,
@@ -195,21 +181,6 @@ KEEP: Dict[str, str] = {
     "dns/zone.py::ZoneSet.zones": OPEN_ITEM_4,
     "dns/zone.py::ZoneSet.lookup": OPEN_ITEM_4,
     "dns/zone.py::ZoneSet.all_names": OPEN_ITEM_4,
-    # Test builders: the FlowTable row API and the flow record.
-    "flows/flowtable.py::FlowTable.from_records": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.append": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.extend": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.__getitem__": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.__iter__": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.column": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.select": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.where_code": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.where_day": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.where_provider": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.restrict_server_ips": TEST_BUILDER,
-    "flows/flowtable.py::FlowTable.where_ip_version": TEST_BUILDER,
-    "flows/netflow.py::FlowRecord.total_bytes": TEST_BUILDER,
-    "flows/netflow.py::make_flow": TEST_BUILDER,
     # Test helpers: a test sets up or observes the live behaviour it checks.
     "core/discovery.py::HostClassificationCache.__len__": TEST_HELPER,
     "core/footprint.py::FootprintReport.multi_country": TEST_HELPER,
@@ -248,35 +219,6 @@ KEEP: Dict[str, str] = {
     "store/codec.py::dumps_pipeline_result": TEST_HELPER,
     "store/codec.py::loads_pipeline_result": TEST_HELPER,
     "sweeps/runner.py::SweepResult.write_ledger": TEST_HELPER,
-    # Pinned by its own unit test only.
-    "dns/names.py::registrable_suffix": TEST_PINNED,
-    "dns/passive_db.py::PassiveDnsDatabase.names": TEST_PINNED,
-    "flows/subscribers.py::SubscriberPopulation.lines_for_provider": TEST_PINNED,
-    "flows/subscribers.py::SubscriberPopulation.device_count": TEST_PINNED,
-    "netmodel/asn.py::AsRegistry.by_organization": TEST_PINNED,
-    "netmodel/asn.py::AsRegistry.all": TEST_PINNED,
-    "netmodel/asn.py::AsRegistry.organizations": TEST_PINNED,
-    "netmodel/asn.py::AsRegistry.__len__": TEST_PINNED,
-    "netmodel/asn.py::AsRegistry.__contains__": TEST_PINNED,
-    "netmodel/asn.py::distinct_asns": TEST_PINNED,
-    "netmodel/geo.py::GeoDatabase.register_ip": TEST_PINNED,
-    "netmodel/topology.py::BackendServer.tls_endpoints": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.add_server": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.server_by_ip": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.slash24_count": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.slash56_count": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.locations": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.ports": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.uses_anycast": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.cloud_hosts": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.servers_in_region": TEST_PINNED,
-    "netmodel/topology.py::ProviderDeployment.servers_in_continent": TEST_PINNED,
-    "scan/hitlist.py::IPv6Hitlist.extend": TEST_PINNED,
-    "scan/hitlist.py::IPv6Hitlist.merge": TEST_PINNED,
-    "scan/hitlist.py::IPv6Hitlist.__contains__": TEST_PINNED,
-    "security/blocklists.py::BlocklistAggregate.total_entries": TEST_PINNED,
-    "simulation/rng.py::RngRegistry.choice": TEST_PINNED,
-    "simulation/rng.py::RngRegistry.shuffled": TEST_PINNED,
 }
 
 

@@ -15,17 +15,18 @@ import pytest
 
 from repro.cli import main
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import make_flow
 from repro.simulation.clock import StudyPeriod
 from repro.simulation.config import ScenarioConfig
 from repro.store.artifacts import STORE_ENV_VAR, ArtifactStore
+
+from flowrows import from_records, make_flow
 
 CONFIG = ScenarioConfig.small(seed=5)
 PERIOD = StudyPeriod(date(2022, 3, 1), date(2022, 3, 2), name="cache-cli")
 
 
 def tiny_table() -> FlowTable:
-    return FlowTable.from_records(
+    return from_records(
         [
             make_flow(
                 timestamp=datetime(2022, 3, 1, hour),

@@ -13,12 +13,12 @@ from repro.core.disruption import (
     blocklist_exposure,
     outage_impact,
 )
-from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import make_flow
 from repro.routing.bgp import Announcement, RoutingTable
 from repro.routing.events import BgpEvent, BgpEventFeed, EventKind
 from repro.security.blocklists import Blocklist, BlocklistAggregate, CATEGORY_MALWARE
 from repro.simulation.clock import StudyPeriod
+
+from flowrows import from_records, make_flow
 
 
 def _flow(hour, day=7, region="us-east-1", continent="NA", down=1000.0, subscriber=1):
@@ -51,7 +51,7 @@ def test_outage_impact_detects_traffic_drop():
         flows.append(_flow(hour, day=7, region="eu-west-1", continent="EU", down=3000.0, subscriber=99))
     window = (datetime(2021, 12, 7, 16), datetime(2021, 12, 7, 19))
     baseline = (datetime(2021, 12, 3), datetime(2021, 12, 7))
-    report = outage_impact(FlowTable.from_records(flows), "amazon", window, baseline)
+    report = outage_impact(from_records(flows), "amazon", window, baseline)
     assert report.drop_vs_previous_week(GROUP_US_EAST) == pytest.approx(0.55, abs=0.01)
     assert report.drop_vs_previous_week(GROUP_EU) == pytest.approx(0.0)
     assert report.min_traffic_during_outage(GROUP_US_EAST) == pytest.approx(450.0)
@@ -60,7 +60,7 @@ def test_outage_impact_detects_traffic_drop():
 
 
 def test_outage_impact_ignores_other_providers():
-    flows = FlowTable.from_records([_flow(16)])
+    flows = from_records([_flow(16)])
     report = outage_impact(flows, "google", (datetime(2021, 12, 7, 16), datetime(2021, 12, 7, 19)))
     assert not report.traffic_series[GROUP_ALL]
 

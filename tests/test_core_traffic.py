@@ -25,8 +25,8 @@ from repro.core.traffic import (
 )
 from repro.core.discovery import DiscoveredIP, DiscoveryResult
 from repro.flows.anonymize import AnonymizationMap
-from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import make_flow
+
+from flowrows import from_records, make_flow
 
 DAY = date(2022, 2, 28)
 ANON = AnonymizationMap.build()
@@ -51,7 +51,7 @@ def _flow(subscriber, server_ip, provider="amazon", port=8883, down=5000.0, up=1
 
 
 def _table(*flows):
-    return FlowTable.from_records(flows)
+    return from_records(flows)
 
 
 def _result(entries):
@@ -88,18 +88,18 @@ class TestScannerExclusion:
         backend_ips = {f"10.0.0.{i}" for i in range(1, 101)}
         records = [_flow(1, "10.0.0.1"), _flow(1, "10.0.0.2")]
         records += [_flow(99, f"10.0.0.{i}", down=100.0) for i in range(1, 101)]
-        flows = FlowTable.from_records(records)
+        flows = from_records(records)
         exclusion = ScannerExclusion(flows, backend_ips)
         assert exclusion.scanner_lines(threshold=50) == {99}
         assert exclusion.scanner_lines(threshold=200) == set()
         clean = flows.exclude_subscribers(exclusion.scanner_lines(threshold=50))
         assert len(clean) == 2
-        assert all(f.subscriber_id != 99 for f in clean)
+        assert all(f.subscriber_id != 99 for f in clean.to_records())
         assert exclusion.server_coverage(threshold=50) == pytest.approx(2 / 100)
 
     def test_sweep_monotone_scanner_count(self):
         backend_ips = {f"10.0.0.{i}" for i in range(1, 51)}
-        flows = FlowTable.from_records(_flow(7, f"10.0.0.{i}") for i in range(1, 51))
+        flows = from_records(_flow(7, f"10.0.0.{i}") for i in range(1, 51))
         exclusion = ScannerExclusion(flows, backend_ips)
         points = exclusion.sweep([10, 20, 100])
         counts = [p.scanner_line_count for p in points]

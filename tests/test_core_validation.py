@@ -14,7 +14,8 @@ from repro.core.validation import (
 )
 from repro.dns.passive_db import PassiveDnsDatabase
 from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import make_flow
+
+from flowrows import from_records, make_flow
 
 
 def _result_with(ips):
@@ -82,7 +83,7 @@ def test_traffic_coverage_underestimation():
                 bytes_up=volume / 10,
             )
         )
-    report = traffic_coverage(result, "microsoft", FlowTable.from_records(flows))
+    report = traffic_coverage(result, "microsoft", from_records(flows))
     assert report.active_server_ips == 2
     assert report.missed_ips == 1
     assert 0.0 < report.underestimation_fraction < 0.05
@@ -121,7 +122,7 @@ def coverage_by_backend():
         )
         for ip, volume in (("10.0.0.1", 5.0),) + _MISSED_VOLUMES
     ]
-    table = FlowTable.from_records(flows)
+    table = from_records(flows)
     backends = [kernels.BACKEND_PYTHON] + ([kernels.BACKEND_NUMPY] if kernels.numpy_available() else [])
     values = {}
     for backend in backends:

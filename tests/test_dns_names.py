@@ -13,7 +13,6 @@ from repro.dns.names import (
     DomainNamingScheme,
     build_fqdn,
     region_label,
-    registrable_suffix,
 )
 
 
@@ -74,8 +73,3 @@ def test_region_label_styles():
     assert region_label(zone, "eu-central-1", "fra", zone_index=1) == "eu2"
     assert region_label(none, "eu-central-1", "fra") is None
 
-
-def test_registrable_suffix():
-    scheme = DomainNamingScheme("iot.sap", SUBDOMAIN_CUSTOMER, ("device-connectivity",))
-    assert registrable_suffix("tenant.device-connectivity.eu10.iot.sap", scheme)
-    assert not registrable_suffix("tenant.example.com", scheme)

@@ -67,11 +67,6 @@ def test_inverse_search_respects_time_range():
     assert db.domains_for_ip("10.0.0.2", since=date(2022, 2, 28)) == set()
 
 
-def test_names_listing():
-    db = _db_with_records()
-    assert "mqtt.googleapis.com" in db.names()
-
-
 @given(
     st.lists(
         st.tuples(

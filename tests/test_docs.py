@@ -164,7 +164,6 @@ def test_row_kernels_are_documented():
     for kernel in (
         kernels.filter_rows,
         kernels.expand_code_mask,
-        kernels.equal_mask,
         kernels.not_in_mask,
         kernels.nonzero_mask,
     ):

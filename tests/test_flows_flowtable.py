@@ -7,11 +7,13 @@ from datetime import date, datetime
 import pytest
 
 from repro.core import traffic
+from repro.flows import kernels
 from repro.flows.anonymize import AnonymizationMap
 from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
-from repro.flows.netflow import make_flow
 from repro.protocols.ports import port_label
 from repro.store.codec import dumps_table, loads_table
+
+from flowrows import append_records, columns_of, from_records, make_flow
 
 BASE_DAY = date(2022, 3, 1)
 ANON = AnonymizationMap.build()
@@ -55,7 +57,7 @@ def records():
 
 @pytest.fixture(scope="module")
 def table(records):
-    return FlowTable.from_records(records)
+    return from_records(records)
 
 
 class TestRoundTrip:
@@ -64,65 +66,40 @@ class TestRoundTrip:
         assert table.to_records() == records
 
     def test_sequence_protocol(self, records, table):
-        assert table[0] == records[0]
-        assert table[-1] == records[-1]
-        assert list(table)[:10] == records[:10]
+        assert table.record_at(0) == records[0]
+        assert table.record_at(-1) == records[-1]
+        assert [table.record_at(index) for index in range(10)] == records[:10]
         with pytest.raises(IndexError):
             table.record_at(len(records))
 
     def test_sampled_flag_round_trips(self):
         flow = generate_records(1)[0]
         sampled = replace(flow, sampled=True)
-        rebuilt = FlowTable.from_records([sampled]).to_records()[0]
+        rebuilt = from_records([sampled]).to_records()[0]
         assert rebuilt.sampled is True
         assert rebuilt == sampled
 
     def test_column_decoding(self, records, table):
-        assert table.column("provider_key") == [r.provider_key for r in records]
-        assert table.column("bytes_down") == [r.bytes_down for r in records]
-        assert table.column("sampled") == [r.sampled for r in records]
+        pool = table.pool("provider_key")
+        assert [pool[code] for code in table.codes("provider_key")] == [
+            r.provider_key for r in records
+        ]
+        assert list(table.numeric("bytes_down")) == [r.bytes_down for r in records]
+        assert list(table.numeric("sampled")) == [int(r.sampled) for r in records]
 
 
 class TestBuilderApi:
-    def _columns_for(self, built, flows):
-        codes = {
-            name: [built.encode_value(name, getattr(flow, name)) for flow in flows]
-            for name in (
-                "timestamp",
-                "subscriber_prefix",
-                "provider_key",
-                "server_ip",
-                "server_continent",
-                "server_region",
-                "transport",
-            )
-        }
-        numeric = {
-            name: [getattr(flow, name) for flow in flows]
-            for name in (
-                "subscriber_id",
-                "ip_version",
-                "port",
-                "bytes_down",
-                "bytes_up",
-                "packets_down",
-                "packets_up",
-            )
-        }
-        numeric["sampled"] = [1 if flow.sampled else 0 for flow in flows]
-        return codes, numeric
-
     def test_append_columns_matches_from_records(self, records):
         built = FlowTable()
-        codes, numeric = self._columns_for(built, records)
+        codes, numeric = columns_of(built, records)
         built.append_columns(len(records), codes, numeric)
         assert built.to_records() == records
 
     def test_append_columns_is_atomic_on_length_mismatch(self, records):
         built = FlowTable()
-        codes, numeric = self._columns_for(built, records[:4])
+        codes, numeric = columns_of(built, records[:4])
         built.append_columns(4, codes, numeric)
-        bad_codes, bad_numeric = self._columns_for(built, records[4:8])
+        bad_codes, bad_numeric = columns_of(built, records[4:8])
         bad_numeric["bytes_up"] = bad_numeric["bytes_up"][:-1]  # short column
         with pytest.raises(ValueError):
             built.append_columns(4, bad_codes, bad_numeric)
@@ -130,42 +107,46 @@ class TestBuilderApi:
         assert len(built) == 4
         assert built.to_records() == records[:4]
 
-    def test_extend_is_atomic_when_a_record_fails_mid_batch(self, records):
-        """A bad record leaves no partial rows behind in any column."""
+    def test_append_columns_is_atomic_when_a_value_fails_mid_batch(self, records):
+        """A bad value leaves no partial rows behind in any column."""
         amazon, google, siemens = (
             replace(records[0], provider_key=key, port=port)
             for key, port in (("amazon", 443), ("google", 443), ("siemens", 80))
         )
-        built = FlowTable.from_records([amazon])
+        built = from_records([amazon])
         with pytest.raises(TypeError):
-            built.extend([google, replace(records[1], port="bad")])
+            append_records(built, [google, replace(records[1], port="bad")])
         assert built.to_records() == [amazon]
         for name in CATEGORICAL_COLUMNS:
             assert len(built.codes(name)) == len(built), name
         for name, _typecode in NUMERIC_COLUMNS:
             assert len(built.numeric(name)) == len(built), name
         assert loads_table(dumps_table(built)).to_records() == [amazon]
-        built.extend([siemens])
+        append_records(built, [siemens])
         assert built.to_records() == [amazon, siemens]
 
     def test_assign_numeric_validates_length(self, records):
-        built = FlowTable.from_records(records[:6])
+        built = from_records(records[:6])
         built.assign_numeric("bytes_down", [1.0] * 6)
-        assert built.column("bytes_down") == [1.0] * 6
+        assert list(built.numeric("bytes_down")) == [1.0] * 6
         with pytest.raises(ValueError):
             built.assign_numeric("bytes_down", [1.0] * 5)
 
 
 class TestFilters:
+    """Each filter in the form the analyses use: a row mask into ``select_mask``."""
+
     def test_where_day(self, records, table):
         expected = [r for r in records if r.timestamp.date() == BASE_DAY]
-        assert table.where_day(BASE_DAY).to_records() == expected
+        assert table.select_mask(table.mask_day(BASE_DAY)).to_records() == expected
 
     def test_where_provider_and_ip_version(self, records, table):
         expected = [r for r in records if r.provider_key == "amazon"]
-        assert table.where_provider("amazon").to_records() == expected
+        amazon = table.mask_code("provider_key", lambda key: key == "amazon")
+        assert table.select_mask(amazon).to_records() == expected
         expected6 = [r for r in records if r.ip_version == 6]
-        assert table.where_ip_version(6).to_records() == expected6
+        v6 = kernels.not_in_mask(table.numeric("ip_version"), {4})
+        assert table.select_mask(v6).to_records() == expected6
 
     def test_exclude_subscribers(self, records, table):
         excluded = {1, 2, 3}
@@ -176,12 +157,12 @@ class TestFilters:
     def test_restrict_server_ips(self, records, table):
         allowed = {records[0].server_ip, records[1].server_ip}
         expected = [r for r in records if r.server_ip in allowed]
-        assert table.restrict_server_ips(allowed).to_records() == expected
+        assert table.select_mask(table.mask_server_ips(allowed)).to_records() == expected
 
     def test_masks_match_filters(self, records, table):
         day_mask = table.mask_day(BASE_DAY)
         assert list(day_mask) == [1 if r.timestamp.date() == BASE_DAY else 0 for r in records]
-        v6_mask = table.mask_ip_version(6)
+        v6_mask = kernels.not_in_mask(table.numeric("ip_version"), {4})
         assert list(v6_mask) == [1 if r.ip_version == 6 else 0 for r in records]
         allowed = {records[0].server_ip}
         ip_mask = table.mask_server_ips(allowed)
@@ -200,7 +181,7 @@ class TestFilters:
             assert grouped[key] == pytest.approx(value)
 
     def test_masked_group_distinct(self, records, table):
-        mask = table.mask_ip_version(4)
+        mask = kernels.not_in_mask(table.numeric("ip_version"), {6})
         naive = {}
         for r in records:
             if r.ip_version != 4:
@@ -214,7 +195,9 @@ class TestFilters:
             for r in records
             if r.timestamp.date() == BASE_DAY and r.provider_key == "google"
         ]
-        assert table.where_day(BASE_DAY).where_provider("google").to_records() == expected
+        day = table.select_mask(table.mask_day(BASE_DAY))
+        google = day.mask_code("provider_key", lambda key: key == "google")
+        assert day.select_mask(google).to_records() == expected
 
 
 class TestGroupedAggregation:
@@ -293,7 +276,7 @@ class TestTrafficAnalysisParity:
         for r in records:
             per_port = volume.setdefault(ANON.label(r.provider_key), {})
             label = port_label(r.transport, r.port)
-            per_port[label] = per_port.get(label, 0.0) + r.total_bytes
+            per_port[label] = per_port.get(label, 0.0) + r.bytes_down + r.bytes_up
         expected = {
             label: {port: bytes_ / sum(per_port.values()) for port, bytes_ in per_port.items()}
             for label, per_port in volume.items()
@@ -311,7 +294,7 @@ class TestTrafficAnalysisParity:
         for r in records:
             continents.setdefault(r.subscriber_id, set()).add(r.server_continent)
             traffic_by_continent[r.server_continent] = (
-                traffic_by_continent.get(r.server_continent, 0.0) + r.total_bytes
+                traffic_by_continent.get(r.server_continent, 0.0) + r.bytes_down + r.bytes_up
             )
         categories = [traffic._categorize_continents(c) for c in continents.values()]
         total_bytes = sum(traffic_by_continent.values())
@@ -349,37 +332,37 @@ class TestTrafficAnalysisParity:
         assert up_dist.values == sorted(volume * 2 for volume in up.values())
 
 
+def _window(table, lo, hi):
+    """The rows ``lo:hi`` of ``table``, selected by a row mask."""
+    return table.select_mask(bytearray(lo <= index < hi for index in range(len(table))))
+
+
 class TestSequenceIndexing:
     def test_negative_index_matches_python_list_semantics(self, records, table):
-        assert table[-1] == records[-1]
-        assert table[-len(records)] == records[0]
+        assert table.record_at(-1) == records[-1]
+        assert table.record_at(-len(records)) == records[0]
 
     def test_negative_index_out_of_range_raises(self, table):
         with pytest.raises(IndexError):
-            table[-(len(table) + 1)]
+            table.record_at(-(len(table) + 1))
         with pytest.raises(IndexError):
-            table[len(table)]
+            table.record_at(len(table))
 
     def test_slice_returns_flowtable(self, records, table):
-        window = table[10:60]
+        window = _window(table, 10, 60)
         assert isinstance(window, FlowTable)
         assert window.to_records() == records[10:60]
-        # Slices share the parent's value pools (cheap, like the filters).
+        # A selection shares the parent's value pools.
         assert window.pool("provider_key") is table.pool("provider_key")
 
-    def test_slice_with_step_and_negative_bounds(self, records, table):
-        assert table[::7].to_records() == records[::7]
-        assert table[-25:-5].to_records() == records[-25:-5]
-        assert table[50:10:-3].to_records() == records[50:10:-3]
-
     def test_empty_and_degenerate_slices(self, records, table):
-        assert table[5:5].to_records() == []
-        assert table[1000:2000].to_records() == records[1000:2000]
-        assert len(table[:]) == len(records)
+        assert _window(table, 5, 5).to_records() == []
+        assert _window(table, 1000, 2000).to_records() == records[1000:2000]
+        assert len(_window(table, 0, len(table))) == len(records)
 
     def test_sliced_table_is_fully_functional(self, records, table):
-        window = table[:100]
-        expected = FlowTable.from_records(records[:100])
+        window = _window(table, 0, 100)
+        expected = from_records(records[:100])
         assert window.group_sum(("provider_key",), "bytes_down") == expected.group_sum(
             ("provider_key",), "bytes_down"
         )

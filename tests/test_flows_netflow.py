@@ -1,14 +1,16 @@
 """Tests for flow records and NetFlow sampling."""
 
 import math
-from datetime import datetime
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import FlowRecord, NetFlowCollector, _binomial_many, make_flow
+from repro.flows.netflow import FlowRecord, NetFlowCollector, _binomial_many
+from repro.simulation.clock import StudyPeriod
 from repro.simulation.rng import RngRegistry
+
+from flowrows import from_records, make_flow, packets
 
 
 def _binomial(stream, n: int, p: float) -> int:
@@ -44,18 +46,31 @@ def _flow(bytes_down=9000.0, bytes_up=1800.0) -> FlowRecord:
     )
 
 
-def test_make_flow_derives_packets():
+def test_make_flow_derives_packets(small_world):
+    """The test factory derives packet counts by the generator's rule.
+
+    Every row of a generated day, scanner probes included, carries the
+    packet counts that rule gives for its volumes.
+    """
     flow = _flow()
-    assert flow.packets_down >= 1
-    assert flow.packets_up >= 1
-    assert flow.total_bytes == pytest.approx(10800.0)
+    assert (flow.packets_down, flow.packets_up) == (10, 2)
     zero = _flow(bytes_down=0.0, bytes_up=0.0)
     assert zero.packets_down == 0 and zero.packets_up == 0
+    period = StudyPeriod(date(2022, 2, 28), date(2022, 3, 1), name="one-day")
+    table = small_world.workload_generator().generate_period_table(period)
+    scanners = {line.line_id for line in small_world.population.scanner_lines()}
+    records = table.to_records()
+    assert any(record.subscriber_id in scanners for record in records)
+    for record in records:
+        assert (record.packets_down, record.packets_up) == (
+            packets(record.bytes_down),
+            packets(record.bytes_up),
+        )
 
 
 def _export(collector, flows, rng):
     """Export a record list through the table path, back as records."""
-    return collector.export_table(FlowTable.from_records(flows), rng).to_records()
+    return collector.export_table(from_records(flows), rng).to_records()
 
 
 def test_collector_without_sampling_keeps_everything():

@@ -34,6 +34,8 @@ from repro.simulation.rng import RngRegistry, stable_hash
 from repro.simulation.world import build_world
 from repro.store.codec import dumps_table
 
+from flowrows import packets
+
 _NUMERIC_NAMES = tuple(name for name, _typecode in NUMERIC_COLUMNS)
 
 ONE_DAY = StudyPeriod(date(2022, 2, 28), date(2022, 3, 1), name="one-day")
@@ -54,7 +56,7 @@ def test_flows_reference_known_servers_and_subscribers(small_world):
     assert len(table)
     servers = small_world.servers_by_ip()
     line_ids = {line.line_id for line in small_world.population.lines}
-    for flow in table[:500]:
+    for flow in table.to_records()[:500]:
         assert flow.server_ip in servers
         assert flow.subscriber_id in line_ids
         assert flow.bytes_down >= 0 and flow.bytes_up >= 0
@@ -64,7 +66,7 @@ def test_flows_reference_known_servers_and_subscribers(small_world):
 def test_devices_only_contact_their_provider(small_world):
     table = _day_without_scanners(small_world)
     servers = small_world.servers_by_ip()
-    for flow in table[:500]:
+    for flow in table.to_records()[:500]:
         assert servers[flow.server_ip].provider == flow.provider_key
 
 
@@ -77,7 +79,8 @@ def test_flows_only_use_dedicated_servers(small_world):
 def test_prime_time_activity_higher_in_evening(small_world):
     period = StudyPeriod(date(2022, 3, 2), date(2022, 3, 3), name="one-day")
     table = _generator(small_world).generate_period_table(period, include_scanners=False)
-    amazon_per_hour = Counter(flow.timestamp.hour for flow in table.where_provider("amazon"))
+    amazon = table.select_mask(table.mask_code("provider_key", lambda key: key == "amazon"))
+    amazon_per_hour = Counter(flow.timestamp.hour for flow in amazon.to_records())
     assert amazon_per_hour[20] > amazon_per_hour[3]
 
 
@@ -125,10 +128,6 @@ def test_flows_use_a_port_of_their_providers_device_model(small_world):
     assert keys
     for provider_key, transport, port in keys:
         assert (transport, port) in allowed[provider_key]
-
-
-def _packets(volume):
-    return max(1, int(math.ceil(volume / DEFAULT_PACKET_SIZE))) if volume > 0 else 0
 
 
 def _stdlib_hour_oracle(generator, table, when, hits):
@@ -182,8 +181,8 @@ def _stdlib_hour_oracle(generator, table, when, hits):
                 port,
                 bytes_down,
                 bytes_up,
-                _packets(bytes_down),
-                _packets(bytes_up),
+                packets(bytes_down),
+                packets(bytes_up),
                 0,
             )
         )

@@ -1,12 +1,12 @@
 """Property/fuzz tests for FlowTable composition against a record-level model.
 
 A table built in pieces must be *exactly* equivalent — rows, pools, codes,
-serialized bytes — to converting the whole record list at once with
-:meth:`FlowTable.from_records`.  These tests pin that contract with
-randomized corpora: every composition operator (``extend``,
-``append_columns``, slicing, ``select_mask``) is checked against the
-plain-list reference model, and byte equality under the store codec is
-asserted wherever pool order matters.
+serialized bytes — to converting the whole record list at once with the
+shared column-wise builder (``flowrows.from_records``).  These tests pin that
+contract with randomized corpora: every mutating primitive
+(``append_columns``, ``assign_numeric``) and ``select_mask`` is checked
+against the plain-list reference model, and byte equality under the store
+codec is asserted wherever pool order matters.
 
 No hypothesis dependency: the fuzzing is seeded ``random`` loops, so failures
 reproduce deterministically from the printed seed.
@@ -14,13 +14,15 @@ reproduce deterministically from the printed seed.
 
 import io
 import random
+from dataclasses import replace
 from datetime import datetime
 
 import pytest
 
-from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
-from repro.flows.netflow import make_flow
+from repro.flows.flowtable import FlowTable
 from repro.store.codec import dump_table
+
+from flowrows import append_records, from_records, make_flow
 
 SEEDS = range(8)
 
@@ -69,36 +71,25 @@ def random_chunks(rng: random.Random, records):
     return [records[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def append_via_columns(table: FlowTable, records) -> None:
-    """Append records column-wise through ``encode_value``/``append_columns``."""
-    codes = {
-        name: [table.encode_value(name, getattr(r, name)) for r in records]
-        for name in CATEGORICAL_COLUMNS
-    }
-    numeric = {name: [getattr(r, name) for r in records] for name, _typecode in NUMERIC_COLUMNS}
-    numeric["sampled"] = [1 if r.sampled else 0 for r in records]
-    table.append_columns(len(records), codes, numeric)
-
-
 def mutate(table: FlowTable, model: list, rng: random.Random) -> FlowTable:
     """Apply one random composition step to ``table`` and ``model`` alike.
 
     Returns the table to continue on (a ``select_mask`` step replaces it).
     """
     op = rng.randrange(4)
-    if op == 0:  # append a fresh random chunk via extend
+    if op == 0:  # append a fresh random chunk
         chunk = random_records(rng, rng.randrange(0, 60))
-        table.extend(chunk)
+        append_records(table, chunk)
         model.extend(chunk)
-    elif op == 1:  # append a fresh random chunk via append_columns
-        chunk = random_records(rng, rng.randrange(0, 60))
-        append_via_columns(table, chunk)
-        model.extend(chunk)
-    elif op == 2 and model:  # re-append a slice of ourselves
+    elif op == 1 and model:  # re-append a run of our own rows
         lo = rng.randrange(0, len(model))
         hi = rng.randrange(lo, len(model) + 1)
-        table.extend(table[lo:hi])
+        append_records(table, table.to_records()[lo:hi])
         model.extend(model[lo:hi])
+    elif op == 2:  # move rows between groups: new subscriber ids
+        ids = [rng.randrange(200) for _ in model]
+        table.assign_numeric("subscriber_id", ids)
+        model[:] = [replace(record, subscriber_id=id_) for record, id_ in zip(model, ids)]
     else:  # keep a random subset, continue on the selection
         mask = bytearray(1 if rng.random() < 0.7 else 0 for _ in model)
         table = table.select_mask(mask)
@@ -107,7 +98,7 @@ def mutate(table: FlowTable, model: list, rng: random.Random) -> FlowTable:
 
 
 class TestConcat:
-    """Tables assembled chunk by chunk through ``extend``."""
+    """Tables assembled chunk by chunk through the column-wise append."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_concat_equals_from_records_byte_for_byte(self, seed):
@@ -116,23 +107,24 @@ class TestConcat:
         records = random_records(rng, rng.randrange(50, 300))
         merged = FlowTable()
         for chunk in random_chunks(rng, records):
-            merged.extend(FlowTable.from_records(chunk).to_records())
-        reference = FlowTable.from_records(records)
+            append_records(merged, from_records(chunk).to_records())
+        reference = from_records(records)
         assert merged.to_records() == records
         assert table_bytes(merged) == table_bytes(reference), f"seed={seed}"
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_shared_pool_sources_slices_stay_equivalent(self, seed):
-        """Slices share their parent's (larger, differently ordered) pools;
-        extending from one must still reproduce the record path exactly."""
+        """Selections share their parent's (larger, differently ordered) pools;
+        appending the rows of one must still reproduce the record path exactly."""
         rng = random.Random(seed)
         records = random_records(rng, 200)
-        parent = FlowTable.from_records(records)
+        parent = from_records(records)
         lo = rng.randrange(0, 100)
         hi = rng.randrange(lo, 200)
+        window = parent.select_mask(bytearray(lo <= index < hi for index in range(200)))
         target = FlowTable()
-        target.extend(parent[lo:hi])
-        assert table_bytes(target) == table_bytes(FlowTable.from_records(records[lo:hi]))
+        append_records(target, window.to_records())
+        assert table_bytes(target) == table_bytes(from_records(records[lo:hi]))
 
 
 class TestStatefulFuzz:
@@ -154,7 +146,7 @@ class TestStatefulFuzz:
 
         This drives the GroupIndex cache exactly the way the analyses do --
         aggregate, mutate, aggregate again -- and asserts every result equals
-        a recompute on a cache-free ``FlowTable.from_records`` clone, so a
+        a recompute on a cache-free ``from_records`` clone, so a
         stale cached grouping can never survive a mutation.  Seeds alternate
         kernel backends so both the fused-python and (when importable) numpy
         paths face the same sequences.
@@ -176,7 +168,7 @@ class TestStatefulFuzz:
             )
 
             def check_aggregations():
-                fresh = FlowTable.from_records(model)
+                fresh = from_records(model)
                 by = groupings[rng.randrange(len(groupings))]
                 mask = None
                 if model and rng.random() < 0.5:
@@ -199,13 +191,14 @@ class TestStatefulFuzz:
     def test_select_mask_and_slice_round_trips(self, seed):
         rng = random.Random(2000 + seed)
         records = random_records(rng, rng.randrange(1, 150))
-        table = FlowTable.from_records(records)
+        table = from_records(records)
         mask = [1 if rng.random() < 0.5 else 0 for _ in records]
         selected = table.select_mask(mask)
         assert selected.to_records() == [r for r, keep in zip(records, mask) if keep]
-        lo = rng.randrange(-len(records), len(records))
-        step = rng.choice((1, 2, 3, -1, -2))
-        assert table[lo::step].to_records() == records[lo::step]
+        lo = rng.randrange(0, len(records))
+        hi = rng.randrange(lo, len(records) + 1)
+        window = bytearray(lo <= index < hi for index in range(len(records)))
+        assert table.select_mask(window).to_records() == records[lo:hi]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_concat_then_dump_load_round_trip(self, seed):
@@ -215,8 +208,8 @@ class TestStatefulFuzz:
         records = random_records(rng, rng.randrange(1, 200))
         merged = FlowTable()
         for chunk in random_chunks(rng, records):
-            merged.extend(chunk)
-        assert table_bytes(merged) == table_bytes(FlowTable.from_records(records))
+            append_records(merged, chunk)
+        assert table_bytes(merged) == table_bytes(from_records(records))
         reloaded = load_table(io.BytesIO(table_bytes(merged)))
         assert reloaded.to_records() == records
         assert table_bytes(reloaded) == table_bytes(merged)

@@ -49,10 +49,12 @@ from repro.flows.flowtable import (
     GroupKey,
     LazyColumn,
 )
-from repro.flows.netflow import NetFlowCollector, make_flow
+from repro.flows.netflow import NetFlowCollector
 from repro.obs import metrics as obs_metrics
 from repro.simulation.rng import RngRegistry
 from repro.store.codec import dump_table, load_table_mmap
+
+from flowrows import append_records, from_records, make_flow
 
 SEEDS = range(6)
 
@@ -292,13 +294,18 @@ def _overflow_rows(table: FlowTable, rng: random.Random, count: int) -> None:
     table.append_columns(count, codes=codes, numeric=numeric)
 
 
+def _every(rows: int, step: int, start: int = 0) -> bytearray:
+    """Row mask keeping rows ``start``, ``start + step``, ... of ``rows``."""
+    return bytearray(index >= start and (index - start) % step == 0 for index in range(rows))
+
+
 def _adversarial_tables(seed: int):
     """(label, table) pairs covering the adversarial shapes of the contract."""
     rng = random.Random(seed)
-    base = FlowTable.from_records(
+    base = from_records(
         _random_flow(rng, hours=6, subscribers=20) for _ in range(rng.randrange(80, 200))
     )
-    single_rows = FlowTable.from_records(
+    single_rows = from_records(
         # Row-unique subscriber ids: every (subscriber_id,) group is one row.
         make_flow(
             timestamp=datetime(2022, 3, 1, hour % 24),
@@ -316,7 +323,7 @@ def _adversarial_tables(seed: int):
         )
         for index, hour in enumerate(rng.sample(range(240), 40))
     )
-    one_group = FlowTable.from_records(
+    one_group = from_records(
         make_flow(
             timestamp=datetime(2022, 3, 1),
             subscriber_id=rng.randrange(3),
@@ -335,15 +342,15 @@ def _adversarial_tables(seed: int):
     )
     # Pool-shared slice: shares the base pools, so some pool entries have no
     # rows at all in the slice (empty groups relative to the pool).
-    sliced = base.select(range(0, len(base), 3))
+    sliced = base.select_mask(_every(len(base), 3))
     # Merged pools: another table's (partly overlapping) values interned on
     # top of the base pools; also covers append-after-build invalidation.
-    merged = base.select(range(len(base)))
-    other = FlowTable.from_records(
+    merged = base.select_mask(_every(len(base), 1))
+    other = from_records(
         _random_flow(rng, hours=10, subscribers=8) for _ in range(60)
     )
-    merged.extend(other.to_records())
-    overflow = base.select(range(0, len(base), 2))
+    append_records(merged, other.to_records())
+    overflow = base.select_mask(_every(len(base), 2))
     _overflow_rows(overflow, rng, 12)
     return [
         ("base", base),
@@ -536,18 +543,18 @@ def _builder_cases():
 
     # Ports 80..61616: radix 61537 <= limit, relabeled in multi-column keys;
     # line ids -60..59 (negative keys): radix 120, relabeled too.
-    ports = FlowTable.from_records(flows(300, (443, 8883, 1883, 5683, 61616, 80), 60, 30))
+    ports = from_records(flows(300, (443, 8883, 1883, 5683, 61616, 80), 60, 30))
     # Ports -1..2**31-1: wider than limit, never relabeled.
-    wide = FlowTable.from_records(flows(200, (443, -1, 2**31 - 1), 20, 30))
-    one_row = FlowTable.from_records(flows(1, (443,), 5, 5))
+    wide = from_records(flows(200, (443, -1, 2**31 - 1), 20, 30))
+    one_row = from_records(flows(1, (443,), 5, 5))
     # A filtered table sharing pools far larger than 2 x its 12 rows: a
     # 600-entry provider pool (below limit) and a server pool above 2**16.
-    padded = FlowTable.from_records(flows(240, (443, 8883), 60, 500))
+    padded = from_records(flows(240, (443, 8883), 60, 500))
     for value in range(600):
         padded.encode_value("provider_key", f"provider-{value}")
     for value in range(2**16 + 100):
         padded.encode_value("server_ip", f"pad-{value}")
-    filtered = padded.select(range(3, 240, 20))
+    filtered = padded.select_mask(_every(len(padded), 20, start=3))
     assert len(filtered.pool("server_ip")) > max(2 * len(filtered), 2**16)
     return [
         ("ports", ports, ("provider_key", "port"), {"relabel"}),
@@ -685,7 +692,7 @@ def test_group_index_fallbacks_are_counted_by_reason():
     from repro.flows.kernels_np import GROUP_INDEX_FALLBACK_COUNTER as prefix
 
     table = _adversarial_tables(0)[0][1]
-    wide = table.select(range(len(table)))
+    wide = table.select_mask(_every(len(table), 1))
     for name in CATEGORICAL_COLUMNS:
         # Seven pools of 600+ entries: their mixed-radix span exceeds 2**63.
         for value in range(600):
@@ -755,7 +762,7 @@ def test_float_totals_fold_left_to_right():
     From Python 3.12 on, ``sum()`` compensates and gives 1.0, so a total
     built on it would differ by interpreter and from numpy's ``cumsum``.
     """
-    table = FlowTable.from_records(_flow("amazon", 0.1, hour) for hour in range(10))
+    table = from_records(_flow("amazon", 0.1, hour) for hour in range(10))
     for backend in _backends():
         kernels.set_backend(backend)
         assert table.total("bytes_down") == 0.9999999999999999, backend
@@ -767,7 +774,7 @@ def test_float_totals_fold_left_to_right():
 @pytest.mark.parametrize("masked", (False, True))
 def test_leading_negative_zero_sums_to_positive_zero_on_every_backend(masked):
     """A group whose first contribution is -0.0 sums to +0.0, masked or not."""
-    table = FlowTable.from_records(
+    table = from_records(
         [_flow("amazon", -0.0), _flow("google", -0.0), _flow("bosch", 5.0), _flow("google", 2.5)]
     )
     mask = bytearray([1, 1, 0, 1]) if masked else None
@@ -810,12 +817,6 @@ def test_group_index_caching_changes_no_output_and_no_digest(seed):
 
 
 def _mutators():
-    def via_extend(table, rng):
-        table.extend([_random_flow(rng, hours=4, subscribers=6)])
-
-    def via_append(table, rng):
-        table.append(_random_flow(rng, hours=4, subscribers=6))
-
     def via_append_columns(table, rng):
         _overflow_rows(table, rng, 3)
 
@@ -823,8 +824,6 @@ def _mutators():
         table.assign_numeric("bytes_down", [1.0] * len(table))
 
     return [
-        ("extend", via_extend),
-        ("append", via_append),
         ("append_columns", via_append_columns),
         ("assign_numeric", via_assign_numeric),
     ]
@@ -842,7 +841,7 @@ def test_group_index_invalidation_bug_trap(mutator_name, mutate):
     for backend in _backends():
         kernels.set_backend(backend)
         rng = random.Random(17)
-        table = FlowTable.from_records(
+        table = from_records(
             _random_flow(rng, hours=5, subscribers=10) for _ in range(50)
         )
         stale = table.group_index(by)
@@ -851,7 +850,7 @@ def test_group_index_invalidation_bug_trap(mutator_name, mutate):
         rebuilt = table.group_index(by)
         assert rebuilt is not stale, f"{mutator_name}: stale index reused"
         assert rebuilt.version == table._version
-        fresh = FlowTable.from_records(table.to_records())
+        fresh = from_records(table.to_records())
         _assert_bit_identical(
             f"{mutator_name}/{backend}",
             fresh.group_sums(by, ("bytes_down", "bytes_up")),
@@ -865,7 +864,7 @@ def test_group_index_invalidation_bug_trap(mutator_name, mutate):
 def test_pool_growth_does_not_invalidate_the_cache():
     """encode_value touches no rows, so the cached index stays valid."""
     rng = random.Random(23)
-    table = FlowTable.from_records(
+    table = from_records(
         _random_flow(rng, hours=5, subscribers=10) for _ in range(40)
     )
     by = ("provider_key",)
@@ -1006,9 +1005,14 @@ def _row_mask_outputs(table: FlowTable):
         {10**6, -(10**6), 2**70},  # unknown ids, one beyond int64
         {line for line in lines if line < 0} | {-1, -2},  # negative ids
     ]
-    outputs = [table.mask_ip_version(version) for version in (4, 6, 5, 300)]
+    versions = table.numeric("ip_version")
+    outputs = [kernels.not_in_mask(versions, {version}) for version in (4, 6, 5, 300)]
     outputs += [_digest(table.exclude_subscribers(excluded)) for excluded in exclusions]
-    outputs += [_digest(table.where_ip_version(6)), _digest(table.where_provider("google"))]
+    google = table.mask_code("provider_key", lambda key: key == "google")
+    outputs += [
+        _digest(table.select_mask(kernels.not_in_mask(versions, {4}))),
+        _digest(table.select_mask(google)),
+    ]
     for output in outputs:
         assert isinstance(output, (str, bytearray))
     return outputs
@@ -1175,24 +1179,23 @@ def test_numpy_filters_read_lazy_columns_off_the_map(tmp_path):
     source = _adversarial_tables(3)[0][1]
     table = _lazy_copy(source, tmp_path / "lazy.tbl")
     mask = bytearray(random.Random(3).randrange(2) for _ in range(len(table)))
-    filtered = [
-        table.select_mask(mask),
-        table.where_day(datetime(2022, 3, 1).date()),
-        table.where_ip_version(4),
-        table.restrict_server_ips({"10.0.0.3"}),
-        table.exclude_subscribers({-3, 0, 5}),
-        NetFlowCollector(1).export_table(table, RngRegistry(3)),
-    ]
+
+    def filters(table):
+        return [
+            table.select_mask(mask),
+            table.select_mask(table.mask_day(datetime(2022, 3, 1).date())),
+            table.select_mask(kernels.not_in_mask(table.numeric("ip_version"), {6})),
+            table.select_mask(table.mask_server_ips({"10.0.0.3"})),
+            table.exclude_subscribers({-3, 0, 5}),
+            NetFlowCollector(1).export_table(table, RngRegistry(3)),
+        ]
+
+    filtered = filters(table)
     for column in _lazy_columns(table):
         assert isinstance(column, LazyColumn) and column._array is None
     kernels.set_backend(kernels.BACKEND_PYTHON)
     assert [_digest(result) for result in filtered] == [
-        _digest(source.select_mask(mask)),
-        _digest(source.where_day(datetime(2022, 3, 1).date())),
-        _digest(source.where_ip_version(4)),
-        _digest(source.restrict_server_ips({"10.0.0.3"})),
-        _digest(source.exclude_subscribers({-3, 0, 5})),
-        _digest(NetFlowCollector(1).export_table(source, RngRegistry(3))),
+        _digest(result) for result in filters(source)
     ]
 
 
@@ -1201,7 +1204,8 @@ def test_numpy_filters_read_lazy_columns_off_the_map(tmp_path):
 def test_wrong_length_masks_raise(backend, entries):
     """A row mask must have one entry per row; compress() would cut the table."""
     kernels.set_backend(backend)
-    table = _adversarial_tables(0)[0][1][:10]
+    base = _adversarial_tables(0)[0][1]
+    table = base.select_mask(bytearray(index < 10 for index in range(len(base))))
     mask = bytearray([1]) * entries
     message = f"row mask has {entries} entries for 10 rows"
     with pytest.raises(ValueError, match=message):
@@ -1233,8 +1237,6 @@ def test_kernel_fallbacks_are_counted_by_reason():
         (lambda: base.group_distinct(("provider_key",), "bytes_down"),
          "group_distinct.float_member"),
         (lambda: base.distinct("bytes_down"), "distinct.float_member"),
-        (lambda: kernels.equal_mask(base.numeric("ip_version"), 4.0), "equal_mask.value_type"),
-        (lambda: kernels.equal_mask(base.numeric("bytes_down"), 0), "equal_mask.column_type"),
         (lambda: kernels.not_in_mask(base.numeric("subscriber_id"), {1.0, 2}),
          "not_in_mask.value_type"),
         (lambda: _digest(base.select_mask(["x" if i % 3 else "" for i in range(len(base))])),
@@ -1255,7 +1257,7 @@ def test_kernel_fallbacks_are_counted_by_reason():
         lambda: (
             base.group_sums(("provider_key", "port"), ("packets_down",)),
             base.exclude_subscribers({1, 2}),
-            base.mask_ip_version(6),
+            kernels.not_in_mask(base.numeric("ip_version"), {4}),
         ),
         "kernels.",
     )
@@ -1292,13 +1294,13 @@ if "--block-numpy" in sys.argv:
     sys.modules["numpy"] = None
 
 from datetime import datetime, timedelta
+import math
 import random
 
 from repro.core.disruption import GROUP_ALL, GROUP_EU, GROUP_US_EAST, outage_impact
 from repro.core.traffic import ScannerExclusion
 from repro.flows import kernels
-from repro.flows.flowtable import FlowTable
-from repro.flows.netflow import make_flow
+from repro.flows.flowtable import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS, FlowTable
 
 expected = "python" if "--block-numpy" in sys.argv else kernels.active_backend()
 if "--block-numpy" in sys.argv:
@@ -1306,24 +1308,28 @@ if "--block-numpy" in sys.argv:
 assert kernels.active_backend() == expected
 
 rng = random.Random(4)
-records = [
-    make_flow(
-        timestamp=datetime(2021, 12, 5) + timedelta(hours=rng.randrange(72)),
-        subscriber_id=rng.randrange(40),
-        subscriber_prefix="p0",
-        ip_version=4,
-        provider_key=rng.choice(("amazon", "google")),
-        server_ip="10.0.0.%d" % rng.randrange(1, 30),
-        server_continent=rng.choice(("EU", "NA")),
-        server_region=rng.choice(("us-east-1", "eu-west-1")),
-        transport="tcp",
-        port=8883,
-        bytes_down=rng.uniform(10, 1e6),
-        bytes_up=rng.uniform(1, 1e4),
-    )
-    for _ in range(400)
-]
-table = FlowTable.from_records(records)
+table = FlowTable()
+codes = {name: [] for name in CATEGORICAL_COLUMNS}
+numeric = {name: [] for name, _typecode in NUMERIC_COLUMNS}
+for _ in range(400):
+    row = {
+        "timestamp": datetime(2021, 12, 5) + timedelta(hours=rng.randrange(72)),
+        "subscriber_id": rng.randrange(40),
+        "provider_key": rng.choice(("amazon", "google")),
+        "server_ip": "10.0.0.%d" % rng.randrange(1, 30),
+        "server_continent": rng.choice(("EU", "NA")),
+        "server_region": rng.choice(("us-east-1", "eu-west-1")),
+        "bytes_down": rng.uniform(10, 1e6),
+        "bytes_up": rng.uniform(1, 1e4),
+    }
+    row.update(subscriber_prefix="p0", ip_version=4, transport="tcp", port=8883, sampled=0)
+    row["packets_down"] = math.ceil(row["bytes_down"] / 900)
+    row["packets_up"] = math.ceil(row["bytes_up"] / 900)
+    for name, values in codes.items():
+        values.append(table.encode_value(name, row[name]))
+    for name, values in numeric.items():
+        values.append(row[name])
+table.append_columns(400, codes, numeric)
 exclusion = ScannerExclusion(table, {"10.0.0.%d" % n for n in range(1, 30)})
 report = outage_impact(
     table,

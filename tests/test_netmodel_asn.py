@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netmodel.asn import AsKind, AsRegistry, AutonomousSystem, distinct_asns
+from repro.netmodel.asn import AsKind, AsRegistry, AutonomousSystem
 
 
 def test_create_assigns_unique_asns():
@@ -10,15 +10,15 @@ def test_create_assigns_unique_asns():
     first = registry.create("AS One", "Org A", AsKind.IOT_BACKEND)
     second = registry.create("AS Two", "Org A", AsKind.IOT_BACKEND)
     assert first.asn != second.asn
-    assert len(registry) == 2
+    assert registry.get(first.asn) == first and registry.get(second.asn) == second
 
 
 def test_lookup_by_asn_and_org():
     registry = AsRegistry()
     created = registry.create("Cloud AS", "Big Cloud", AsKind.CLOUD)
     assert registry.get(created.asn) == created
-    assert registry.by_organization("Big Cloud") == [created]
-    assert created.asn in registry
+    assert registry.get(created.asn).organization == "Big Cloud"
+    assert registry.get(created.asn + 1) is None
 
 
 def test_conflicting_registration_rejected():
@@ -32,8 +32,8 @@ def test_duplicate_identical_registration_is_noop():
     registry = AsRegistry()
     system = AutonomousSystem(65001, "a", "org", AsKind.OTHER)
     registry.register(system)
-    registry.register(system)
-    assert len(registry) == 1
+    assert registry.register(AutonomousSystem(65001, "a", "org", AsKind.OTHER)) is system
+    assert registry.get(65001) is system
 
 
 def test_is_cloud_or_cdn():
@@ -41,19 +41,3 @@ def test_is_cloud_or_cdn():
     assert AutonomousSystem(2, "b", "o", AsKind.CDN).is_cloud_or_cdn()
     assert not AutonomousSystem(3, "c", "o", AsKind.IOT_BACKEND).is_cloud_or_cdn()
 
-
-def test_all_sorted_and_organizations():
-    registry = AsRegistry()
-    registry.register(AutonomousSystem(65010, "x", "org-b", AsKind.ISP))
-    registry.register(AutonomousSystem(65001, "y", "org-a", AsKind.ISP))
-    assert [s.asn for s in registry.all()] == [65001, 65010]
-    assert registry.organizations() == ["org-a", "org-b"]
-
-
-def test_distinct_asns():
-    systems = [
-        AutonomousSystem(1, "a", "o", AsKind.OTHER),
-        AutonomousSystem(1, "a", "o", AsKind.OTHER),
-        AutonomousSystem(2, "b", "o", AsKind.OTHER),
-    ]
-    assert distinct_asns(systems) == 2

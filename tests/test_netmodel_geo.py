@@ -42,14 +42,6 @@ def test_geo_database_most_specific_prefix_wins():
     assert db.lookup_ip("10.2.0.1") == locations[0]
 
 
-def test_geo_database_ip_override():
-    db = GeoDatabase()
-    locations = world_locations()
-    db.register_prefix("10.0.0.0/8", locations[0])
-    db.register_ip("10.0.0.99", locations[2])
-    assert db.lookup_ip("10.0.0.99") == locations[2]
-
-
 def test_region_and_airport_lookup():
     db = GeoDatabase()
     for location in world_locations():

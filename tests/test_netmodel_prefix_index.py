@@ -215,34 +215,26 @@ def test_prefix_index_edge_lengths_and_misses():
 def recorded_world():
     """The small world, built while recording every geolocation registration."""
     prefixes: List[Tuple[object, Location]] = []
-    overrides: List[Tuple[object, Location]] = []
     original_prefix = GeoDatabase.register_prefix
-    original_ip = GeoDatabase.register_ip
 
     def register_prefix(self, prefix, location):
         prefixes.append((prefix, location))
         original_prefix(self, prefix, location)
 
-    def register_ip(self, ip, location):
-        overrides.append((ip, location))
-        original_ip(self, ip, location)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GeoDatabase, "register_prefix", register_prefix)
-        patch.setattr(GeoDatabase, "register_ip", register_ip)
         world = build_world(ScenarioConfig.small(7))
-    return world, prefixes, overrides
+    return world, prefixes
 
 
 def test_every_server_of_the_small_world_matches_the_linear_scans(recorded_world):
-    world, prefixes, overrides = recorded_world
+    world, prefixes = recorded_world
     geo_oracle = {parse_network(prefix): location for prefix, location in prefixes}
-    override_oracle = {parse_ip(ip): location for ip, location in overrides}
     routing_oracle = [(a.network(), a) for a in world.routing_table.announcements()]
     servers = world.all_servers()
     assert len(servers) > 100 and any(server.is_ipv6 for server in servers)
     for server in servers:
-        expected = override_oracle.get(parse_ip(server.ip)) or oracle_geo_lookup(geo_oracle, server.ip)
+        expected = oracle_geo_lookup(geo_oracle, server.ip)
         assert expected is not None
         assert world.geo_database.lookup_ip(server.ip) is expected
         announcement = oracle_routing_lookup(routing_oracle, server.ip)

@@ -1,7 +1,5 @@
 """Tests for backend servers and provider deployments."""
 
-import pytest
-
 from repro.netmodel.geo import world_locations
 from repro.netmodel.topology import BackendServer, ProviderDeployment, ServiceEndpoint
 
@@ -35,47 +33,24 @@ def test_endpoint_lookup_and_open_ports():
     server = make_server("10.0.0.1")
     assert server.endpoint("tcp", 8883).protocol == "MQTTS"
     assert server.endpoint("udp", 5683) is None
-    assert ("tcp", 443) in server.open_ports()
-    assert server.tls_endpoints() == []
-
-
-def test_deployment_rejects_foreign_server():
-    deployment = ProviderDeployment(provider="acme")
-    with pytest.raises(ValueError):
-        deployment.add_server(make_server("10.0.0.1", provider="other"))
+    assert server.endpoint("tcp", 443).key == ("tcp", 443)
 
 
 def test_deployment_aggregates():
-    deployment = ProviderDeployment(provider="acme")
-    deployment.add_server(make_server("10.0.0.1", location_index=0))
-    deployment.add_server(make_server("10.0.0.2", location_index=0))
-    deployment.add_server(make_server("10.0.1.1", location_index=10))
-    deployment.add_server(make_server("fd00::1", location_index=10))
+    deployment = ProviderDeployment(
+        provider="acme",
+        servers=[
+            make_server("10.0.0.1", location_index=0),
+            make_server("10.0.0.2", location_index=0),
+            make_server("10.0.1.1", location_index=10),
+            make_server("fd00::1", location_index=10),
+        ],
+    )
     assert len(deployment.ipv4_servers()) == 3
     assert len(deployment.ipv6_servers()) == 1
-    assert deployment.slash24_count() == 2
-    assert deployment.slash56_count() == 1
-    assert len(deployment.locations()) == 2
     assert len(deployment.countries()) == 2
+    assert deployment.continents() == sorted(
+        {server.location.continent for server in deployment.servers}
+    )
     assert deployment.asns() == [65001]
     assert deployment.prefixes() == ["10.0.0.0/24"]
-    assert ("tcp", 8883) in deployment.ports()
-    assert not deployment.uses_anycast()
-    assert deployment.cloud_hosts() == []
-
-
-def test_deployment_region_and_continent_views():
-    deployment = ProviderDeployment(provider="acme")
-    eu = make_server("10.0.0.1", location_index=0)
-    na = make_server("10.0.1.1", location_index=10)
-    deployment.add_server(eu)
-    deployment.add_server(na)
-    assert deployment.servers_in_continent(eu.location.continent) == [eu]
-    assert deployment.servers_in_region(na.location.region_code) == [na]
-
-
-def test_server_by_ip_lookup():
-    deployment = ProviderDeployment(provider="acme")
-    server = make_server("10.0.0.1")
-    deployment.add_server(server)
-    assert deployment.server_by_ip()["10.0.0.1"] is server

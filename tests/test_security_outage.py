@@ -31,15 +31,14 @@ class TestBlocklists:
         assert aggregate.check("10.9.9.9") == []
         many = aggregate.check_many(["10.0.0.1", "10.0.0.2", "10.0.0.3"])
         assert set(many) == {"10.0.0.1", "10.0.0.2"}
-        assert aggregate.total_entries() == 3
 
     def test_unmaintained_lists_excluded_by_default(self):
         stale = Blocklist("stale", CATEGORY_ATTACKS, {"10.0.0.9"}, well_maintained=False)
         aggregate = BlocklistAggregate([stale])
         assert aggregate.check("10.0.0.9") == []
         assert aggregate.check("10.0.0.9", include_unmaintained=True)
-        assert aggregate.total_entries() == 0
-        assert aggregate.total_entries(include_unmaintained=True) == 1
+        assert aggregate.lists() == []
+        assert aggregate.lists(include_unmaintained=True) == [stale]
 
 
 class TestOutage:

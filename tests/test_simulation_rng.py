@@ -44,24 +44,6 @@ def test_spawn_creates_independent_registry():
     assert child.stream("x").random() != registry.stream("x").random()
 
 
-def test_choice_and_shuffled():
-    registry = RngRegistry(seed=5)
-    items = list(range(10))
-    assert registry.choice("pick", items) in items
-    shuffled = registry.shuffled("mix", items)
-    assert sorted(shuffled) == items
-
-
-def test_choice_empty_raises():
-    registry = RngRegistry(seed=5)
-    try:
-        registry.choice("pick", [])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected ValueError")
-
-
 def test_stable_hash_is_deterministic_and_bounded():
     assert stable_hash("foo") == stable_hash("foo")
     assert stable_hash("foo") != stable_hash("bar")

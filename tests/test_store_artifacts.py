@@ -29,6 +29,7 @@ from repro.store.artifacts import (
 )
 from repro.store.codec import dumps_pipeline_result
 
+from flowrows import from_records
 from test_store_codec import random_records
 
 PERIOD = StudyPeriod(date(2022, 3, 1), date(2022, 3, 3), name="store-test")
@@ -47,7 +48,7 @@ def store(tmp_path):
 
 @pytest.fixture
 def table():
-    return FlowTable.from_records(random_records(random.Random(1), 120))
+    return from_records(random_records(random.Random(1), 120))
 
 
 class TestFingerprint:

@@ -14,7 +14,6 @@ from repro.flows.flowtable import (
     FlowTable,
     LazyColumn,
 )
-from repro.flows.netflow import make_flow
 from repro.obs import metrics as obs_metrics
 from repro.store.codec import (
     CODEC_VERSION,
@@ -27,6 +26,8 @@ from repro.store.codec import (
     load_table_mmap,
     loads_table,
 )
+
+from flowrows import from_records, make_flow
 
 
 def random_records(rng, count):
@@ -73,7 +74,7 @@ class TestRoundTrip:
 
     def test_stream_and_bytes_apis_agree(self):
         rng = random.Random(5)
-        table = FlowTable.from_records(random_records(rng, 50))
+        table = from_records(random_records(rng, 50))
         buffer = io.BytesIO()
         dump_table(table, buffer)
         assert buffer.getvalue() == dumps_table(table)
@@ -82,14 +83,14 @@ class TestRoundTrip:
     def test_filtered_table_with_shared_pools(self):
         """A filtered table's pool holds values its codes never reference."""
         rng = random.Random(7)
-        table = FlowTable.from_records(random_records(rng, 300))
-        filtered = table.where_ip_version(4)
+        table = from_records(random_records(rng, 300))
+        filtered = table.select_mask(table.mask_code("server_ip", lambda ip: ":" not in ip))
         restored = loads_table(dumps_table(filtered))
         assert restored.to_records() == filtered.to_records()
 
     def test_float_bit_patterns_survive(self):
         rng = random.Random(9)
-        table = FlowTable.from_records(random_records(rng, 100))
+        table = from_records(random_records(rng, 100))
         restored = loads_table(dumps_table(table))
         assert list(restored.numeric("bytes_down")) == list(table.numeric("bytes_down"))
         assert list(restored.numeric("bytes_up")) == list(table.numeric("bytes_up"))
@@ -99,7 +100,7 @@ class TestRoundTrip:
         """Random tables -> serialize -> deserialize -> exact record equality."""
         rng = random.Random(1000 + seed)
         records = random_records(rng, rng.randrange(1, 400))
-        table = FlowTable.from_records(records)
+        table = from_records(records)
         restored = loads_table(dumps_table(table))
         assert restored.to_records() == records
         # The restored table is a first-class FlowTable: filters/groups still work.
@@ -109,7 +110,7 @@ class TestRoundTrip:
 
     def test_fuzz_reserialization_is_stable(self):
         rng = random.Random(77)
-        table = FlowTable.from_records(random_records(rng, 200))
+        table = from_records(random_records(rng, 200))
         blob = dumps_table(table)
         assert dumps_table(loads_table(blob)) == blob
 
@@ -121,7 +122,7 @@ class TestCorruption:
 
     def test_truncated_stream_rejected(self):
         rng = random.Random(3)
-        blob = dumps_table(FlowTable.from_records(random_records(rng, 60)))
+        blob = dumps_table(from_records(random_records(rng, 60)))
         for cut in (5, len(blob) // 2, len(blob) - 3):
             with pytest.raises(StoreFormatError):
                 loads_table(blob[:cut])
@@ -139,7 +140,7 @@ class TestCorruption:
     def test_garbage_tail_is_ignored(self):
         """Loading consumes exactly one table; trailing bytes are left alone."""
         rng = random.Random(4)
-        table = FlowTable.from_records(random_records(rng, 30))
+        table = from_records(random_records(rng, 30))
         stream = io.BytesIO(dumps_table(table) + b"trailing")
         restored = load_table(stream)
         assert restored.to_records() == table.to_records()
@@ -166,7 +167,7 @@ def test_duplicate_pool_values_rejected():
         )
         for transport in ("tcp", "udp")
     ]
-    blob = dumps_table(FlowTable.from_records(records))
+    blob = dumps_table(from_records(records))
     corrupted = blob.replace(b"udp", b"tcp")
     assert corrupted != blob
     with pytest.raises(StoreFormatError, match="duplicate"):
@@ -227,7 +228,7 @@ def _lazy_outcome(blob):
 class TestLazyRoundTrip:
     def test_lazy_load_is_lossless_and_redumps_byte_identically(self):
         rng = random.Random(19)
-        table = FlowTable.from_records(random_records(rng, 150))
+        table = from_records(random_records(rng, 150))
         blob = dumps_table(table)
         lazy = load_table_lazy(blob)
         for name in CATEGORICAL_COLUMNS:
@@ -240,7 +241,7 @@ class TestLazyRoundTrip:
 
     def test_mmap_load_round_trips(self, tmp_path):
         rng = random.Random(20)
-        table = FlowTable.from_records(random_records(rng, 90))
+        table = from_records(random_records(rng, 90))
         blob = dumps_table(table)
         path = tmp_path / "table.rft"
         path.write_bytes(blob)
@@ -256,7 +257,7 @@ class TestLazyRoundTrip:
 
     def test_lazy_columns_alias_the_source_buffer(self):
         """No column bytes are copied at load time (the zero-copy contract)."""
-        blob = dumps_table(FlowTable.from_records(random_records(random.Random(22), 40)))
+        blob = dumps_table(from_records(random_records(random.Random(22), 40)))
         lazy = load_table_lazy(blob)
         for name in CATEGORICAL_COLUMNS:
             assert lazy.codes(name).buffer.obj is blob
@@ -264,7 +265,7 @@ class TestLazyRoundTrip:
             assert lazy.numeric(name).buffer.obj is blob
 
     def test_garbage_tail_is_ignored_like_eager(self):
-        table = FlowTable.from_records(random_records(random.Random(23), 25))
+        table = from_records(random_records(random.Random(23), 25))
         blob = dumps_table(table)
         lazy = load_table_lazy(blob + b"trailing-junk")
         assert lazy.to_records() == table.to_records()
@@ -276,7 +277,7 @@ class TestLazyRoundTrip:
         """
         from repro.store import codec as codec_module
 
-        table = FlowTable.from_records(random_records(random.Random(24), 60))
+        table = from_records(random_records(random.Random(24), 60))
         swapped = loads_table(dumps_table(table))
         for name in CATEGORICAL_COLUMNS:
             swapped._codes[name].byteswap()
@@ -304,7 +305,7 @@ class TestLazyRoundTrip:
         ``'I'`` is one bit flip away from ``'i'``; the eager decoder used to
         raise ``TypeError`` from ``array.extend`` on any such block.
         """
-        table = FlowTable.from_records(random_records(random.Random(25), 40))
+        table = from_records(random_records(random.Random(25), 40))
         other = loads_table(dumps_table(table))
         other._codes["transport"] = array(typecode, other._codes["transport"])
         blob = dumps_table(other)
@@ -319,7 +320,7 @@ class TestLazyRoundTrip:
         assert counted == {}
 
     def test_float_code_block_is_rejected_on_both_paths(self):
-        table = FlowTable.from_records(random_records(random.Random(26), 10))
+        table = from_records(random_records(random.Random(26), 10))
         other = loads_table(dumps_table(table))
         other._codes["transport"] = array("d", other._codes["transport"])
         blob = dumps_table(other)
@@ -333,7 +334,7 @@ class TestLazyCorruptionParity:
 
     @pytest.fixture(scope="class")
     def blob(self):
-        return dumps_table(FlowTable.from_records(random_records(random.Random(37), 8)))
+        return dumps_table(from_records(random_records(random.Random(37), 8)))
 
     def test_truncation_at_every_offset(self, blob, tmp_path):
         for cut in range(len(blob)):
@@ -445,7 +446,7 @@ class TestLazyCorruptionParity:
             )
             for transport in ("tcp", "udp")
         ]
-        blob = dumps_table(FlowTable.from_records(records))
+        blob = dumps_table(from_records(records))
         corrupted = blob.replace(b"udp", b"tcp")
         with pytest.raises(StoreFormatError, match="duplicate"):
             load_table_lazy(corrupted)
@@ -524,7 +525,7 @@ class TestDiscoveryCodec:
         # The flow-table pool stores datetimes too; ArtifactStore.get_table
         # only treats StoreFormatError as a miss, so corruption there must
         # not escape as ValueError either.
-        blob = dumps_table(FlowTable.from_records(random_records(random.Random(12), 20)))
+        blob = dumps_table(from_records(random_records(random.Random(12), 20)))
         corrupted = blob.replace(b"2022-03", b"2022X03", 1)
         assert corrupted != blob
         with pytest.raises(StoreFormatError, match="corrupt datetime"):

@@ -21,7 +21,6 @@ from repro.flows import kernels
 from repro.flows.flowtable import (
     CATEGORICAL_COLUMNS,
     NUMERIC_COLUMNS,
-    FlowTable,
     LazyColumn,
 )
 from repro.obs.metrics import MetricsRegistry, disable, enable, set_registry
@@ -30,6 +29,7 @@ from repro.simulation.config import ScenarioConfig
 from repro.store.artifacts import ArtifactStore, clean_stage, scenario_fingerprint
 from repro.store.codec import StoreFormatError, dumps_table, load_table_lazy, loads_table
 
+from flowrows import append_records, from_records
 from test_store_codec import random_records
 
 PERIOD = StudyPeriod(date(2022, 3, 1), date(2022, 3, 3), name="mmap-test")
@@ -58,7 +58,7 @@ def _reset_backend():
 
 @pytest.fixture
 def blob():
-    return dumps_table(FlowTable.from_records(random_records(random.Random(55), 250)))
+    return dumps_table(from_records(random_records(random.Random(55), 250)))
 
 
 class TestAggregationParity:
@@ -79,7 +79,9 @@ class TestAggregationParity:
             assert lazy.group_distinct_count(by, "subscriber_id") == (
                 eager.group_distinct_count(by, "subscriber_id")
             )
-        mask = eager.mask_ip_version(4)
+        excluded = set(list(eager.numeric("subscriber_id"))[::3])
+        mask = kernels.not_in_mask(lazy.numeric("subscriber_id"), excluded)
+        assert mask == kernels.not_in_mask(eager.numeric("subscriber_id"), excluded)
         assert lazy.group_sums(("provider_key",), ("bytes_down",), mask=mask) == (
             eager.group_sums(("provider_key",), ("bytes_down",), mask=mask)
         )
@@ -126,21 +128,23 @@ class TestCopyOnWrite:
         eager.assign_numeric("bytes_up", values)
         self._assert_detached_and_equal(lazy, eager)
 
-    def test_extend(self, blob):
+    def test_append_columns(self, blob):
         extra = random_records(random.Random(56), 20)
         lazy, eager = self._pair(blob)
-        lazy.extend(extra)
-        eager.extend(extra)
+        append_records(lazy, extra)
+        append_records(eager, extra)
         self._assert_detached_and_equal(lazy, eager)
 
     def test_filters_leave_lazy_source_attached(self, blob):
         lazy, eager = self._pair(blob)
-        assert dumps_table(lazy.where_ip_version(4)) == dumps_table(
-            eager.where_ip_version(4)
+        excluded = set(list(eager.numeric("subscriber_id"))[::3])
+        assert dumps_table(lazy.exclude_subscribers(excluded)) == dumps_table(
+            eager.exclude_subscribers(excluded)
         )
         assert isinstance(lazy.codes("server_ip"), LazyColumn), (
             "read-only filters must not trigger copy-on-write"
         )
+        assert isinstance(lazy.numeric("subscriber_id"), LazyColumn)
 
 
 class TestWarmContextDigestParity:
@@ -218,7 +222,7 @@ class TestOutOfPoolCode:
 class TestStoreMmapMode:
     @pytest.fixture
     def table(self):
-        return FlowTable.from_records(random_records(random.Random(62), 120))
+        return from_records(random_records(random.Random(62), 120))
 
     def test_get_table_returns_lazy_tables_in_mmap_mode(self, tmp_path, table):
         store = ArtifactStore(tmp_path / "store")
