@@ -7,8 +7,9 @@ Four complementary sources feed the discovery, mirroring Figure 2:
   scanned address to that provider.
 * **IPv6 scans** (ZGrab2-style probing of IPv6 hitlist addresses) contribute the
   IPv6 equivalent.
-* **Passive DNS** (DNSDB flexible search with the same regular expressions and a
-  time-range filter) contributes addresses observed in DNS answers.
+* **Passive DNS** contributes addresses observed in DNS answers: every distinct
+  owner name is matched against all providers' regular expressions, with a
+  time-range filter, which is the union of the per-provider DNSDB searches.
 * **Active DNS** resolution of every domain identified via passive DNS, performed
   from multiple vantage points, contributes addresses the passive view missed.
 
@@ -206,15 +207,16 @@ class BackendDiscovery:
     """Implements the four discovery sources against the measurement services.
 
     All name classification goes through the pattern set's suffix-indexed
-    compiled engine (:meth:`PatternSet.engine`), and every source iterates
-    *distinct* names (certificate-name index, passive-DNS owner-name index)
-    so each name is classified exactly once per snapshot/database.
+    compiled engine (:meth:`PatternSet.engine`), which memoizes single
+    lookups; passive DNS iterates the database's *distinct* owner names, so
+    each is classified once per database.
 
-    Censys discovery is additionally **incremental across days**: the instance
-    owns a :class:`HostClassificationCache`, so consecutive snapshots only
-    re-classify hosts whose certificate material changed.  The cached path
-    yields a result identical to the uncached one — it replays the exact
-    ``(provider, domain)`` verdicts the classification produced.
+    Censys discovery is **incremental across days**: the instance owns a
+    :class:`HostClassificationCache`, so consecutive snapshots only
+    re-classify hosts whose certificate material changed.  Every other host
+    replays the exact ``(provider, domain)`` verdicts its classification
+    produced, so the result equals classifying every host afresh
+    (``tests/test_discovery_cache.py`` keeps that per-host oracle).
     """
 
     def __init__(self, pattern_set: Optional[PatternSet] = None) -> None:
@@ -223,83 +225,62 @@ class BackendDiscovery:
 
     # -- TLS certificates (Censys, IPv4) ---------------------------------------------
 
-    def discover_from_censys(
-        self, snapshot: CensysSnapshot, use_cache: bool = True
-    ) -> DiscoveryResult:
+    def discover_from_censys(self, snapshot: CensysSnapshot) -> DiscoveryResult:
         """Attribute scanned IPv4 hosts to providers via their certificates.
 
-        With ``use_cache`` (the default) each host observation is keyed on
-        ``(ip, certificate identity)`` in :attr:`host_cache`; overlapping daily
-        snapshots then replay prior-day verdicts instead of re-classifying.
-        ``use_cache=False`` runs the stateless name-index path (one
-        classification per distinct certificate name in the snapshot) — both
-        paths produce the same result.
+        Each host observation is keyed on ``(ip, certificate identity)`` in
+        :attr:`host_cache`; overlapping daily snapshots then replay prior-day
+        verdicts instead of re-classifying.
         """
         result = DiscoveryResult(day=snapshot.snapshot_date)
         engine = self.pattern_set.engine()
-        if use_cache:
-            cache = self.host_cache
-            cache.validate(engine)
-            per_provider = result.per_provider
-            lookup = cache.by_ip
-            make_record = DiscoveredIP
-            hits = misses = 0
-            # Snapshot records are keyed by address, so each host appears once
-            # per day; replaying grouped verdicts therefore builds each
-            # (provider, ip) record in a single step instead of add+merge
-            # per certificate name.  The hit path is one dict probe plus a
-            # certificate-tuple compare (which short-circuits on object
-            # identity for unchanged certificates), inline so that it stays
-            # call-free per host.
-            for ip, record in snapshot.records.items():
-                identity = record.certificates
-                cached = lookup.get(ip)
-                if cached is not None and cached[0] == identity:
-                    hits += 1
-                    verdicts = cached[1]
-                else:
-                    misses += 1
-                    grouped: Dict[str, List[str]] = {}
-                    for name in record.certificate_names():
-                        provider_key = _match_certificate_name(engine, name)
-                        if provider_key is not None:
-                            grouped.setdefault(provider_key, []).append(
-                                name.lower().rstrip(".")
-                            )
-                    verdicts = tuple(
-                        (provider_key, tuple(domains))
-                        for provider_key, domains in grouped.items()
-                    )
-                    cache.put((ip, identity), verdicts)
-                for provider_key, domains in verdicts:
-                    bucket = per_provider.setdefault(provider_key, {})
-                    existing = bucket.get(ip)
-                    if existing is None:
-                        bucket[ip] = make_record(
-                            ip, provider_key, {SOURCE_TLS}, set(domains)
+        cache = self.host_cache
+        cache.validate(engine)
+        per_provider = result.per_provider
+        lookup = cache.by_ip
+        make_record = DiscoveredIP
+        hits = misses = 0
+        # Snapshot records are keyed by address, so each host appears once
+        # per day; replaying grouped verdicts therefore builds each
+        # (provider, ip) record in a single step instead of add+merge
+        # per certificate name.  The hit path is one dict probe plus a
+        # certificate-tuple compare (which short-circuits on object
+        # identity for unchanged certificates), inline so that it stays
+        # call-free per host.
+        for ip, record in snapshot.records.items():
+            identity = record.certificates
+            cached = lookup.get(ip)
+            if cached is not None and cached[0] == identity:
+                hits += 1
+                verdicts = cached[1]
+            else:
+                misses += 1
+                grouped: Dict[str, List[str]] = {}
+                for name in record.certificate_names():
+                    provider_key = _match_certificate_name(engine, name)
+                    if provider_key is not None:
+                        grouped.setdefault(provider_key, []).append(
+                            name.lower().rstrip(".")
                         )
-                    else:
-                        existing.sources.add(SOURCE_TLS)
-                        existing.domains.update(domains)
-            cache.hits += hits
-            cache.misses += misses
-            obs_metrics.inc("discovery.verdict_cache.hits", float(hits))
-            obs_metrics.inc("discovery.verdict_cache.misses", float(misses))
-            return result
-        for name, ips in snapshot.certificate_name_index().items():
-            provider_key = _match_certificate_name(engine, name)
-            if provider_key is None:
-                continue
-            domain = name.lower().rstrip(".")
-            for ip in ips:
-                result.add(
-                    DiscoveredIP(
-                        ip=ip,
-                        provider_key=provider_key,
-                        sources={SOURCE_TLS},
-                        domains={domain},
-                    )
+                verdicts = tuple(
+                    (provider_key, tuple(domains))
+                    for provider_key, domains in grouped.items()
                 )
+                cache.put((ip, identity), verdicts)
+            for provider_key, domains in verdicts:
+                bucket = per_provider.setdefault(provider_key, {})
+                existing = bucket.get(ip)
+                if existing is None:
+                    bucket[ip] = make_record(
+                        ip, provider_key, {SOURCE_TLS}, set(domains)
+                    )
+                else:
+                    existing.sources.add(SOURCE_TLS)
+                    existing.domains.update(domains)
+        cache.hits += hits
+        cache.misses += misses
+        obs_metrics.inc("discovery.verdict_cache.hits", float(hits))
+        obs_metrics.inc("discovery.verdict_cache.misses", float(misses))
         return result
 
     # -- IPv6 application-layer scans --------------------------------------------------
@@ -338,7 +319,7 @@ class BackendDiscovery:
         Each distinct owner name in the database is classified once against the
         compiled pattern engine; every observation of a matching name that
         overlaps the window yields one ``(provider_key, record)`` pair (one per
-        matching provider, mirroring the legacy per-provider flex searches).
+        matching provider, as the per-provider DNSDB flexible searches would).
         The pairs can be re-filtered to any sub-window with
         :meth:`result_from_passive_observations` without re-matching names --
         the daily pipeline slices the period-wide result this way.

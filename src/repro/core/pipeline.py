@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.discovery import BackendDiscovery, DiscoveryResult
 from repro.core.footprint import FootprintReport, characterize_all
@@ -39,6 +39,7 @@ from repro.core.validation import (
     classify_shared_ips,
     validate_against_ground_truth,
 )
+from repro.dns.passive_db import PassiveDnsRecord
 from repro.obs.trace import span
 from repro.scan.zgrab import ZGrabScanner
 from repro.simulation.clock import StudyPeriod
@@ -119,12 +120,6 @@ class DiscoveryPipeline:
         results = scanner.scan(day, self.world.hitlist, servers_by_ip)
         return self.discovery.discover_from_ipv6_scan(results)
 
-    def discover_passive_dns(self, since: date, until: date) -> DiscoveryResult:
-        """Passive DNS discovery for a time window."""
-        return self.discovery.discover_from_passive_dns(
-            self.world.passive_dns, since=since, until=until
-        )
-
     def discover_active_dns(self, domains: Sequence[str]) -> DiscoveryResult:
         """Active resolution of the given domains from every vantage point."""
         return self.discovery.discover_from_active_dns(
@@ -136,26 +131,21 @@ class DiscoveryPipeline:
     def discover_day(
         self,
         day: date,
-        active_dns_domains: Optional[Sequence[str]] = None,
-        passive_observations: Optional[Sequence] = None,
+        active_dns_domains: Sequence[str],
+        passive_observations: Sequence[Tuple[str, PassiveDnsRecord]],
     ) -> DiscoveryResult:
         """Run all four sources for one day and combine them.
 
-        When the caller has already classified the period's passive-DNS
+        ``active_dns_domains`` are the names active DNS resolves, and
+        ``passive_observations`` the period's classified passive-DNS
         observations (see :meth:`BackendDiscovery.passive_dns_observations`),
-        pass them via ``passive_observations``: the day's passive result is then
-        a cheap time-slice of the period result instead of a full re-query.
+        of which the day's passive result is the time-slice.
         """
         day_attr = day.isoformat()
         with span("discovery.passive_dns", day=day_attr):
-            if passive_observations is None:
-                passive = self.discover_passive_dns(day, day)
-            else:
-                passive = self.discovery.result_from_passive_observations(
-                    passive_observations, since=day, until=day
-                )
-        if active_dns_domains is None:
-            active_dns_domains = sorted(passive.domains())
+            passive = self.discovery.result_from_passive_observations(
+                passive_observations, since=day, until=day
+            )
         with span("discovery.tls", day=day_attr):
             tls = self.discover_tls(day)
         with span("discovery.ipv6", day=day_attr):

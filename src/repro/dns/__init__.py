@@ -1,8 +1,8 @@
-"""DNS substrate: zones and records, provider naming schemes, authoritative
+"""DNS substrate: address record types, provider naming schemes, authoritative
 answering with vantage-point-dependent responses, a recursive stub resolver, and a
 DNSDB-like passive DNS database."""
 
-from repro.dns.zone import RTYPE_A, RTYPE_AAAA, RTYPE_CNAME, ResourceRecord, Zone
+from repro.dns.zone import RTYPE_A, RTYPE_AAAA
 from repro.dns.names import DomainNamingScheme, build_fqdn
 from repro.dns.authoritative import AnswerPolicy, AuthoritativeNameServer, AuthoritativeRecord
 from repro.dns.resolver import StubResolver, VantagePoint
@@ -11,9 +11,6 @@ from repro.dns.passive_db import PassiveDnsDatabase, PassiveDnsRecord
 __all__ = [
     "RTYPE_A",
     "RTYPE_AAAA",
-    "RTYPE_CNAME",
-    "ResourceRecord",
-    "Zone",
     "DomainNamingScheme",
     "build_fqdn",
     "AnswerPolicy",

@@ -1,10 +1,14 @@
 """A DNSDB-like passive DNS database.
 
 Farsight's DNSDB aggregates DNS answers observed by sensors at resolvers around the
-globe.  Two query interfaces matter for the paper (Appendix A): *flexible search*
-(regular expressions over owner names, with time-range filters) and *basic search*
-(left-hand wildcard name patterns).  The database also supports inverse queries
-(which names resolve to a given address), which the validation step uses to decide
+globe.  The paper (Appendix A) queries it per provider with *flexible search*
+(regular expressions over owner names, with time-range filters) and *basic
+search* (left-hand wildcard name patterns).  The union of those searches
+over every provider is the set of observations whose owner name some
+provider's pattern matches, so the discovery layer iterates the distinct owner
+names once (:meth:`PassiveDnsDatabase.iter_names`) and matches each against
+every provider's patterns.  The database also supports inverse queries (which
+names resolve to a given address), which the validation step uses to decide
 whether an address hosts non-IoT services (Section 3.4).
 
 Coverage is intentionally partial: the world builder inserts observations only for
@@ -14,7 +18,6 @@ of global DNS traffic (a limitation the paper notes in Section 3.6).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from datetime import date
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -49,7 +52,7 @@ class PassiveDnsRecord:
 
 
 class PassiveDnsDatabase:
-    """An in-memory passive DNS store with DNSDB-style query methods."""
+    """An in-memory passive DNS store with owner-name iteration and inverse queries."""
 
     def __init__(self) -> None:
         self._records: List[PassiveDnsRecord] = []
@@ -106,68 +109,7 @@ class PassiveDnsDatabase:
         for name, indices in self._by_name.items():
             yield name, [self._records[index] for index in indices]
 
-    # -- DNSDB-style queries ----------------------------------------------------------
-
-    def flex_search(
-        self,
-        name_regex: str,
-        rrtype: Optional[str] = None,
-        since: Optional[date] = None,
-        until: Optional[date] = None,
-    ) -> List[PassiveDnsRecord]:
-        """Flexible search: regex over owner names plus optional filters.
-
-        The regex follows DNSDB conventions where names are matched with a trailing
-        dot; this implementation accepts patterns written either way by matching
-        against both forms.  The regex is evaluated once per *distinct* owner
-        name (names repeat heavily in aggregated passive DNS data); results come
-        back in insertion order, as before.
-        """
-        pattern = re.compile(name_regex)
-        matched_indices: List[int] = []
-        for name, indices in self._by_name.items():
-            if pattern.search(name) or pattern.search(name + "."):
-                matched_indices.extend(indices)
-        results = []
-        for index in sorted(matched_indices):
-            record = self._records[index]
-            if rrtype is not None and record.rrtype != rrtype:
-                continue
-            if not record.overlaps(since, until):
-                continue
-            results.append(record)
-        return results
-
-    def basic_search(
-        self,
-        name_pattern: str,
-        rrtype: Optional[str] = None,
-        since: Optional[date] = None,
-        until: Optional[date] = None,
-    ) -> List[PassiveDnsRecord]:
-        """Basic search: exact owner name or a left-hand wildcard (``*.example.com``)."""
-        results = []
-        if name_pattern.startswith("*."):
-            suffix = normalize_name(name_pattern[2:])
-
-            def matcher(name: str) -> bool:
-                return name == suffix or name.endswith("." + suffix)
-
-        else:
-            exact = normalize_name(name_pattern)
-
-            def matcher(name: str) -> bool:
-                return name == exact
-
-        for record in self._records:
-            if not matcher(record.rrname):
-                continue
-            if rrtype is not None and record.rrtype != rrtype:
-                continue
-            if not record.overlaps(since, until):
-                continue
-            results.append(record)
-        return results
+    # -- inverse queries --------------------------------------------------------------
 
     def inverse_search(
         self,

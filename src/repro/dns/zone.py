@@ -1,131 +1,16 @@
-"""DNS zones and resource records.
+"""DNS record types and owner-name normalisation.
 
-A deliberately small model covering what the study needs: A, AAAA, CNAME, and PTR
-records with fully-qualified owner names.  Zones are containers keyed by
-``(owner name, record type)`` and are consumed by the authoritative name server.
+The study resolves and observes only address records, so the authoritative
+server, the stub resolver and the passive-DNS database share the two address
+record types and one rule for normalising owner names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
 RTYPE_A = "A"
 RTYPE_AAAA = "AAAA"
-RTYPE_CNAME = "CNAME"
-RTYPE_PTR = "PTR"
-
-_VALID_RTYPES = (RTYPE_A, RTYPE_AAAA, RTYPE_CNAME, RTYPE_PTR)
 
 
 def normalize_name(name: str) -> str:
     """Normalise an owner name: lower-case, no trailing dot."""
     return name.strip().rstrip(".").lower()
-
-
-@dataclass(frozen=True)
-class ResourceRecord:
-    """A single DNS resource record."""
-
-    name: str
-    rtype: str
-    rdata: str
-    ttl: int = 300
-
-    def __post_init__(self) -> None:
-        if self.rtype not in _VALID_RTYPES:
-            raise ValueError(f"unsupported record type {self.rtype!r}")
-        object.__setattr__(self, "name", normalize_name(self.name))
-        object.__setattr__(self, "rdata", self.rdata.strip().rstrip("."))
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        """The (owner name, record type) pair identifying the record set."""
-        return (self.name, self.rtype)
-
-
-class Zone:
-    """A DNS zone: a collection of records under a common origin."""
-
-    def __init__(self, origin: str) -> None:
-        self.origin = normalize_name(origin)
-        self._records: Dict[Tuple[str, str], List[ResourceRecord]] = {}
-
-    def add(self, record: ResourceRecord) -> None:
-        """Add a record; the owner name must be at or below the zone origin."""
-        if not self.contains_name(record.name):
-            raise ValueError(f"{record.name} is not within zone {self.origin}")
-        bucket = self._records.setdefault(record.key, [])
-        if record not in bucket:
-            bucket.append(record)
-
-    def add_address(self, name: str, address: str) -> ResourceRecord:
-        """Convenience helper: add an A or AAAA record depending on the address."""
-        rtype = RTYPE_AAAA if ":" in address else RTYPE_A
-        record = ResourceRecord(name, rtype, address)
-        self.add(record)
-        return record
-
-    def contains_name(self, name: str) -> bool:
-        """Return True when the owner name belongs to this zone."""
-        name = normalize_name(name)
-        return name == self.origin or name.endswith("." + self.origin)
-
-    def lookup(self, name: str, rtype: str) -> List[ResourceRecord]:
-        """Return the record set for (name, rtype); empty when absent."""
-        return list(self._records.get((normalize_name(name), rtype), []))
-
-    def names(self) -> List[str]:
-        """Return every distinct owner name in the zone, sorted."""
-        return sorted({name for name, _ in self._records})
-
-    def records(self) -> List[ResourceRecord]:
-        """Return every record in the zone."""
-        result: List[ResourceRecord] = []
-        for bucket in self._records.values():
-            result.extend(bucket)
-        return result
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._records.values())
-
-
-class ZoneSet:
-    """A collection of zones with longest-suffix zone selection."""
-
-    def __init__(self, zones: Optional[Iterable[Zone]] = None) -> None:
-        self._zones: Dict[str, Zone] = {}
-        for zone in zones or ():
-            self.add_zone(zone)
-
-    def add_zone(self, zone: Zone) -> None:
-        """Register a zone; replaces any existing zone with the same origin."""
-        self._zones[zone.origin] = zone
-
-    def zone_for(self, name: str) -> Optional[Zone]:
-        """Return the most specific zone containing the owner name, if any."""
-        name = normalize_name(name)
-        best: Optional[Zone] = None
-        for origin, zone in self._zones.items():
-            if name == origin or name.endswith("." + origin):
-                if best is None or len(origin) > len(best.origin):
-                    best = zone
-        return best
-
-    def zones(self) -> List[Zone]:
-        """Return every registered zone, sorted by origin."""
-        return [self._zones[origin] for origin in sorted(self._zones)]
-
-    def lookup(self, name: str, rtype: str) -> List[ResourceRecord]:
-        """Look up (name, rtype) in the responsible zone."""
-        zone = self.zone_for(name)
-        if zone is None:
-            return []
-        return zone.lookup(name, rtype)
-
-    def all_names(self) -> List[str]:
-        """Return every owner name across all zones."""
-        names: set[str] = set()
-        for zone in self._zones.values():
-            names.update(zone.names())
-        return sorted(names)

@@ -50,20 +50,14 @@ class ExperimentContext:
     """Everything the individual experiments need, computed once."""
 
     def __init__(
-        self,
-        config: ScenarioConfig,
-        world: World,
-        anonymization: Optional[AnonymizationMap] = None,
-        store: Optional[ArtifactStore] = None,
-        pipeline: Optional[DiscoveryPipeline] = None,
-        result: Optional[PipelineResult] = None,
+        self, config: ScenarioConfig, world: World, store: Optional[ArtifactStore] = None
     ) -> None:
         self.config = config
         self.world = world
-        self.anonymization = anonymization or AnonymizationMap.build()
+        self.anonymization = AnonymizationMap.build()
         self.store = store
-        self._pipeline = pipeline
-        self._result = result
+        self._pipeline: Optional[DiscoveryPipeline] = None
+        self._result: Optional[PipelineResult] = None
         self._scanner_cache: Dict[Tuple[StudyPeriod, int], Set[int]] = {}
         self._table_cache: Dict[Tuple[StudyPeriod, str], FlowTable] = {}
 

@@ -43,7 +43,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 #: Environment variable that enables tracing to the given path.
 TRACE_ENV_VAR = "IOT_REPRO_TRACE"
@@ -191,6 +191,12 @@ def read_trace(path: Union[str, Path]) -> List[Dict[str, object]]:
     return events
 
 
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Exact nearest-rank ``q``-quantile of ``ordered`` (sorted, non-empty)."""
+    rank = max(1, int(q * len(ordered) + 0.9999999))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 @dataclass
 class StageStats:
     """Aggregated timings of one span name."""
@@ -213,9 +219,7 @@ class StageStats:
 
     def percentile(self, q: float) -> float:
         """Exact nearest-rank percentile over the recorded durations."""
-        ordered = sorted(self.durations)
-        rank = max(1, int(q * len(ordered) + 0.9999999))
-        return ordered[min(rank, len(ordered)) - 1]
+        return nearest_rank(sorted(self.durations), q)
 
 
 @dataclass

@@ -54,49 +54,17 @@ class CensysSnapshot:
 
     snapshot_date: date
     records: Dict[str, CensysHostRecord] = field(default_factory=dict)
-    _name_index: Optional[Dict[str, List[str]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _name_index_fingerprint: Optional[Tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def add(self, record: CensysHostRecord) -> None:
         """Add or replace the record for an address."""
         self.records[record.ip] = record
-        self._name_index = None
 
     def get(self, ip: str) -> Optional[CensysHostRecord]:
         """Return the record for an address, if the host was responsive."""
         return self.records.get(ip)
 
-    def hosts(self) -> List[CensysHostRecord]:
-        """Return every host record in the snapshot."""
-        return [self.records[ip] for ip in sorted(self.records)]
-
     def __len__(self) -> int:
         return len(self.records)
-
-    def certificate_name_index(self) -> Dict[str, List[str]]:
-        """Map every certificate DNS name to the hosts presenting it.
-
-        Snapshots contain far fewer distinct certificate names than
-        (host, certificate, name) triples -- most backend fleets share a few
-        wildcard certificates -- so consumers that classify names (the
-        discovery layer) should iterate this index and match each name once.
-        The index is built lazily; :meth:`add` invalidates it, and a cheap
-        identity fingerprint over ``records`` catches direct mutation of the
-        public mapping (which remains supported).
-        """
-        fingerprint = tuple(self.records.items())
-        if self._name_index is None or fingerprint != self._name_index_fingerprint:
-            index: Dict[str, List[str]] = {}
-            for record in self.hosts():
-                for name in record.certificate_names():
-                    index.setdefault(name, []).append(record.ip)
-            self._name_index = index
-            self._name_index_fingerprint = fingerprint
-        return self._name_index
 
     def ips_with_open_ports(self, ports: Iterable[Tuple[str, int]]) -> Set[str]:
         """Hosts with at least one of the given (transport, port) pairs open."""

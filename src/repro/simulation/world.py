@@ -2,9 +2,10 @@
 
 A :class:`World` is the measurement environment the discovery pipeline operates on.
 It contains ground truth (provider deployments) and the observable reflections of
-that truth: DNS zones and passive DNS observations, TLS certificates exposed to
-scanners, Censys-like daily snapshots, IPv6 hitlists, a routing table, blocklists,
-a BGP event feed, an ISP subscriber population, and the outage schedule.
+that truth: authoritative DNS records and passive DNS observations, TLS
+certificates exposed to scanners, Censys-like daily snapshots, IPv6 hitlists, a
+routing table, blocklists, a BGP event feed, an ISP subscriber population, and the
+outage schedule.
 
 The build is a pure function of the :class:`~repro.simulation.config.ScenarioConfig`.
 A world holds no flow tables and knows no artifact store: it hands out
@@ -136,24 +137,8 @@ class World:
         return {server.ip: server for server in self.all_servers()}
 
     def active_servers(self, day: date) -> List[BackendServer]:
-        """Return the servers active on a given day (models churn).
-
-        Providers with a non-zero churn rate rotate a window over their server pool:
-        consecutive days differ by the churn shift, so differences grow with the
-        number of days between snapshots (Figure 4).
-        """
-        active: List[BackendServer] = []
-        for key in self.provider_keys():
-            pool = self.deployments[key].servers
-            base = self.base_counts[key]
-            shift = self.churn_shifts[key]
-            if shift == 0 or len(pool) <= base:
-                active.extend(pool[:base])
-                continue
-            offset = (day.toordinal() * shift) % len(pool)
-            window = [pool[(offset + i) % len(pool)] for i in range(base)]
-            active.extend(window)
-        return active
+        """Return the servers active on a given day (models churn)."""
+        return _active_servers(self.deployments, self.base_counts, self.churn_shifts, day)
 
     def active_servers_for_provider(self, provider_key: str, day: date) -> List[BackendServer]:
         """Return the active servers of one provider on a given day."""
@@ -189,6 +174,31 @@ class World:
             volume_sigma=self.config.volume_sigma,
             device_plans=self._device_plans,
         )
+
+
+def _active_servers(
+    deployments: Mapping[str, ProviderDeployment],
+    base_counts: Mapping[str, int],
+    churn_shifts: Mapping[str, int],
+    day: date,
+) -> List[BackendServer]:
+    """The servers active on ``day``, provider by provider in key order.
+
+    Providers with a non-zero churn rate rotate a window over their server pool:
+    consecutive days differ by the churn shift, so differences grow with the
+    number of days between snapshots (Figure 4).
+    """
+    active: List[BackendServer] = []
+    for key in sorted(deployments):
+        pool = deployments[key].servers
+        base = base_counts[key]
+        shift = churn_shifts[key]
+        if shift == 0 or len(pool) <= base:
+            active.extend(pool[:base])
+            continue
+        offset = (day.toordinal() * shift) % len(pool)
+        active.extend(pool[(offset + i) % len(pool)] for i in range(base))
+    return active
 
 
 def build_world(
@@ -332,18 +342,8 @@ class _WorldBuilder:
 
     def _censys_host_source(self, day: date) -> List[BackendServer]:
         # The censys service is created before the World object exists, so the host
-        # source recomputes the active window directly from builder state.
-        active: List[BackendServer] = []
-        for key in sorted(self.deployments):
-            pool = self.deployments[key].servers
-            base = self.base_counts[key]
-            shift = self.churn_shifts[key]
-            if shift == 0 or len(pool) <= base:
-                active.extend(pool[:base])
-                continue
-            offset = (day.toordinal() * shift) % len(pool)
-            active.extend(pool[(offset + i) % len(pool)] for i in range(base))
-        return active
+        # source reads the active window from builder state, which the world shares.
+        return _active_servers(self.deployments, self.base_counts, self.churn_shifts, day)
 
     # -- autonomous systems ---------------------------------------------------------------
 
@@ -631,29 +631,14 @@ class _WorldBuilder:
                 offering.protocol.upper() == "MQTT" and offering.port == 443
             )
             if needs_tls:
-                require_client_cert = offering.port in spec.client_cert_ports
-                if spec.uses_sni and not cert_exposed:
-                    tls_config = TlsServerConfig(
-                        default_certificate=None,
-                        sni_certificates={d.lower(): certificate for d in domains},
-                        require_sni=True,
-                        require_client_certificate=require_client_cert,
-                    )
-                elif not cert_exposed:
-                    # Front-end terminators presenting no usable default certificate.
-                    tls_config = TlsServerConfig(
-                        default_certificate=None,
-                        sni_certificates={d.lower(): certificate for d in domains},
-                        require_sni=True,
-                        require_client_certificate=require_client_cert,
-                    )
-                else:
-                    tls_config = TlsServerConfig(
-                        default_certificate=certificate,
-                        sni_certificates={d.lower(): certificate for d in domains},
-                        require_sni=False,
-                        require_client_certificate=require_client_cert,
-                    )
+                # A server whose certificate is not exposed (SNI providers, and
+                # front-end terminators) presents no default certificate.
+                tls_config = TlsServerConfig(
+                    default_certificate=certificate if cert_exposed else None,
+                    sni_certificates={d.lower(): certificate for d in domains},
+                    require_sni=not cert_exposed,
+                    require_client_certificate=offering.port in spec.client_cert_ports,
+                )
             endpoints.append(
                 ServiceEndpoint(
                     transport=offering.transport,

@@ -372,16 +372,11 @@ class SweepResult:
         durations = sorted(o.elapsed_seconds for o in self.outcomes if o.ok)
         if not durations:
             return None
-
-        def rank(q: float) -> float:
-            position = max(1, int(q * len(durations) + 0.9999999))
-            return durations[min(position, len(durations)) - 1]
-
         return {
             "count": float(len(durations)),
             "mean": sum(durations) / len(durations),
-            "p50": rank(0.5),
-            "p95": rank(0.95),
+            "p50": obs_trace.nearest_rank(durations, 0.5),
+            "p95": obs_trace.nearest_rank(durations, 0.95),
             "max": durations[-1],
         }
 

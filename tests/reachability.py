@@ -22,7 +22,8 @@ The in-process context cache is cleared before every command, so each one
 builds its own context as a fresh process would.  Every ``def`` is keyed by
 file and first line (decorators included, as ``co_firstlineno`` counts
 them).  A definition nested in an unreached one is not listed on its own: it
-goes with its parent.
+goes with its parent.  Under its total line, the report counts the listed
+definitions and their lines per keep category.
 
 :data:`KEEP` lists, one entry per definition, the unreached ones that stay,
 each with the reason the reachability rule keeps it.  ``--check`` exits 1
@@ -66,8 +67,6 @@ PERFBENCH = "perfbench binds it by name"
 MICRO_BENCH = "used by a benchmarks/test_perf_* micro-benchmark"
 #: Used by the paper-claim benchmarks (``benchmarks/test_{fig,sec,table,ablation,ext}*``).
 PAPER_CLAIM = "used by a paper-claim benchmark"
-#: ROADMAP item 4 decides whether the upstream DNSDB method wires it in.
-OPEN_ITEM_4 = "ROADMAP item 4 decides"
 #: A test uses it to set up or observe live behaviour it checks.
 TEST_HELPER = "test helper for another check"
 
@@ -78,7 +77,6 @@ CATEGORIES = (
     PERFBENCH,
     MICRO_BENCH,
     PAPER_CLAIM,
-    OPEN_ITEM_4,
     TEST_HELPER,
 )
 
@@ -110,14 +108,12 @@ KEEP: Dict[str, str] = {
     "obs/metrics.py::MetricsRegistry.gauge": OBS_API,
     "obs/metrics.py::set_gauge": OBS_API,
     # A caller in src/ on a branch no entry point takes.
-    "core/pipeline.py::DiscoveryPipeline.discover_passive_dns": BRANCH,
     "flows/flowtable.py::LazyColumn.tobytes": BRANCH,
     "flows/flowtable.py::LazyColumn.__getitem__": BRANCH,
     "flows/flowtable.py::FlowTable._group_codes.<locals>.decode_packed": BRANCH,
     "obs/bench.py::visible_cpus": BRANCH,
     # RoutingTable.announce, when the caller passes no parsed network.
     "routing/bgp.py::Announcement.network": BRANCH,
-    "scan/censys.py::CensysSnapshot.hosts": BRANCH,
     # TlsServerConfig.certificate_for, when a client sends SNI.
     "scan/certificates.py::Certificate.covers_domain": BRANCH,
     "scan/certificates.py::_name_matches": BRANCH,
@@ -135,7 +131,6 @@ KEEP: Dict[str, str] = {
     "simulation/config.py::ScenarioConfig.default": PERFBENCH,
     "sweeps/runner.py::ScenarioOutcome.identity": PERFBENCH,
     # Used by a benchmarks/test_perf_* micro-benchmark.
-    "scan/censys.py::CensysSnapshot.certificate_name_index": MICRO_BENCH,
     "store/artifacts.py::ArtifactStore.total_bytes": MICRO_BENCH,
     "store/codec.py::load_table": MICRO_BENCH,
     # Used by the paper-claim benchmarks; core/dependencies.py reproduces the
@@ -162,25 +157,6 @@ KEEP: Dict[str, str] = {
     "experiments/traffic_experiments.py::Figure5Result.scanners_at": PAPER_CLAIM,
     "experiments/traffic_experiments.py::Figure6Result.row_for": PAPER_CLAIM,
     "experiments/traffic_experiments.py::Figure7Result.decrease_for": PAPER_CLAIM,
-    # ROADMAP item 4: the DNSDB queries and a CNAME round through dns/zone.py.
-    "dns/passive_db.py::PassiveDnsDatabase.flex_search": OPEN_ITEM_4,
-    "dns/passive_db.py::PassiveDnsDatabase.basic_search": OPEN_ITEM_4,
-    "dns/zone.py::ResourceRecord.__post_init__": OPEN_ITEM_4,
-    "dns/zone.py::ResourceRecord.key": OPEN_ITEM_4,
-    "dns/zone.py::Zone.__init__": OPEN_ITEM_4,
-    "dns/zone.py::Zone.add": OPEN_ITEM_4,
-    "dns/zone.py::Zone.add_address": OPEN_ITEM_4,
-    "dns/zone.py::Zone.contains_name": OPEN_ITEM_4,
-    "dns/zone.py::Zone.lookup": OPEN_ITEM_4,
-    "dns/zone.py::Zone.names": OPEN_ITEM_4,
-    "dns/zone.py::Zone.records": OPEN_ITEM_4,
-    "dns/zone.py::Zone.__len__": OPEN_ITEM_4,
-    "dns/zone.py::ZoneSet.__init__": OPEN_ITEM_4,
-    "dns/zone.py::ZoneSet.add_zone": OPEN_ITEM_4,
-    "dns/zone.py::ZoneSet.zone_for": OPEN_ITEM_4,
-    "dns/zone.py::ZoneSet.zones": OPEN_ITEM_4,
-    "dns/zone.py::ZoneSet.lookup": OPEN_ITEM_4,
-    "dns/zone.py::ZoneSet.all_names": OPEN_ITEM_4,
     # Test helpers: a test sets up or observes the live behaviour it checks.
     "core/discovery.py::HostClassificationCache.__len__": TEST_HELPER,
     "core/footprint.py::FootprintReport.multi_country": TEST_HELPER,
@@ -413,6 +389,10 @@ def main(argv: List[str] | None = None) -> int:
         f"{line_count(missing)} lines; {len(shown)} listed "
         f"({len(shown) - sum(d.key in KEEP for d in shown)} not on the keep-list)"
     )
+    for category in CATEGORIES + ("NOT KEPT",):
+        kept = [d for d in shown if KEEP.get(d.key, "NOT KEPT") == category]
+        if kept:
+            print(f"  {len(kept):4d} listed, {line_count(kept):5d} lines  [{category}]")
     if not args.check:
         return 0
     found = problems(defs, missing, shown)

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from repro.core.discovery import BackendDiscovery, HostClassificationCache
+from repro.core.discovery import SOURCE_TLS, BackendDiscovery, HostClassificationCache
 from repro.core.patterns import DomainPattern, PatternSet
 from repro.core.pipeline import DiscoveryPipeline
 from repro.experiments.context import build_context
@@ -65,6 +65,29 @@ def canonical(result):
     return sorted(
         (r.provider_key, r.ip, tuple(sorted(r.sources)), tuple(sorted(r.domains)))
         for r in result.records()
+    )
+
+
+def per_host_oracle(snapshot, engine):
+    """Certificate discovery on ``snapshot`` with no cache, in ``canonical`` form.
+
+    Every certificate name of every host is matched once, a leading ``*.``
+    read as ``wildcard.``, as the discovery source normalizes wildcards.
+    """
+    found = {}
+    for ip, record in snapshot.records.items():
+        for certificate in record.certificates:
+            for name in certificate.all_dns_names():
+                domain = name.lower().rstrip(".")
+                if domain.startswith("*."):
+                    provider_key = engine.match("wildcard." + domain[2:])
+                else:
+                    provider_key = engine.match(domain)
+                if provider_key is not None:
+                    found.setdefault((provider_key, ip), set()).add(domain)
+    return sorted(
+        (provider_key, ip, (SOURCE_TLS,), tuple(sorted(domains)))
+        for (provider_key, ip), domains in found.items()
     )
 
 
@@ -152,14 +175,16 @@ class TestHostClassificationCache:
             obs_metrics.set_registry(previous)
 
     def test_cached_path_matches_uncached_path_on_world(self):
+        """The carried cache equals classifying every host afresh, day by day."""
         config = ScenarioConfig.small(seed=7)
         world = build_world(config)
+        engine = PatternSet.for_providers().engine()
         incremental = BackendDiscovery()
         for day in config.study_period.days():
             snapshot = world.censys.snapshot(day)
-            cold = BackendDiscovery().discover_from_censys(snapshot, use_cache=False)
-            warm = incremental.discover_from_censys(snapshot)
-            assert canonical(cold) == canonical(warm)
+            carried = canonical(incremental.discover_from_censys(snapshot))
+            assert carried == per_host_oracle(snapshot, engine)
+            assert carried == canonical(BackendDiscovery().discover_from_censys(snapshot))
         assert incremental.host_cache.hits > 0
 
 

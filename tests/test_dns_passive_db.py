@@ -32,29 +32,6 @@ def test_add_observation_infers_rrtype():
     assert len(db) == 2
 
 
-def test_flex_search_with_time_range():
-    db = _db_with_records()
-    in_window = db.flex_search(r"\.iot\..*\.amazonaws\.com", since=date(2022, 2, 28), until=date(2022, 3, 7))
-    assert {r.rdata for r in in_window} == {"10.0.0.1"}
-    all_time = db.flex_search(r"\.iot\..*\.amazonaws\.com")
-    assert {r.rdata for r in all_time} == {"10.0.0.1", "10.0.0.2"}
-
-
-def test_flex_search_matches_trailing_dot_patterns():
-    db = _db_with_records()
-    results = db.flex_search(r"mqtt\.googleapis\.com\.$")
-    assert {r.rdata for r in results} == {"10.1.0.1"}
-
-
-def test_basic_search_exact_and_wildcard():
-    db = _db_with_records()
-    exact = db.basic_search("mqtt.googleapis.com")
-    assert len(exact) == 1
-    wildcard = db.basic_search("*.amazonaws.com")
-    assert {r.rdata for r in wildcard} == {"10.0.0.1", "10.0.0.2"}
-    assert db.basic_search("*.nomatch.example") == []
-
-
 def test_inverse_search_and_domains_for_ip():
     db = _db_with_records()
     assert {r.rrname for r in db.inverse_search("10.0.0.1")} == {"tenant.iot.eu-west-1.amazonaws.com"}

@@ -1,73 +1,8 @@
-"""Tests for DNS zones and records."""
+"""Tests for DNS owner-name normalisation."""
 
-import pytest
-
-from repro.dns.zone import (
-    RTYPE_A,
-    RTYPE_AAAA,
-    RTYPE_CNAME,
-    ResourceRecord,
-    Zone,
-    ZoneSet,
-    normalize_name,
-)
+from repro.dns.zone import normalize_name
 
 
 def test_normalize_name():
     assert normalize_name("WWW.Example.COM.") == "www.example.com"
     assert normalize_name("  example.com ") == "example.com"
-
-
-def test_record_normalisation_and_key():
-    record = ResourceRecord("Dev.Example.COM.", RTYPE_A, "10.0.0.1")
-    assert record.name == "dev.example.com"
-    assert record.key == ("dev.example.com", RTYPE_A)
-
-
-def test_invalid_rtype_rejected():
-    with pytest.raises(ValueError):
-        ResourceRecord("a.example.com", "TXT", "hello")
-
-
-def test_zone_add_and_lookup():
-    zone = Zone("example.com")
-    zone.add(ResourceRecord("a.example.com", RTYPE_A, "10.0.0.1"))
-    zone.add_address("b.example.com", "fd00::1")
-    assert [r.rdata for r in zone.lookup("a.example.com", RTYPE_A)] == ["10.0.0.1"]
-    assert zone.lookup("b.example.com", RTYPE_AAAA)[0].rdata == "fd00::1"
-    assert zone.lookup("missing.example.com", RTYPE_A) == []
-    assert len(zone) == 2
-    assert zone.names() == ["a.example.com", "b.example.com"]
-
-
-def test_zone_rejects_out_of_zone_names():
-    zone = Zone("example.com")
-    with pytest.raises(ValueError):
-        zone.add(ResourceRecord("a.other.org", RTYPE_A, "10.0.0.1"))
-
-
-def test_zone_deduplicates_records():
-    zone = Zone("example.com")
-    record = ResourceRecord("a.example.com", RTYPE_A, "10.0.0.1")
-    zone.add(record)
-    zone.add(record)
-    assert len(zone) == 1
-
-
-def test_zoneset_selects_most_specific_zone():
-    parent = Zone("example.com")
-    child = Zone("iot.example.com")
-    parent.add_address("a.example.com", "10.0.0.1")
-    child.add_address("gw.iot.example.com", "10.0.0.2")
-    zones = ZoneSet([parent, child])
-    assert zones.zone_for("gw.iot.example.com") is child
-    assert zones.zone_for("a.example.com") is parent
-    assert zones.zone_for("other.org") is None
-    assert zones.lookup("gw.iot.example.com", RTYPE_A)[0].rdata == "10.0.0.2"
-    assert "a.example.com" in zones.all_names()
-
-
-def test_cname_records_supported():
-    zone = Zone("example.com")
-    zone.add(ResourceRecord("alias.example.com", RTYPE_CNAME, "target.example.com."))
-    assert zone.lookup("alias.example.com", RTYPE_CNAME)[0].rdata == "target.example.com"

@@ -194,6 +194,14 @@ def test_summarize_trace_coverage_counts_root_spans_only():
     assert rows[0][0] == "root"  # sorted by total time, descending
 
 
+def test_nearest_rank_percentile():
+    """The one nearest-rank rule of `repro stats` and the sweep latency line."""
+    ordered = [1.0, 2.0, 3.0, 4.0]
+    quantiles = (0.0, 0.25, 0.5, 0.75, 0.95, 1.0)
+    assert [obs_trace.nearest_rank(ordered, q) for q in quantiles] == [1, 1, 2, 3, 4, 4]
+    assert obs_trace.nearest_rank([7.0], 0.95) == 7.0
+
+
 # -- logging --------------------------------------------------------------------------
 
 

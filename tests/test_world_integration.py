@@ -6,6 +6,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.core.providers import PROVIDERS, get_provider
+from repro.scan.censys import CensysService
 from repro.security.blocklists import (
     CATEGORY_ATTACKS,
     CATEGORY_MALWARE,
@@ -95,6 +96,30 @@ def test_active_servers_churn_only_for_churny_providers(small_world):
         s.ip for s in small_world.active_servers_for_provider("tencent", period.start + timedelta(days=6))
     }
     assert stable_first == stable_later
+
+
+def test_each_days_scan_matches_the_active_servers(small_world):
+    """A day's Censys snapshot holds that day's active IPv4 servers and the non-IoT hosts."""
+    config = small_world.config
+    scanned = set(CensysService.SCANNED_PORTS)
+    backend_ips = {server.ip for server in small_world.all_servers()}
+    non_iot = None
+    for day in config.study_period.days():
+        active = [server for server in small_world.active_servers(day) if not server.is_ipv6]
+        hosts = set(small_world.censys.snapshot(day).records)
+        # Every host outside the day's window is a non-IoT host, the same every day.
+        others = hosts - {server.ip for server in active}
+        assert not others & backend_ips, day
+        assert len(others) == config.n_non_iot_hosts, day
+        assert non_iot is None or others == non_iot, day
+        non_iot = others
+        # Every active server with a scanned port open was scanned.
+        reachable = {
+            server.ip
+            for server in active
+            if any(endpoint.key in scanned for endpoint in server.endpoints)
+        }
+        assert reachable <= hosts, day
 
 
 def test_published_ranges_cover_deployments(small_world):
