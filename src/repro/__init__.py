@@ -6,8 +6,8 @@ The package is organised in two layers:
   ``repro.routing``, ``repro.flows``, ``repro.security``, ``repro.outage``,
   ``repro.simulation``) model the measurement environment the paper's authors had
   access to: an Internet address space with provider deployments, DNS, TLS
-  certificates, scanning services, BGP routing, an ISP NetFlow vantage point,
-  blocklists, and outages.
+  certificates, scanning services, the registry of IoT ports, BGP routing, an ISP
+  NetFlow vantage point, blocklists, and outages.
 
 * The core contribution (``repro.core``) implements the paper's methodology:
   domain-pattern generation, multi-source backend discovery, validation, footprint

@@ -63,7 +63,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -540,16 +539,14 @@ def _activate_obs(args: argparse.Namespace) -> Tuple[Optional[str], Optional[str
     """Turn on tracing/metrics/logging as the parsed flags request.
 
     Returns ``(trace_path, metrics_out_path)`` for :func:`_deactivate_obs`.
-    The trace path is also exported via ``$IOT_REPRO_TRACE`` so worker
-    processes started with the spawn method reach the same sink (forked
-    workers inherit the open descriptor anyway).
+    Sweep workers reach the same trace sink: forked ones inherit the open
+    descriptor, and spawned ones open the path their task carries.
     """
     obs_log.configure(args.verbose - args.quiet)
     trace_target: Optional[str] = args.trace
     metrics_out: Optional[str] = args.metrics_out
     if trace_target is not None:
         obs_trace.enable(trace_target)
-        os.environ[obs_trace.TRACE_ENV_VAR] = str(trace_target)
     if metrics_out is not None:
         obs_metrics.set_registry(obs_metrics.MetricsRegistry())
         obs_metrics.enable()
@@ -561,9 +558,7 @@ def _deactivate_obs(trace_target: Optional[str], metrics_out: Optional[str]) -> 
     if metrics_out is not None:
         obs_metrics.disable()
     if trace_target is not None:
-        if os.environ.get(obs_trace.TRACE_ENV_VAR) == str(trace_target):
-            os.environ.pop(obs_trace.TRACE_ENV_VAR, None)
-        obs_trace.reset()
+        obs_trace.disable()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

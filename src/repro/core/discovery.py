@@ -241,12 +241,12 @@ class BackendDiscovery:
         make_record = DiscoveredIP
         hits = misses = 0
         # Snapshot records are keyed by address, so each host appears once
-        # per day; replaying grouped verdicts therefore builds each
-        # (provider, ip) record in a single step instead of add+merge
-        # per certificate name.  The hit path is one dict probe plus a
-        # certificate-tuple compare (which short-circuits on object
-        # identity for unchanged certificates), inline so that it stays
-        # call-free per host.
+        # per day, and its verdicts hold one entry per provider; each
+        # (provider, ip) record is therefore written once, in a single step
+        # instead of add+merge per certificate name.  The hit path is one
+        # dict probe plus a certificate-tuple compare (which short-circuits
+        # on object identity for unchanged certificates), inline so that it
+        # stays call-free per host.
         for ip, record in snapshot.records.items():
             identity = record.certificates
             cached = lookup.get(ip)
@@ -268,15 +268,9 @@ class BackendDiscovery:
                 )
                 cache.put((ip, identity), verdicts)
             for provider_key, domains in verdicts:
-                bucket = per_provider.setdefault(provider_key, {})
-                existing = bucket.get(ip)
-                if existing is None:
-                    bucket[ip] = make_record(
-                        ip, provider_key, {SOURCE_TLS}, set(domains)
-                    )
-                else:
-                    existing.sources.add(SOURCE_TLS)
-                    existing.domains.update(domains)
+                per_provider.setdefault(provider_key, {})[ip] = make_record(
+                    ip, provider_key, {SOURCE_TLS}, set(domains)
+                )
         cache.hits += hits
         cache.misses += misses
         obs_metrics.inc("discovery.verdict_cache.hits", float(hits))

@@ -10,9 +10,9 @@ Three cooperating, individually usable pieces:
   workers ship their metrics to the driver as snapshots) and a process-local
   default registry behind cheap module-level helpers.
 * :mod:`repro.obs.trace` — a :func:`span` context-manager tracer appending
-  one JSON line per completed span to a file selected by ``--trace PATH`` or
-  ``$IOT_REPRO_TRACE``; reads are torn-tail tolerant and
-  :func:`summarize_trace` powers the ``stats`` CLI subcommand.
+  one JSON line per completed span to the file ``--trace PATH`` names; reads
+  are torn-tail tolerant and :func:`summarize_trace` powers the ``stats`` CLI
+  subcommand.
 * :mod:`repro.obs.log` — structured ``event key=value`` logging on the
   stdlib ``repro`` logger hierarchy, wired to the CLI's ``-v``/``-q`` flags.
 
@@ -31,13 +31,7 @@ from repro.obs.bench import BENCH_ENV_FIELDS, bench_env, visible_cpus
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import format_event, get_logger, log_event
 from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.trace import (
-    TRACE_ENV_VAR,
-    TraceSummary,
-    read_trace,
-    span,
-    summarize_trace,
-)
+from repro.obs.trace import TraceSummary, read_trace, span, summarize_trace
 
 __all__ = [
     "BENCH_ENV_FIELDS",
@@ -50,7 +44,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Histogram",
     "MetricsRegistry",
-    "TRACE_ENV_VAR",
     "TraceSummary",
     "read_trace",
     "span",

@@ -14,13 +14,11 @@ is enabled, appends one JSON line per *completed* span to the trace file:
   trace reconstructs the stage tree of each process.
 * Lines are written with a single ``os.write`` on an ``O_APPEND`` descriptor:
   on POSIX, concurrent appenders (forked sweep workers inherit the
-  open descriptor; spawned ones re-open the same path) interleave whole
-  lines, never bytes.
+  open descriptor; spawned ones open the path their task carries)
+  interleave whole lines, never bytes.
 
-Tracing is enabled explicitly (:func:`enable` — the CLI's ``--trace PATH``)
-or through the :data:`TRACE_ENV_VAR` environment variable, checked lazily on
-first use so worker processes started with the variable set pick it up
-without plumbing.  While disabled, :func:`span` yields immediately and
+Tracing is on only between :func:`enable` (the CLI's ``--trace PATH``) and
+:func:`disable`.  While disabled, :func:`span` yields immediately and
 touches neither the clock nor the filesystem.
 
 Reading is crash-tolerant: :func:`read_trace` skips unparseable lines (the
@@ -45,76 +43,40 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-#: Environment variable that enables tracing to the given path.
-TRACE_ENV_VAR = "IOT_REPRO_TRACE"
-
-_UNSET = object()  # env var not yet consulted
-
 _lock = threading.Lock()
-_sink_fd: Union[object, Optional[int]] = _UNSET
+_sink_fd: Optional[int] = None
 _sink_path: Optional[str] = None
 _ids = itertools.count(1)
 _stack = threading.local()
-
-
-def _open_sink(path: str) -> int:
-    return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
 
 
 def enable(path: Union[str, Path]) -> None:
     """Start appending span events to ``path`` (creates the file if needed)."""
     global _sink_fd, _sink_path
     with _lock:
-        if isinstance(_sink_fd, int):
+        if _sink_fd is not None:
             os.close(_sink_fd)
         _sink_path = str(path)
-        _sink_fd = _open_sink(_sink_path)
+        _sink_fd = os.open(_sink_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
 
 
 def disable() -> None:
-    """Stop tracing (and stop consulting the environment variable)."""
+    """Stop tracing."""
     global _sink_fd, _sink_path
     with _lock:
-        if isinstance(_sink_fd, int):
+        if _sink_fd is not None:
             os.close(_sink_fd)
         _sink_fd = None
         _sink_path = None
 
 
-def reset() -> None:
-    """Back to the initial lazy state: the env variable decides on first use."""
-    global _sink_fd, _sink_path
-    with _lock:
-        if isinstance(_sink_fd, int):
-            os.close(_sink_fd)
-        _sink_fd = _UNSET
-        _sink_path = None
-
-
-def _resolve_fd() -> Optional[int]:
-    global _sink_fd, _sink_path
-    fd = _sink_fd
-    if fd is _UNSET:
-        with _lock:
-            if _sink_fd is _UNSET:  # re-check under the lock
-                env_path = os.environ.get(TRACE_ENV_VAR)
-                if env_path:
-                    _sink_path = env_path
-                    _sink_fd = _open_sink(env_path)
-                else:
-                    _sink_fd = None
-            fd = _sink_fd
-    return fd if isinstance(fd, int) else None
-
-
 def enabled() -> bool:
     """Whether spans are currently being recorded."""
-    return _resolve_fd() is not None
+    return _sink_fd is not None
 
 
 def trace_path() -> Optional[str]:
     """The active trace file path, or None while disabled."""
-    _resolve_fd()
     return _sink_path
 
 
@@ -133,7 +95,7 @@ def span(name: str, **attrs: object) -> Iterator[None]:
     JSON-serializable).  Nested spans record their parent's id.  While
     tracing is disabled this is a near-no-op.
     """
-    fd = _resolve_fd()
+    fd = _sink_fd
     if fd is None:
         yield
         return

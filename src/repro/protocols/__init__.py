@@ -1,11 +1,10 @@
-"""Application-layer protocol substrate.
+"""The ports IoT backends expose at their Internet-facing gateways.
 
-These modules implement lightweight but faithful models of the protocols IoT
-backends expose at their Internet-facing gateways: MQTT (including MQTT over TLS),
-CoAP, AMQP, and HTTP(S).  The scanners in :mod:`repro.scan` speak these protocols
-when probing addresses, and the flow workload generator tags flows with the port
-of the protocol the device uses.  :mod:`repro.protocols.ports` registers the
-ports of the study and labels them for the figures.
+:mod:`repro.protocols.ports` registers the ports of the study (MQTT, MQTT over
+TLS, CoAP, AMQP, HTTP(S) and the vendor-specific ones): the port-scan baseline
+probes the standard IoT ones, and the traffic analyses label the figures' ports
+with them.  The application-layer answers a scanner records are the banner
+table of :mod:`repro.scan.banners`.
 """
 
 from repro.protocols.ports import (

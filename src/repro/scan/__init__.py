@@ -1,6 +1,6 @@
 """Scanning substrate: X.509-like certificates, TLS handshakes, a Censys-like IPv4
-scanning service with daily snapshots, a ZGrab2-like application-layer scanner for
-IPv6, and IPv6 hitlists."""
+scanning service with daily snapshots and per-protocol banners, a ZGrab2-like TLS
+scanner for IPv6, and IPv6 hitlists."""
 
 from repro.scan.certificates import Certificate
 from repro.scan.tls import TlsHandshakeResult, TlsServerConfig, perform_handshake

@@ -1,18 +1,18 @@
-"""Application-layer banner grabbing helpers.
+"""Application-layer banners.
 
 Censys performs protocol-specific handshakes to collect banners in addition to TLS
-certificates (Section 3.3).  This module runs the appropriate protocol probe for a
-service endpoint and condenses the result into a small, serialisable banner record
-stored in scan snapshots.
+certificates (Section 3.3).  The handshake only shows that something answered; the
+provider is attributed from the certificate.  Every backend of a protocol family
+answers the scanner's unauthenticated probe the same way, so the banner stored in
+scan snapshots is one entry per protocol in a fixed table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.netmodel.topology import ServiceEndpoint
-from repro.protocols import amqp, coap, http, mqtt
 
 
 @dataclass(frozen=True)
@@ -24,26 +24,25 @@ class Banner:
     success: bool
 
 
+#: The banner of each upper-cased protocol: MQTT brokers refuse an anonymous
+#: CONNECT, CoAP servers an unauthenticated GET, AMQP servers answer the
+#: protocol header with the SASL variant, and HTTP gateways ask for credentials.
+_BANNERS: Dict[str, Banner] = {
+    protocol: Banner(protocol, summary, True)
+    for protocols, summary in (
+        (("MQTT", "MQTTS"), "mqtt connack=NOT_AUTHORIZED"),
+        (("COAP", "COAPS"), "coap response=4.01"),
+        (("AMQP", "AMQPS"), "amqp header=SASL"),
+        (("HTTP", "HTTPS"), "http status=401"),
+    )
+    for protocol in protocols
+}
+
+
 def grab_banner(endpoint: ServiceEndpoint) -> Optional[Banner]:
-    """Run the protocol probe matching the endpoint's application protocol.
+    """The banner of the endpoint's application protocol.
 
     Returns None for protocols the scanner has no module for (mirroring real
     scanners, which only cover a fixed protocol set).
     """
-    protocol = endpoint.protocol.upper()
-    if protocol in ("MQTT", "MQTTS"):
-        result = mqtt.probe_broker(mqtt.MqttBrokerBehaviour())
-        code = result.return_code.name if result.return_code is not None else "none"
-        return Banner(protocol, f"mqtt connack={code}", result.spoke_mqtt)
-    if protocol in ("COAP", "COAPS"):
-        result = coap.probe_server(coap.CoapServerBehaviour())
-        dotted = result.response_code.dotted if result.response_code else "none"
-        return Banner(protocol, f"coap response={dotted}", result.spoke_coap)
-    if protocol in ("AMQP", "AMQPS"):
-        result = amqp.probe_server(amqp.AmqpServerBehaviour())
-        negotiated = result.negotiated_protocol.name if result.negotiated_protocol else "none"
-        return Banner(protocol, f"amqp header={negotiated}", result.spoke_amqp)
-    if protocol in ("HTTP", "HTTPS"):
-        result = http.probe_server(http.HttpServerBehaviour())
-        return Banner(protocol, f"http status={result.status_code}", result.spoke_http)
-    return None
+    return _BANNERS.get(endpoint.protocol.upper())

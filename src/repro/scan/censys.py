@@ -11,7 +11,8 @@ backend servers plus unrelated hosts), *without SNI and without client
 certificates*, exactly like an Internet-wide scanner connecting by address.  As a
 result it reproduces the two blind spots the paper reports: SNI-requiring providers
 (Google) and client-certificate-requiring endpoints (Amazon MQTT) yield no usable
-certificates from scans.
+certificates from scans.  Each open port's banner is its protocol's entry in the
+table of :mod:`repro.scan.banners`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from datetime import date
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.netmodel.geo import GeoDatabase, Location
-from repro.netmodel.topology import BackendServer, ServiceEndpoint
+from repro.netmodel.topology import BackendServer
 from repro.scan.banners import Banner, grab_banner
 from repro.scan.certificates import Certificate
 from repro.scan.tls import perform_handshake
@@ -139,8 +140,6 @@ class CensysService:
         self._location_pool = list(location_pool)
         self._scanned = frozenset(self.SCANNED_PORTS)
         self._snapshots: Dict[date, CensysSnapshot] = {}
-        # Banners by upper-cased protocol name (None for unprobed protocols).
-        self._banners: Dict[str, Optional[Banner]] = {}
         # Per-server probe results by ``id(server)``; each entry holds its
         # server, so the id cannot be recycled while the entry lives.
         self._probes: Dict[int, Tuple[BackendServer, Optional[_HostProbe]]] = {}
@@ -161,17 +160,6 @@ class CensysService:
                 snapshot.add(record)
         return snapshot
 
-    def _banner(self, endpoint: ServiceEndpoint) -> Optional[Banner]:
-        """The endpoint's banner, probed once per protocol.
-
-        :func:`grab_banner` reads only the endpoint's protocol, and a
-        :class:`Banner` is frozen, so every endpoint of a protocol shares one.
-        """
-        protocol = endpoint.protocol.upper()
-        if protocol not in self._banners:
-            self._banners[protocol] = grab_banner(endpoint)
-        return self._banners[protocol]
-
     def _probe(self, server: BackendServer) -> Optional[_HostProbe]:
         """Everything a scan of ``server`` sees that does not depend on the day.
 
@@ -189,7 +177,7 @@ class CensysService:
             if endpoint.key not in self._scanned:
                 continue
             open_ports.append(endpoint.key)
-            banner = self._banner(endpoint)
+            banner = grab_banner(endpoint)
             if banner is not None:
                 banners.append(banner)
             if endpoint.tls is not None:

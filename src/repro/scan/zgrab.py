@@ -1,11 +1,13 @@
-"""A ZGrab2-like application-layer scanner used for IPv6 targets.
+"""A ZGrab2-like scanner used for IPv6 targets.
 
 During the study period Censys scanned only IPv4, so the authors ran their own
 IPv6 measurements: ZGrab2 extended with MQTT/AMQP support, probing the addresses on
 IPv6 hitlists that had shown activity on ports 443, 8883, 1883, and 5671, from a
 single server in Europe (Section 3.3).  This module reproduces that scanner: it
-probes only hitlist addresses, performs TLS handshakes without SNI or client
-certificates, and runs the protocol handshake modules on top.
+probes only hitlist addresses and performs TLS handshakes without SNI or client
+certificates.  As in the paper, only the certificate attributes a host; the
+application-layer handshake on top would only show that something answered, so
+it is not modelled.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from datetime import date
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.netmodel.topology import BackendServer, ServiceEndpoint
-from repro.protocols import amqp, http, mqtt
 from repro.scan.certificates import Certificate
 from repro.scan.hitlist import IPv6Hitlist
 from repro.scan.tls import perform_handshake
@@ -32,7 +33,6 @@ class ZGrabResult:
     scan_date: date
     handshake_success: bool
     certificate: Optional[Certificate] = None
-    application_success: bool = False
     failure_reason: Optional[str] = None
 
 
@@ -42,9 +42,8 @@ class ZGrabScanner:
     Parameters
     ----------
     probed_ports:
-        The (transport, port, protocol-module) combinations probed per address,
-        defaulting to the set the paper lists: HTTPS 443, MQTTS 8883, MQTT 1883,
-        AMQPS 5671.
+        The (transport, port) pairs probed per address, defaulting to the set
+        the paper lists: HTTPS 443, MQTTS 8883, MQTT 1883, AMQPS 5671.
     """
 
     DEFAULT_PORTS: Tuple[Tuple[str, int], ...] = (
@@ -96,9 +95,6 @@ class ZGrabScanner:
             if handshake.success and handshake.certificate is not None:
                 if handshake.certificate.is_valid_on(scan_date):
                     certificate = handshake.certificate
-        application_success = False
-        if handshake_success:
-            application_success = self._run_application_probe(endpoint)
         return ZGrabResult(
             ip=address,
             transport=endpoint.transport,
@@ -107,16 +103,5 @@ class ZGrabScanner:
             scan_date=scan_date,
             handshake_success=handshake_success,
             certificate=certificate,
-            application_success=application_success,
             failure_reason=failure_reason,
         )
-
-    def _run_application_probe(self, endpoint: ServiceEndpoint) -> bool:
-        protocol = endpoint.protocol.upper()
-        if protocol in ("MQTT", "MQTTS"):
-            return mqtt.probe_broker(mqtt.MqttBrokerBehaviour()).spoke_mqtt
-        if protocol in ("AMQP", "AMQPS"):
-            return amqp.probe_server(amqp.AmqpServerBehaviour()).spoke_amqp
-        if protocol in ("HTTP", "HTTPS"):
-            return http.probe_server(http.HttpServerBehaviour()).spoke_http
-        return False

@@ -250,8 +250,8 @@ def _execute_scenario(task: _Task) -> ScenarioOutcome:
     from repro.store.artifacts import ArtifactStore, config_digest
 
     if task.trace_path is not None and not obs_trace.enabled():
-        # Spawned workers (no inherited descriptor, no env var) open the sink
-        # explicitly; forked workers and the serial driver already have it.
+        # Spawned workers (no inherited descriptor) open the sink explicitly;
+        # forked workers and the serial driver already have it.
         obs_trace.enable(task.trace_path)
     previous_registry: Optional[obs_metrics.MetricsRegistry] = None
     if task.collect_obs:
@@ -601,12 +601,12 @@ class _Campaign:
 
     def record_retry(self, outcome: ScenarioOutcome) -> None:
         """Record a non-final failed attempt (the scenario will be retried)."""
+        if outcome.status == STATUS_TIMEOUT:
+            obs_metrics.inc("sweep.timeouts")
         outcome.status = STATUS_RETRIED
         self._append(outcome)
         self._merge_obs(outcome)
         obs_metrics.inc("sweep.retries")
-        if outcome.error is not None and "Timeout" in outcome.error:
-            obs_metrics.inc("sweep.timeouts")
         log_event(
             logger,
             logging.WARNING,

@@ -127,7 +127,6 @@ KEEP: Dict[str, str] = {
     "flows/flowtable.py::FlowTable.record_at": PERFBENCH,
     "flows/flowtable.py::FlowTable.to_records": PERFBENCH,
     "obs/bench.py::bench_env": PERFBENCH,
-    "obs/trace.py::disable": PERFBENCH,
     "simulation/config.py::ScenarioConfig.default": PERFBENCH,
     "sweeps/runner.py::ScenarioOutcome.identity": PERFBENCH,
     # Used by a benchmarks/test_perf_* micro-benchmark.

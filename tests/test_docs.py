@@ -116,7 +116,6 @@ def test_observability_surface_is_documented_everywhere():
         assert flag in cli.__doc__, f"{flag} is not in the repro.cli docstring"
     assert "Observability" in architecture
     for concept in (
-        "IOT_REPRO_TRACE",  # the env var spawned workers re-open the sink from
         "MetricsRegistry",
         "read-only",  # the hard contract
         "span",

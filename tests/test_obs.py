@@ -17,14 +17,14 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 
 @pytest.fixture(autouse=True)
 def _obs_isolation():
-    """Every test starts with metrics off, a fresh registry, and tracing reset."""
+    """Every test starts and ends with metrics off, a fresh registry, and tracing off."""
     previous = obs_metrics.set_registry(MetricsRegistry())
     obs_metrics.disable()
     obs_trace.disable()
     yield
     obs_metrics.set_registry(previous)
     obs_metrics.disable()
-    obs_trace.reset()
+    obs_trace.disable()
 
 
 # -- metrics registry -----------------------------------------------------------------
@@ -142,19 +142,6 @@ def test_span_nesting_records_parent_ids(tmp_path):
         assert inner["parent_id"] == outer["span_id"]
         assert inner["pid"] == os.getpid()
         assert inner["dur"] >= 0.0
-
-
-def test_env_variable_enables_tracing_lazily(tmp_path, monkeypatch):
-    path = tmp_path / "env-trace.jsonl"
-    monkeypatch.setenv(obs_trace.TRACE_ENV_VAR, str(path))
-    obs_trace.reset()  # back to the lazy state so the env var is consulted
-    try:
-        with obs_trace.span("from-env"):
-            pass
-        assert obs_trace.trace_path() == str(path)
-        assert [e["name"] for e in obs_trace.read_trace(path)] == ["from-env"]
-    finally:
-        obs_trace.disable()
 
 
 def test_read_trace_tolerates_torn_and_garbage_lines(tmp_path):
@@ -334,6 +321,37 @@ def test_sweep_workers_ship_metrics_to_driver(tmp_path):
         assert "Scenario latency:" in result.render_latency_summary()
     finally:
         obs_metrics.disable()
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_sweep_workers_append_to_the_driver_trace(tmp_path, monkeypatch, method):
+    """Pool workers write their scenario spans to the driver's trace file:
+    forked ones through the inherited descriptor, spawned ones through the
+    path their task carries."""
+    import multiprocessing
+
+    from repro.simulation.config import ScenarioConfig
+    from repro.sweeps import runner as runner_module
+    from repro.sweeps.grid import ScenarioGrid
+    from repro.sweeps.runner import SweepRunner
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"the {method} start method is not available here")
+    monkeypatch.setattr(
+        runner_module, "pool_context", lambda: multiprocessing.get_context(method)
+    )
+    path = tmp_path / "trace.jsonl"
+    obs_trace.enable(path)
+    base = ScenarioConfig.small(seed=11).with_overrides(n_subscriber_lines=40)
+    grid = ScenarioGrid.from_strings(base, ["sampling_ratio=1,4"])
+    result = SweepRunner(metrics=("traffic",), workers=2).run(grid)
+    obs_trace.disable()
+    assert all(outcome.ok for outcome in result.outcomes)
+    spans = [e for e in obs_trace.read_trace(path) if e["name"] == "sweep.scenario"]
+    assert sorted(e["attrs"]["scenario"] for e in spans) == sorted(
+        outcome.scenario_id for outcome in result.outcomes
+    )
+    assert all(e["pid"] != os.getpid() for e in spans)
 
 
 #: Fallbacks that used to leave no trace: store reads that take the narrow

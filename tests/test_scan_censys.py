@@ -2,8 +2,11 @@
 
 from datetime import date
 
+import pytest
+
 from repro.netmodel.geo import GeoDatabase, world_locations
 from repro.netmodel.topology import BackendServer, ServiceEndpoint
+from repro.scan.banners import grab_banner
 from repro.scan.censys import CensysService
 from repro.scan.certificates import make_certificate
 from repro.scan.tls import TlsServerConfig
@@ -75,6 +78,34 @@ def test_banners_collected():
     protocols = {banner.protocol for banner in record.banners}
     assert "HTTPS" in protocols
     assert "MQTTS" in protocols
+
+
+@pytest.mark.parametrize(
+    "protocol, expected",
+    [
+        ("MQTT", ("MQTT", "mqtt connack=NOT_AUTHORIZED")),
+        ("MQTTS", ("MQTTS", "mqtt connack=NOT_AUTHORIZED")),
+        ("CoAP", ("COAP", "coap response=4.01")),
+        ("COAP", ("COAP", "coap response=4.01")),
+        ("CoAPS", ("COAPS", "coap response=4.01")),
+        ("AMQP", ("AMQP", "amqp header=SASL")),
+        ("AMQPS", ("AMQPS", "amqp header=SASL")),
+        ("HTTP", ("HTTP", "http status=401")),
+        ("HTTPS", ("HTTPS", "http status=401")),
+        ("Agnostic", None),
+        ("Kinetic", None),
+        ("ActiveMQ", None),
+        ("OPC-UA", None),
+    ],
+)
+def test_banner_per_protocol(protocol, expected):
+    """Every endpoint of a protocol family answers the probe the same way;
+    protocols the scanner has no module for yield no banner."""
+    banner = grab_banner(ServiceEndpoint("tcp", 443, protocol))
+    if expected is None:
+        assert banner is None
+    else:
+        assert (banner.protocol, banner.summary, banner.success) == (*expected, True)
 
 
 def test_certificate_validity_is_checked_per_day():

@@ -28,6 +28,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.simulation.config import ScenarioConfig
 from repro.store.artifacts import ArtifactStore
 from repro.sweeps import (
@@ -78,6 +80,18 @@ def fault_hook(monkeypatch):
     return install
 
 
+@pytest.fixture
+def metrics():
+    """A fresh, enabled metrics registry for one test (restored afterwards)."""
+    previous = obs_metrics.set_registry(MetricsRegistry())
+    obs_metrics.enable()
+    try:
+        yield obs_metrics.registry()
+    finally:
+        obs_metrics.disable()
+        obs_metrics.set_registry(previous)
+
+
 # -- injectable faults (module-level so fork-inherited workers resolve them) ----
 
 
@@ -113,6 +127,11 @@ def _fail_always(scenario_id: str, attempt: int) -> None:
 def _fail_one_scenario(scenario_id: str, attempt: int) -> None:
     if "sampling_ratio=1" in scenario_id:
         raise RuntimeError("injected isolated fault")
+
+
+def _raise_timeout_error(scenario_id: str, attempt: int) -> None:
+    """A failure whose message names a timeout, though no attempt timed out."""
+    raise TimeoutError("upstream lookup timed out")
 
 
 def _hang(scenario_id: str, attempt: int) -> None:
@@ -244,6 +263,18 @@ class TestRetry:
         statuses = [row.status for row in SweepResult.read_ledger(ledger).outcomes]
         assert statuses.count(STATUS_RETRIED) == 1 and statuses.count(STATUS_FAILED) == 1
 
+    def test_retried_failure_naming_a_timeout_is_not_counted_as_one(
+        self, fault_hook, metrics
+    ):
+        fault_hook(_raise_timeout_error)
+        result = SweepRunner(
+            metrics=("traffic",), workers=1, retries=1, backoff=0.0
+        ).run(_grid((4,)))
+        assert result.outcomes[0].status == STATUS_FAILED
+        assert "Timeout" in result.outcomes[0].error
+        assert metrics.counter("sweep.retries") == 1.0
+        assert metrics.counter("sweep.timeouts") == 0.0
+
 
 class TestTimeout:
     def test_hung_scenario_times_out_serial(self, clean, fault_hook):
@@ -265,7 +296,7 @@ class TestTimeout:
         assert by_id["sampling_ratio=4"].status == STATUS_TIMEOUT
         assert by_id["sampling_ratio=2"].ok
 
-    def test_timeout_is_retried_before_giving_up(self, fault_hook, tmp_path):
+    def test_timeout_is_retried_before_giving_up(self, fault_hook, metrics, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         fault_hook(_hang)
         result = SweepRunner(
@@ -280,6 +311,7 @@ class TestTimeout:
         assert result.outcomes[0].attempt == 2
         statuses = [row.status for row in SweepResult.read_ledger(ledger).outcomes]
         assert statuses == [STATUS_RETRIED, STATUS_TIMEOUT]
+        assert metrics.counter("sweep.timeouts") == 2.0
 
 
 class TestCircuitBreaker:
