@@ -126,11 +126,13 @@ class LazyColumn:
     never pays the copy at all.  :meth:`tobytes` re-emits the buffer verbatim,
     which is what keeps ``dump_table`` round-trips byte-identical.
 
-    An optional ``validate`` callable (the codec's deferred code-range check)
-    runs once against the first decoded representation and may raise
+    An optional ``validate`` callable (the codec's deferred code-range check:
+    byte planes for the decoded ``array``, minimum and maximum for a numpy
+    view) runs once against the first decoded representation and may raise
     :class:`~repro.store.codec.StoreFormatError`; corruption a structural
     parse cannot see is therefore surfaced on first touch, before any value
-    escapes.  Instances are immutable: :class:`FlowTable` swaps them for
+    escapes.  The check keeps none of its transient byte copies on the
+    column.  Instances are immutable: :class:`FlowTable` swaps them for
     mutable arrays via its copy-on-write barrier before any mutation.
     """
 

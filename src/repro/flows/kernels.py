@@ -31,18 +31,19 @@ interchangeable implementations:
 mask builders -- :func:`expand_code_mask` (a per-pool-entry mask expanded
 over a code column, optionally AND-ed with a row mask), :func:`not_in_mask`
 and :func:`nonzero_mask`.  The python :func:`expand_code_mask` runs in
-C-level byte operations: it translates
-the low-byte plane of the codes through each 256-entry block of flags
-(``bytes.translate``), keeps each block's bytes where the codes' second byte
-names that block, and ANDs a row mask in as one integer ``&``.  It takes that
-path for ``array('i')`` codes on a little-endian host, ``bytes``/``bytearray``
-flags and mask, at most :data:`_MAX_BYTE_BLOCKS` blocks and every code in
-range; any other input runs the per-row lookup, the only path for it.  The
-other python row kernels are the original loops (``compress`` for the
-filter); the numpy kernel returns ``NotImplemented`` for anything it cannot
-reproduce byte for byte.  Row masks must have one entry per row: the
-dispatchers raise ``ValueError`` naming both lengths instead of letting
-``compress`` silently cut the table to the mask.
+C-level byte operations: it translates the low-byte plane of the codes
+through each 256-entry block of flags (``bytes.translate``), keeps each
+block's bytes where the codes' second byte names that block, and ANDs a row
+mask in as one integer ``&``.  It takes that path for ``array('i')`` codes on
+a little-endian host, ``bytes``/``bytearray`` flags and mask, at most
+:data:`_MAX_BYTE_BLOCKS` blocks and every code in range, which
+:func:`codes_in_range` checks on the same byte planes (the store codec's
+code-range check calls it too); any other input runs the per-row lookup, the
+only path for it.  The other python row kernels are the original loops
+(``compress`` for the filter); the numpy kernel returns ``NotImplemented``
+for anything it cannot reproduce byte for byte.  Row masks must have one
+entry per row: the dispatchers raise ``ValueError`` naming both lengths
+instead of letting ``compress`` silently cut the table to the mask.
 
 Backend selection: ``IOT_REPRO_KERNELS=python|numpy`` forces a backend,
 :func:`set_backend` overrides it in-process (tests, benchmarks), and with
@@ -191,10 +192,9 @@ class GroupIndex:
     mutation counter so any row mutation makes the cached index unusable.
     """
 
-    __slots__ = ("by", "version", "gids", "group_keys", "_gids_np")
+    __slots__ = ("version", "gids", "group_keys", "_gids_np")
 
-    def __init__(self, by: Tuple[str, ...], version: int, gids: array, group_keys: List["GroupKey"]) -> None:
-        self.by = by
+    def __init__(self, version: int, gids: array, group_keys: List["GroupKey"]) -> None:
         self.version = version
         self.gids = gids
         self.group_keys = group_keys
@@ -222,7 +222,7 @@ def build_group_index(table: "FlowTable", by: Tuple[str, ...]) -> GroupIndex:
         built = _numpy_kernels().build_group_index(table, by)
         if built is not NotImplemented:
             gids, group_keys = built
-            return GroupIndex(by, version, gids, group_keys)
+            return GroupIndex(version, gids, group_keys)
     keys, decode = table._group_codes(by)
     gid_of: Dict[object, int] = {}
     gids = array("q")
@@ -232,7 +232,7 @@ def build_group_index(table: "FlowTable", by: Tuple[str, ...]) -> GroupIndex:
         if gid is None:
             gid = gid_of[key] = len(gid_of)
         append(gid)
-    return GroupIndex(by, version, gids, [decode(key) for key in gid_of])
+    return GroupIndex(version, gids, [decode(key) for key in gid_of])
 
 
 # ---------------------------------------------------------------------------------
@@ -449,15 +449,15 @@ def _expand_bytes(
 ) -> Optional[bytearray]:
     """The python :func:`expand_code_mask` in C-level byte operations.
 
-    ``None`` unless every condition :func:`expand_code_mask` lists holds.  A
-    little-endian ``int32`` code is four byte planes: the low byte indexes a
-    block of 256 flags, the second names the block, and the top two are zero
-    below 65536.  A block's expansion is one ``translate`` of the low plane,
-    kept, as a little-endian int, where the second plane names the block.
+    ``None`` unless every condition :func:`expand_code_mask` lists holds; the
+    codes are range-checked by :func:`codes_in_range`.  A little-endian
+    ``int32`` code is four byte planes: the low byte indexes a block of 256
+    flags and the second names the block.  A block's expansion is one
+    ``translate`` of the low plane, kept, as a little-endian int, where the
+    second plane names the block.
     """
     if not (
-        _LITTLE_ENDIAN
-        and isinstance(code_mask, (bytes, bytearray))
+        isinstance(code_mask, (bytes, bytearray))
         and (mask is None or isinstance(mask, (bytes, bytearray)))
     ):
         return None
@@ -467,40 +467,58 @@ def _expand_bytes(
     materialize = getattr(codes, "materialize", None)  # a LazyColumn: decode and check
     if materialize is not None:
         codes = materialize()
-    if not (isinstance(codes, array) and codes.typecode == "i" and codes.itemsize == 4):
-        return None
-    rows = len(codes)
+    if codes_in_range(codes, len(code_mask)) is not True:
+        return None  # not int32 codes on a little-endian host, or a code outside the pool
     raw = codes.tobytes()
-    zeros = bytes(rows)
-    high = raw[1::4]
-    if raw[3::4] != zeros or raw[2::4] != zeros or high.translate(None, _BYTE_VALUES[:blocks]):
-        return None  # a negative code, or one past the last block
     low = raw[0::4]
-    last = blocks - 1
-    tail = len(code_mask) - 256 * last  # entries in the last block
     flags = code_mask if mask is None else code_mask.translate(_TRUTH)
     if blocks == 1:
-        if low.translate(None, _BYTE_VALUES[:tail]):
-            return None  # a code past the end of the pool
         expanded = low.translate(flags.ljust(256, b"\x00"))
         if mask is None:
             return bytearray(expanded)
         result = int.from_bytes(expanded, "little")
     else:
-        in_last = _rows_in_block(high, last)
-        past_tail = low.translate(bytes(tail).ljust(256, b"\xff"))
-        if in_last & int.from_bytes(past_tail, "little"):
-            return None  # a code past the end of the pool
+        high = raw[1::4]
         result = 0
         for block in range(blocks):
             table = flags[256 * block : 256 * (block + 1)]
             if any(table):
-                in_block = in_last if block == last else _rows_in_block(high, block)
                 expanded = low.translate(table.ljust(256, b"\x00"))
-                result |= int.from_bytes(expanded, "little") & in_block
+                result |= int.from_bytes(expanded, "little") & _rows_in_block(high, block)
     if mask is not None:
         result &= int.from_bytes(mask.translate(_TRUTH), "little")
-    return bytearray(result.to_bytes(rows, "little"))
+    return bytearray(result.to_bytes(len(codes), "little"))
+
+
+def codes_in_range(codes: Sequence[int], bound: int) -> Optional[bool]:
+    """Whether every code lies in ``[0, bound)``, tested on byte planes in C.
+
+    ``None`` unless ``codes`` is a 4-byte ``array('i')`` on a little-endian
+    host and ``0 <= bound <= 65536``: the caller then checks another way.  A
+    code in range has zero top two byte planes, a second plane naming one of
+    the blocks ``0 .. (bound - 1) // 256``, and, in the last, partial block,
+    a low byte below ``bound % 256``.
+    """
+    if not (
+        _LITTLE_ENDIAN
+        and isinstance(codes, array)
+        and codes.typecode == "i"
+        and codes.itemsize == 4
+        and 0 <= bound <= 65536
+    ):
+        return None
+    raw = codes.tobytes()
+    zeros = bytes(len(codes))
+    high = raw[1::4]
+    blocks, tail = -(-bound // 256), bound % 256
+    if raw[3::4] != zeros or raw[2::4] != zeros or high.translate(None, _BYTE_VALUES[:blocks]):
+        return False  # a negative code, or one past the last block
+    if not tail:
+        return True
+    if blocks == 1:  # every row lies in the one, partial block
+        return not raw[0::4].translate(None, _BYTE_VALUES[:tail])
+    past_tail = raw[0::4].translate(bytes(tail).ljust(256, b"\xff"))
+    return not _rows_in_block(high, blocks - 1) & int.from_bytes(past_tail, "little")
 
 
 def _rows_in_block(high: bytes, block: int) -> int:

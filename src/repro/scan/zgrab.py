@@ -30,10 +30,7 @@ class ZGrabResult:
     transport: str
     port: int
     protocol: str
-    scan_date: date
-    handshake_success: bool
     certificate: Optional[Certificate] = None
-    failure_reason: Optional[str] = None
 
 
 class ZGrabScanner:
@@ -55,7 +52,6 @@ class ZGrabScanner:
 
     def __init__(self, probed_ports: Sequence[Tuple[str, int]] = DEFAULT_PORTS) -> None:
         self.probed_ports = tuple(probed_ports)
-        self.probes_sent = 0
 
     def scan(
         self,
@@ -72,10 +68,8 @@ class ZGrabScanner:
         for address in hitlist:
             server = servers_by_ip.get(address)
             if server is None:
-                self.probes_sent += len(self.probed_ports)
                 continue
             for transport, port in self.probed_ports:
-                self.probes_sent += 1
                 endpoint = server.endpoint(transport, port)
                 if endpoint is None:
                     continue
@@ -86,12 +80,8 @@ class ZGrabScanner:
         self, address: str, endpoint: ServiceEndpoint, scan_date: date
     ) -> ZGrabResult:
         certificate: Optional[Certificate] = None
-        handshake_success = True
-        failure_reason: Optional[str] = None
         if endpoint.tls is not None:
             handshake = perform_handshake(endpoint.tls, server_name=None)
-            handshake_success = handshake.success
-            failure_reason = handshake.failure_reason
             if handshake.success and handshake.certificate is not None:
                 if handshake.certificate.is_valid_on(scan_date):
                     certificate = handshake.certificate
@@ -100,8 +90,5 @@ class ZGrabScanner:
             transport=endpoint.transport,
             port=endpoint.port,
             protocol=endpoint.protocol,
-            scan_date=scan_date,
-            handshake_success=handshake_success,
             certificate=certificate,
-            failure_reason=failure_reason,
         )

@@ -42,9 +42,11 @@ no column bytes until an analysis does; :func:`load_table` and
 the header row count and the buffer size) run in the pass, so truncation and
 length-field corruption raise :class:`StoreFormatError` at load time; the
 per-code range check is deferred into the lazy column and raises on first
-touch.  Artifacts written by a foreign-byte-order host, or with a code block
-of another integer typecode than ``'i'``, get a narrow decode step at the end
-of the same pass (every column decoded, byteswapped or narrowed, and
+touch.  It tests a decoded ``array('i')`` on its byte planes in C
+(:func:`~repro.flows.kernels.codes_in_range`) and a numpy view by its minimum
+and maximum.  Artifacts written by a foreign-byte-order host, or with a code
+block of another integer typecode than ``'i'``, get a narrow decode step at
+the end of the same pass (every column decoded, byteswapped or narrowed, and
 range-checked); each such load is counted by reason under
 ``store.mmap_fallbacks`` while metrics are on.
 
@@ -62,6 +64,7 @@ from datetime import date, datetime
 from itertools import islice
 from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.flows import kernels
 from repro.flows.flowtable import (
     CATEGORICAL_COLUMNS,
     NUMERIC_COLUMNS,
@@ -272,19 +275,24 @@ def _code_bounds_validator(
 ) -> Callable[[Sequence], None]:
     """The per-code range check of one code column.
 
-    Runs against whichever representation is decoded first (``array`` or
-    numpy view -- hence the duck-typed min/max).  ``on_bad_code`` runs just
-    before the check raises.
+    Runs against whichever representation is decoded first.  An
+    ``array('i')`` is checked on its byte planes, in C
+    (:func:`~repro.flows.kernels.codes_in_range`); a numpy view, or a column
+    that helper declines, by its minimum and maximum.  ``on_bad_code`` runs
+    just before the check raises.
     """
 
     def validate(column: Sequence) -> None:
         if not len(column):
             return
-        try:
-            low, high = column.min(), column.max()  # numpy view
-        except AttributeError:
-            low, high = min(column), max(column)
-        if low < 0 or high >= pool_size:
+        in_range = kernels.codes_in_range(column, pool_size)
+        if in_range is None:
+            try:
+                low, high = column.min(), column.max()  # numpy view
+            except AttributeError:
+                low, high = min(column), max(column)
+            in_range = low >= 0 and high < pool_size
+        if not in_range:
             if on_bad_code is not None:
                 on_bad_code()
             raise StoreFormatError(f"column {name!r}: code out of pool range")

@@ -1159,6 +1159,40 @@ def test_expand_code_mask_takes_the_byte_path_up_to_eight_blocks(tmp_path):
                 assert (code_mask.lookups > 0) == per_row, (pool_size, type(mask).__name__)
 
 
+def _planted_codes(bound: int) -> List[int]:
+    """Codes to plant into an in-range column: the bound itself, both codes at
+    every 256 edge up to 2**16, and codes set only in the upper byte planes."""
+    edges = [code for start in range(256, 2**16 + 1, 256) for code in (start - 1, start)]
+    return [-1, -(2**31), bound, 2**16, 2**24, 2**31 - 1] + edges
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="the byte planes need a little-endian host")
+@pytest.mark.parametrize("bound", _POOL_SIZES + (0, 65535, 65536))
+def test_codes_in_range_matches_min_max(bound):
+    """The byte-plane range check gives the ``min``/``max`` verdict on every column."""
+
+    def oracle(codes):
+        return not codes or (min(codes) >= 0 and max(codes) < bound)
+
+    rng = random.Random(bound)
+    base = _boundary_codes(bound, rng) if bound else array("i")
+    assert kernels.codes_in_range(array("i"), bound) is True
+    assert kernels.codes_in_range(base, bound) is oracle(base) is True
+    for planted in _planted_codes(bound):
+        codes = array("i", base)
+        codes.insert(rng.randrange(len(codes) + 1), planted)
+        assert kernels.codes_in_range(codes, bound) is oracle(codes), planted
+
+
+def test_codes_in_range_declines_what_it_cannot_read():
+    """Other bounds, typecodes and sequences get ``None``: the caller checks them."""
+    assert kernels.codes_in_range(array("i", [0]), 65537) is None
+    assert kernels.codes_in_range(array("i", [0]), -1) is None
+    for typecode in ("q", "b"):
+        assert kernels.codes_in_range(array(typecode, [0, 1]), 2) is None
+    assert kernels.codes_in_range([0, 1], 2) is None
+
+
 @pytest.mark.parametrize("ratio", (1, 4))
 @pytest.mark.parametrize("seed", SEEDS[:3])
 def test_export_is_identical_across_backends(seed, ratio, tmp_path):

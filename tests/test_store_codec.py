@@ -8,6 +8,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from repro.flows import kernels
 from repro.flows.flowtable import (
     CATEGORICAL_COLUMNS,
     NUMERIC_COLUMNS,
@@ -209,6 +210,31 @@ def _touch_all(table):
     return table
 
 
+def _foreign_order_blob(table, monkeypatch):
+    """``table`` (array columns, swapped in place) as a foreign-byte-order host writes it."""
+    from repro.store import codec as codec_module
+
+    for name in CATEGORICAL_COLUMNS:
+        table._codes[name].byteswap()
+    for name, _typecode in NUMERIC_COLUMNS:
+        table._numeric[name].byteswap()
+    foreign_order = (
+        codec_module._BIG
+        if codec_module._LOCAL_ORDER == codec_module._LITTLE
+        else codec_module._LITTLE
+    )
+    with monkeypatch.context() as patched:
+        patched.setattr(codec_module, "_LOCAL_ORDER", foreign_order)
+        return dumps_table(table)
+
+
+def _with_code(table, name, code):
+    """An array-backed copy of ``table`` with ``code`` in the first row of ``name``."""
+    copy = loads_table(dumps_table(table))
+    copy._codes[name][0] = code
+    return copy
+
+
 def _eager_outcome(blob):
     """('ok', redump bytes) or ('error', None) of an eager load."""
     try:
@@ -275,22 +301,8 @@ class TestLazyRoundTrip:
 
         The hand-off is counted as ``store.mmap_fallbacks.byte_order``.
         """
-        from repro.store import codec as codec_module
-
         table = from_records(random_records(random.Random(24), 60))
-        swapped = loads_table(dumps_table(table))
-        for name in CATEGORICAL_COLUMNS:
-            swapped._codes[name].byteswap()
-        for name, _typecode in NUMERIC_COLUMNS:
-            swapped._numeric[name].byteswap()
-        foreign_order = (
-            codec_module._BIG
-            if codec_module._LOCAL_ORDER == codec_module._LITTLE
-            else codec_module._LITTLE
-        )
-        with monkeypatch.context() as patched:
-            patched.setattr(codec_module, "_LOCAL_ORDER", foreign_order)
-            foreign = dumps_table(swapped)
+        foreign = _foreign_order_blob(loads_table(dumps_table(table)), monkeypatch)
         assert foreign != dumps_table(table)
         restored, counted = _mmap_fallbacks(lambda: load_table_lazy(foreign))
         assert counted == {f"{MMAP_FALLBACK_COUNTER}.byte_order": 1.0}
@@ -404,28 +416,34 @@ class TestLazyCorruptionParity:
         with pytest.raises(StoreFormatError, match="typecode"):
             load_table_lazy(bytes(corrupted))
 
-    def test_code_out_of_pool_range_raises_on_first_touch(self, blob):
-        """The lazy path defers the per-code range check to first touch."""
-        (length,) = struct.unpack_from("<Q", blob, 6)
-        # The first categorical array block (timestamp codes): its <cBQ header
-        # is the first occurrence of this exact byte pattern.
-        header = struct.pack("<cBQ", b"i", 4, length * 4)
-        codes_at = blob.index(header) + len(header)
-        corrupted = bytearray(blob)
-        struct.pack_into("<i", corrupted, codes_at, 2**20)
-        corrupted = bytes(corrupted)
-        with pytest.raises(StoreFormatError, match="pool range"):
-            loads_table(corrupted)
-        lazy = load_table_lazy(corrupted)  # structural parse still passes
-        with pytest.raises(StoreFormatError, match="pool range"):
-            lazy.codes("timestamp").materialize()
-        try:
-            import numpy  # noqa: F401
-        except ImportError:
-            return  # the numpy-view touch path is covered on the numpy CI leg
-        fresh = load_table_lazy(corrupted)
-        with pytest.raises(StoreFormatError, match="pool range"):
-            fresh.codes("timestamp").as_numpy()
+    def test_code_out_of_pool_range_raises_on_first_touch(self, monkeypatch):
+        """Every decode path rejects a code outside the pool; the lazy path on first touch.
+
+        Planted: the smallest code past the pool, ``-1``, a code whose second
+        byte names a block past the last one, and ``2**20``.  The ``timestamp``
+        pool fits one block of 256 codes; the ``server_ip`` pool spans two, the
+        second partial, so the byte planes' last-block test runs on it.
+        """
+        table = from_records(random_records(random.Random(38), 300))
+        for name in ("timestamp", "server_ip"):
+            pool_size = len(table.pool(name))
+            for code in (pool_size, -1, 256 * -(-pool_size // 256), 2**20):
+                blob = dumps_table(_with_code(table, name, code))
+                with pytest.raises(StoreFormatError, match="pool range"):
+                    loads_table(blob)
+                lazy = load_table_lazy(blob)  # structural parse still passes
+                with pytest.raises(StoreFormatError, match="pool range"):
+                    lazy.codes(name).materialize()
+                if kernels.numpy_available():
+                    with pytest.raises(StoreFormatError, match="pool range"):
+                        load_table_lazy(blob).codes(name).as_numpy()
+                # The narrow decode step, after a byte swap and after a widening.
+                wide = _with_code(table, name, code)
+                wide._codes[name] = array("q", wide._codes[name])
+                foreign = _foreign_order_blob(_with_code(table, name, code), monkeypatch)
+                for other in (foreign, dumps_table(wide)):
+                    with pytest.raises(StoreFormatError, match="pool range"):
+                        load_table_lazy(other)
 
     def test_duplicate_pool_values_rejected_lazily_too(self):
         base = datetime(2022, 3, 1)

@@ -11,6 +11,7 @@ found at first touch must leave the slot to be rebuilt by the next run.
 
 import random
 import struct
+import sys
 from datetime import date
 
 import pytest
@@ -172,6 +173,49 @@ class TestWarmContextDigestParity:
         assert activity_timeseries(warm_clean, warm.anonymization) == (
             activity_timeseries(cold_clean, cold.anonymization)
         )
+
+
+class TestWarmPythonRangeCheck:
+    @pytest.mark.skipif(sys.byteorder != "little", reason="the byte planes need a little-endian host")
+    def test_every_decoded_code_column_is_checked_on_its_byte_planes(self, tmp_path, monkeypatch):
+        """A warm python pass range-checks each code column it decodes in C.
+
+        ``codes_in_range`` returns ``None`` only for a column it cannot read,
+        which the codec then checks with a python ``min``/``max`` loop.
+        """
+        from repro.experiments.disruption_experiments import fig15_fig16_outage
+        from repro.experiments.traffic_experiments import fig8_subscriber_activity
+
+        kernels.set_backend(kernels.BACKEND_PYTHON)
+        config = ScenarioConfig.small(7)
+        root = tmp_path / "store"
+        cold = build_context(config, use_cache=False, store=ArtifactStore(root))
+        fig8_subscriber_activity(cold)
+        fig15_fig16_outage(cold)
+
+        checked, verdicts = [], []
+        helper = kernels.codes_in_range
+
+        def spy(codes, bound):
+            verdict = helper(codes, bound)
+            checked.append(codes)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(kernels, "codes_in_range", spy)
+        warm = build_context(config, use_cache=False, store=ArtifactStore(root))
+        fig8_subscriber_activity(warm)
+        fig15_fig16_outage(warm)
+        decoded = [
+            table.codes(name)._array
+            for table in warm._table_cache.values()
+            for name in CATEGORICAL_COLUMNS
+            if isinstance(table.codes(name), LazyColumn) and table.codes(name)._array is not None
+        ]
+        assert decoded, "the warm pass decodes code columns off the store"
+        for column in decoded:
+            assert any(codes is column for codes in checked)
+        assert None not in verdicts
 
 
 class TestOutOfPoolCode:
