@@ -1,7 +1,8 @@
 """Command-line interface.
 
-``iot-backend-repro`` exposes the main experiments so results can be regenerated
-without writing Python::
+``iot-backend-repro`` runs the experiments of :mod:`repro.experiments.registry`,
+one subcommand with its help line per registered command, so results can be
+regenerated without writing Python::
 
     iot-backend-repro table1            # provider characterization (Table 1)
     iot-backend-repro patterns          # regexes and queries (Table 2 / Appendix A)
@@ -48,8 +49,8 @@ parallelizes across scenarios instead, one process per scenario.
 Observability (see :mod:`repro.obs`) is off by default and strictly
 read-only — results, store addresses, and ledger identity fields are
 bit-identical with it on or off.  ``--trace PATH`` appends one JSON line per
-completed pipeline span (generation hours, discovery sources, store I/O,
-sweep scenarios — including those of worker processes) to PATH;
+completed pipeline span (generation hours, discovery sources, context stages,
+experiments, sweep scenarios — including those of worker processes) to PATH;
 ``--metrics-out PATH`` collects counters/histograms during the run (sweep
 workers ship their registries back to the driver) and writes the merged
 snapshot as JSON on exit.  ``iot-backend-repro stats`` renders either file
@@ -65,10 +66,10 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments import build_context
-from repro.experiments import characterization, disruption_experiments, traffic_experiments
+from repro.experiments.registry import COMMANDS, run_command
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -134,89 +135,6 @@ def _make_store(args: argparse.Namespace):
     return ArtifactStore(args.store)
 
 
-def _cmd_table1(context) -> str:
-    return characterization.table1_characterization(context).render()
-
-
-def _cmd_patterns(context) -> str:
-    return characterization.table2_regexes().render()
-
-
-def _cmd_discovery(context) -> str:
-    return characterization.pipeline_summary(context).render()
-
-
-def _cmd_sources(context) -> str:
-    return characterization.fig3_source_contribution(context).render()
-
-
-def _cmd_stability(context) -> str:
-    return characterization.fig4_stability(context).render()
-
-
-def _cmd_validation(context) -> str:
-    return characterization.sec34_validation(context).render()
-
-
-def _cmd_traffic(context) -> str:
-    sections = [
-        traffic_experiments.fig5_scanner_threshold(context).render(),
-        traffic_experiments.fig6_visibility(context).render(),
-        traffic_experiments.fig7_tls_only_loss(context).render(),
-        traffic_experiments.fig8_subscriber_activity(context).render(),
-        traffic_experiments.fig9_traffic_volume(context).render(),
-        traffic_experiments.fig10_direction_ratio(context).render(),
-        traffic_experiments.fig11_port_mix(context).render(),
-        traffic_experiments.fig12_per_subscriber_volumes(context).render(),
-        traffic_experiments.fig13_fig14_region_crossing(context).render(),
-    ]
-    return "\n\n".join(sections)
-
-
-def _cmd_outage(context) -> str:
-    result = disruption_experiments.fig15_fig16_outage(context)
-    return result.render("15") + "\n\n" + result.render("16")
-
-
-def _cmd_disruptions(context) -> str:
-    return disruption_experiments.sec62_potential_disruptions(context).render()
-
-
-def _cmd_ablations(context) -> str:
-    return (
-        disruption_experiments.ablation_portscan_baseline(context).render()
-        + "\n\n"
-        + disruption_experiments.ablation_vantage_points(context).render()
-    )
-
-
-_COMMANDS: Dict[str, Callable] = {
-    "table1": _cmd_table1,
-    "patterns": _cmd_patterns,
-    "discovery": _cmd_discovery,
-    "sources": _cmd_sources,
-    "stability": _cmd_stability,
-    "validation": _cmd_validation,
-    "traffic": _cmd_traffic,
-    "outage": _cmd_outage,
-    "disruptions": _cmd_disruptions,
-    "ablations": _cmd_ablations,
-}
-
-_COMMAND_HELP = {
-    "table1": "provider characterization (Table 1)",
-    "patterns": "regexes and queries (Table 2 / Appendix A)",
-    "discovery": "end-to-end discovery summary (Figure 2)",
-    "sources": "per-source contribution (Figure 3)",
-    "stability": "IP-set stability (Figure 4)",
-    "validation": "methodology validation (Section 3.4/3.5)",
-    "traffic": "traffic analyses (Figures 5-14)",
-    "outage": "AWS outage impact (Figures 15-16)",
-    "disruptions": "BGP / blocklist exposure (Section 6.2)",
-    "ablations": "portscan-only / vantage-point ablations",
-}
-
-
 def _scenario_options() -> argparse.ArgumentParser:
     """Shared scenario options (a parents= parser for every subcommand)."""
     common = argparse.ArgumentParser(add_help=False)
@@ -277,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = _scenario_options()
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in sorted(_COMMANDS):
-        subparsers.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
+    for name in sorted(COMMANDS):
+        subparsers.add_parser(name, parents=[common], help=COMMANDS[name])
 
     sweep = subparsers.add_parser(
         "sweep", parents=[common], help="run a grid of scenarios across workers"
@@ -457,10 +375,6 @@ def _render_metrics_snapshot(path: str) -> str:
         sections.append(
             render_table(["counter", "value"], rows, title=f"Counters ({path})")
         )
-    gauges = registry.gauges()
-    if gauges:
-        rows = [[name, round(value, 6)] for name, value in sorted(gauges.items())]
-        sections.append(render_table(["gauge", "value"], rows, title="Gauges"))
     histogram_rows: List[List[object]] = []
     for name in registry.histogram_names():
         histogram = registry.histogram(name)
@@ -578,7 +492,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             config = _make_config(args)
             context = build_context(config, store=_make_store(args))
-            output = _COMMANDS[args.command](context)
+            output = run_command(args.command, context)
             exit_code = 0
         if metrics_out is not None:
             snapshot = obs_metrics.registry().snapshot()

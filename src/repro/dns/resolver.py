@@ -48,8 +48,8 @@ class StubResolver:
     retries:
         Number of times a query is repeated per resolution; each retry can surface
         additional round-robin records.  The paper's ten-second pacing between
-        queries is a rate-limiting concern without functional impact and is
-        represented by ``query_delay_seconds`` for documentation purposes only.
+        queries is a rate-limiting concern without functional impact, so the
+        resolver does not model it.
     """
 
     def __init__(
@@ -57,21 +57,17 @@ class StubResolver:
         authoritative: AuthoritativeNameServer,
         vantage_point: VantagePoint,
         retries: int = 2,
-        query_delay_seconds: float = 10.0,
     ) -> None:
         if retries < 1:
             raise ValueError("retries must be at least 1")
         self._authoritative = authoritative
         self.vantage_point = vantage_point
         self.retries = retries
-        self.query_delay_seconds = query_delay_seconds
-        self.queries_issued = 0
 
     def resolve(self, name: str, rtype: str = RTYPE_A) -> ResolutionAnswer:
         """Resolve a single name, merging the answers of all retries."""
         addresses: List[str] = []
         for _ in range(self.retries):
-            self.queries_issued += 1
             answer = self._authoritative.query(
                 name, rtype, client_location=self.vantage_point.location
             )

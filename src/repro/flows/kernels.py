@@ -450,7 +450,8 @@ def _expand_bytes(
     """The python :func:`expand_code_mask` in C-level byte operations.
 
     ``None`` unless every condition :func:`expand_code_mask` lists holds; the
-    codes are range-checked by :func:`codes_in_range`.  A little-endian
+    codes are range-checked on the byte planes this expansion reuses
+    (:func:`_checked_planes`, as :func:`codes_in_range`).  A little-endian
     ``int32`` code is four byte planes: the low byte indexes a block of 256
     flags and the second names the block.  A block's expansion is one
     ``translate`` of the low plane, kept, as a little-endian int, where the
@@ -467,10 +468,10 @@ def _expand_bytes(
     materialize = getattr(codes, "materialize", None)  # a LazyColumn: decode and check
     if materialize is not None:
         codes = materialize()
-    if codes_in_range(codes, len(code_mask)) is not True:
+    checked = _checked_planes(codes, len(code_mask))
+    if checked is None or not checked[0]:
         return None  # not int32 codes on a little-endian host, or a code outside the pool
-    raw = codes.tobytes()
-    low = raw[0::4]
+    _in_range, low, high, last_rows = checked
     flags = code_mask if mask is None else code_mask.translate(_TRUTH)
     if blocks == 1:
         expanded = low.translate(flags.ljust(256, b"\x00"))
@@ -478,13 +479,14 @@ def _expand_bytes(
             return bytearray(expanded)
         result = int.from_bytes(expanded, "little")
     else:
-        high = raw[1::4]
         result = 0
         for block in range(blocks):
             table = flags[256 * block : 256 * (block + 1)]
             if any(table):
                 expanded = low.translate(table.ljust(256, b"\x00"))
-                result |= int.from_bytes(expanded, "little") & _rows_in_block(high, block)
+                reuse = block == blocks - 1 and last_rows is not None
+                rows = last_rows if reuse else _rows_in_block(high, block)
+                result |= int.from_bytes(expanded, "little") & rows
     if mask is not None:
         result &= int.from_bytes(mask.translate(_TRUTH), "little")
     return bytearray(result.to_bytes(len(codes), "little"))
@@ -499,6 +501,13 @@ def codes_in_range(codes: Sequence[int], bound: int) -> Optional[bool]:
     the blocks ``0 .. (bound - 1) // 256``, and, in the last, partial block,
     a low byte below ``bound % 256``.
     """
+    checked = _checked_planes(codes, bound)
+    return None if checked is None else checked[0]
+
+
+def _checked_planes(codes: Sequence[int], bound: int) -> Optional[Tuple]:
+    """``None`` where :func:`codes_in_range` is, else ``(its answer, low plane,
+    second plane, the last partial block's rows or None)`` for reuse."""
     if not (
         _LITTLE_ENDIAN
         and isinstance(codes, array)
@@ -509,16 +518,17 @@ def codes_in_range(codes: Sequence[int], bound: int) -> Optional[bool]:
         return None
     raw = codes.tobytes()
     zeros = bytes(len(codes))
-    high = raw[1::4]
+    low, high = raw[0::4], raw[1::4]
     blocks, tail = -(-bound // 256), bound % 256
     if raw[3::4] != zeros or raw[2::4] != zeros or high.translate(None, _BYTE_VALUES[:blocks]):
-        return False  # a negative code, or one past the last block
+        return False, low, high, None  # a negative code, or one past the last block
     if not tail:
-        return True
+        return True, low, high, None
     if blocks == 1:  # every row lies in the one, partial block
-        return not raw[0::4].translate(None, _BYTE_VALUES[:tail])
-    past_tail = raw[0::4].translate(bytes(tail).ljust(256, b"\xff"))
-    return not _rows_in_block(high, blocks - 1) & int.from_bytes(past_tail, "little")
+        return not low.translate(None, _BYTE_VALUES[:tail]), low, high, None
+    last_rows = _rows_in_block(high, blocks - 1)
+    past_tail = low.translate(bytes(tail).ljust(256, b"\xff"))
+    return not last_rows & int.from_bytes(past_tail, "little"), low, high, last_rows
 
 
 def _rows_in_block(high: bytes, block: int) -> int:

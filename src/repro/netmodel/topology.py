@@ -68,7 +68,6 @@ class BackendServer:
     domains: Tuple[str, ...] = ()
     dedicated_iot: bool = True
     cloud_host: Optional[str] = None
-    anycast: bool = False
     #: The parsed form of ``ip``, so lookups and version checks never re-parse it.
     address: IPAddress = field(init=False, repr=False, compare=False)
 

@@ -6,7 +6,7 @@ start silently falls back to a cold rebuild, this package is what says why.
 Three cooperating, individually usable pieces:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
-  counters/gauges/fixed-bucket histograms with a snapshot/merge API (sweep
+  counters and fixed-bucket histograms with a snapshot/merge API (sweep
   workers ship their metrics to the driver as snapshots) and a process-local
   default registry behind cheap module-level helpers.
 * :mod:`repro.obs.trace` — a :func:`span` context-manager tracer appending

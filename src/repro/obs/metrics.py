@@ -1,9 +1,8 @@
-"""Process-local metrics registry: counters, gauges, fixed-bucket histograms.
+"""Process-local metrics registry: counters and fixed-bucket histograms.
 
-A :class:`MetricsRegistry` aggregates three kinds of instruments:
+A :class:`MetricsRegistry` aggregates two kinds of instruments:
 
 * **Counters** — monotonically increasing floats (``inc``),
-* **Gauges** — last-write-wins floats (``set_gauge``),
 * **Histograms** — fixed-bucket latency/size distributions (``observe``),
   recording per-bucket counts plus sum/count/min/max so quantiles can be
   estimated without keeping samples.
@@ -11,17 +10,17 @@ A :class:`MetricsRegistry` aggregates three kinds of instruments:
 All mutating operations take the registry lock, so instrumented code may run
 from any thread.  A registry serializes to a plain-JSON **snapshot**
 (:meth:`MetricsRegistry.snapshot`) and snapshots **merge** additively
-(:meth:`MetricsRegistry.merge`): counters and histogram buckets add, gauges
-are last-write-wins.  That is the mechanism sweep workers use to ship their
-metrics to the driver — each worker snapshots its registry into the scenario
-outcome, and the driver merges every snapshot into its own registry.
+(:meth:`MetricsRegistry.merge`): counters and histogram buckets add.  That is
+the mechanism sweep workers use to ship their metrics to the driver — each
+worker snapshots its registry into the scenario outcome, and the driver
+merges every snapshot into its own registry.
 
 The module also owns the **process-local default registry** the
-instrumentation helpers (:func:`inc`, :func:`observe`, :func:`set_gauge`)
-write to.  Collection is off by default: every helper first checks
-:func:`enabled`, so uninstrumented runs pay one boolean test per call site
-and nothing else.  Observability is strictly read-only — no helper draws
-randomness or influences any computed value.
+instrumentation helpers (:func:`inc`, :func:`observe`) write to.  Collection
+is off by default: every helper first checks :func:`enabled`, so
+uninstrumented runs pay one boolean test per call site and nothing else.
+Observability is strictly read-only — no helper draws randomness or
+influences any computed value.
 """
 
 from __future__ import annotations
@@ -121,12 +120,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe named counters, gauges, and histograms."""
+    """Thread-safe named counters and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instruments -------------------------------------------------------------
@@ -134,10 +132,6 @@ class MetricsRegistry:
     def inc(self, name: str, value: float = 1.0) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0.0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def observe(self, name: str, value: float, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         with self._lock:
@@ -152,10 +146,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0.0)
 
-    def gauge(self, name: str) -> Optional[float]:
-        with self._lock:
-            return self._gauges.get(name)
-
     def histogram(self, name: str) -> Optional[Histogram]:
         with self._lock:
             return self._histograms.get(name)
@@ -163,10 +153,6 @@ class MetricsRegistry:
     def counters(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._counters)
-
-    def gauges(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self._gauges)
 
     def histogram_names(self) -> List[str]:
         with self._lock:
@@ -179,7 +165,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": {
                     name: histogram.to_snapshot()
                     for name, histogram in self._histograms.items()
@@ -187,12 +172,14 @@ class MetricsRegistry:
             }
 
     def merge(self, snap: Mapping[str, object]) -> None:
-        """Fold a snapshot into this registry (counters/histograms add, gauges overwrite)."""
+        """Fold a snapshot into this registry (counters and histograms add).
+
+        Keys other than ``counters`` and ``histograms``, such as the
+        ``gauges`` of older snapshots, are ignored.
+        """
         with self._lock:
             for name, value in snap.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0.0) + float(value)
-            for name, value in snap.get("gauges", {}).items():
-                self._gauges[name] = float(value)
             for name, hist_snap in snap.get("histograms", {}).items():
                 histogram = self._histograms.get(name)
                 if histogram is None:
@@ -250,12 +237,6 @@ def inc(name: str, value: float = 1.0) -> None:
     """Increment a counter on the default registry (no-op while disabled)."""
     if _enabled:
         _registry.inc(name, value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge on the default registry (no-op while disabled)."""
-    if _enabled:
-        _registry.set_gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -1,6 +1,7 @@
 """Routing substrate: prefix announcements and longest-prefix-match lookup
 (RouteViews-style prefix-to-AS mapping) and a BGPStream-like event feed.
-Anycast is a per-server flag (``BackendServer.anycast``), not a routing model."""
+Anycast is not modelled per server: a Table 1 row's ``anycast`` entry is the
+provider's ``ProviderSpec.uses_anycast``."""
 
 from repro.routing.bgp import Announcement, RoutingTable
 from repro.routing.events import BgpEvent, BgpEventFeed, EventKind

@@ -572,7 +572,6 @@ class _WorldBuilder:
             # Amazon IoT runs on the company's own cloud regions; the us-east-1
             # outage therefore affects it even though the strategy is DI.
             cloud_host = "Amazon Web Services"
-        anycast = spec.uses_anycast and index % 10 == 0
         return BackendServer(
             ip=address,
             provider=spec.key,
@@ -583,7 +582,6 @@ class _WorldBuilder:
             domains=tuple(domains),
             dedicated_iot=dedicated,
             cloud_host=cloud_host,
-            anycast=anycast,
         )
 
     def _domains_for_server(

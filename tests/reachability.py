@@ -103,10 +103,7 @@ KEEP: Dict[str, str] = {
     "sweeps/runner.py::SweepRunner._run_parallel": LIVE,
     "sweeps/runner.py::SweepRunner._settle": LIVE,
     # The metrics and trace API.
-    "obs/metrics.py::MetricsRegistry.set_gauge": OBS_API,
     "obs/metrics.py::MetricsRegistry.counter": OBS_API,
-    "obs/metrics.py::MetricsRegistry.gauge": OBS_API,
-    "obs/metrics.py::set_gauge": OBS_API,
     # A caller in src/ on a branch no entry point takes.
     "flows/flowtable.py::LazyColumn.tobytes": BRANCH,
     "flows/flowtable.py::LazyColumn.__getitem__": BRANCH,
@@ -281,13 +278,13 @@ def _cli(*argv: object) -> None:
 
 def drive(scratch: Path) -> None:
     """Run every entry point once (see the module docstring)."""
-    from repro import cli
+    from repro.experiments.registry import COMMANDS
     from repro.flows import kernels
 
     sys.path.insert(0, str(TESTS))
     from test_examples import TINY, load_example
 
-    commands = sorted(cli._COMMANDS)
+    commands = sorted(COMMANDS)
     small = ("--small", "--seed", "7")
     try:
         for backend in (kernels.BACKEND_PYTHON, kernels.BACKEND_NUMPY):

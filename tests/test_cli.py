@@ -40,16 +40,6 @@ def test_main_discovery_summary(capsys):
     assert "discovered IPv4 addresses" in captured.out
 
 
-def test_docstring_lists_every_registered_command():
-    """The module docstring must stay in sync with the command registry."""
-    import repro.cli as cli
-
-    for name in cli._COMMANDS:
-        assert f"iot-backend-repro {name}" in cli.__doc__, name
-    for name in ("sweep", "cache"):
-        assert f"iot-backend-repro {name}" in cli.__doc__, name
-
-
 def test_scale_zero_is_rejected_by_the_parser():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -86,10 +86,17 @@ def test_stub_resolver_merges_retries():
     server = AuthoritativeNameServer()
     records = [_record("gw.example", f"10.0.0.{i}", EU) for i in range(1, 7)]
     server.register_many(records, policy=AnswerPolicy.ROUND_ROBIN, window=2)
+    queries = []
+
+    def query(*args, **kwargs):
+        queries.append(args)
+        return AuthoritativeNameServer.query(server, *args, **kwargs)
+
+    server.query = query
     resolver = StubResolver(server, VantagePoint("eu", EU), retries=3)
     answer = resolver.resolve("gw.example")
     assert len(answer.addresses) >= 4
-    assert resolver.queries_issued == 3
+    assert len(queries) == 3
 
 
 def test_resolver_rejects_zero_retries():

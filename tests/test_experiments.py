@@ -1,6 +1,9 @@
 """Integration tests for the experiment harness (paper-shape assertions on the
 small scenario; the benchmarks repeat them at the default scale)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.traffic import volume_timeseries
@@ -8,6 +11,7 @@ from repro.experiments import characterization as ch
 from repro.experiments import disruption_experiments as de
 from repro.experiments import traffic_experiments as te
 from repro.experiments.context import build_context
+from repro.experiments.registry import COMMANDS, EXPERIMENTS
 from repro.flows import kernels
 from repro.store.artifacts import ArtifactStore
 
@@ -228,3 +232,13 @@ def test_ablation_vantage_points_leaves_the_world_counters_unchanged(cold_and_wa
         before = _rotation_counters(context.world)
         de.ablation_vantage_points(context)
         assert _rotation_counters(context.world) == before
+
+
+def test_registry_is_one_list_in_the_golden_order():
+    ops = [experiment.op for experiment in EXPERIMENTS]
+    assert len(set(ops)) == len(ops) == 19
+    commands = list(dict.fromkeys(experiment.command for experiment in EXPERIMENTS))
+    assert set(commands) <= set(COMMANDS), "an entry's command has no help line"
+    assert set(COMMANDS) <= set(commands), "a command has no entry"
+    golden = Path(__file__).parent / "golden" / "small_seed7.json"
+    assert commands == list(COMMANDS) == list(json.loads(golden.read_text(encoding="utf-8"))["commands"])

@@ -2,7 +2,7 @@
 
 One fresh, storeless context for ``ScenarioConfig.small(7)`` (and one for
 ``ScenarioConfig.default(7)``) runs every CLI
-command in :data:`repro.cli._COMMANDS` order (the vantage ablation resolves
+command in :data:`repro.experiments.registry.COMMANDS` order (the vantage ablation resolves
 against its own fresh DNS rotation state, so its output does not depend on
 the commands before it), then the store bytes of each flow table — generated
 with scanners, raw export, scanner clean — are hashed for the study and the
@@ -38,8 +38,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.cli import _COMMANDS
 from repro.experiments.context import build_context
+from repro.experiments.registry import COMMANDS, run_command
 from repro.obs import metrics as obs_metrics
 from repro.scan.censys import CensysSnapshot
 from repro.simulation.config import ScenarioConfig
@@ -92,9 +92,7 @@ def compute_digests(
     The context is storeless unless ``store`` is given.
     """
     context = build_context(config, use_cache=False, store=store)
-    commands = {
-        name: _sha256(command(context).encode("utf-8")) for name, command in _COMMANDS.items()
-    }
+    commands = {name: _sha256(run_command(name, context).encode("utf-8")) for name in COMMANDS}
     tables: Dict[str, str] = {}
     for label, period in (("study", config.study_period), ("outage", config.outage_period)):
         tables[f"{label}/generated"] = _sha256(

@@ -1302,13 +1302,13 @@ def test_cli_commands_record_no_kernel_fallback():
     """All ten CLI commands of small(7) run entirely on the numpy kernels."""
     if kernels.active_backend() != kernels.BACKEND_NUMPY:
         pytest.skip("numpy backend not active")
-    from repro.cli import _COMMANDS
     from repro.experiments.context import build_context
+    from repro.experiments.registry import COMMANDS, run_command
     from repro.simulation.config import ScenarioConfig
 
     def run_all():
         context = build_context(ScenarioConfig.small(7), use_cache=False)
-        return [command(context) for command in _COMMANDS.values()]
+        return [run_command(name, context) for name in COMMANDS]
 
     outputs, counted = _counted(run_all, "kernels.")
     assert len(outputs) == 10

@@ -30,18 +30,14 @@ def _obs_isolation():
 # -- metrics registry -----------------------------------------------------------------
 
 
-def test_registry_counters_gauges_histograms():
+def test_registry_counters_histograms():
     registry = MetricsRegistry()
     registry.inc("a")
     registry.inc("a", 2.5)
-    registry.set_gauge("g", 1.0)
-    registry.set_gauge("g", 7.0)
     registry.observe("h", 0.02)
     registry.observe("h", 0.3)
     assert registry.counter("a") == 3.5
     assert registry.counter("missing") == 0.0
-    assert registry.gauge("g") == 7.0
-    assert registry.gauge("missing") is None
     histogram = registry.histogram("h")
     assert histogram.count == 2
     assert histogram.min == 0.02
@@ -71,25 +67,25 @@ def test_histogram_rejects_unsorted_buckets():
 def test_snapshot_roundtrip_and_merge_semantics():
     a = MetricsRegistry()
     a.inc("jobs", 2)
-    a.set_gauge("depth", 3.0)
     a.observe("lat", 0.004)
     b = MetricsRegistry()
     b.inc("jobs", 5)
     b.inc("only_b")
-    b.set_gauge("depth", 9.0)
     b.observe("lat", 0.2)
 
     merged = MetricsRegistry.from_snapshot(a.snapshot())
     merged.merge(b.snapshot())
     assert merged.counter("jobs") == 7.0  # counters add
     assert merged.counter("only_b") == 1.0
-    assert merged.gauge("depth") == 9.0  # gauges are last-write-wins
     histogram = merged.histogram("lat")
     assert histogram.count == 2  # histogram buckets add
     assert histogram.min == 0.004
     assert histogram.max == 0.2
-    # Snapshots are plain JSON.
-    json.dumps(merged.snapshot())
+    # Snapshots are plain JSON; an older snapshot's gauges are ignored.
+    snapshot = merged.snapshot()
+    json.dumps(snapshot)
+    merged.merge({"gauges": {"depth": 9.0}})
+    assert merged.snapshot() == snapshot
 
 
 def test_merge_rejects_mismatched_histogram_buckets():
@@ -104,7 +100,6 @@ def test_merge_rejects_mismatched_histogram_buckets():
 def test_module_helpers_are_noops_while_disabled():
     obs_metrics.inc("x")
     obs_metrics.observe("y", 1.0)
-    obs_metrics.set_gauge("z", 1.0)
     assert obs_metrics.registry().counter("x") == 0.0
     assert not obs_metrics.enabled()
     obs_metrics.enable()
@@ -397,8 +392,8 @@ def test_repro_stats_lists_the_fallback_counters(tmp_path, monkeypatch, capsys):
 
 def test_cli_commands_record_no_fallback_cold_or_warm(tmp_path):
     """The ten CLI commands on small(7), cold then warm from one store, fall back nowhere."""
-    from repro.cli import _COMMANDS
     from repro.experiments.context import build_context
+    from repro.experiments.registry import COMMANDS, run_command
     from repro.simulation.config import ScenarioConfig
     from repro.store.artifacts import ArtifactStore
 
@@ -406,8 +401,27 @@ def test_cli_commands_record_no_fallback_cold_or_warm(tmp_path):
     obs_metrics.enable()
     for _run in ("cold", "warm"):
         context = build_context(ScenarioConfig.small(7), use_cache=False, store=store)
-        assert len([command(context) for command in _COMMANDS.values()]) == 10
+        assert len([run_command(name, context) for name in COMMANDS]) == 10
     counters = obs_metrics.registry().counters()
     assert counters.get("store.hits", 0.0) > 0, "the warm run must read the store"
     assert not [name for name in FALLBACK_COUNTERS if name in counters], counters
     assert not [name for name in counters if "fallbacks" in name], counters
+
+
+def test_traced_cli_command_has_one_span_per_experiment(tmp_path, capsys):
+    """A traced command writes one ``exp.<op>`` span per entry, in registry order,
+    and ``repro stats`` lists each of them."""
+    from repro.cli import main
+    from repro.experiments.registry import EXPERIMENTS
+
+    traffic = [f"exp.{e.op}" for e in EXPERIMENTS if e.command == "traffic"]
+    assert len(traffic) == 9
+    for command, expected in (("traffic", traffic), ("outage", ["exp.fig15_16"])):
+        path = tmp_path / f"{command}.jsonl"
+        assert main([command, "--small", "--trace", str(path)]) == 0
+        names = [event["name"] for event in obs_trace.read_trace(path)]
+        assert [name for name in names if name.startswith("exp.")] == expected
+        capsys.readouterr()
+        assert main(["stats", "--trace", str(path)]) == 0
+        rendered = capsys.readouterr().out
+        assert [name for name in expected if name not in rendered] == []
